@@ -47,7 +47,6 @@ from .fixed_domain import (
     polar_init,
 )
 from .linalg import (
-    PolarFactors,
     Pairing,
     adjoint_inverse,
     adjoint_pseudo_inverse,
@@ -55,7 +54,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     pairing,
-    polar_decompose,
     psd_inverse,
     psd_sqrt,
     unitary_exponential,
@@ -77,8 +75,6 @@ from .scenario import (
     ScenarioConfig,
     ValidationReport,
     integrate_b_squared,
-    sample_field,
-    sample_hamiltonian,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,

@@ -32,9 +32,8 @@ from .fixed_domain import evolve_direct, evolve_factorized, evolve_series
 from .linalg import adjoint_inverse, matrix_from_json, matrix_to_json
 from .moving_domain import (
     AmbientSpace,
-    assemble_moving_solution,
     build_moving_solution,
-    image_projector,
+    moving_drift,
     weak_residual,
 )
 from .reports import (
@@ -283,25 +282,15 @@ def _run_moving(ws: _Workspace, cfg: ScenarioConfig, doc: dict,
             cfg.output_stride, cfg.pd_floor, literal=literal)
     except MesodynError as exc:
         raise ConfigInvalidError(f"moving scenario rejected: {exc}") from exc
-    operators = assemble_moving_solution(space, solution.phi0,
-                                         solution.samples(),
-                                         solution.coefficient_samples())
+    operators = solution.operators(space)
     residuals = {t: r for t, r in
                  weak_residual(operators, space, cfg.field, cfg.hbar,
                                cfg.pd_floor)} if len(operators) >= 3 else {}
-    k0 = operators[0][1]
-    p0 = image_projector(k0, cfg.pd_floor)
-    gram0 = k0 @ k0.conj().T
-    rows = []
-    image_worst = 0.0
-    radial_worst = 0.0
-    for t, k in operators:
-        image_drift = float(np.linalg.norm(image_projector(k, cfg.pd_floor) - p0))
-        radial_drift = float(np.linalg.norm(k @ k.conj().T - gram0))
-        image_worst = max(image_worst, image_drift)
-        radial_worst = max(radial_worst, radial_drift)
-        rows.append((t, residuals.get(t), image_drift, radial_drift))
-    ws.write("moving_report.csv", residual_report_csv(rows))
+    drift = moving_drift(operators, cfg.pd_floor)
+    ws.write("moving_report.csv", residual_report_csv(
+        [(t, residuals.get(t), image, radial) for t, image, radial in drift]))
+    image_worst = max(image for _, image, _ in drift)
+    radial_worst = max(radial for _, _, radial in drift)
     ws.manifest.status["image_fixed"] = "pass" if image_worst <= 1e-10 else "fail"
     ws.manifest.status["radial_conserved"] = ("pass" if radial_worst <= 1e-9
                                               else "fail")
@@ -318,15 +307,9 @@ def _run_flux(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
     total_flux = float(doc["total_flux"])
     flux = FluxInput(upsilon=upsilon, total_flux=total_flux)
     trajectory = evolve_factorized(cfg)
-    times = []
-    distributions = []
-    worst = 0.0
-    for state in trajectory.states:
-        dist = flux_distribution(state.k, flux)
-        times.append(state.t)
-        distributions.append(dist)
-        worst = max(worst, abs(float(np.sum(dist)) - total_flux))
-    ws.write("flux.csv", flux_csv(times, distributions))
+    distributions = [flux_distribution(s.k, flux) for s in trajectory.states]
+    worst = max(abs(float(np.sum(dist)) - total_flux) for dist in distributions)
+    ws.write("flux.csv", flux_csv(trajectory.times, distributions))
     ws.manifest.status["flux_normalization"] = (
         "pass" if worst <= 1e-12 * max(1.0, abs(total_flux)) else "fail")
 

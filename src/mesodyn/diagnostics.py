@@ -30,6 +30,7 @@ from .fixed_domain import Trajectory
 from .linalg import (
     adjoint_inverse,
     as_matrix,
+    below_floor,
     hermitian,
     hermitian_eigendecompose,
     hermitian_part,
@@ -38,6 +39,7 @@ from .linalg import (
     psd_sqrt,
     require_square,
     require_unitary,
+    unitary_defect,
 )
 from .scenario import ScenarioConfig
 
@@ -54,7 +56,7 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = 1e-12) -> float:
     hm = hermitian(h)
     gram = hermitian_part(a @ a.conj().T)
     w = np.linalg.eigvalsh(gram)
-    if float(w[-1]) <= 0.0 or float(w[0]) <= (pd_floor * pd_floor) * float(w[-1]):
+    if below_floor(float(w[0]), float(w[-1]), pd_floor * pd_floor):
         raise NearSingularError(
             f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
             f"crosses the floor")
@@ -206,9 +208,7 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     for i, k in enumerate(ks):
         gram = hermitian_part(k @ k.conj().T)
         kk_drift = float(np.linalg.norm(gram - gram0)) / gram0_norm
-        implied_u = radial_inv @ k
-        defect = float(np.linalg.norm(
-            implied_u.conj().T @ implied_u - np.eye(k.shape[1])))
+        defect = unitary_defect(radial_inv @ k)
         if constant_h:
             tr = float(np.trace(k @ h0 @ k.conj().T).real)
             trace_drift = abs(tr - trace0) / trace_scale

@@ -12,7 +12,10 @@ Three independent routes to the same trajectory:
   truncated at a caller-chosen number of terms.
 
 Fixed steps keep trajectories bit-reproducible; convergence studies
-(dt, dt/2) replace adaptivity.
+(dt, dt/2) replace adaptivity.  The two stepping schemes, the
+midpoint-exponential product and classical RK4, live here once
+(``midpoint_product``, ``rk4``) and also drive the moving-domain frame,
+gauge and coefficient evolutions.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     TruncationDominatesError,
 )
 from .linalg import (
+    below_floor,
     hermitian_part,
     psd_inverse,
     psd_sqrt,
@@ -66,6 +70,11 @@ class Trajectory:
         return self.states[-1]
 
 
+def _trajectory(samples, solver_tag: str, digest: str) -> Trajectory:
+    return Trajectory(states=tuple(EvolutionState(t=t, k=k) for t, k in samples),
+                      solver_tag=solver_tag, scenario_digest=digest)
+
+
 @dataclass(frozen=True)
 class FactorizedCache:
     """Time-independent pieces of the factorized solution.
@@ -93,6 +102,55 @@ def polar_init(k0, pd_floor: float = 1e-12) -> FactorizedCache:
     return FactorizedCache(radial=radial, u0=u0, h_b_base=h_b_base)
 
 
+def midpoint_product(u0: np.ndarray, generator, times, wanted, sign: float,
+                     hbar: float, left: bool = False) -> list:
+    """Unitary propagator by the midpoint-exponential product.
+
+    Step i multiplies U by exp(i * sign * dt * G(t_i + dt/2) / hbar) for
+    the Hermitian sampler ``generator``, from the right (or the left with
+    ``left``).  Second-order accurate and exactly unitary at every step.
+    Returns [(t, U)] at the indices in ``wanted``, starting from U = u0.
+    """
+    u = u0
+    out = [(float(times[0]), u0.copy())] if 0 in wanted else []
+    for i in range(len(times) - 1):
+        dt = float(times[i + 1] - times[i])
+        step = unitary_exponential(generator(float(times[i]) + 0.5 * dt),
+                                   sign * dt / hbar)
+        u = step @ u if left else u @ step
+        if (i + 1) in wanted:
+            out.append((float(times[i + 1]), u))
+    return out
+
+
+def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
+    """Classical fixed-step RK4 for dy/dt = rhs(t, y) on the grid ``times``.
+
+    Returns [(t, y)] at the indices in ``wanted``.  A NearSingularError
+    raised inside a step is re-raised with ``last_good_time`` set to the
+    step start and ``partial`` holding the samples emitted before it.
+    """
+    y = np.array(y0, dtype=np.complex128)
+    out = [(float(times[0]), y.copy())] if 0 in wanted else []
+    for i in range(len(times) - 1):
+        t0 = float(times[i])
+        h = float(times[i + 1] - times[i])
+        tm = t0 + 0.5 * h
+        try:
+            s1 = rhs(t0, y)
+            s2 = rhs(tm, y + (0.5 * h) * s1)
+            s3 = rhs(tm, y + (0.5 * h) * s2)
+            s4 = rhs(t0 + h, y + h * s3)
+        except NearSingularError as exc:
+            raise NearSingularError(
+                f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
+                last_good_time=t0, partial=out) from exc
+        y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        if (i + 1) in wanted:
+            out.append((float(times[i + 1]), y))
+    return out
+
+
 def evolve_W(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
     """Unitary factor W(t) solving i*hbar*dW/dt = -W H(t), W(0) = u0.
 
@@ -108,16 +166,25 @@ def evolve_W(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
         h = cfg.hamiltonian.sample(0.0)
         return [(float(t), cache.u0 @ unitary_exponential(h, t / cfg.hbar))
                 for t in plan.output_times]
-    times = plan.times
-    wanted = set(plan.output_indices)
-    w = cache.u0.copy()
-    out = [(float(times[0]), w.copy())] if 0 in wanted else []
-    for i in range(len(times) - 1):
-        dt = float(times[i + 1] - times[i])
-        h_mid = cfg.hamiltonian.sample(float(times[i]) + 0.5 * dt)
-        w = w @ unitary_exponential(h_mid, dt / cfg.hbar)
-        if (i + 1) in wanted:
-            out.append((float(times[i + 1]), w.copy()))
+    return midpoint_product(cache.u0, cfg.hamiltonian.sample, plan.times,
+                            set(plan.output_indices), 1.0, cfg.hbar)
+
+
+def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
+    """[(t, exp((i/hbar) Int_0^t B^2 dt' h_b_base))] for increasing ``times``.
+
+    The accumulated integral reuses each previous interval, one quadrature
+    per requested time.
+    """
+    out = []
+    acc = 0.0
+    prev_t = 0.0
+    for t in times:
+        t = float(t)
+        if t > prev_t:
+            acc += integrate_b_squared(field, prev_t, t)
+            prev_t = t
+        out.append((t, unitary_exponential(h_b_base, acc / hbar)))
     return out
 
 
@@ -125,20 +192,10 @@ def evolve_V(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
     """Magnetic factor V(t) = exp((i/hbar) Int_0^t B^2 dt' (K0 K0*)^-1).
 
     V commutes with h_b_base at all times (both are functions of the same
-    Hermitian matrix) and V(0) = I.  The accumulated integral reuses each
-    previous interval, one quadrature per output time.
+    Hermitian matrix) and V(0) = I.
     """
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    out = []
-    acc = 0.0
-    prev_t = 0.0
-    for t in plan.output_times:
-        t = float(t)
-        if t > prev_t:
-            acc += integrate_b_squared(cfg.field, prev_t, t)
-            prev_t = t
-        out.append((t, unitary_exponential(cache.h_b_base, acc / cfg.hbar)))
-    return out
+    return magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
 
 
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
@@ -146,12 +203,8 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
     cache = polar_init(cfg.initial_k, cfg.pd_floor)
     ws = evolve_W(cache, cfg)
     vs = evolve_V(cache, cfg)
-    states = tuple(
-        EvolutionState(t=tw, k=cache.radial @ v @ w)
-        for (tw, w), (_, v) in zip(ws, vs)
-    )
-    return Trajectory(states=states, solver_tag="factorized",
-                      scenario_digest=cfg.digest())
+    return _trajectory([(tw, cache.radial @ v @ w) for (tw, w), (_, v) in zip(ws, vs)],
+                       "factorized", cfg.digest())
 
 
 def _direct_rhs(cfg: ScenarioConfig, t: float, k: np.ndarray) -> np.ndarray:
@@ -160,7 +213,7 @@ def _direct_rhs(cfg: ScenarioConfig, t: float, k: np.ndarray) -> np.ndarray:
     # Inline (K*)^-1 = U S^-1 V*; the SVD doubles as the per-stage
     # full-rank invariant check.
     u, s, vh = np.linalg.svd(k)
-    if s[0] <= 0.0 or s[-1] <= cfg.pd_floor * s[0]:
+    if below_floor(s[-1], s[0], cfg.pd_floor):
         raise NearSingularError(
             f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor "
             f"{cfg.pd_floor:.1e} at t={t}")
@@ -175,31 +228,13 @@ def evolve_direct(cfg: ScenarioConfig) -> Trajectory:
     trajectory emitted so far.
     """
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    times = plan.times
-    wanted = set(plan.output_indices)
-    digest = cfg.digest()
-    k = np.array(cfg.initial_k, dtype=np.complex128)
-    states = [EvolutionState(t=float(times[0]), k=k.copy())] if 0 in wanted else []
-    for i in range(len(times) - 1):
-        t0 = float(times[i])
-        h = float(times[i + 1] - times[i])
-        tm = t0 + 0.5 * h
-        try:
-            s1 = _direct_rhs(cfg, t0, k)
-            s2 = _direct_rhs(cfg, tm, k + (0.5 * h) * s1)
-            s3 = _direct_rhs(cfg, tm, k + (0.5 * h) * s2)
-            s4 = _direct_rhs(cfg, t0 + h, k + h * s3)
-        except NearSingularError as exc:
-            partial = Trajectory(states=tuple(states), solver_tag="direct",
-                                 scenario_digest=digest)
-            raise NearSingularError(
-                f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
-                last_good_time=t0, partial=partial) from exc
-        k = k + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        if (i + 1) in wanted:
-            states.append(EvolutionState(t=float(times[i + 1]), k=k.copy()))
-    return Trajectory(states=tuple(states), solver_tag="direct",
-                      scenario_digest=digest)
+    try:
+        samples = rk4(lambda t, k: _direct_rhs(cfg, t, k), cfg.initial_k,
+                      plan.times, set(plan.output_indices))
+    except NearSingularError as exc:
+        exc.partial = _trajectory(exc.partial, "direct", cfg.digest())
+        raise
+    return _trajectory(samples, "direct", cfg.digest())
 
 
 def series_unitary(u0: np.ndarray, h: np.ndarray, h_b: np.ndarray, t: float,
@@ -256,6 +291,5 @@ def evolve_series(cfg: ScenarioConfig, terms: int,
             raise TruncationDominatesError(
                 f"first omitted term ({estimate:.3e}) dominates at t={t}; "
                 f"increase terms")
-        states.append(EvolutionState(t=t, k=cache.radial @ u))
-    return Trajectory(states=tuple(states), solver_tag="series",
-                      scenario_digest=cfg.digest())
+        states.append((t, cache.radial @ u))
+    return _trajectory(states, "series", cfg.digest())

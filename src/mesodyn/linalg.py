@@ -58,12 +58,29 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def hermitian_excess(a: np.ndarray, rtol: float) -> float | None:
+    """max |M - M*| when it exceeds rtol * max(max |M|, 1), else None."""
+    if not a.size:
+        return None
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    return dev if dev > rtol * max(float(np.max(np.abs(a))), 1.0) else None
+
+
+def below_floor(lo: float, hi: float, floor: float) -> bool:
+    """Relative full-rank test: hi is not positive or lo <= floor * hi.
+
+    ``lo``/``hi`` are the smallest and largest singular values (or
+    eigenvalues of a positive-definite matrix).  With an array ``lo`` and
+    positive ``hi`` it flags every value under the floor.
+    """
+    return hi <= 0.0 or lo <= floor * hi
+
+
 def hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Validate closeness to M = M* and return the symmetrized matrix."""
     a = require_square(m)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > rtol * max(scale, 1.0):
+    dev = hermitian_excess(a, rtol)
+    if dev is not None:
         raise ShapeMismatchError(
             f"matrix is not Hermitian: max |M - M*| = {dev:.3e} exceeds "
             f"{rtol:.1e} * max(|M|, 1)"
@@ -152,31 +169,12 @@ def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR, rtol: float = HERMITIAN_RTOL
     than silently amplified.
     """
     w, q = hermitian_eigendecompose(m, rtol)
-    if float(w[-1]) <= 0.0 or float(w[0]) <= floor * float(w[-1]):
+    if below_floor(float(w[0]), float(w[-1]), floor):
         raise NearSingularError(
             f"eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
             f"crosses the floor {floor:.1e}"
         )
     return hermitian_part((q / w) @ q.conj().T)
-
-
-class PolarFactors(NamedTuple):
-    """K = radial @ unitary with radial Hermitian positive definite."""
-
-    radial: np.ndarray
-    unitary: np.ndarray
-
-
-def polar_decompose(k, floor: float = DEFAULT_PD_FLOOR) -> PolarFactors:
-    """Unique polar factorization K = R U, R = sqrt(K K*) > 0, U unitary."""
-    a = require_square(k)
-    u, s, vh = np.linalg.svd(a)
-    if a.shape[0] and (s[0] <= 0.0 or s[-1] <= floor * s[0]):
-        raise NearSingularError(
-            f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor {floor:.1e}"
-        )
-    radial = hermitian_part((u * s) @ u.conj().T)
-    return PolarFactors(radial=radial, unitary=u @ vh)
 
 
 def unitary_exponential(a, scale: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -228,7 +226,7 @@ def adjoint_inverse(k, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
     """
     a = require_square(k)
     u, s, vh = np.linalg.svd(a)
-    if s[0] <= 0.0 or s[-1] <= floor * s[0]:
+    if below_floor(s[-1], s[0], floor):
         raise NearSingularError(
             f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor {floor:.1e}"
         )
@@ -245,7 +243,7 @@ def adjoint_pseudo_inverse(k, floor: float = DEFAULT_PD_FLOOR):
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((a.shape[0], a.shape[1]), dtype=np.complex128), 0
-    keep = s > floor * s[0]
+    keep = ~below_floor(s, s[0], floor)
     rank = int(np.count_nonzero(keep))
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]

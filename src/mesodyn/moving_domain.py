@@ -13,9 +13,9 @@ coefficient matrix driven purely by the magnetic term:
 
     A'(t) = sqrt(A0 A0*) . exp((i/hbar) Int B^2 (A0 A0*)^-1 dt') . polar_unitary(A0)
 
-The trailing polar-unitary factor preserves A'(0) = A0 for arbitrary
-full-rank A0; the ``literal`` flag drops it, which is only correct for
-positive-definite A0.
+This is the factorized fixed-domain solution with H = 0.  The trailing
+polar-unitary factor preserves A'(0) = A0 for arbitrary full-rank A0; the
+``literal`` flag drops it, which is only correct for positive-definite A0.
 """
 
 from __future__ import annotations
@@ -31,16 +31,17 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
+from .fixed_domain import magnetic_factor, midpoint_product, polar_init, rk4
 from .linalg import (
     adjoint_inverse,
     adjoint_pseudo_inverse,
     as_matrix,
+    below_floor,
+    hermitian_excess,
     hermitian_part,
-    psd_inverse,
-    psd_sqrt,
-    unitary_exponential,
+    unitary_defect,
 )
-from .scenario import FieldProfile, HamiltonianProfile, integrate_b_squared, step_plan
+from .scenario import FieldProfile, HamiltonianProfile, step_plan
 
 FRAME_ORTHONORMAL_TOL = 1e-10
 _GAUGE_HERMITIAN_TOL = 1e-12
@@ -73,8 +74,7 @@ class AmbientSpace:
 
 def require_orthonormal_columns(m, tol: float = FRAME_ORTHONORMAL_TOL) -> np.ndarray:
     a = as_matrix(m)
-    gram = a.conj().T @ a
-    defect = float(np.linalg.norm(gram - np.eye(a.shape[1])))
+    defect = unitary_defect(a)
     if defect > tol:
         raise NotOrthonormalError(
             f"columns are not orthonormal: ||psi* psi - I||_F = {defect:.3e}")
@@ -95,17 +95,8 @@ def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
         raise ShapeMismatchError(
             f"psi0 must be {space.dim_h1} x {space.n}, got {psi.shape}")
     plan = step_plan(t_end, dt, output_stride)
-    times = plan.times
-    wanted = set(plan.output_indices)
-    out = [(float(times[0]), psi.copy())] if 0 in wanted else []
-    h_profile = space.ambient_hamiltonian
-    for i in range(len(times) - 1):
-        step = float(times[i + 1] - times[i])
-        h_mid = h_profile.sample(float(times[i]) + 0.5 * step)
-        psi = unitary_exponential(h_mid, -step / hbar) @ psi
-        if (i + 1) in wanted:
-            out.append((float(times[i + 1]), psi.copy()))
-    return out
+    return midpoint_product(psi, space.ambient_hamiltonian.sample, plan.times,
+                            set(plan.output_indices), -1.0, hbar, left=True)
 
 
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
@@ -118,29 +109,11 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     unitary of a0 is dropped (the printed closed form), which changes the
     initial value unless a0 is positive definite.
     """
-    a = as_matrix(a0)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"coefficient matrix must be square, got {a.shape}")
-    gram = hermitian_part(a @ a.conj().T)
-    radial = psd_sqrt(gram)
-    generator = psd_inverse(gram, floor=pd_floor * pd_floor)
-    tail = None
-    if not literal:
-        tail = psd_inverse(radial, floor=pd_floor) @ a
+    cache = polar_init(a0, pd_floor)
     out = []
-    acc = 0.0
-    prev_t = None
-    for t in times:
-        t = float(t)
-        if prev_t is None:
-            acc = integrate_b_squared(field, 0.0, t) if t > 0.0 else 0.0
-        elif t > prev_t:
-            acc += integrate_b_squared(field, prev_t, t)
-        prev_t = t
-        a_t = radial @ unitary_exponential(generator, acc / hbar)
-        if tail is not None:
-            a_t = a_t @ tail
-        out.append((t, a_t))
+    for t, v in magnetic_factor(cache.h_b_base, field, hbar, times):
+        a_t = cache.radial @ v
+        out.append((t, a_t if literal else a_t @ cache.u0))
     return out
 
 
@@ -173,8 +146,22 @@ def image_projector(k, pd_floor: float = 1e-12) -> np.ndarray:
     u, s, _ = np.linalg.svd(as_matrix(k), full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((k.shape[0], k.shape[0]), dtype=np.complex128)
-    cols = u[:, s > pd_floor * s[0]]
+    cols = u[:, ~below_floor(s, s[0], pd_floor)]
     return cols @ cols.conj().T
+
+
+def moving_drift(operators, pd_floor: float = 1e-12) -> list:
+    """[(t, image_drift, radial_drift)] relative to the first sample.
+
+    image_drift is ||P(t) - P(0)||_F for the image projectors, radial_drift
+    is ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.
+    """
+    k0 = operators[0][1]
+    p0 = image_projector(k0, pd_floor)
+    gram0 = k0 @ k0.conj().T
+    return [(t, float(np.linalg.norm(image_projector(k, pd_floor) - p0)),
+             float(np.linalg.norm(k @ k.conj().T - gram0)))
+            for t, k in operators]
 
 
 def weak_residual(samples, space: AmbientSpace, field: FieldProfile, hbar: float,
@@ -221,8 +208,8 @@ def _as_gauge(c, n: int):
         if m.shape != (n, n):
             raise ShapeMismatchError(f"gauge sample at t={t} has shape {m.shape}, "
                                      f"expected {(n, n)}")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > _GAUGE_HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
+        dev = hermitian_excess(m, _GAUGE_HERMITIAN_TOL)
+        if dev is not None:
             raise NotHermitianGaugeError(
                 f"gauge sample at t={t} is not Hermitian (max |C - C*| = {dev:.3e})")
         return hermitian_part(m)
@@ -241,44 +228,12 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
 
     Returns [(t, g1, g2)] including t = 0.
     """
-    c1 = _as_gauge(c_prime, n)
-    c2 = _as_gauge(c_double_prime, n)
-    plan = step_plan(t_end, dt, 1)
-    times = plan.times
-    g1 = np.eye(n, dtype=np.complex128)
-    g2 = np.eye(n, dtype=np.complex128)
-    out = [(float(times[0]), g1.copy(), g2.copy())]
-    for i in range(len(times) - 1):
-        step = float(times[i + 1] - times[i])
-        mid = float(times[i]) + 0.5 * step
-        g1 = g1 @ unitary_exponential(c1(mid), -step / hbar)
-        g2 = g2 @ unitary_exponential(c2(mid), +step / hbar)
-        out.append((float(times[i + 1]), g1.copy(), g2.copy()))
-    return out
-
-
-def _integrate_gauged_coefficients(a0, c1, c2, field: FieldProfile, hbar: float,
-                                   times, pd_floor: float) -> list:
-    """RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1."""
-
-    def rhs(t: float, a: np.ndarray) -> np.ndarray:
-        inv = adjoint_inverse(a, pd_floor)
-        b = field.sample(t)
-        return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
-
-    a = as_matrix(a0).copy()
-    out = [(float(times[0]), a.copy())]
-    for i in range(len(times) - 1):
-        t0 = float(times[i])
-        h = float(times[i + 1] - times[i])
-        tm = t0 + 0.5 * h
-        s1 = rhs(t0, a)
-        s2 = rhs(tm, a + (0.5 * h) * s1)
-        s3 = rhs(tm, a + (0.5 * h) * s2)
-        s4 = rhs(t0 + h, a + h * s3)
-        a = a + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        out.append((float(times[i + 1]), a.copy()))
-    return out
+    times = step_plan(t_end, dt, 1).times
+    every = range(len(times))
+    eye = np.eye(n, dtype=np.complex128)
+    g1s = midpoint_product(eye, _as_gauge(c_prime, n), times, every, -1.0, hbar)
+    g2s = midpoint_product(eye, _as_gauge(c_double_prime, n), times, every, 1.0, hbar)
+    return [(t, g1, g2) for (t, g1), (_, g2) in zip(g1s, g2s)]
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
@@ -304,10 +259,16 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
 
     props = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
     if coefficient_route == "integrate":
+        # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
         c1 = _as_gauge(c_prime, space.n)
         c2 = _as_gauge(c_double_prime, space.n)
-        a_gauged = _integrate_gauged_coefficients(a0, c1, c2, field, hbar,
-                                                  times, pd_floor)
+
+        def rhs(t: float, a: np.ndarray) -> np.ndarray:
+            inv = adjoint_inverse(a, pd_floor)
+            b = field.sample(t)
+            return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
+
+        a_gauged = rk4(rhs, as_matrix(a0), times, range(len(times)))
     elif coefficient_route == "transform":
         a_gauged = [(t, g1.conj().T @ ap @ g2)
                     for (t, g1, g2), (_, ap) in zip(props, a_primed)]
@@ -338,6 +299,11 @@ class MovingSolution:
 
     def coefficient_samples(self):
         return list(zip(self.times, self.coefficients))
+
+    def operators(self, space: AmbientSpace) -> list:
+        """The assembled K(t) = phi0 . A'(t) . psi(t)*."""
+        return assemble_moving_solution(space, self.phi0, self.samples(),
+                                        self.coefficient_samples())
 
 
 def build_moving_solution(space: AmbientSpace, psi0, phi0, a0,

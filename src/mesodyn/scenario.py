@@ -25,6 +25,8 @@ from .linalg import (
     DEFAULT_PD_FLOOR,
     HERMITIAN_RTOL,
     as_matrix,
+    below_floor,
+    hermitian_excess,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
@@ -49,8 +51,22 @@ NON_FINITE = "NON_FINITE"
 DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
 NOT_FULL_RANK = "NOT_FULL_RANK"
 OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
+TOO_MANY_STEPS = "TOO_MANY_STEPS"
+
+# Ceiling on t_end / dt, checked before any time grid is allocated.  It
+# sits far above every shipped scenario (at most a few thousand steps) and
+# keeps the step array under 100 MB.
+MAX_FINE_STEPS = 10 ** 7
 
 _DOMAIN_SLACK = 1e-9
+
+
+def _outside_domain(domain: tuple[float, float], t0: float, t1: float) -> bool:
+    """[t0, t1] leaves the domain by more than a relative slack."""
+    lo, hi = domain
+    slack = _DOMAIN_SLACK * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
+                                abs(hi) if math.isfinite(hi) else 0.0)
+    return t0 < lo - slack or t1 > hi + slack
 
 
 @dataclass(frozen=True)
@@ -105,9 +121,7 @@ class FieldProfile:
 
     def sample(self, t: float) -> float:
         lo, hi = self.domain()
-        slack = _DOMAIN_SLACK * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
-                                    abs(hi) if math.isfinite(hi) else 0.0)
-        if t < lo - slack or t > hi + slack:
+        if _outside_domain((lo, hi), t, t):
             raise OutOfDomainError(
                 f"field sampled at t={t!r} outside its domain [{lo}, {hi}]"
             )
@@ -172,8 +186,7 @@ class HamiltonianProfile:
         if self.kind != "interpolated-sequence":
             raise ValueError(f"unknown hamiltonian kind {self.kind!r}")
         lo, hi = self.domain()
-        slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-        if t < lo - slack or t > hi + slack:
+        if _outside_domain((lo, hi), t, t):
             raise OutOfDomainError(
                 f"hamiltonian sampled at t={t!r} outside its domain [{lo}, {hi}]"
             )
@@ -190,16 +203,6 @@ class HamiltonianProfile:
         theta = (t - t0) / (t1 - t0)
         mixed = (1.0 - theta) * self.matrices[j - 1] + theta * self.matrices[j]
         return hermitian_part(mixed)
-
-
-def sample_field(profile: FieldProfile, t: float) -> float:
-    """B(t)."""
-    return profile.sample(t)
-
-
-def sample_hamiltonian(profile: HamiltonianProfile, t: float) -> np.ndarray:
-    """H(t), symmetrized."""
-    return profile.sample(t)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 48) -> float:
@@ -239,9 +242,7 @@ def integrate_b_squared(profile: FieldProfile, t0: float, t1: float) -> float:
     if t0 > t1:
         raise ValueError(f"t0={t0!r} must not exceed t1={t1!r}")
     lo, hi = profile.domain()
-    slack = _DOMAIN_SLACK * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
-                                abs(hi) if math.isfinite(hi) else 0.0)
-    if t0 < lo - slack or t1 > hi + slack:
+    if _outside_domain((lo, hi), t0, t1):
         raise OutOfDomainError(
             f"integration range [{t0}, {t1}] outside the profile domain [{lo}, {hi}]"
         )
@@ -334,10 +335,14 @@ def _check_field(profile: FieldProfile, t_end: float, issues: list) -> None:
         if any(b <= a for a, b in zip(times, times[1:])):
             issues.append(ValidationIssue(BAD_TABLE, "table times must be strictly increasing"))
             return
+    _check_covers("field", profile, t_end, issues)
+
+
+def _check_covers(name: str, profile, t_end: float, issues: list) -> None:
     lo, hi = profile.domain()
     if lo > 0.0 or hi < t_end:
         issues.append(ValidationIssue(
-            OUT_OF_DOMAIN, f"field domain [{lo}, {hi}] does not cover [0, {t_end}]"))
+            OUT_OF_DOMAIN, f"{name} domain [{lo}, {hi}] does not cover [0, {t_end}]"))
 
 
 def _check_hamiltonian(profile: HamiltonianProfile, t_end: float, issues: list) -> int:
@@ -361,10 +366,7 @@ def _check_hamiltonian(profile: HamiltonianProfile, t_end: float, issues: list) 
             issues.append(ValidationIssue(
                 BAD_HAMILTONIAN, "sample times must be strictly increasing"))
             return 0
-        lo, hi = profile.domain()
-        if lo > 0.0 or hi < t_end:
-            issues.append(ValidationIssue(
-                OUT_OF_DOMAIN, f"hamiltonian domain [{lo}, {hi}] does not cover [0, {t_end}]"))
+        _check_covers("hamiltonian", profile, t_end, issues)
     dim = samples[0].shape[0]
     for idx, m in enumerate(samples):
         if m.shape[0] != m.shape[1]:
@@ -380,9 +382,8 @@ def _check_hamiltonian(profile: HamiltonianProfile, t_end: float, issues: list) 
             issues.append(ValidationIssue(
                 NON_FINITE, f"hamiltonian sample {idx} has non-finite entries"))
             return 0
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        scale = max(float(np.max(np.abs(m))), 1.0)
-        if dev > HERMITIAN_RTOL * scale:
+        dev = hermitian_excess(m, HERMITIAN_RTOL)
+        if dev is not None:
             issues.append(ValidationIssue(
                 NOT_HERMITIAN, f"hamiltonian sample {idx}: max |M - M*| = {dev:.3e}"))
         w = np.linalg.eigvalsh(hermitian_part(m))
@@ -410,6 +411,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     elif math.isfinite(cfg.t_end) and cfg.dt >= cfg.t_end:
         issues.append(ValidationIssue(
             BAD_TIME_GRID, f"dt={cfg.dt!r} must be smaller than t_end={cfg.t_end!r}"))
+    elif math.isfinite(cfg.t_end) and cfg.t_end / cfg.dt > MAX_FINE_STEPS:
+        issues.append(ValidationIssue(
+            TOO_MANY_STEPS, f"t_end/dt = {cfg.t_end / cfg.dt:.3e} exceeds the "
+            f"ceiling of {MAX_FINE_STEPS:.0e} fine steps"))
     if int(cfg.output_stride) < 1:
         issues.append(ValidationIssue(BAD_STRIDE, "output_stride must be >= 1"))
     if not (0.0 < cfg.pd_floor < 1.0):
@@ -431,7 +436,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
                 f"initial_k dimension {k.shape[0]} != hamiltonian dimension {h_dim}"))
         smin, smax = singular_extent(k)
         floor = cfg.pd_floor if 0.0 < cfg.pd_floor < 1.0 else DEFAULT_PD_FLOOR
-        if smax <= 0.0 or smin <= floor * smax:
+        if below_floor(smin, smax, floor):
             issues.append(ValidationIssue(
                 NOT_FULL_RANK,
                 f"initial_k singular-value ratio {smin:.3e}/{smax:.3e} "

@@ -9,7 +9,7 @@ their full pinned scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,10 +28,9 @@ from .fixed_domain import (
 from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from .moving_domain import (
     AmbientSpace,
-    assemble_moving_solution,
     build_moving_solution,
     gauge_equivalence_check,
-    image_projector,
+    moving_drift,
     weak_residual,
 )
 from .scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
@@ -72,9 +71,7 @@ def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(crandn(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d.conj() / np.abs(d))
+    return random_orthonormal_columns(rng, n, n)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
@@ -100,6 +97,21 @@ def random_orthonormal_columns(rng: np.random.Generator, rows: int,
     return q * (d.conj() / np.abs(d))
 
 
+def random_drifting_hamiltonian(rng: np.random.Generator, dim: int,
+                                t_end: float) -> HamiltonianProfile:
+    """Linear blend over [0, t_end] of a PD sample and a small Hermitian kick."""
+    h0 = random_hermitian(rng, dim, 0.5, 2.5)
+    h1 = hermitian_part(h0 + random_hermitian(rng, dim, -0.4, 0.4))
+    return HamiltonianProfile.interpolated([0.0, t_end], [h0, h1])
+
+
+def random_sinusoid(rng: np.random.Generator) -> FieldProfile:
+    return FieldProfile.sinusoid(amplitude=rng.uniform(0.2, 0.5),
+                                 frequency=rng.uniform(0.1, 0.4),
+                                 phase=rng.uniform(0.0, 2.0 * np.pi),
+                                 offset=rng.uniform(0.5, 0.9))
+
+
 def random_scenario(rng: np.random.Generator, dim: int, t_end: float = 1.0,
                     dt: float = 1e-3, output_stride: int = 100) -> ScenarioConfig:
     """Time-dependent H (linear blend of two PD samples) and sinusoidal B.
@@ -107,15 +119,8 @@ def random_scenario(rng: np.random.Generator, dim: int, t_end: float = 1.0,
     Magnitudes are kept at desk scale (||H|| <~ 2.5, ||H_B|| <~ 4) so the
     fixed-step integrators run well inside their accuracy budgets.
     """
-    h0 = random_hermitian(rng, dim, 0.5, 2.5)
-    h1 = hermitian_part(h0 + random_hermitian(rng, dim, -0.4, 0.4))
-    hamiltonian = HamiltonianProfile.interpolated([0.0, t_end], [h0, h1])
-    field = FieldProfile.sinusoid(
-        amplitude=rng.uniform(0.2, 0.5),
-        frequency=rng.uniform(0.1, 0.4),
-        phase=rng.uniform(0.0, 2.0 * np.pi),
-        offset=rng.uniform(0.5, 0.9),
-    )
+    hamiltonian = random_drifting_hamiltonian(rng, dim, t_end)
+    field = random_sinusoid(rng)
     k0 = random_full_rank(rng, dim, 0.7, 1.5)
     return ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=field,
                           initial_k=k0, t_end=t_end, dt=dt,
@@ -277,10 +282,7 @@ def check_energy_rate_order(seed: int) -> list:
     base = random_scenario(rng, 3, t_end=1.0, dt=1e-2, output_stride=1)
     errors = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        cfg = ScenarioConfig(hbar=base.hbar, hamiltonian=base.hamiltonian,
-                             field=base.field, initial_k=base.initial_k,
-                             t_end=base.t_end, dt=dt, output_stride=1,
-                             pd_floor=base.pd_floor)
+        cfg = replace(base, dt=dt)
         points = hamiltonian_rate(evolve_factorized(cfg), cfg)
         errors.append(max(abs(p.predicted - p.observed) for p in points))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -294,11 +296,7 @@ def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
     for _ in range(scenario_count):
         dim = int(rng.integers(2, 6))
         hamiltonian = HamiltonianProfile.constant(random_hermitian(rng, dim, 0.5, 2.5))
-        field = FieldProfile.sinusoid(amplitude=rng.uniform(0.2, 0.5),
-                                      frequency=rng.uniform(0.1, 0.4),
-                                      phase=rng.uniform(0.0, 2.0 * np.pi),
-                                      offset=rng.uniform(0.5, 0.9))
-        cfg = ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=field,
+        cfg = ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=random_sinusoid(rng),
                              initial_k=random_full_rank(rng, dim, 0.7, 1.5),
                              t_end=1.0, dt=1e-3, output_stride=100)
         report = invariant_report(evolve_direct(cfg), cfg)
@@ -308,48 +306,30 @@ def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
 
 def _moving_setup(rng: np.random.Generator, dim_h1: int = 8, dim_h2: int = 5,
                   n: int = 3, t_end: float = 1.0):
-    h0 = random_hermitian(rng, dim_h1, 0.5, 2.5)
-    h1 = hermitian_part(h0 + random_hermitian(rng, dim_h1, -0.4, 0.4))
     space = AmbientSpace(
         dim_h1=dim_h1, dim_h2=dim_h2, n=n,
-        ambient_hamiltonian=HamiltonianProfile.interpolated([0.0, t_end], [h0, h1]))
+        ambient_hamiltonian=random_drifting_hamiltonian(rng, dim_h1, t_end))
     psi0 = random_orthonormal_columns(rng, dim_h1, n)
     phi0 = random_orthonormal_columns(rng, dim_h2, n)
     a0 = random_full_rank(rng, n, 0.7, 1.4)
-    field = FieldProfile.sinusoid(amplitude=rng.uniform(0.2, 0.5),
-                                  frequency=rng.uniform(0.1, 0.4),
-                                  phase=rng.uniform(0.0, 2.0 * np.pi),
-                                  offset=rng.uniform(0.5, 0.9))
-    return space, psi0, phi0, a0, field
+    return space, psi0, phi0, a0, random_sinusoid(rng)
 
 
 def check_moving_domain(seed: int) -> list:
     """Image fixedness, radial conservation, weak-residual order, 1x1 form."""
     rng_main, rng_rank1 = _child_rngs(seed, 2)
     space, psi0, phi0, a0, field = _moving_setup(rng_main)
-    solution = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0,
-                                     t_end=1.0, dt=1e-3, output_stride=10)
-    operators = assemble_moving_solution(space, solution.phi0,
-                                         solution.samples(),
-                                         solution.coefficient_samples())
-    k0 = operators[0][1]
-    p0 = image_projector(k0)
-    gram0 = k0 @ k0.conj().T
-    image_drift = 0.0
-    radial_drift = 0.0
-    for _, k in operators:
-        image_drift = max(image_drift, float(np.linalg.norm(
-            image_projector(k) - p0)))
-        radial_drift = max(radial_drift, float(np.linalg.norm(
-            k @ k.conj().T - gram0)))
+    operators = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0,
+                                      dt=1e-3, output_stride=10).operators(space)
+    drift = moving_drift(operators)
+    image_drift = max(image for _, image, _ in drift)
+    radial_drift = max(radial for _, _, radial in drift)
 
     # Weak-residual order study on a refined grid.
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        sol = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0,
-                                    t_end=0.5, dt=dt, output_stride=1)
-        ops = assemble_moving_solution(space, sol.phi0, sol.samples(),
-                                       sol.coefficient_samples())
+        ops = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=0.5,
+                                    dt=dt, output_stride=1).operators(space)
         residuals = weak_residual(ops, space, field, hbar=1.0)
         errors.append(max(r for _, r in residuals))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -366,11 +346,9 @@ def check_moving_domain(seed: int) -> list:
     phase0 = float(rng_rank1.uniform(0.0, 2.0 * np.pi))
     a1 = np.array([[r0 * np.exp(1j * phase0)]])
     b = float(rng_rank1.uniform(0.3, 1.0))
-    sol1 = build_moving_solution(space1, psi1, phi1, a1,
-                                 FieldProfile.constant(b), hbar=1.0,
-                                 t_end=1.0, dt=1e-3, output_stride=100)
-    ops1 = assemble_moving_solution(space1, sol1.phi0, sol1.samples(),
-                                    sol1.coefficient_samples())
+    ops1 = build_moving_solution(space1, psi1, phi1, a1, FieldProfile.constant(b),
+                                 hbar=1.0, t_end=1.0, dt=1e-3,
+                                 output_stride=100).operators(space1)
     h_ambient = space1.ambient_hamiltonian.sample(0.0)
     worst_rank1 = 0.0
     for t, k in ops1:
@@ -409,11 +387,7 @@ def check_rk4_order(seed: int) -> list:
     base = random_scenario(rng, 3, t_end=1.0, dt=4e-3, output_stride=10 ** 9)
     finals = []
     for dt in (4e-3, 2e-3, 1e-3):
-        cfg = ScenarioConfig(hbar=base.hbar, hamiltonian=base.hamiltonian,
-                             field=base.field, initial_k=base.initial_k,
-                             t_end=base.t_end, dt=dt, output_stride=10 ** 9,
-                             pd_floor=base.pd_floor)
-        finals.append(evolve_direct(cfg).final.k)
+        finals.append(evolve_direct(replace(base, dt=dt)).final.k)
     d1 = float(np.linalg.norm(finals[0] - finals[1]))
     d2 = float(np.linalg.norm(finals[1] - finals[2]))
     rate = float(np.log2(d1 / d2))

@@ -176,6 +176,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path),
                      "--output", str(tmp_path / "o")]) == 3
 
+    def test_step_ceiling_rejected_before_allocation(self, tmp_path, capsys):
+        config = write_scenario(tmp_path / "s.json", scalar_config())
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--dt", "1e-300",
+                     "--output", str(out)]) == 3
+        assert "TOO_MANY_STEPS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_way_agreement(self, rng, tmp_path):

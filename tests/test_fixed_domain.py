@@ -14,6 +14,7 @@ from mesodyn.fixed_domain import (
     evolve_factorized,
     evolve_series,
     polar_init,
+    rk4,
     series_unitary,
 )
 from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
@@ -225,6 +226,28 @@ class TestEvolveDirect:
         d1 = frob(finals[0] - finals[1])
         d2 = frob(finals[1] - finals[2])
         assert np.log2(d1 / d2) >= 3.5
+
+
+class TestRk4:
+    def test_exponential_growth_is_fourth_order_accurate(self):
+        times = np.linspace(0.0, 1.0, 101)
+        samples = rk4(lambda t, y: 1j * y, np.eye(1), times, {0, 50, 100})
+        assert [t for t, _ in samples] == [0.0, 0.5, 1.0]
+        for t, y in samples:
+            assert abs(y[0, 0] - np.exp(1j * t)) <= 1e-9
+
+    def test_near_singular_keeps_last_good_time_and_partial(self):
+        def rhs(t, y):
+            if t >= 0.5:
+                raise NearSingularError("floor crossed")
+            return -y
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NearSingularError) as excinfo:
+            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
+        # the step [0.4, 0.5] is the first whose stages reach t = 0.5
+        assert excinfo.value.last_good_time == times[4]
+        assert [t for t, _ in excinfo.value.partial] == [times[0], times[2], times[4]]
 
 
 class TestEvolveSeries:

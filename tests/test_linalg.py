@@ -11,6 +11,7 @@ from mesodyn.errors import (
     NotPSDError,
     ShapeMismatchError,
 )
+from mesodyn.fixed_domain import polar_init
 from mesodyn.linalg import (
     adjoint_inverse,
     adjoint_pseudo_inverse,
@@ -19,7 +20,6 @@ from mesodyn.linalg import (
     matrix_from_json,
     matrix_to_json,
     pairing,
-    polar_decompose,
     psd_inverse,
     psd_sqrt,
     unitary_exponential,
@@ -108,31 +108,33 @@ class TestPsdInverse:
 
 
 class TestPolarDecompose:
+    """The polar split K = radial . u0 that polar_init caches."""
+
     def test_positive_diagonal(self):
-        factors = polar_decompose(np.diag([2.0, 3.0]).astype(complex))
+        factors = polar_init(np.diag([2.0, 3.0]).astype(complex))
         assert np.allclose(factors.radial, np.diag([2.0, 3.0]))
-        assert np.allclose(factors.unitary, np.eye(2))
+        assert np.allclose(factors.u0, np.eye(2))
 
     def test_scalar_phase(self):
-        factors = polar_decompose(np.array([[1j]]))
+        factors = polar_init(np.array([[1j]]))
         assert np.allclose(factors.radial, [[1.0]])
-        assert np.allclose(factors.unitary, [[1j]])
+        assert np.allclose(factors.u0, [[1j]])
 
     def test_reconstruction_random(self, rng):
         k = random_full_rank(rng, 3, 0.5, 2.0)
-        factors = polar_decompose(k)
-        assert frob(factors.radial @ factors.unitary - k) <= 1e-12 * frob(k)
-        u = factors.unitary
+        factors = polar_init(k)
+        assert frob(factors.radial @ factors.u0 - k) <= 1e-12 * frob(k)
+        u = factors.u0
         assert frob(u.conj().T @ u - np.eye(3)) <= 1e-12 * np.sqrt(3)
         assert np.all(np.linalg.eigvalsh(factors.radial) > 0)
 
     def test_rejects_rectangular(self):
         with pytest.raises(NonSquareError):
-            polar_decompose(np.ones((2, 3)))
+            polar_init(np.ones((2, 3)))
 
     def test_rejects_singular(self):
         with pytest.raises(NearSingularError):
-            polar_decompose(np.diag([1.0, 0.0]).astype(complex))
+            polar_init(np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestUnitaryExponential:
@@ -242,8 +244,8 @@ def test_pairing_antisymmetry_property(l, n):
 def test_polar_reconstruction_property(m):
     # shifting by 3I keeps every singular value >= 3 - ||m||_F > 0
     k = m + 3.0 * np.eye(2)
-    factors = polar_decompose(k)
-    assert frob(factors.radial @ factors.unitary - k) <= 1e-12 * frob(k)
+    factors = polar_init(k)
+    assert frob(factors.radial @ factors.u0 - k) <= 1e-12 * frob(k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

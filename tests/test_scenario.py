@@ -11,12 +11,11 @@ from mesodyn.scenario import (
     DIMENSION_MISMATCH,
     NOT_FULL_RANK,
     NOT_POSITIVE_DEFINITE,
+    TOO_MANY_STEPS,
     FieldProfile,
     HamiltonianProfile,
     ScenarioConfig,
     integrate_b_squared,
-    sample_field,
-    sample_hamiltonian,
     scenario_from_json,
     scenario_to_json,
     step_plan,
@@ -41,49 +40,49 @@ def make_config(**overrides):
 
 class TestSampleField:
     def test_constant_everywhere(self):
-        assert sample_field(FieldProfile.constant(2.0), 5.0) == 2.0
+        assert FieldProfile.constant(2.0).sample(5.0) == 2.0
 
     def test_sinusoid_zero_at_origin(self):
         profile = FieldProfile.sinusoid(amplitude=1.0, frequency=1.0 / (2 * np.pi))
-        assert sample_field(profile, 0.0) == 0.0
+        assert profile.sample(0.0) == 0.0
         # with this frequency the profile is exactly sin(t)
-        assert sample_field(profile, 1.3) == pytest.approx(np.sin(1.3), abs=1e-15)
+        assert profile.sample(1.3) == pytest.approx(np.sin(1.3), abs=1e-15)
 
     def test_table_interpolates(self):
         profile = FieldProfile.sampled_table([0.0, 1.0], [0.0, 2.0])
-        assert sample_field(profile, 0.5) == 1.0
+        assert profile.sample(0.5) == 1.0
 
     def test_table_rejects_extrapolation(self):
         profile = FieldProfile.sampled_table([0.0, 1.0], [0.0, 2.0])
         with pytest.raises(OutOfDomainError):
-            sample_field(profile, 2.0)
+            profile.sample(2.0)
 
     def test_ramp(self):
-        assert sample_field(FieldProfile.linear_ramp(2.0, 1.0), 3.0) == 7.0
+        assert FieldProfile.linear_ramp(2.0, 1.0).sample(3.0) == 7.0
 
 
 class TestSampleHamiltonian:
     def test_constant(self):
         profile = HamiltonianProfile.constant(np.diag([1.0, 2.0]).astype(complex))
-        assert np.allclose(sample_hamiltonian(profile, 17.3), np.diag([1.0, 2.0]))
+        assert np.allclose(profile.sample(17.3), np.diag([1.0, 2.0]))
 
     def test_sequence_midpoint(self):
         profile = HamiltonianProfile.interpolated(
             [0.0, 1.0], [np.eye(2, dtype=complex), 3.0 * np.eye(2, dtype=complex)])
-        assert np.allclose(sample_hamiltonian(profile, 0.5), 2.0 * np.eye(2))
+        assert np.allclose(profile.sample(0.5), 2.0 * np.eye(2))
 
     def test_interpolation_is_bitwise_hermitian(self, rng):
         samples = [random_hermitian(rng, 3, 0.5, 2.0) for _ in range(3)]
         profile = HamiltonianProfile.interpolated([0.0, 0.4, 1.0], samples)
         for t in (0.0, 0.13, 0.4, 0.77, 1.0):
-            h = sample_hamiltonian(profile, t)
+            h = profile.sample(t)
             assert np.array_equal(h, h.conj().T)
 
     def test_out_of_domain(self):
         profile = HamiltonianProfile.interpolated(
             [0.0, 1.0], [np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
         with pytest.raises(OutOfDomainError):
-            sample_hamiltonian(profile, 1.5)
+            profile.sample(1.5)
 
 
 class TestIntegrateBSquared:
@@ -149,6 +148,11 @@ class TestValidateScenario:
     def test_rank_deficient_initial(self):
         cfg = make_config(initial_k=np.diag([1.0, 0.0]).astype(complex))
         assert NOT_FULL_RANK in validate_scenario(cfg).codes()
+
+    def test_too_many_steps(self):
+        assert TOO_MANY_STEPS in validate_scenario(make_config(dt=1e-300)).codes()
+        assert TOO_MANY_STEPS in validate_scenario(make_config(dt=1e-12)).codes()
+        assert validate_scenario(make_config(dt=1e-6)).ok
 
     def test_bad_table(self):
         cfg = make_config(field=FieldProfile.sampled_table([0.0, 0.0], [1.0, 1.0]))
