@@ -205,39 +205,27 @@ class HamiltonianProfile:
         return hermitian_part(mixed)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 48) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-                + recurse(m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
-
-    return recurse(a, m, b, fa, fm, fb, whole, tol, depth)
-
-
 def _simpson_exact(f, a: float, b: float) -> float:
     m = 0.5 * (a + b)
     return (b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))
 
 
-def integrate_b_squared(profile: FieldProfile, t0: float, t1: float) -> float:
-    """Integral of B(t)^2 over [t0, t1].
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x else 1.0
 
-    Constant profiles use the closed form B^2 (t1 - t0) exactly; sampled
-    tables are integrated by Simpson per linear segment (exact for the
-    piecewise-quadratic integrand); everything else goes through adaptive
-    Simpson with absolute tolerance 1e-12 * (t1 - t0) * max B^2.
+
+def integrate_b_squared(profile: FieldProfile, t0: float, t1: float) -> float:
+    """Integral of B(t)^2 over [t0, t1], exact for every field kind.
+
+    Constant profiles use B^2 (t1 - t0).  A sinusoid c + A sin(w t + phi),
+    w = 2 pi f, uses the closed form
+
+        D [c^2 + A^2/2 + 2cA sin(w m + phi) S(w D/2) - (A^2/2) cos(2(w m + phi)) S(w D)]
+
+    with D = t1 - t0, midpoint m and S(x) = sin(x)/x; it needs no branch
+    for f = 0 and does not cancel on short intervals.  Linear ramps and
+    sampled tables are piecewise linear, so Simpson per linear segment is
+    exact for their piecewise-quadratic integrand.
     """
     if t0 > t1:
         raise ValueError(f"t0={t0!r} must not exceed t1={t1!r}")
@@ -250,21 +238,20 @@ def integrate_b_squared(profile: FieldProfile, t0: float, t1: float) -> float:
         return 0.0
     if profile.kind == "constant":
         return profile.value * profile.value * (t1 - t0)
+    if profile.kind == "sinusoid":
+        c, a, d = profile.offset, profile.amplitude, t1 - t0
+        w = 2.0 * math.pi * profile.frequency
+        theta = w * (0.5 * (t0 + t1)) + profile.phase
+        return d * (c * c + 0.5 * a * a
+                    + 2.0 * c * a * math.sin(theta) * _sinc(0.5 * w * d)
+                    - 0.5 * a * a * math.cos(2.0 * theta) * _sinc(w * d))
 
     def f(t: float) -> float:
         b = profile.sample(t)
         return b * b
 
-    if profile.kind == "sampled-table":
-        knots = [t0] + [t for t in profile.times if t0 < t < t1] + [t1]
-        return sum(_simpson_exact(f, a, b) for a, b in zip(knots, knots[1:]))
-
-    if profile.kind == "sinusoid":
-        max_b2 = (abs(profile.amplitude) + abs(profile.offset)) ** 2
-    else:  # linear-ramp peaks at an endpoint
-        max_b2 = max(f(t0), f(t1))
-    tol = max(1e-12 * (t1 - t0) * max_b2, 1e-30)
-    return _adaptive_simpson(f, t0, t1, tol)
+    knots = [t0] + [t for t in profile.times if t0 < t < t1] + [t1]
+    return sum(_simpson_exact(f, a, b) for a, b in zip(knots, knots[1:]))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,28 @@ class TestIntegrateBSquared:
         value = integrate_b_squared(profile, 0.0, np.pi)
         assert value == pytest.approx(np.pi / 2, abs=1e-10)
 
+    def test_sine_zero_frequency(self):
+        # f = 0 leaves the constant field B = offset + amplitude * sin(phase)
+        profile = FieldProfile.sinusoid(amplitude=0.4, frequency=0.0, phase=0.9, offset=0.3)
+        b = 0.3 + 0.4 * np.sin(0.9)
+        value = integrate_b_squared(profile, 0.2, 1.7)
+        assert value == pytest.approx(b * b * (1.7 - 0.2), rel=1e-14)
+
+    def test_sine_short_interval(self):
+        # Int_{t0}^{t1} B^2 = d B(m)^2 + d^3/24 (B^2)''(m) + O(d^5), d = t1 - t0
+        offset, amplitude, frequency, phase = 0.7, 0.4, 0.3, 0.2
+        t0 = 0.61
+        t1 = t0 + 1e-6
+        d, m = t1 - t0, 0.5 * (t0 + t1)
+        w = 2.0 * np.pi * frequency
+        theta = w * m + phase
+        b = offset + amplitude * np.sin(theta)
+        b1 = amplitude * w * np.cos(theta)
+        b2 = -amplitude * w * w * np.sin(theta)
+        expected = d * b * b + d ** 3 / 12.0 * (b1 * b1 + b * b2)
+        profile = FieldProfile.sinusoid(amplitude, frequency, phase, offset)
+        assert integrate_b_squared(profile, t0, t1) == pytest.approx(expected, rel=1e-14)
+
     def test_ramp_analytic(self):
         # (2t+1)^2 integrates to (2t+1)^3/6
         profile = FieldProfile.linear_ramp(2.0, 1.0)
