@@ -109,7 +109,9 @@ def midpoint_product(u0: np.ndarray, generator, times, wanted, sign: float,
     Step i multiplies U by exp(i * sign * dt * G(t_i + dt/2) / hbar) for
     the Hermitian sampler ``generator``, from the right (or the left with
     ``left``).  Second-order accurate and exactly unitary at every step.
-    Returns [(t, U)] at the indices in ``wanted``, starting from U = u0.
+    ``sign`` (+1 or -1) and ``hbar`` stay separate so the exponent rounds
+    as dt / hbar does.  Returns [(t, U)] at the indices in ``wanted``,
+    starting from U = u0.
     """
     u = u0
     out = [(float(times[0]), u0.copy())] if 0 in wanted else []
