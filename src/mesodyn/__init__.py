@@ -57,6 +57,7 @@ from .linalg import (
     psd_inverse,
     psd_sqrt,
     unitary_exponential,
+    unitary_exponentials,
 )
 from .moving_domain import (
     AmbientSpace,

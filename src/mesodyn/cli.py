@@ -322,22 +322,38 @@ def _run_verify(ws: _Workspace, overrides: dict) -> None:
         ws.manifest.status[result.name] = "pass" if result.passed else "fail"
 
 
+def _error_record(exc: MesodynError) -> dict:
+    record = {"type": type(exc).__name__, "message": str(exc)}
+    last_good_time = getattr(exc, "last_good_time", None)
+    if last_good_time is not None:
+        record["last_good_time"] = last_good_time
+    return record
+
+
 def run(cmd: Command) -> RunManifest:
-    """Dispatch one parsed command; returns the written manifest."""
+    """Dispatch one parsed command; returns the written manifest.
+
+    A package error raised once the output directory is open still leaves
+    a run.json, which records the error, before it propagates.
+    """
     start = time.perf_counter()
     if cmd.verb == "verify":
         seed = int(cmd.overrides.get("seed", 42))
         digest = hashlib.sha256(f"verify-battery-seed-{seed}".encode()).hexdigest()
-        ws = _Workspace(cmd.output_dir, digest)
-        _run_verify(ws, cmd.overrides)
-        # wall_time stays 0.0: verify manifests are byte-reproducible.
-        return ws.finish(0.0)
+    else:
+        doc = _load_document(cmd.config_path)
+        cfg = _scenario_from_document(doc, cmd.overrides)
+        digest = cfg.digest()
+    ws = _Workspace(cmd.output_dir, digest)
 
-    doc = _load_document(cmd.config_path)
-    cfg = _scenario_from_document(doc, cmd.overrides)
-    ws = _Workspace(cmd.output_dir, cfg.digest())
+    def elapsed() -> float:
+        # wall_time stays 0.0 for verify: its manifests are byte-reproducible.
+        return 0.0 if cmd.verb == "verify" else time.perf_counter() - start
+
     try:
-        if cmd.verb == "simulate":
+        if cmd.verb == "verify":
+            _run_verify(ws, cmd.overrides)
+        elif cmd.verb == "simulate":
             _run_simulate(ws, cfg, cmd.overrides)
         elif cmd.verb == "compare":
             _run_compare(ws, cfg, cmd.overrides)
@@ -349,11 +365,12 @@ def run(cmd: Command) -> RunManifest:
             _run_flux(ws, cfg, doc)
         else:
             raise UsageError(f"unknown verb {cmd.verb!r}")
-    except NearSingularError:
-        # partial artifacts are already on disk; still leave a manifest
-        ws.finish(time.perf_counter() - start)
+    except MesodynError as exc:
+        # partial artifacts are already on disk; the manifest names the error
+        ws.manifest.error = _error_record(exc)
+        ws.finish(elapsed())
         raise
-    return ws.finish(time.perf_counter() - start)
+    return ws.finish(elapsed())
 
 
 def main(argv=None) -> int:

@@ -38,6 +38,7 @@ from .linalg import (
     psd_sqrt,
     require_square,
     unitary_exponential,
+    unitary_exponentials,
 )
 from .scenario import ScenarioConfig, integrate_b_squared, step_plan
 
@@ -156,7 +157,8 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
 def evolve_W(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
     """Unitary factor W(t) solving i*hbar*dW/dt = -W H(t), W(0) = u0.
 
-    Constant H uses W(t) = u0 exp(i H t / hbar) exactly; time-dependent H
+    Constant H uses W(t) = u0 exp(i H t / hbar) exactly, from one
+    eigendecomposition of H for all output times; time-dependent H
     uses the midpoint-exponential product
     W(t+dt) = W(t) exp(i H(t+dt/2) dt / hbar), second-order accurate and
     exactly unitary at every step.
@@ -165,9 +167,9 @@ def evolve_W(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
     """
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
     if cfg.hamiltonian.is_constant():
-        h = cfg.hamiltonian.sample(0.0)
-        return [(float(t), cache.u0 @ unitary_exponential(h, t / cfg.hbar))
-                for t in plan.output_times]
+        exps = unitary_exponentials(cfg.hamiltonian.sample(0.0),
+                                    [t / cfg.hbar for t in plan.output_times])
+        return [(float(t), cache.u0 @ e) for t, e in zip(plan.output_times, exps)]
     return midpoint_product(cache.u0, cfg.hamiltonian.sample, plan.times,
                             set(plan.output_indices), 1.0, cfg.hbar)
 
@@ -176,9 +178,10 @@ def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
     """[(t, exp((i/hbar) Int_0^t B^2 dt' h_b_base))] for increasing ``times``.
 
     The accumulated integral reuses each previous interval, one quadrature
-    per requested time.
+    per requested time; one eigendecomposition of h_b_base serves them all.
     """
-    out = []
+    ts = []
+    scales = []
     acc = 0.0
     prev_t = 0.0
     for t in times:
@@ -186,8 +189,9 @@ def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
         if t > prev_t:
             acc += integrate_b_squared(field, prev_t, t)
             prev_t = t
-        out.append((t, unitary_exponential(h_b_base, acc / hbar)))
-    return out
+        ts.append(t)
+        scales.append(acc / hbar)
+    return list(zip(ts, unitary_exponentials(h_b_base, scales)))
 
 
 def evolve_V(cache: FactorizedCache, cfg: ScenarioConfig) -> list:

@@ -177,13 +177,26 @@ def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR, rtol: float = HERMITIAN_RTOL
     return hermitian_part((q / w) @ q.conj().T)
 
 
+def unitary_exponentials(a, scales, rtol: float = HERMITIAN_RTOL) -> list:
+    """[exp(i * s * A) for s in scales] for Hermitian A.
+
+    One eigendecomposition A = Q diag(w) Q* serves every scale, each
+    exponential being Q diag(exp(i s w)) Q*.
+    """
+    w, q = hermitian_eigendecompose(a, rtol)
+    qh = q.conj().T
+    out = []
+    for scale in scales:
+        if scale == 0.0:
+            out.append(np.eye(w.shape[0], dtype=np.complex128))
+        else:
+            out.append((q * np.exp(1j * scale * w)) @ qh)
+    return out
+
+
 def unitary_exponential(a, scale: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """exp(i * scale * A) for Hermitian A, via eigendecomposition."""
-    w, q = hermitian_eigendecompose(a, rtol)
-    if scale == 0.0:
-        return np.eye(w.shape[0], dtype=np.complex128)
-    phases = np.exp(1j * scale * w)
-    return (q * phases) @ q.conj().T
+    return unitary_exponentials(a, (scale,), rtol)[0]
 
 
 class Pairing(NamedTuple):

@@ -13,6 +13,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .diagnostics import DiagnosticsReport
 from .fixed_domain import Trajectory
 
@@ -50,19 +52,18 @@ def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport) -> str:
         for j in range(cols_n):
             header += [f"k_re_{i}_{j}", f"k_im_{i}_{j}"]
     header += ["kk_drift", "trace_khk_drift", "unitarity_defect"]
-    rows = [header]
+    lines = [",".join(header)]
     for state, record in zip(trajectory.states, report.records):
-        row = [format_number(state.t)]
-        for i in range(rows_n):
-            for j in range(cols_n):
-                entry = state.k[i, j]
-                row += [format_number(entry.real), format_number(entry.imag)]
-        row.append(format_number(record.kk_star_drift))
-        row.append("" if record.trace_khk_drift is None
-                   else format_number(record.trace_khk_drift))
-        row.append(format_number(record.unitarity_defect))
-        rows.append(row)
-    return _csv(rows)
+        # Row-major entries, each as (re, im): the float64 view of the
+        # contiguous complex array interleaves them in that order.
+        entries = np.ascontiguousarray(state.k, dtype=np.complex128).reshape(-1)
+        entries = entries.view(np.float64).tolist()
+        drift = ("" if record.trace_khk_drift is None
+                 else format_number(record.trace_khk_drift))
+        lines.append(",".join([format_number(state.t), *map(repr, entries),
+                               format_number(record.kk_star_drift), drift,
+                               format_number(record.unitarity_defect)]))
+    return "\n".join(lines) + "\n"
 
 
 def diagnostics_csv(report: DiagnosticsReport) -> str:
@@ -119,16 +120,21 @@ def checks_csv(results) -> str:
 
 @dataclass
 class RunManifest:
-    """What a command produced: digest, version, timing, files, verdicts."""
+    """What a command produced: digest, version, timing, files, verdicts.
+
+    ``error`` is set when the run stopped on a package error:
+    {"type", "message"} plus "last_good_time" when the error carries one.
+    """
 
     scenario_digest: str
     tool_version: str
     wall_time: float
     outputs: list = field(default_factory=list)
     status: dict = field(default_factory=dict)
+    error: dict | None = None
 
     def ok(self) -> bool:
-        return all(v == "pass" for v in self.status.values())
+        return self.error is None and all(v == "pass" for v in self.status.values())
 
 
 def manifest_json(manifest: RunManifest) -> str:
@@ -139,4 +145,6 @@ def manifest_json(manifest: RunManifest) -> str:
         "outputs": list(manifest.outputs),
         "status": dict(sorted(manifest.status.items())),
     }
+    if manifest.error is not None:
+        doc["error"] = dict(manifest.error)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -69,6 +69,16 @@ def _outside_domain(domain: tuple[float, float], t0: float, t1: float) -> bool:
     return t0 < lo - slack or t1 > hi + slack
 
 
+def _knot_domain(times: tuple, tabulated: bool) -> tuple[float, float]:
+    """[first knot, last knot] of a tabulated profile, the empty interval
+    (inf, -inf) for an empty table, and the whole line otherwise."""
+    if not tabulated:
+        return (-math.inf, math.inf)
+    if not times:
+        return (math.inf, -math.inf)
+    return (times[0], times[-1])
+
+
 @dataclass(frozen=True)
 class FieldProfile:
     """Real scalar profile B(t), tagged by kind.
@@ -113,11 +123,7 @@ class FieldProfile:
                             values=tuple(float(v) for v in values))
 
     def domain(self) -> tuple[float, float]:
-        if self.kind == "sampled-table":
-            if not self.times:
-                return (math.inf, -math.inf)
-            return (self.times[0], self.times[-1])
-        return (-math.inf, math.inf)
+        return _knot_domain(self.times, self.kind == "sampled-table")
 
     def sample(self, t: float) -> float:
         lo, hi = self.domain()
@@ -171,11 +177,7 @@ class HamiltonianProfile:
         return self.matrices[0].shape[0] if self.matrices else 0
 
     def domain(self) -> tuple[float, float]:
-        if self.kind == "interpolated-sequence":
-            if not self.times:
-                return (math.inf, -math.inf)
-            return (self.times[0], self.times[-1])
-        return (-math.inf, math.inf)
+        return _knot_domain(self.times, self.kind == "interpolated-sequence")
 
     def is_constant(self) -> bool:
         return self.kind == "constant"

@@ -158,6 +158,12 @@ def _child_rngs(seed: int, count: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def convergence_order(errors) -> float:
+    """Worst observed order log2(e_i / e_{i+1}) over errors at halving steps."""
+    return min(float(np.log2(errors[i] / errors[i + 1]))
+               for i in range(len(errors) - 1))
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -285,8 +291,7 @@ def check_energy_rate_order(seed: int) -> list:
         cfg = replace(base, dt=dt)
         points = hamiltonian_rate(evolve_factorized(cfg), cfg)
         errors.append(max(abs(p.predicted - p.observed) for p in points))
-    rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    return [_result("energy_rate_order", float(min(rates)), 1.9, ">=")]
+    return [_result("energy_rate_order", convergence_order(errors), 1.9, ">=")]
 
 
 def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
@@ -332,7 +337,6 @@ def check_moving_domain(seed: int) -> list:
                                     dt=dt, output_stride=1).operators(space)
         residuals = weak_residual(ops, space, field, hbar=1.0)
         errors.append(max(r for _, r in residuals))
-    rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
     # Rank-one closed form: constant diagonal ambient H, constant B.
     dim = 6
@@ -360,7 +364,7 @@ def check_moving_domain(seed: int) -> list:
     return [
         _result("moving_image_drift", image_drift, 1e-10),
         _result("moving_radial_drift", radial_drift, 1e-9),
-        _result("weak_residual_order", float(min(rates)), 1.9, ">="),
+        _result("weak_residual_order", convergence_order(errors), 1.9, ">="),
         _result("moving_rank_one_closed_form", worst_rank1, 1e-10),
     ]
 
@@ -388,10 +392,8 @@ def check_rk4_order(seed: int) -> list:
     finals = []
     for dt in (4e-3, 2e-3, 1e-3):
         finals.append(evolve_direct(replace(base, dt=dt)).final.k)
-    d1 = float(np.linalg.norm(finals[0] - finals[1]))
-    d2 = float(np.linalg.norm(finals[1] - finals[2]))
-    rate = float(np.log2(d1 / d2))
-    return [_result("rk4_self_convergence_order", rate, 3.5, ">=")]
+    diffs = [float(np.linalg.norm(finals[i] - finals[i + 1])) for i in range(2)]
+    return [_result("rk4_self_convergence_order", convergence_order(diffs), 3.5, ">=")]
 
 
 def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,

@@ -103,7 +103,8 @@ class TestSimulate:
             t = float(cells[i_t])
             phase = np.angle(float(cells[i_re]) + 1j * float(cells[i_im]))
             assert abs(phase - 2.0 * t) <= 1e-8
-        assert (out / "run.json").exists()
+        assert manifest.ok()
+        assert "error" not in json.loads((out / "run.json").read_text())
 
     def test_byte_identical_reruns(self, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng))
@@ -139,6 +140,20 @@ class TestSimulate:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["status"]["evolution_complete"] == "fail"
         assert "trajectory_direct.csv" in manifest["outputs"]
+        assert manifest["error"]["type"] == "NearSingularError"
+        assert manifest["error"]["last_good_time"] == 0.0
+
+    def test_failed_run_leaves_manifest_with_error(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng, dim=2))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", config, "--output", str(out),
+                     "--solver", "series", "--terms", "3"])
+        assert code == 1
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "TruncationDominatesError"
+        assert "increase terms" in manifest["error"]["message"]
+        assert "last_good_time" not in manifest["error"]
+        assert manifest["outputs"] == []
 
     def test_env_floor_overrides_config(self, tmp_path):
         # ratio 0.4 passes the config floor but not the env override

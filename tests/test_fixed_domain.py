@@ -13,11 +13,19 @@ from mesodyn.fixed_domain import (
     evolve_direct,
     evolve_factorized,
     evolve_series,
+    magnetic_factor,
     polar_init,
     rk4,
     series_unitary,
 )
-from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
+from mesodyn.linalg import unitary_exponential
+from mesodyn.scenario import (
+    FieldProfile,
+    HamiltonianProfile,
+    ScenarioConfig,
+    integrate_b_squared,
+    step_plan,
+)
 from mesodyn.verification import (
     crandn,
     random_full_rank,
@@ -104,6 +112,35 @@ class TestEvolveW:
         cache = polar_init(cfg.initial_k)
         for _, w in evolve_W(cache, cfg):
             assert frob(w.conj().T @ w - np.eye(4)) <= 1e-12
+
+
+class TestSharedEigendecomposition:
+    """The constant-generator paths equal one exponential per output time."""
+
+    def test_constant_w_equals_per_time_exponentials(self, rng):
+        cfg = constant_config(random_hermitian(rng, 4, 0.5, 2.0), 0.8,
+                              random_full_rank(rng, 4, 0.7, 1.4),
+                              dt=1e-2, stride=7, hbar=0.7)
+        cache = polar_init(cfg.initial_k)
+        h = cfg.hamiltonian.sample(0.0)
+        times = step_plan(cfg.t_end, cfg.dt, cfg.output_stride).output_times
+        ws = evolve_W(cache, cfg)
+        assert [t for t, _ in ws] == [float(t) for t in times]
+        for (_, w), t in zip(ws, times):
+            assert np.array_equal(w, cache.u0 @ unitary_exponential(h, t / cfg.hbar))
+
+    def test_magnetic_factor_equals_per_time_exponentials(self, rng):
+        base = random_hermitian(rng, 3, 0.5, 2.0)
+        field = FieldProfile.sinusoid(0.9, 1.3, 0.4, 0.2)
+        times = [0.0, 0.0, 0.25, 0.5, 0.5, 1.0]
+        out = magnetic_factor(base, field, 1.3, times)
+        assert [t for t, _ in out] == times
+        acc, prev = 0.0, 0.0
+        for (_, v), t in zip(out, times):
+            if t > prev:
+                acc += integrate_b_squared(field, prev, t)
+                prev = t
+            assert np.array_equal(v, unitary_exponential(base, acc / 1.3))
 
 
 class TestEvolveV:

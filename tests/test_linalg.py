@@ -23,8 +23,14 @@ from mesodyn.linalg import (
     psd_inverse,
     psd_sqrt,
     unitary_exponential,
+    unitary_exponentials,
 )
-from mesodyn.verification import crandn, random_full_rank, random_hermitian
+from mesodyn.verification import (
+    crandn,
+    random_full_rank,
+    random_hermitian,
+    random_unitary,
+)
 
 
 def frob(m):
@@ -164,6 +170,45 @@ class TestUnitaryExponential:
         left = unitary_exponential(a, 0.3) @ unitary_exponential(a, 1.1)
         right = unitary_exponential(a, 1.4)
         assert frob(left - right) <= 1e-11
+
+
+def per_scale_exponential(a, scale):
+    """One eigendecomposition per call: the reference for the batched form."""
+    w, q = hermitian_eigendecompose(a)
+    if scale == 0.0:
+        return np.eye(w.shape[0], dtype=np.complex128)
+    return (q * np.exp(1j * scale * w)) @ q.conj().T
+
+
+class TestUnitaryExponentials:
+    SCALES = (0.0, 0.7, -1.3, -0.0, 2.5e-9, 1e6, -3.75e8, 0.7)
+
+    def test_bitwise_equal_to_single_calls(self, rng):
+        a = random_hermitian(rng, 5, -2.0, 3.0)
+        batch = unitary_exponentials(a, self.SCALES)
+        assert len(batch) == len(self.SCALES)
+        for s, u in zip(self.SCALES, batch):
+            assert np.array_equal(u, unitary_exponential(a, s))
+            assert np.array_equal(u, per_scale_exponential(a, s))
+        for u in batch[0], batch[3]:
+            assert np.array_equal(u, np.eye(5, dtype=complex))
+        scales = np.linspace(-2.0, 2.0, 5)
+        for s, u in zip(scales, unitary_exponentials(a, scales)):
+            assert np.array_equal(u, unitary_exponential(a, s))
+        assert unitary_exponentials(a, []) == []
+
+    def test_degenerate_spectrum(self, rng):
+        q = random_unitary(rng, 5)
+        a = hermitian_part((q * np.array([1.0, 1.0, 2.0, 2.0, 2.0])) @ q.conj().T)
+        batch = unitary_exponentials(a, self.SCALES)
+        for s, u in zip(self.SCALES, batch):
+            assert np.array_equal(u, unitary_exponential(a, s))
+            assert np.array_equal(u, per_scale_exponential(a, s))
+            assert frob(u.conj().T @ u - np.eye(5)) <= 1e-12
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ShapeMismatchError):
+            unitary_exponentials(np.array([[1.0, 2.0], [0.0, 1.0]]), [1.0])
 
 
 class TestPairing:
