@@ -26,13 +26,12 @@ from .errors import (
     NuDoesNotDominateError,
     ZeroImageError,
 )
-from .fixed_domain import Trajectory
+from .fixed_domain import Trajectory, polar_init
 from .linalg import (
     adjoint_inverse,
     as_matrix,
     below_floor,
     hermitian,
-    hermitian_eigendecompose,
     hermitian_part,
     pairing,
     psd_inverse,
@@ -189,7 +188,7 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     ks = [s.k for s in trajectory.states]
     gram0 = hermitian_part(ks[0] @ ks[0].conj().T)
     gram0_norm = float(np.linalg.norm(gram0))
-    radial_inv = psd_inverse(psd_sqrt(gram0), floor=cfg.pd_floor)
+    radial_inv = polar_init(ks[0], cfg.pd_floor).radial_inv
     constant_h = cfg.hamiltonian.is_constant()
     if constant_h:
         h0 = cfg.hamiltonian.sample(0.0)

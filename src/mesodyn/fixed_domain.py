@@ -78,29 +78,32 @@ def _trajectory(samples, solver_tag: str, digest: str) -> Trajectory:
 
 @dataclass(frozen=True)
 class FactorizedCache:
-    """Time-independent pieces of the factorized solution.
+    """Time-independent pieces of the factorized solution: the polar split.
 
-    radial    = sqrt(K0 K0*), fixed for the whole evolution
-    u0        = radial^-1 K0, the initial unitary factor
-    h_b_base  = (K0 K0*)^-1, so the magnetic generator is B(t)^2 * h_b_base
+    radial      = sqrt(K0 K0*), fixed for the whole evolution
+    radial_inv  = radial^-1
+    u0          = radial^-1 K0, the initial unitary factor
+    h_b_base    = (K0 K0*)^-1 = radial^-2, so the magnetic generator is
+                  B(t)^2 * h_b_base
     """
 
     radial: np.ndarray
+    radial_inv: np.ndarray
     u0: np.ndarray
     h_b_base: np.ndarray
 
 
 def polar_init(k0, pd_floor: float = 1e-12) -> FactorizedCache:
-    """Split K0 = radial . u0 and cache (K0 K0*)^-1."""
+    """Split K0 = radial . u0 and cache radial^-1 and (K0 K0*)^-1.
+
+    Eigenvalues of radial are the singular values of K0, so the relative
+    floor test on them raises NearSingularError at ``pd_floor``.
+    """
     a = require_square(k0)
-    gram = hermitian_part(a @ a.conj().T)
-    radial = psd_sqrt(gram)
-    # Eigenvalues of radial are the singular values of K0, so pd_floor
-    # applies unchanged; the squared Gram needs the squared floor.
+    radial = psd_sqrt(hermitian_part(a @ a.conj().T))
     radial_inv = psd_inverse(radial, floor=pd_floor)
-    u0 = radial_inv @ a
-    h_b_base = psd_inverse(gram, floor=pd_floor * pd_floor)
-    return FactorizedCache(radial=radial, u0=u0, h_b_base=h_b_base)
+    return FactorizedCache(radial=radial, radial_inv=radial_inv, u0=radial_inv @ a,
+                           h_b_base=hermitian_part(radial_inv @ radial_inv))
 
 
 def midpoint_product(u0: np.ndarray, generator, times, wanted, sign: float,

@@ -31,8 +31,6 @@ HERMITIAN_RTOL = 1e-13          # allowed entrywise deviation from M = M*
 UNITARY_TOL = 1e-12             # ||U*U - I||_F <= UNITARY_TOL * sqrt(dim)
 PSD_EIG_RTOL = 1e-10            # min eigenvalue >= -PSD_EIG_RTOL * max eigenvalue
 DEFAULT_PD_FLOOR = 1e-12        # relative singular-value / eigenvalue floor
-_PHASE_FLOOR = 1e-12            # entries below this do not anchor a column phase
-_DEGENERACY_RTOL = 1e-12        # eigenvalue clustering width for tie-breaking
 
 
 def as_matrix(m) -> np.ndarray:
@@ -76,14 +74,14 @@ def below_floor(lo: float, hi: float, floor: float) -> bool:
     return hi <= 0.0 or lo <= floor * hi
 
 
-def hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def hermitian(m) -> np.ndarray:
     """Validate closeness to M = M* and return the symmetrized matrix."""
     a = require_square(m)
-    dev = hermitian_excess(a, rtol)
+    dev = hermitian_excess(a, HERMITIAN_RTOL)
     if dev is not None:
         raise ShapeMismatchError(
             f"matrix is not Hermitian: max |M - M*| = {dev:.3e} exceeds "
-            f"{rtol:.1e} * max(|M|, 1)"
+            f"{HERMITIAN_RTOL:.1e} * max(|M|, 1)"
         )
     return hermitian_part(a)
 
@@ -105,53 +103,20 @@ def require_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
     return a
 
 
-def _canonical_phases(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
-    out = q.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
-        if idx.size:
-            z = col[idx[0]]
-            out[:, j] = col * (z.conjugate() / abs(z))
-    return out
+def hermitian_eigendecompose(m):
+    """Eigenvalues (ascending) and an orthonormal eigenbasis, M = Q diag(w) Q*.
 
-
-def _column_key(col: np.ndarray):
-    return tuple(x for entry in col for x in (entry.real, entry.imag))
-
-
-def hermitian_eigendecompose(m, rtol: float = HERMITIAN_RTOL):
-    """Eigenvalues (ascending) and a deterministically phased eigenbasis.
-
-    Degenerate clusters are ordered lexicographically by their
-    phase-normalized eigenvector entries, so identical inputs always
-    produce identical output.
-
-    Returns (eigenvalues, eigenvectors) with M = Q diag(w) Q*.
+    Plain LAPACK ``eigh`` on the validated Hermitian matrix.  The phases
+    and the order of eigenvectors inside degenerate clusters are LAPACK's;
+    every caller forms functions Q f(w) Q*, which do not depend on them,
+    and identical input gives identical bits on a fixed machine.
     """
-    a = hermitian(m, rtol)
-    w, q = np.linalg.eigh(a)
-    q = _canonical_phases(q)
-    # Deterministic tie-break inside (near-)degenerate clusters.
-    tol = _DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    i = 0
-    n = w.shape[0]
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= tol:
-            j += 1
-        if j - i > 1:
-            order = sorted(range(i, j), key=lambda c: _column_key(q[:, c]))
-            q[:, i:j] = q[:, order]
-            w[i:j] = w[order]
-        i = j
-    return w, q
+    return np.linalg.eigh(hermitian(m))
 
 
-def psd_sqrt(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Unique positive-semidefinite square root of a PSD Hermitian matrix."""
-    w, q = hermitian_eigendecompose(m, rtol)
+    w, q = hermitian_eigendecompose(m)
     wmax = float(w[-1])
     if float(w[0]) < -PSD_EIG_RTOL * wmax:
         raise NotPSDError(
@@ -161,14 +126,14 @@ def psd_sqrt(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return hermitian_part((q * s) @ q.conj().T)
 
 
-def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
     """Inverse of a positive-definite Hermitian matrix.
 
     Raises NearSingularError when the smallest eigenvalue does not exceed
     ``floor`` times the largest — the det K -> 0 regime is reported rather
     than silently amplified.
     """
-    w, q = hermitian_eigendecompose(m, rtol)
+    w, q = hermitian_eigendecompose(m)
     if below_floor(float(w[0]), float(w[-1]), floor):
         raise NearSingularError(
             f"eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
@@ -177,13 +142,13 @@ def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR, rtol: float = HERMITIAN_RTOL
     return hermitian_part((q / w) @ q.conj().T)
 
 
-def unitary_exponentials(a, scales, rtol: float = HERMITIAN_RTOL) -> list:
+def unitary_exponentials(a, scales) -> list:
     """[exp(i * s * A) for s in scales] for Hermitian A.
 
     One eigendecomposition A = Q diag(w) Q* serves every scale, each
     exponential being Q diag(exp(i s w)) Q*.
     """
-    w, q = hermitian_eigendecompose(a, rtol)
+    w, q = hermitian_eigendecompose(a)
     qh = q.conj().T
     out = []
     for scale in scales:
@@ -194,9 +159,9 @@ def unitary_exponentials(a, scales, rtol: float = HERMITIAN_RTOL) -> list:
     return out
 
 
-def unitary_exponential(a, scale: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def unitary_exponential(a, scale: float) -> np.ndarray:
     """exp(i * scale * A) for Hermitian A, via eigendecomposition."""
-    return unitary_exponentials(a, (scale,), rtol)[0]
+    return unitary_exponentials(a, (scale,))[0]
 
 
 class Pairing(NamedTuple):

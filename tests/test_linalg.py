@@ -41,7 +41,7 @@ class TestEigendecompose:
     def test_diagonal_input_sorts_ascending(self):
         w, q = hermitian_eigendecompose(np.diag([3.0, 1.0]).astype(complex))
         assert np.allclose(w, [1.0, 3.0])
-        # eigenvectors form a permutation with canonical phases
+        # eigenvectors form a permutation up to LAPACK's column phases
         assert np.allclose(np.abs(q), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_identity(self):
