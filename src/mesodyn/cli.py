@@ -4,7 +4,8 @@ Verbs: simulate, compare, critical, moving, flux, verify.  Every verb
 writes its artifacts atomically into the output directory and finishes
 with a run.json manifest.  Exit codes: 0 success, 1 failed check,
 2 usage, 3 invalid config, 4 near-singular (partial outputs retained),
-5 I/O failure.
+5 I/O failure, 6 solver precondition not met (series truncation
+dominates, or the series solver given time-dependent coefficients).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +28,8 @@ from .errors import (
     ConfigInvalidError,
     MesodynError,
     NearSingularError,
+    RequiresConstantCoefficientsError,
+    TruncationDominatesError,
     UsageError,
 )
 from .fixed_domain import evolve_direct, evolve_factorized, evolve_series
@@ -103,6 +107,8 @@ def parse_command(argv) -> Command:
     if args.verb is None:
         raise UsageError(f"a verb is required: one of {', '.join(VERBS)}\n"
                          f"{parser.format_usage()}")
+    if getattr(args, "terms", 1) < 1:
+        parser.error(f"argument --terms: must be >= 1, got {args.terms}")
     overrides = {}
     for key in ("dt", "t_end", "hbar", "solver", "terms", "seed", "literal_atime"):
         value = getattr(args, key, None)
@@ -119,6 +125,17 @@ def _load_document(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _finite_number(value, name: str) -> float:
+    """A scenario-document number as a finite float, else ConfigInvalidError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigInvalidError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _scenario_from_document(doc: dict, overrides: dict) -> ScenarioConfig:
@@ -228,6 +245,7 @@ def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
     nu = doc.get("nu")
     if nu is None:
         nu = float(np.linalg.eigvalsh(h)[-1]) + 1.0
+    nu = _finite_number(nu, "nu")
     if "unitary" in doc:
         try:
             unitary = matrix_from_json(doc["unitary"])
@@ -235,13 +253,13 @@ def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
             raise ConfigInvalidError(f"bad unitary literal: {exc}") from exc
     else:
         unitary = np.eye(h.shape[0], dtype=complex)
-    k = critical_point(CriticalPointSpec(nu=float(nu), unitary=unitary,
+    k = critical_point(CriticalPointSpec(nu=nu, unitary=unitary,
                                          hamiltonian=h, b=float(b)))
     residual = float(np.linalg.norm(
-        k @ h + (b * b) * adjoint_inverse(k, cfg.pd_floor) - float(nu) * k))
+        k @ h + (b * b) * adjoint_inverse(k, cfg.pd_floor) - nu * k))
     relative = residual / float(np.linalg.norm(k))
     payload = {
-        "nu": float(nu),
+        "nu": nu,
         "b": float(b),
         "k": matrix_to_json(k),
         "residual": residual,
@@ -304,10 +322,13 @@ def _run_flux(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
         upsilon = matrix_from_json(doc["upsilon"]).reshape(-1)
     except ValueError as exc:
         raise ConfigInvalidError(f"bad upsilon literal: {exc}") from exc
-    total_flux = float(doc["total_flux"])
+    total_flux = _finite_number(doc["total_flux"], "total_flux")
     flux = FluxInput(upsilon=upsilon, total_flux=total_flux)
     trajectory = evolve_factorized(cfg)
-    distributions = [flux_distribution(s.k, flux) for s in trajectory.states]
+    try:
+        distributions = [flux_distribution(s.k, flux) for s in trajectory.states]
+    except ValueError as exc:
+        raise ConfigInvalidError(f"bad upsilon: {exc}") from exc
     worst = max(abs(float(np.sum(dist)) - total_flux) for dist in distributions)
     ws.write("flux.csv", flux_csv(trajectory.times, distributions))
     ws.manifest.status["flux_normalization"] = (
@@ -395,6 +416,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mesodyn: i/o error: {exc}", file=sys.stderr)
         return 5
+    except (TruncationDominatesError, RequiresConstantCoefficientsError) as exc:
+        print(f"mesodyn: solver precondition not met: {exc}", file=sys.stderr)
+        return 6
     except MesodynError as exc:
         print(f"mesodyn: {exc}", file=sys.stderr)
         return 1

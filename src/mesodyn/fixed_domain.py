@@ -270,14 +270,12 @@ def series_unitary(u0: np.ndarray, h: np.ndarray, h_b: np.ndarray, t: float,
     return u, estimate
 
 
-def evolve_series(cfg: ScenarioConfig, terms: int,
-                  check_truncation: bool = True) -> Trajectory:
+def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
     """Power-series trajectory K(t) = radial . U(t) for constant H and B.
 
-    ``terms`` counts the series terms kept (k = 0 .. terms-1).  When
-    ``check_truncation`` is set, a first-omitted-term estimate above
-    1e-10 * ||U|| raises TruncationDominatesError; pass False for
-    small-order structural studies where truncation is the point.
+    ``terms`` counts the series terms kept (k = 0 .. terms-1).  A
+    first-omitted-term estimate above 1e-10 * ||U|| raises
+    TruncationDominatesError.
     """
     if not (cfg.hamiltonian.is_constant() and cfg.field.kind == "constant"):
         raise RequiresConstantCoefficientsError(
@@ -296,7 +294,7 @@ def evolve_series(cfg: ScenarioConfig, terms: int,
     for t in plan.output_times:
         t = float(t)
         u, estimate = series_unitary(cache.u0, h, h_b, t, cfg.hbar, terms)
-        if check_truncation and estimate > SERIES_TRUNCATION_RTOL * float(np.linalg.norm(u)):
+        if estimate > SERIES_TRUNCATION_RTOL * float(np.linalg.norm(u)):
             raise TruncationDominatesError(
                 f"first omitted term ({estimate:.3e}) dominates at t={t}; "
                 f"increase terms")

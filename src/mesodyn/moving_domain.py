@@ -239,17 +239,14 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
                             field: FieldProfile, hbar: float, t_end: float,
                             dt: float, c_prime, c_double_prime,
-                            pd_floor: float = 1e-12,
-                            coefficient_route: str = "integrate") -> float:
+                            pd_floor: float = 1e-12) -> float:
     """Max distance between the gauged and the gauge-free assembled operator.
 
     The gauge-free (primed) solution uses the free frame and the closed
     coefficient form.  The gauged solution evolves the image basis
     phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient matrix
-    either by integrating its gauged equation (``integrate``, the
-    default) or by the frame-change transform A = g1* A' g2
-    (``transform``).  Gauge invariance of the physical operator makes the
-    distance vanish up to integration accuracy.
+    by integrating its gauged equation.  Gauge invariance of the physical
+    operator makes the distance vanish up to integration accuracy.
     """
     space.check()
     psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
@@ -258,22 +255,16 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     primed = assemble_moving_solution(space, phi0, psi_free, a_primed)
 
     props = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
-    if coefficient_route == "integrate":
-        # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
-        c1 = _as_gauge(c_prime, space.n)
-        c2 = _as_gauge(c_double_prime, space.n)
+    # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
+    c1 = _as_gauge(c_prime, space.n)
+    c2 = _as_gauge(c_double_prime, space.n)
 
-        def rhs(t: float, a: np.ndarray) -> np.ndarray:
-            inv = adjoint_inverse(a, pd_floor)
-            b = field.sample(t)
-            return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
+    def rhs(t: float, a: np.ndarray) -> np.ndarray:
+        inv = adjoint_inverse(a, pd_floor)
+        b = field.sample(t)
+        return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
 
-        a_gauged = rk4(rhs, as_matrix(a0), times, range(len(times)))
-    elif coefficient_route == "transform":
-        a_gauged = [(t, g1.conj().T @ ap @ g2)
-                    for (t, g1, g2), (_, ap) in zip(props, a_primed)]
-    else:
-        raise ValueError(f"unknown coefficient_route {coefficient_route!r}")
+    a_gauged = rk4(rhs, as_matrix(a0), times, range(len(times)))
 
     image = require_orthonormal_columns(phi0)
     worst = 0.0
@@ -292,18 +283,12 @@ class MovingSolution:
     frames: tuple
     coefficients: tuple
     phi0: np.ndarray
-    a0: np.ndarray
-
-    def samples(self):
-        return list(zip(self.times, self.frames))
-
-    def coefficient_samples(self):
-        return list(zip(self.times, self.coefficients))
 
     def operators(self, space: AmbientSpace) -> list:
         """The assembled K(t) = phi0 . A'(t) . psi(t)*."""
-        return assemble_moving_solution(space, self.phi0, self.samples(),
-                                        self.coefficient_samples())
+        return assemble_moving_solution(space, self.phi0,
+                                        list(zip(self.times, self.frames)),
+                                        list(zip(self.times, self.coefficients)))
 
 
 def build_moving_solution(space: AmbientSpace, psi0, phi0, a0,
@@ -320,5 +305,4 @@ def build_moving_solution(space: AmbientSpace, psi0, phi0, a0,
         frames=tuple(psi for _, psi in frames),
         coefficients=tuple(a for _, a in coeffs),
         phi0=require_orthonormal_columns(phi0),
-        a0=as_matrix(a0),
     )

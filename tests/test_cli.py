@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -148,12 +149,29 @@ class TestSimulate:
         out = tmp_path / "out"
         code = main(["simulate", "--config", config, "--output", str(out),
                      "--solver", "series", "--terms", "3"])
-        assert code == 1
+        assert code == 6
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["error"]["type"] == "TruncationDominatesError"
         assert "increase terms" in manifest["error"]["message"]
         assert "last_good_time" not in manifest["error"]
         assert manifest["outputs"] == []
+
+    def test_series_needs_constant_coefficients(self, rng, tmp_path):
+        cfg = dataclasses.replace(small_config(rng, dim=2),
+                                  field=FieldProfile.sinusoid(0.4, 0.3, 0.1, 0.7))
+        config = write_scenario(tmp_path / "s.json", cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out),
+                     "--solver", "series"]) == 6
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "RequiresConstantCoefficientsError"
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    def test_terms_below_one_is_usage_error(self, verb, tmp_path):
+        out = tmp_path / "out"
+        assert main([verb, "--config", "s.json", "--terms", "0",
+                     "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_env_floor_overrides_config(self, tmp_path):
         # ratio 0.4 passes the config floor but not the env override
@@ -274,6 +292,35 @@ class TestFlux:
             values = [float(x) for x in line.split(",")[1:]]
             assert all(v >= 0.0 for v in values)
             assert abs(sum(values) - 2.5) <= 1e-11
+
+
+def assert_config_rejected(argv, out):
+    assert main(argv + ["--output", str(out)]) == 3
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["error"]["type"] == "ConfigInvalidError"
+
+
+class TestHostileInputs:
+    def flux_config(self, rng, tmp_path, upsilon, total_flux):
+        extra = {"upsilon": matrix_to_json(upsilon), "total_flux": total_flux}
+        return write_scenario(tmp_path / "f.json", small_config(rng), extra=extra)
+
+    def test_flux_upsilon_of_wrong_length(self, rng, tmp_path):
+        config = self.flux_config(rng, tmp_path, np.ones((2, 1)), 1.0)
+        assert_config_rejected(["flux", "--config", config], tmp_path / "out")
+
+    def test_flux_zero_upsilon(self, rng, tmp_path):
+        config = self.flux_config(rng, tmp_path, np.zeros((3, 1)), 1.0)
+        assert_config_rejected(["flux", "--config", config], tmp_path / "out")
+
+    def test_flux_non_numeric_total(self, rng, tmp_path):
+        config = self.flux_config(rng, tmp_path, np.ones((3, 1)), "lots")
+        assert_config_rejected(["flux", "--config", config], tmp_path / "out")
+
+    def test_critical_non_numeric_nu(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"nu": "big"})
+        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
 
 class TestFormatting:

@@ -307,10 +307,13 @@ class TestEvolveSeries:
         h = random_hermitian(rng, 2, 0.5, 2.0)
         b = 0.8
         k0 = random_full_rank(rng, 2, 0.8, 1.3)
+        cache = polar_init(k0)
 
         def truncation_error(dt):
             cfg = constant_config(h, b, k0, t_end=dt, dt=dt / 2, stride=10 ** 9)
-            series = evolve_series(cfg, terms=2, check_truncation=False).final.k
+            u, _ = series_unitary(cache.u0, h, (b * b) * cache.h_b_base, dt,
+                                  1.0, terms=2)
+            series = cache.radial @ u
             exact = evolve_factorized(cfg).final.k
             return frob(series - exact)
 
