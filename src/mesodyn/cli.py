@@ -324,11 +324,13 @@ def _run_flux(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
         raise ConfigInvalidError(f"bad upsilon literal: {exc}") from exc
     total_flux = _finite_number(doc["total_flux"], "total_flux")
     flux = FluxInput(upsilon=upsilon, total_flux=total_flux)
-    trajectory = evolve_factorized(cfg)
     try:
-        distributions = [flux_distribution(s.k, flux) for s in trajectory.states]
+        # rejects a wrong-length or zero upsilon before the evolution runs
+        flux_distribution(cfg.initial_k, flux)
     except ValueError as exc:
         raise ConfigInvalidError(f"bad upsilon: {exc}") from exc
+    trajectory = evolve_factorized(cfg)
+    distributions = [flux_distribution(s.k, flux) for s in trajectory.states]
     worst = max(abs(float(np.sum(dist)) - total_flux) for dist in distributions)
     ws.write("flux.csv", flux_csv(trajectory.times, distributions))
     ws.manifest.status["flux_normalization"] = (
