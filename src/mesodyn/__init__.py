@@ -9,7 +9,6 @@ from .diagnostics import (
     critical_point,
     differential_check,
     flux_distribution,
-    hamiltonian_rate,
     invariant_report,
     special_diagonal_solution,
     total_hamiltonian,
@@ -61,13 +60,11 @@ from .linalg import (
 )
 from .moving_domain import (
     AmbientSpace,
-    MovingSolution,
-    assemble_moving_solution,
-    build_moving_solution,
     coefficient_matrix_evolution,
     evolve_frame_schrodinger,
     gauge_equivalence_check,
     gauge_propagators,
+    moving_solution,
     weak_residual,
 )
 from .scenario import (

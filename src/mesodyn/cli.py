@@ -36,8 +36,8 @@ from .fixed_domain import evolve_direct, evolve_factorized, evolve_series
 from .linalg import adjoint_inverse, matrix_from_json, matrix_to_json
 from .moving_domain import (
     AmbientSpace,
-    build_moving_solution,
     moving_drift,
+    moving_solution,
     weak_residual,
 )
 from .reports import (
@@ -295,12 +295,11 @@ def _run_moving(ws: _Workspace, cfg: ScenarioConfig, doc: dict,
     space, psi0, phi0, a0 = _moving_inputs(cfg, doc)
     literal = bool(overrides.get("literal_atime", False))
     try:
-        solution = build_moving_solution(
+        operators = moving_solution(
             space, psi0, phi0, a0, cfg.field, cfg.hbar, cfg.t_end, cfg.dt,
             cfg.output_stride, cfg.pd_floor, literal=literal)
     except MesodynError as exc:
         raise ConfigInvalidError(f"moving scenario rejected: {exc}") from exc
-    operators = solution.operators(space)
     residuals = {t: r for t, r in
                  weak_residual(operators, space, cfg.field, cfg.hbar,
                                cfg.pd_floor)} if len(operators) >= 3 else {}

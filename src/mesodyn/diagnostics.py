@@ -96,58 +96,6 @@ def differential_check(k, h, b: float, l, step: float = DIRECTIONAL_STEP,
     return DifferentialCheck(lhs=lhs, rhs=riem, rhs_symplectic=sympl)
 
 
-class RatePoint(NamedTuple):
-    t: float
-    predicted: float
-    observed: float
-
-
-def _rate_arrays(times: np.ndarray, ks, cfg: ScenarioConfig):
-    """Energy samples plus predicted and observed time derivatives."""
-    h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
-    b_samples = np.array([cfg.field.sample(float(t)) for t in times])
-    xi = np.array([
-        total_hamiltonian(k, h_samples[i], float(b_samples[i]), cfg.pd_floor)
-        for i, k in enumerate(ks)
-    ])
-    gram0 = hermitian_part(ks[0] @ ks[0].conj().T)
-    logdet_r2 = float(np.sum(np.log(np.linalg.eigvalsh(gram0))))
-    if cfg.hamiltonian.is_constant():
-        h_dot = np.zeros_like(h_samples)
-    else:
-        h_dot = np.gradient(h_samples, times, axis=0)
-    if cfg.field.kind == "constant":
-        b_dot = np.zeros_like(b_samples)
-    else:
-        b_dot = np.gradient(b_samples, times)
-    predicted = np.array([
-        float(np.trace(ks[i] @ h_dot[i] @ ks[i].conj().T).real)
-        + 2.0 * float(b_samples[i]) * float(b_dot[i]) * logdet_r2
-        for i in range(len(ks))
-    ])
-    observed = np.gradient(xi, times)
-    return xi, predicted, observed
-
-
-def hamiltonian_rate(trajectory: Trajectory, cfg: ScenarioConfig) -> list:
-    """Predicted vs observed d/dt of the total energy at interior samples.
-
-    Predicted comes from trace(K dH/dt K*) + d(B^2)/dt log det(K0 K0*)
-    with finite-difference profile derivatives; observed is the centered
-    difference of the energy itself.  Both converge at second order in
-    the sample spacing.
-    """
-    if len(trajectory.states) < 3:
-        raise InsufficientSamplesError(
-            f"need >= 3 samples, got {len(trajectory.states)}")
-    times = trajectory.times
-    ks = [s.k for s in trajectory.states]
-    _, predicted, observed = _rate_arrays(times, ks, cfg)
-    return [RatePoint(t=float(times[i]), predicted=float(predicted[i]),
-                      observed=float(observed[i]))
-            for i in range(1, len(times) - 1)]
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """Per-sample invariants; trace_khk_drift is None for time-dependent H."""
@@ -180,7 +128,11 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     kk_star_drift is the relative Frobenius drift of K K*; the trace
     invariant is reported for constant-H scenarios only; the unitarity
     defect is that of the implied unitary factor R^-1 K with R fixed by
-    the first sample.
+    the first sample.  xi_rate_predicted is
+    trace(K dH/dt K*) + d(B^2)/dt log det(K0 K0*) with finite-difference
+    profile derivatives, xi_rate_observed the finite difference of xi
+    itself; at interior samples both converge at second order in the
+    sample spacing.
     """
     if not trajectory.states:
         raise InsufficientSamplesError("empty trajectory")
@@ -196,7 +148,27 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
         trace_scale = max(abs(trace0), 1e-300)
 
     if len(ks) >= 2:
-        xi, predicted, observed = _rate_arrays(times, ks, cfg)
+        h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
+        b_samples = np.array([cfg.field.sample(float(t)) for t in times])
+        xi = np.array([
+            total_hamiltonian(k, h_samples[i], float(b_samples[i]), cfg.pd_floor)
+            for i, k in enumerate(ks)
+        ])
+        logdet_r2 = float(np.sum(np.log(np.linalg.eigvalsh(gram0))))
+        if constant_h:
+            h_dot = np.zeros_like(h_samples)
+        else:
+            h_dot = np.gradient(h_samples, times, axis=0)
+        if cfg.field.kind == "constant":
+            b_dot = np.zeros_like(b_samples)
+        else:
+            b_dot = np.gradient(b_samples, times)
+        predicted = np.array([
+            float(np.trace(ks[i] @ h_dot[i] @ ks[i].conj().T).real)
+            + 2.0 * float(b_samples[i]) * float(b_dot[i]) * logdet_r2
+            for i in range(len(ks))
+        ])
+        observed = np.gradient(xi, times)
     else:
         xi = np.array([total_hamiltonian(ks[0], cfg.hamiltonian.sample(0.0),
                                          cfg.field.sample(0.0), cfg.pd_floor)])

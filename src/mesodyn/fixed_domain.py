@@ -56,11 +56,10 @@ class EvolutionState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples plus provenance (solver tag, scenario digest)."""
+    """Time-ordered samples plus the tag of the solver that produced them."""
 
     states: tuple
     solver_tag: str
-    scenario_digest: str
 
     @property
     def times(self) -> np.ndarray:
@@ -71,9 +70,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def _trajectory(samples, solver_tag: str, digest: str) -> Trajectory:
+def _trajectory(samples, solver_tag: str) -> Trajectory:
     return Trajectory(states=tuple(EvolutionState(t=t, k=k) for t, k in samples),
-                      solver_tag=solver_tag, scenario_digest=digest)
+                      solver_tag=solver_tag)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
     ws = evolve_W(cache, cfg)
     vs = evolve_V(cache, cfg)
     return _trajectory([(tw, cache.radial @ v @ w) for (tw, w), (_, v) in zip(ws, vs)],
-                       "factorized", cfg.digest())
+                       "factorized")
 
 
 def _direct_rhs(cfg: ScenarioConfig, t: float, k: np.ndarray) -> np.ndarray:
@@ -241,9 +240,9 @@ def evolve_direct(cfg: ScenarioConfig) -> Trajectory:
         samples = rk4(lambda t, k: _direct_rhs(cfg, t, k), cfg.initial_k,
                       plan.times, set(plan.output_indices))
     except NearSingularError as exc:
-        exc.partial = _trajectory(exc.partial, "direct", cfg.digest())
+        exc.partial = _trajectory(exc.partial, "direct")
         raise
-    return _trajectory(samples, "direct", cfg.digest())
+    return _trajectory(samples, "direct")
 
 
 def series_unitary(u0: np.ndarray, h: np.ndarray, h_b: np.ndarray, t: float,
@@ -299,4 +298,4 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
                 f"first omitted term ({estimate:.3e}) dominates at t={t}; "
                 f"increase terms")
         states.append((t, cache.radial @ u))
-    return _trajectory(states, "series", cfg.digest())
+    return _trajectory(states, "series")

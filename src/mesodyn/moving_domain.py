@@ -117,28 +117,34 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     return out
 
 
-def assemble_moving_solution(space: AmbientSpace, phi0, frames, coefficients) -> list:
-    """Extended operators K(t) = phi0 . A'(t) . psi(t)* on the common grid.
-
-    The image of every sample is span(phi0) and the rank is exactly n.
-    """
+def _image_and_coefficients(space: AmbientSpace, phi0, a0):
+    """The checked image basis (dim_h2 x n) and coefficient matrix (n x n)."""
     space.check()
     image = require_orthonormal_columns(phi0)
     if image.shape != (space.dim_h2, space.n):
         raise ShapeMismatchError(
             f"phi0 must be {space.dim_h2} x {space.n}, got {image.shape}")
-    if len(frames) != len(coefficients):
-        raise ShapeMismatchError(
-            f"{len(frames)} frame samples vs {len(coefficients)} coefficient samples")
-    out = []
-    for (t_f, psi), (t_a, a) in zip(frames, coefficients):
-        if abs(t_f - t_a) > 1e-12 * max(1.0, abs(t_f)):
-            raise ShapeMismatchError(f"time grids differ: {t_f} vs {t_a}")
-        if psi.shape != (space.dim_h1, space.n) or a.shape != (space.n, space.n):
-            raise ShapeMismatchError(
-                f"sample shapes {psi.shape}, {a.shape} do not match the space")
-        out.append((float(t_f), image @ a @ psi.conj().T))
-    return out
+    a = as_matrix(a0)
+    if a.shape != (space.n, space.n):
+        raise ShapeMismatchError(f"a0 must be {space.n} x {space.n}, got {a.shape}")
+    return image, a
+
+
+def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
+                    hbar: float, t_end: float, dt: float, output_stride: int = 1,
+                    pd_floor: float = 1e-12, literal: bool = False) -> list:
+    """Extended operators [(t, K)] with K(t) = phi0 . A'(t) . psi(t)*.
+
+    The inputs are checked before any evolution; frame and coefficients
+    then share one output grid.  The image of every sample is span(phi0)
+    and the rank is exactly n.
+    """
+    image, a0 = _image_and_coefficients(space, phi0, a0)
+    frames = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, output_stride)
+    coeffs = coefficient_matrix_evolution(a0, field, hbar, [t for t, _ in frames],
+                                          pd_floor, literal)
+    return [(t, image @ a @ psi.conj().T)
+            for (t, psi), (_, a) in zip(frames, coeffs)]
 
 
 def image_projector(k, pd_floor: float = 1e-12) -> np.ndarray:
@@ -248,11 +254,10 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     by integrating its gauged equation.  Gauge invariance of the physical
     operator makes the distance vanish up to integration accuracy.
     """
-    space.check()
+    image, a0 = _image_and_coefficients(space, phi0, a0)
     psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
     times = [t for t, _ in psi_free]
     a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
-    primed = assemble_moving_solution(space, phi0, psi_free, a_primed)
 
     props = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
     # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
@@ -264,45 +269,12 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
         b = field.sample(t)
         return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
 
-    a_gauged = rk4(rhs, as_matrix(a0), times, range(len(times)))
+    a_gauged = rk4(rhs, a0, times, range(len(times)))
 
-    image = require_orthonormal_columns(phi0)
     worst = 0.0
-    for (t, psi), (_, g1, g2), (_, a_g), (_, k_p) in zip(
-            psi_free, props, a_gauged, primed):
+    for (t, psi), (_, g1, g2), (_, a_g), (_, a_p) in zip(
+            psi_free, props, a_gauged, a_primed):
         k_u = (image @ g1) @ a_g @ (psi @ g2).conj().T
+        k_p = image @ a_p @ psi.conj().T
         worst = max(worst, float(np.linalg.norm(k_u - k_p)))
     return worst
-
-
-@dataclass(frozen=True)
-class MovingSolution:
-    """Frame trajectory, coefficient samples and the fixed image basis."""
-
-    times: tuple
-    frames: tuple
-    coefficients: tuple
-    phi0: np.ndarray
-
-    def operators(self, space: AmbientSpace) -> list:
-        """The assembled K(t) = phi0 . A'(t) . psi(t)*."""
-        return assemble_moving_solution(space, self.phi0,
-                                        list(zip(self.times, self.frames)),
-                                        list(zip(self.times, self.coefficients)))
-
-
-def build_moving_solution(space: AmbientSpace, psi0, phi0, a0,
-                          field: FieldProfile, hbar: float, t_end: float,
-                          dt: float, output_stride: int = 1,
-                          pd_floor: float = 1e-12,
-                          literal: bool = False) -> MovingSolution:
-    """Evolve frame and coefficients on a common output grid."""
-    frames = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, output_stride)
-    times = [t for t, _ in frames]
-    coeffs = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor, literal)
-    return MovingSolution(
-        times=tuple(times),
-        frames=tuple(psi for _, psi in frames),
-        coefficients=tuple(a for _, a in coeffs),
-        phi0=require_orthonormal_columns(phi0),
-    )

@@ -17,7 +17,6 @@ from .diagnostics import (
     CriticalPointSpec,
     critical_point,
     differential_check,
-    hamiltonian_rate,
     invariant_report,
 )
 from .fixed_domain import (
@@ -28,9 +27,9 @@ from .fixed_domain import (
 from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from .moving_domain import (
     AmbientSpace,
-    build_moving_solution,
     gauge_equivalence_check,
     moving_drift,
+    moving_solution,
     weak_residual,
 )
 from .scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
@@ -289,8 +288,9 @@ def check_energy_rate_order(seed: int) -> list:
     errors = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         cfg = replace(base, dt=dt)
-        points = hamiltonian_rate(evolve_factorized(cfg), cfg)
-        errors.append(max(abs(p.predicted - p.observed) for p in points))
+        interior = invariant_report(evolve_factorized(cfg), cfg).records[1:-1]
+        errors.append(max(abs(r.xi_rate_predicted - r.xi_rate_observed)
+                          for r in interior))
     return [_result("energy_rate_order", convergence_order(errors), 1.9, ">=")]
 
 
@@ -324,8 +324,8 @@ def check_moving_domain(seed: int) -> list:
     """Image fixedness, radial conservation, weak-residual order, 1x1 form."""
     rng_main, rng_rank1 = _child_rngs(seed, 2)
     space, psi0, phi0, a0, field = _moving_setup(rng_main)
-    operators = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0,
-                                      dt=1e-3, output_stride=10).operators(space)
+    operators = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0,
+                                dt=1e-3, output_stride=10)
     drift = moving_drift(operators)
     image_drift = max(image for _, image, _ in drift)
     radial_drift = max(radial for _, _, radial in drift)
@@ -333,8 +333,8 @@ def check_moving_domain(seed: int) -> list:
     # Weak-residual order study on a refined grid.
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        ops = build_moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=0.5,
-                                    dt=dt, output_stride=1).operators(space)
+        ops = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=0.5,
+                              dt=dt, output_stride=1)
         residuals = weak_residual(ops, space, field, hbar=1.0)
         errors.append(max(r for _, r in residuals))
 
@@ -350,9 +350,8 @@ def check_moving_domain(seed: int) -> list:
     phase0 = float(rng_rank1.uniform(0.0, 2.0 * np.pi))
     a1 = np.array([[r0 * np.exp(1j * phase0)]])
     b = float(rng_rank1.uniform(0.3, 1.0))
-    ops1 = build_moving_solution(space1, psi1, phi1, a1, FieldProfile.constant(b),
-                                 hbar=1.0, t_end=1.0, dt=1e-3,
-                                 output_stride=100).operators(space1)
+    ops1 = moving_solution(space1, psi1, phi1, a1, FieldProfile.constant(b),
+                           hbar=1.0, t_end=1.0, dt=1e-3, output_stride=100)
     h_ambient = space1.ambient_hamiltonian.sample(0.0)
     worst_rank1 = 0.0
     for t, k in ops1:

@@ -8,14 +8,12 @@ from mesodyn.diagnostics import (
     critical_point,
     differential_check,
     flux_distribution,
-    hamiltonian_rate,
     invariant_report,
     special_diagonal_solution,
     total_hamiltonian,
     trace_preserving_direction,
 )
 from mesodyn.errors import (
-    InsufficientSamplesError,
     NearSingularError,
     NotDiagonalError,
     NuDoesNotDominateError,
@@ -103,9 +101,9 @@ class TestHamiltonianRate:
                              field=FieldProfile.constant(0.8),
                              initial_k=random_full_rank(rng, 3, 0.7, 1.4),
                              t_end=1.0, dt=1e-3, output_stride=100)
-        for point in hamiltonian_rate(evolve_factorized(cfg), cfg):
-            assert abs(point.predicted) <= 1e-8
-            assert abs(point.observed) <= 1e-8
+        for record in invariant_report(evolve_factorized(cfg), cfg).records[1:-1]:
+            assert abs(record.xi_rate_predicted) <= 1e-8
+            assert abs(record.xi_rate_observed) <= 1e-8
 
     def test_linear_field_rate(self, rng):
         # constant H, B(t) = t: rate = 2 t log det(K0 K0*)
@@ -116,17 +114,11 @@ class TestHamiltonianRate:
                                  random_hermitian(rng, 2, 0.5, 2.0)),
                              field=FieldProfile.linear_ramp(1.0, 0.0),
                              initial_k=k0, t_end=1.0, dt=1e-3, output_stride=100)
-        for point in hamiltonian_rate(evolve_factorized(cfg), cfg):
-            assert point.predicted == pytest.approx(2.0 * point.t * logdet,
-                                                    abs=1e-10)
-            assert point.observed == pytest.approx(point.predicted, abs=1e-4)
-
-    def test_needs_three_samples(self, rng):
-        cfg = random_scenario(rng, 2, dt=0.5, output_stride=10 ** 9)
-        trajectory = evolve_factorized(cfg)
-        assert len(trajectory.states) == 2
-        with pytest.raises(InsufficientSamplesError):
-            hamiltonian_rate(trajectory, cfg)
+        for record in invariant_report(evolve_factorized(cfg), cfg).records[1:-1]:
+            assert record.xi_rate_predicted == pytest.approx(2.0 * record.t * logdet,
+                                                             abs=1e-10)
+            assert record.xi_rate_observed == pytest.approx(record.xi_rate_predicted,
+                                                            abs=1e-4)
 
 
 class TestInvariantReport:

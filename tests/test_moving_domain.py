@@ -10,15 +10,15 @@ from mesodyn.errors import (
 )
 from mesodyn.fixed_domain import evolve_factorized
 from mesodyn.linalg import unitary_exponential
+from mesodyn import moving_domain
 from mesodyn.moving_domain import (
     AmbientSpace,
-    assemble_moving_solution,
-    build_moving_solution,
     coefficient_matrix_evolution,
     evolve_frame_schrodinger,
     gauge_equivalence_check,
     gauge_propagators,
     image_projector,
+    moving_solution,
     weak_residual,
 )
 from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
@@ -148,7 +148,9 @@ class TestAssembly:
         psi0 = np.eye(3, dtype=complex)
         phi0 = np.eye(3, dtype=complex)
         a0 = random_full_rank(rng, 3, 0.7, 1.4)
-        ops = assemble_moving_solution(space, phi0, [(0.0, psi0)], [(0.0, a0)])
+        ops = moving_solution(space, psi0, phi0, a0, FieldProfile.constant(0.9),
+                              1.0, t_end=0.1, dt=0.1)
+        assert ops[0][0] == 0.0
         assert frob(ops[0][1] - phi0 @ a0) <= 1e-14
 
     def test_rank_one_closed_form_free_hamiltonian(self, rng):
@@ -160,10 +162,9 @@ class TestAssembly:
         phi0 = random_orthonormal_columns(rng, 4, 1)
         r0, phase0, b, hbar = 1.2, 0.9, 0.8, 0.7
         a0 = np.array([[r0 * np.exp(1j * phase0)]])
-        solution = build_moving_solution(space, psi0, phi0, a0,
-                                         FieldProfile.constant(b), hbar,
-                                         t_end=1.0, dt=1e-2, output_stride=20)
-        ops = solution.operators(space)
+        ops = moving_solution(space, psi0, phi0, a0,
+                              FieldProfile.constant(b), hbar,
+                              t_end=1.0, dt=1e-2, output_stride=20)
         for t, k in ops:
             phase = phase0 + b * b * t / (hbar * r0 ** 2)
             expected = r0 * np.exp(1j * phase) * (phi0 @ psi0.conj().T)
@@ -178,9 +179,8 @@ class TestAssembly:
         r0, phase0 = 1.1, 0.3
         a0 = np.array([[r0 * np.exp(1j * phase0)]])
         field = FieldProfile.sinusoid(0.6, 0.3, 0.1, 0.5)
-        solution = build_moving_solution(space, psi0, phi0, a0, field, 1.0,
-                                         t_end=1.0, dt=1e-3, output_stride=200)
-        ops = solution.operators(space)
+        ops = moving_solution(space, psi0, phi0, a0, field, 1.0,
+                              t_end=1.0, dt=1e-3, output_stride=200)
         from mesodyn.scenario import integrate_b_squared
         for t, k in ops:
             phase = phase0 + integrate_b_squared(field, 0.0, t) / r0 ** 2
@@ -194,20 +194,31 @@ class TestAssembly:
         psi0 = random_orthonormal_columns(rng, 6, 2)
         phi0 = random_orthonormal_columns(rng, 5, 2)
         a0 = random_full_rank(rng, 2, 0.7, 1.4)
-        solution = build_moving_solution(space, psi0, phi0, a0,
-                                         FieldProfile.constant(0.9), 1.0,
-                                         t_end=1.0, dt=1e-2, output_stride=20)
-        ops = solution.operators(space)
+        ops = moving_solution(space, psi0, phi0, a0,
+                              FieldProfile.constant(0.9), 1.0,
+                              t_end=1.0, dt=1e-2, output_stride=20)
         p0 = image_projector(ops[0][1])
         for _, k in ops:
             assert frob(image_projector(k) - p0) <= 1e-12
 
-    def test_time_grid_mismatch_rejected(self, rng):
+    def test_a0_shape_rejected_before_evolution(self, monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("evolved before checking a0")
+
+        monkeypatch.setattr(moving_domain, "evolve_frame_schrodinger", no_evolution)
         space = diag_space([1.0, 2.0], n=1)
         psi0 = np.eye(2, dtype=complex)[:, :1]
-        with pytest.raises(ShapeMismatchError):
-            assemble_moving_solution(space, psi0, [(0.0, psi0)],
-                                     [(0.5, np.eye(1, dtype=complex))])
+        with pytest.raises(ShapeMismatchError, match="a0 must be 1 x 1"):
+            moving_solution(space, psi0, psi0, np.eye(2, dtype=complex),
+                            FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
+
+    def test_phi0_columns_must_match_rank(self, rng):
+        space = diag_space([1.0, 2.0, 3.0], n=2)
+        psi0 = random_orthonormal_columns(rng, 3, 2)
+        phi0 = random_orthonormal_columns(rng, 3, 1)
+        with pytest.raises(ShapeMismatchError, match="phi0 must be 3 x 2"):
+            moving_solution(space, psi0, phi0, np.eye(2, dtype=complex),
+                            FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
 
 
 class TestWeakResidual:
@@ -222,9 +233,8 @@ class TestWeakResidual:
         phi0 = random_orthonormal_columns(rng, 5, 3)
         a0 = random_full_rank(rng, 3, 0.7, 1.4)
         field = FieldProfile.sinusoid(0.4, 0.3, 0.2, 0.7)
-        solution = build_moving_solution(space, psi0, phi0, a0, field, 1.0,
-                                         t_end=t_end, dt=dt, output_stride=1)
-        ops = solution.operators(space)
+        ops = moving_solution(space, psi0, phi0, a0, field, 1.0,
+                              t_end=t_end, dt=dt, output_stride=1)
         return space, field, ops
 
     def test_small_for_assembled_solution(self, rng):
@@ -248,9 +258,8 @@ class TestWeakResidual:
         from mesodyn.fixed_domain import polar_init
         cache = polar_init(k0)
         phi0 = np.eye(3, dtype=complex)
-        solution = build_moving_solution(space, phi0, phi0, k0, field, 1.0,
-                                         t_end=1.0, dt=1e-3, output_stride=100)
-        ops = solution.operators(space)
+        ops = moving_solution(space, phi0, phi0, k0, field, 1.0,
+                              t_end=1.0, dt=1e-3, output_stride=100)
         cfg = ScenarioConfig(hbar=1.0,
                              hamiltonian=HamiltonianProfile.constant(h),
                              field=field, initial_k=k0, t_end=1.0, dt=1e-3,
@@ -360,10 +369,9 @@ class TestFrameSignConsistency:
             ambient_hamiltonian=HamiltonianProfile.constant(
                 np.array([[energy]], dtype=complex)))
         one = np.eye(1, dtype=complex)
-        solution = build_moving_solution(space, one, one, r0 * one,
-                                         FieldProfile.constant(b), hbar,
-                                         t_end=1.0, dt=1e-2, output_stride=20)
-        ops = solution.operators(space)
+        ops = moving_solution(space, one, one, r0 * one,
+                              FieldProfile.constant(b), hbar,
+                              t_end=1.0, dt=1e-2, output_stride=20)
         for t, k in ops:
             expected = r0 * np.exp(1j * (energy + b * b / r0 ** 2) * t / hbar)
             assert abs(k[0, 0] - expected) <= 1e-10

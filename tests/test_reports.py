@@ -50,8 +50,7 @@ class TestTrajectoryCsv:
             EvolutionState(t=0.1, k=transposed),
             EvolutionState(t=np.float64(1e22), k=awkward[:, ::-1]),
         )
-        trajectory = Trajectory(states=states, solver_tag="test",
-                                scenario_digest="0")
+        trajectory = Trajectory(states=states, solver_tag="test")
         report = DiagnosticsReport(records=(
             record(0.0, None), record(0.1, -0.0), record(1e22, 3.0)))
         text = trajectory_csv(trajectory, report)
@@ -64,12 +63,12 @@ class TestTrajectoryCsv:
     def test_real_valued_k_writes_zero_imaginary_parts(self):
         trajectory = Trajectory(
             states=(EvolutionState(t=0.5, k=np.array([[1.0, -2.0]])),),
-            solver_tag="test", scenario_digest="0")
+            solver_tag="test")
         report = DiagnosticsReport(records=(record(0.5, None),))
         text = trajectory_csv(trajectory, report)
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[1].startswith("0.5,1.0,0.0,-2.0,0.0,")
 
     def test_empty_trajectory(self):
-        trajectory = Trajectory(states=(), solver_tag="test", scenario_digest="0")
+        trajectory = Trajectory(states=(), solver_tag="test")
         assert trajectory_csv(trajectory, DiagnosticsReport(records=())) == "t\n"
