@@ -47,7 +47,6 @@ from .reports import (
     comparison_csv,
     diagnostics_csv,
     flux_csv,
-    format_number,
     manifest_json,
     residual_report_csv,
     trajectory_csv,
@@ -55,7 +54,6 @@ from .reports import (
 from .scenario import ScenarioConfig, scenario_from_json, validate_scenario
 from .verification import run_battery
 
-PD_FLOOR_ENV = "MESODYN_PD_FLOOR"
 COMPARE_TOLERANCE = 1e-6
 VERBS = ("simulate", "compare", "critical", "moving", "flux", "verify")
 
@@ -143,13 +141,6 @@ def _scenario_from_document(doc: dict, overrides: dict) -> ScenarioConfig:
         cfg = scenario_from_json(doc)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigInvalidError(f"bad scenario document: {exc}") from exc
-    env_floor = os.environ.get(PD_FLOOR_ENV)
-    if env_floor is not None:
-        try:
-            cfg = dataclasses.replace(cfg, pd_floor=float(env_floor))
-        except ValueError as exc:
-            raise ConfigInvalidError(
-                f"{PD_FLOOR_ENV}={env_floor!r} is not a number") from exc
     updates = {}
     for key in ("dt", "t_end", "hbar"):
         if key in overrides:
@@ -253,8 +244,11 @@ def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
             raise ConfigInvalidError(f"bad unitary literal: {exc}") from exc
     else:
         unitary = np.eye(h.shape[0], dtype=complex)
-    k = critical_point(CriticalPointSpec(nu=nu, unitary=unitary,
-                                         hamiltonian=h, b=float(b)))
+    try:
+        k = critical_point(CriticalPointSpec(nu=nu, unitary=unitary,
+                                             hamiltonian=h, b=float(b)))
+    except MesodynError as exc:
+        raise ConfigInvalidError(f"critical point rejected: {exc}") from exc
     residual = float(np.linalg.norm(
         k @ h + (b * b) * adjoint_inverse(k, cfg.pd_floor) - nu * k))
     relative = residual / float(np.linalg.norm(k))

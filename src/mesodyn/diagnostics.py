@@ -24,6 +24,7 @@ from .errors import (
     NearSingularError,
     NotDiagonalError,
     NuDoesNotDominateError,
+    ShapeMismatchError,
     ZeroImageError,
 )
 from .fixed_domain import Trajectory, polar_init
@@ -77,7 +78,7 @@ class DifferentialCheck(NamedTuple):
     rhs_symplectic: float
 
 
-def differential_check(k, h, b: float, l, step: float = DIRECTIONAL_STEP,
+def differential_check(k, h, b: float, l,
                        pd_floor: float = 1e-12) -> DifferentialCheck:
     """Centered difference of the total energy along L vs its exact value.
 
@@ -90,9 +91,9 @@ def differential_check(k, h, b: float, l, step: float = DIRECTIONAL_STEP,
     flow = a @ hermitian(h) + (b * b) * adjoint_inverse(a, pd_floor)
     riem = 2.0 * pairing(flow, direction).riemannian
     sympl = 2.0 * pairing(1j * flow, direction).symplectic
-    plus = total_hamiltonian(a + step * direction, h, b, pd_floor)
-    minus = total_hamiltonian(a - step * direction, h, b, pd_floor)
-    lhs = (plus - minus) / (2.0 * step)
+    plus = total_hamiltonian(a + DIRECTIONAL_STEP * direction, h, b, pd_floor)
+    minus = total_hamiltonian(a - DIRECTIONAL_STEP * direction, h, b, pd_floor)
+    lhs = (plus - minus) / (2.0 * DIRECTIONAL_STEP)
     return DifferentialCheck(lhs=lhs, rhs=riem, rhs_symplectic=sympl)
 
 
@@ -211,6 +212,9 @@ def critical_point(spec: CriticalPointSpec) -> np.ndarray:
     """
     h = hermitian(spec.hamiltonian)
     u = require_unitary(spec.unitary)
+    if u.shape != h.shape:
+        raise ShapeMismatchError(
+            f"unitary shape {u.shape} does not match the hamiltonian's {h.shape}")
     w = np.linalg.eigvalsh(h)
     if spec.nu <= float(w[-1]):
         raise NuDoesNotDominateError(

@@ -93,10 +93,10 @@ def unitary_defect(u) -> float:
     return float(np.linalg.norm(gram - np.eye(a.shape[1])))
 
 
-def require_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(u) -> np.ndarray:
     a = require_square(u)
     defect = unitary_defect(a)
-    if defect > tol * np.sqrt(a.shape[0]):
+    if defect > UNITARY_TOL * np.sqrt(a.shape[0]):
         raise ShapeMismatchError(
             f"matrix is not unitary: ||U*U - I||_F = {defect:.3e}"
         )

@@ -72,10 +72,10 @@ class AmbientSpace:
                 f"!= dim_h1 {self.dim_h1}")
 
 
-def require_orthonormal_columns(m, tol: float = FRAME_ORTHONORMAL_TOL) -> np.ndarray:
+def require_orthonormal_columns(m) -> np.ndarray:
     a = as_matrix(m)
     defect = unitary_defect(a)
-    if defect > tol:
+    if defect > FRAME_ORTHONORMAL_TOL:
         raise NotOrthonormalError(
             f"columns are not orthonormal: ||psi* psi - I||_F = {defect:.3e}")
     return a

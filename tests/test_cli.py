@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -174,21 +173,16 @@ class TestSimulate:
         assert not out.exists()
 
     def test_env_floor_overrides_config(self, tmp_path):
-        # ratio 0.4 passes the config floor but not the env override
+        # singular-value ratio 0.4 sits below the scenario's own floor 0.5
         cfg = ScenarioConfig(
             hbar=1.0,
             hamiltonian=HamiltonianProfile.constant(np.eye(2, dtype=complex)),
             field=FieldProfile.constant(1.0),
             initial_k=np.diag([1.0, 0.4]).astype(complex),
-            t_end=1.0, dt=1e-2, output_stride=1, pd_floor=0.3)
+            t_end=1.0, dt=1e-2, output_stride=1, pd_floor=0.5)
         config = write_scenario(tmp_path / "s.json", cfg)
-        os.environ["MESODYN_PD_FLOOR"] = "0.5"
-        try:
-            code = main(["simulate", "--config", config,
-                         "--output", str(tmp_path / "out")])
-        finally:
-            del os.environ["MESODYN_PD_FLOOR"]
-        assert code == 3
+        assert main(["simulate", "--config", config,
+                     "--output", str(tmp_path / "out")]) == 3
 
     def test_exit_codes_for_bad_inputs(self, tmp_path):
         bad_json = tmp_path / "bad.json"
@@ -321,6 +315,46 @@ class TestHostileInputs:
         config = write_scenario(tmp_path / "s.json", small_config(rng),
                                 extra={"nu": "big"})
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
+
+    def test_critical_nu_below_spectrum(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"nu": 0.0})
+        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
+
+    def test_critical_non_unitary(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"unitary": matrix_to_json(2.0 * np.eye(3))})
+        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
+
+    def test_critical_unitary_of_wrong_size(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"unitary": matrix_to_json(np.eye(2))})
+        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
+
+    def moving_config(self, rng, tmp_path, phi0_cols, a0_dim):
+        dim, n = 4, 2
+        cfg = ScenarioConfig(
+            hbar=1.0,
+            hamiltonian=HamiltonianProfile.constant(random_hermitian(rng, dim, 0.5, 2.0)),
+            field=FieldProfile.constant(0.8),
+            initial_k=np.eye(dim, dtype=complex),
+            t_end=1.0, dt=1e-3, output_stride=100)
+        extra = {
+            "ambient_dim": dim,
+            "rank": n,
+            "psi0": matrix_to_json(random_orthonormal_columns(rng, dim, n)),
+            "phi0": matrix_to_json(random_orthonormal_columns(rng, 3, phi0_cols)),
+            "coeff_a0": matrix_to_json(random_full_rank(rng, a0_dim, 0.7, 1.4)),
+        }
+        return write_scenario(tmp_path / "m.json", cfg, extra=extra)
+
+    def test_moving_coeff_a0_not_rank_square(self, rng, tmp_path):
+        config = self.moving_config(rng, tmp_path, phi0_cols=2, a0_dim=3)
+        assert_config_rejected(["moving", "--config", config], tmp_path / "out")
+
+    def test_moving_phi0_columns_not_rank(self, rng, tmp_path):
+        config = self.moving_config(rng, tmp_path, phi0_cols=1, a0_dim=2)
+        assert_config_rejected(["moving", "--config", config], tmp_path / "out")
 
 
 class TestFormatting:
