@@ -316,22 +316,18 @@ class TestHostileInputs:
                                 extra={"nu": "big"})
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
-    def test_critical_nu_below_spectrum(self, rng, tmp_path):
-        config = write_scenario(tmp_path / "s.json", small_config(rng),
-                                extra={"nu": 0.0})
+    @pytest.mark.parametrize("extra", [
+        {"nu": 0.0},
+        {"unitary": matrix_to_json(2.0 * np.eye(3))},
+        {"unitary": matrix_to_json(np.eye(2))},
+    ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size"])
+    def test_critical_rejected_input(self, extra, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
-    def test_critical_non_unitary(self, rng, tmp_path):
-        config = write_scenario(tmp_path / "s.json", small_config(rng),
-                                extra={"unitary": matrix_to_json(2.0 * np.eye(3))})
-        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
-
-    def test_critical_unitary_of_wrong_size(self, rng, tmp_path):
-        config = write_scenario(tmp_path / "s.json", small_config(rng),
-                                extra={"unitary": matrix_to_json(np.eye(2))})
-        assert_config_rejected(["critical", "--config", config], tmp_path / "out")
-
-    def moving_config(self, rng, tmp_path, phi0_cols, a0_dim):
+    @pytest.mark.parametrize("phi0_cols, a0_dim", [(2, 3), (1, 2)],
+                             ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank"])
+    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, rng, tmp_path):
         dim, n = 4, 2
         cfg = ScenarioConfig(
             hbar=1.0,
@@ -346,14 +342,7 @@ class TestHostileInputs:
             "phi0": matrix_to_json(random_orthonormal_columns(rng, 3, phi0_cols)),
             "coeff_a0": matrix_to_json(random_full_rank(rng, a0_dim, 0.7, 1.4)),
         }
-        return write_scenario(tmp_path / "m.json", cfg, extra=extra)
-
-    def test_moving_coeff_a0_not_rank_square(self, rng, tmp_path):
-        config = self.moving_config(rng, tmp_path, phi0_cols=2, a0_dim=3)
-        assert_config_rejected(["moving", "--config", config], tmp_path / "out")
-
-    def test_moving_phi0_columns_not_rank(self, rng, tmp_path):
-        config = self.moving_config(rng, tmp_path, phi0_cols=1, a0_dim=2)
+        config = write_scenario(tmp_path / "m.json", cfg, extra=extra)
         assert_config_rejected(["moving", "--config", config], tmp_path / "out")
 
 

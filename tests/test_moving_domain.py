@@ -212,14 +212,6 @@ class TestAssembly:
             moving_solution(space, psi0, psi0, np.eye(2, dtype=complex),
                             FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
 
-    def test_phi0_columns_must_match_rank(self, rng):
-        space = diag_space([1.0, 2.0, 3.0], n=2)
-        psi0 = random_orthonormal_columns(rng, 3, 2)
-        phi0 = random_orthonormal_columns(rng, 3, 1)
-        with pytest.raises(ShapeMismatchError, match="phi0 must be 3 x 2"):
-            moving_solution(space, psi0, phi0, np.eye(2, dtype=complex),
-                            FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
-
 
 class TestWeakResidual:
     def _assembled(self, rng, dt, t_end=0.5):
