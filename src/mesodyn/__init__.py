@@ -24,7 +24,6 @@ from .errors import (
     NotDiagonalError,
     NotHermitianGaugeError,
     NotOrthonormalError,
-    NotPSDError,
     NuDoesNotDominateError,
     OutOfDomainError,
     RankDeficientError,
@@ -53,8 +52,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     pairing,
-    psd_inverse,
-    psd_sqrt,
     unitary_exponential,
     unitary_exponentials,
 )

@@ -29,14 +29,13 @@ from .errors import (
 )
 from .fixed_domain import Trajectory, polar_init
 from .linalg import (
+    DEFAULT_PD_FLOOR,
     adjoint_inverse,
     as_matrix,
     below_floor,
     hermitian,
     hermitian_part,
     pairing,
-    psd_inverse,
-    psd_sqrt,
     require_square,
     require_unitary,
     unitary_defect,
@@ -46,7 +45,7 @@ from .scenario import ScenarioConfig
 DIRECTIONAL_STEP = 1e-5
 
 
-def total_hamiltonian(k, h, b: float, pd_floor: float = 1e-12) -> float:
+def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> float:
     """Total energy trace(K H K*) + B^2 log det(K K*).
 
     The log-determinant is evaluated as the sum of eigenvalue logs of
@@ -79,7 +78,7 @@ class DifferentialCheck(NamedTuple):
 
 
 def differential_check(k, h, b: float, l,
-                       pd_floor: float = 1e-12) -> DifferentialCheck:
+                       pd_floor: float = DEFAULT_PD_FLOOR) -> DifferentialCheck:
     """Centered difference of the total energy along L vs its exact value.
 
     The real directional derivative of trace(K H K*) + B^2 log det(K K*)
@@ -208,20 +207,20 @@ class CriticalPointSpec:
 def critical_point(spec: CriticalPointSpec) -> np.ndarray:
     """Closed-form critical operator; solves K H + B^2 (K*)^-1 = nu K.
 
-    The multiplier must strictly dominate every eigenvalue of H.
+    The multiplier must strictly dominate every eigenvalue of H.  With
+    H = Q diag(w) Q*, (nu - H)^(-1/2) = Q diag((nu - w)^(-1/2)) Q*.
     """
     h = hermitian(spec.hamiltonian)
     u = require_unitary(spec.unitary)
     if u.shape != h.shape:
         raise ShapeMismatchError(
             f"unitary shape {u.shape} does not match the hamiltonian's {h.shape}")
-    w = np.linalg.eigvalsh(h)
+    w, q = np.linalg.eigh(h)
     if spec.nu <= float(w[-1]):
         raise NuDoesNotDominateError(
             f"nu={spec.nu} does not dominate the spectrum (max eigenvalue "
             f"{float(w[-1])})")
-    shifted = spec.nu * np.eye(h.shape[0]) - h
-    inv_sqrt = psd_inverse(psd_sqrt(shifted))
+    inv_sqrt = hermitian_part((q / np.sqrt(spec.nu - w)) @ q.conj().T)
     return spec.b * (u @ inv_sqrt)
 
 

@@ -19,10 +19,6 @@ class ShapeMismatchError(MesodynError):
     """Operands have incompatible shapes."""
 
 
-class NotPSDError(MesodynError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
 class NearSingularError(MesodynError):
     """A conditioning floor was crossed (det K -> 0 regime).
 

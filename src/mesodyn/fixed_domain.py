@@ -32,10 +32,9 @@ from .errors import (
     TruncationDominatesError,
 )
 from .linalg import (
-    below_floor,
+    DEFAULT_PD_FLOOR,
+    full_rank_svd,
     hermitian_part,
-    psd_inverse,
-    psd_sqrt,
     require_square,
     unitary_exponential,
     unitary_exponentials,
@@ -77,12 +76,12 @@ def _trajectory(samples, solver_tag: str) -> Trajectory:
 
 @dataclass(frozen=True)
 class FactorizedCache:
-    """Time-independent pieces of the factorized solution: the polar split.
+    """The polar split of K0, all four factors from one SVD K0 = U S V*.
 
-    radial      = sqrt(K0 K0*), fixed for the whole evolution
-    radial_inv  = radial^-1
-    u0          = radial^-1 K0, the initial unitary factor
-    h_b_base    = (K0 K0*)^-1 = radial^-2, so the magnetic generator is
+    radial      = sqrt(K0 K0*) = U S U*, fixed for the whole evolution
+    radial_inv  = radial^-1 = U S^-1 U*
+    u0          = radial^-1 K0 = U V*, the initial unitary factor
+    h_b_base    = (K0 K0*)^-1 = U S^-2 U*, so the magnetic generator is
                   B(t)^2 * h_b_base
     """
 
@@ -92,17 +91,17 @@ class FactorizedCache:
     h_b_base: np.ndarray
 
 
-def polar_init(k0, pd_floor: float = 1e-12) -> FactorizedCache:
+def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR) -> FactorizedCache:
     """Split K0 = radial . u0 and cache radial^-1 and (K0 K0*)^-1.
 
-    Eigenvalues of radial are the singular values of K0, so the relative
-    floor test on them raises NearSingularError at ``pd_floor``.
+    One SVD K0 = U S V* gives every factor (the Hermitian ones symmetrized);
+    its singular-value floor raises NearSingularError at ``pd_floor``.
     """
-    a = require_square(k0)
-    radial = psd_sqrt(hermitian_part(a @ a.conj().T))
-    radial_inv = psd_inverse(radial, floor=pd_floor)
-    return FactorizedCache(radial=radial, radial_inv=radial_inv, u0=radial_inv @ a,
-                           h_b_base=hermitian_part(radial_inv @ radial_inv))
+    u, s, vh = full_rank_svd(require_square(k0), pd_floor)
+    uh = u.conj().T
+    return FactorizedCache(radial=hermitian_part((u * s) @ uh),
+                           radial_inv=hermitian_part((u / s) @ uh), u0=u @ vh,
+                           h_b_base=hermitian_part((u / (s * s)) @ uh))
 
 
 def midpoint_product(u0: np.ndarray, generator, times, wanted, sign: float,
@@ -218,13 +217,8 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
 def _direct_rhs(cfg: ScenarioConfig, t: float, k: np.ndarray) -> np.ndarray:
     h = cfg.hamiltonian.sample(t)
     b = cfg.field.sample(t)
-    # Inline (K*)^-1 = U S^-1 V*; the SVD doubles as the per-stage
-    # full-rank invariant check.
-    u, s, vh = np.linalg.svd(k)
-    if below_floor(s[-1], s[0], cfg.pd_floor):
-        raise NearSingularError(
-            f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor "
-            f"{cfg.pd_floor:.1e} at t={t}")
+    # Inline (K*)^-1 = U S^-1 V*; the checked SVD is the per-stage rank test.
+    u, s, vh = full_rank_svd(k, cfg.pd_floor)
     return (1j / cfg.hbar) * (k @ h + (b * b) * ((u / s) @ vh))
 
 

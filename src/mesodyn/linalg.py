@@ -2,9 +2,9 @@
 
 Matrices are plain ``numpy.ndarray`` values with dtype complex128.  The
 helpers here construct and check the structured operators the solvers
-rely on: Hermitian matrices (symmetrized at construction), unitaries,
-positive-(semi)definite square roots and inverses, polar factors, and
-the trace pairings
+rely on: Hermitian matrices (symmetrized at construction), unitaries and
+their exponentials, the checked full-rank SVD behind every inverse and
+polar split, and the trace pairings
 
     <L|N> = trace(L N*),   <L,N> = Re trace(L N*),   w(L,N) = Im trace(L N*).
 
@@ -22,14 +22,12 @@ from .errors import (
     NearSingularError,
     NonFiniteError,
     NonSquareError,
-    NotPSDError,
     ShapeMismatchError,
 )
 
 # Construction / invariant tolerances.
 HERMITIAN_RTOL = 1e-13          # allowed entrywise deviation from M = M*
 UNITARY_TOL = 1e-12             # ||U*U - I||_F <= UNITARY_TOL * sqrt(dim)
-PSD_EIG_RTOL = 1e-10            # min eigenvalue >= -PSD_EIG_RTOL * max eigenvalue
 DEFAULT_PD_FLOOR = 1e-12        # relative singular-value / eigenvalue floor
 
 
@@ -114,34 +112,6 @@ def hermitian_eigendecompose(m):
     return np.linalg.eigh(hermitian(m))
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Unique positive-semidefinite square root of a PSD Hermitian matrix."""
-    w, q = hermitian_eigendecompose(m)
-    wmax = float(w[-1])
-    if float(w[0]) < -PSD_EIG_RTOL * wmax:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e}, max {wmax:.3e}"
-        )
-    s = np.sqrt(np.maximum(w, 0.0))
-    return hermitian_part((q * s) @ q.conj().T)
-
-
-def psd_inverse(m, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
-    """Inverse of a positive-definite Hermitian matrix.
-
-    Raises NearSingularError when the smallest eigenvalue does not exceed
-    ``floor`` times the largest — the det K -> 0 regime is reported rather
-    than silently amplified.
-    """
-    w, q = hermitian_eigendecompose(m)
-    if below_floor(float(w[0]), float(w[-1]), floor):
-        raise NearSingularError(
-            f"eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
-            f"crosses the floor {floor:.1e}"
-        )
-    return hermitian_part((q / w) @ q.conj().T)
-
-
 def unitary_exponentials(a, scales) -> list:
     """[exp(i * s * A) for s in scales] for Hermitian A.
 
@@ -196,18 +166,23 @@ def singular_extent(k) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def adjoint_inverse(k, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
-    """(K*)^-1 for square full-rank K.
+def full_rank_svd(a: np.ndarray, floor: float):
+    """(U, s, V*) with a = U diag(s) V*, for an already checked square array.
 
-    With K = U S V* this is U S^-1 V*; the relative singular-value floor
-    doubles as the full-rank invariant check.
+    The full-rank check behind every inverse and polar split: raises
+    NearSingularError when ``below_floor(s[-1], s[0], floor)``.
     """
-    a = require_square(k)
     u, s, vh = np.linalg.svd(a)
     if below_floor(s[-1], s[0], floor):
         raise NearSingularError(
             f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor {floor:.1e}"
         )
+    return u, s, vh
+
+
+def adjoint_inverse(k, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
+    """(K*)^-1 = U S^-1 V* for square full-rank K = U S V*."""
+    u, s, vh = full_rank_svd(require_square(k), floor)
     return (u / s) @ vh
 
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .fixed_domain import magnetic_factor, midpoint_product, polar_init, rk4
 from .linalg import (
+    DEFAULT_PD_FLOOR,
     adjoint_inverse,
     adjoint_pseudo_inverse,
     as_matrix,
@@ -100,7 +101,7 @@ def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
 
 
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
-                                 pd_floor: float = 1e-12,
+                                 pd_floor: float = DEFAULT_PD_FLOOR,
                                  literal: bool = False) -> list:
     """Closed-form coefficient matrix A'(t) at the requested times.
 
@@ -132,22 +133,23 @@ def _image_and_coefficients(space: AmbientSpace, phi0, a0):
 
 def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
                     hbar: float, t_end: float, dt: float, output_stride: int = 1,
-                    pd_floor: float = 1e-12, literal: bool = False) -> list:
+                    pd_floor: float = DEFAULT_PD_FLOOR, literal: bool = False) -> list:
     """Extended operators [(t, K)] with K(t) = phi0 . A'(t) . psi(t)*.
 
-    The inputs are checked before any evolution; frame and coefficients
-    then share one output grid.  The image of every sample is span(phi0)
+    The inputs are checked and the coefficients built (rejecting a singular
+    a0) before the frame evolves.  The image of every sample is span(phi0)
     and the rank is exactly n.
     """
     image, a0 = _image_and_coefficients(space, phi0, a0)
+    coeffs = coefficient_matrix_evolution(
+        a0, field, hbar, step_plan(t_end, dt, output_stride).output_times,
+        pd_floor, literal)
     frames = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, output_stride)
-    coeffs = coefficient_matrix_evolution(a0, field, hbar, [t for t, _ in frames],
-                                          pd_floor, literal)
     return [(t, image @ a @ psi.conj().T)
             for (t, psi), (_, a) in zip(frames, coeffs)]
 
 
-def image_projector(k, pd_floor: float = 1e-12) -> np.ndarray:
+def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
     """Orthogonal projector onto the image of K (rank from the floor)."""
     u, s, _ = np.linalg.svd(as_matrix(k), full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
@@ -156,7 +158,7 @@ def image_projector(k, pd_floor: float = 1e-12) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def moving_drift(operators, pd_floor: float = 1e-12) -> list:
+def moving_drift(operators, pd_floor: float = DEFAULT_PD_FLOOR) -> list:
     """[(t, image_drift, radial_drift)] relative to the first sample.
 
     image_drift is ||P(t) - P(0)||_F for the image projectors, radial_drift
@@ -171,7 +173,7 @@ def moving_drift(operators, pd_floor: float = 1e-12) -> list:
 
 
 def weak_residual(samples, space: AmbientSpace, field: FieldProfile, hbar: float,
-                  pd_floor: float = 1e-12) -> list:
+                  pd_floor: float = DEFAULT_PD_FLOOR) -> list:
     """Residual of the defining equation tested on the ambient basis.
 
     For each interior sample, dK/dt is the centered difference and
@@ -245,7 +247,7 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
                             field: FieldProfile, hbar: float, t_end: float,
                             dt: float, c_prime, c_double_prime,
-                            pd_floor: float = 1e-12) -> float:
+                            pd_floor: float = DEFAULT_PD_FLOOR) -> float:
     """Max distance between the gauged and the gauge-free assembled operator.
 
     The gauge-free (primed) solution uses the free frame and the closed

@@ -325,9 +325,7 @@ class TestHostileInputs:
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
-    @pytest.mark.parametrize("phi0_cols, a0_dim", [(2, 3), (1, 2)],
-                             ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank"])
-    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, rng, tmp_path):
+    def moving_config(self, rng, tmp_path, phi0_cols, a0):
         dim, n = 4, 2
         cfg = ScenarioConfig(
             hbar=1.0,
@@ -340,10 +338,22 @@ class TestHostileInputs:
             "rank": n,
             "psi0": matrix_to_json(random_orthonormal_columns(rng, dim, n)),
             "phi0": matrix_to_json(random_orthonormal_columns(rng, 3, phi0_cols)),
-            "coeff_a0": matrix_to_json(random_full_rank(rng, a0_dim, 0.7, 1.4)),
+            "coeff_a0": matrix_to_json(a0),
         }
-        config = write_scenario(tmp_path / "m.json", cfg, extra=extra)
+        return write_scenario(tmp_path / "m.json", cfg, extra=extra)
+
+    @pytest.mark.parametrize("phi0_cols, a0_dim", [(2, 3), (1, 2)],
+                             ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank"])
+    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, rng, tmp_path):
+        a0 = random_full_rank(rng, a0_dim, 0.7, 1.4)
+        config = self.moving_config(rng, tmp_path, phi0_cols, a0)
         assert_config_rejected(["moving", "--config", config], tmp_path / "out")
+
+    def test_moving_singular_coeff_a0(self, rng, tmp_path):
+        config = self.moving_config(rng, tmp_path, 2, np.diag([1.0, 0.0]))
+        assert_config_rejected(["moving", "--config", config], tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert "crosses the floor" in manifest["error"]["message"]
 
 
 class TestFormatting:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mesodyn.errors import (
     ConvergenceWarning,
     NearSingularError,
+    NonSquareError,
     RequiresConstantCoefficientsError,
     TruncationDominatesError,
 )
@@ -47,7 +51,25 @@ def constant_config(h, b, k0, t_end=1.0, dt=1e-3, stride=100, hbar=1.0):
         t_end=t_end, dt=dt, output_stride=stride)
 
 
+def assert_polar_split(cache, k0, rtol):
+    """The SVD-built factors agree with K0 and with each other."""
+    dim = k0.shape[0]
+    eye = np.eye(dim)
+    assert frob(cache.radial @ cache.u0 - k0) <= rtol * frob(k0)
+    assert frob(cache.u0.conj().T @ cache.u0 - eye) <= 1e-12 * np.sqrt(dim)
+    assert frob(cache.radial_inv @ cache.radial - eye) <= rtol * np.sqrt(dim)
+    gram = k0 @ k0.conj().T
+    assert frob(cache.h_b_base @ gram - eye) <= rtol * np.sqrt(dim)
+    # radial is positive definite with K0's singular values as eigenvalues
+    w = np.linalg.eigvalsh(cache.radial)
+    s = np.linalg.svd(k0, compute_uv=False)[::-1]
+    assert np.all(w > 0)
+    assert np.max(np.abs(w - s)) <= rtol * s[-1]
+
+
 class TestPolarInit:
+    """The polar split K0 = radial . u0 that polar_init caches."""
+
     def test_positive_diagonal(self):
         cache = polar_init(np.diag([2.0, 3.0]).astype(complex))
         assert np.allclose(cache.radial, np.diag([2.0, 3.0]))
@@ -63,14 +85,41 @@ class TestPolarInit:
     def test_reconstruction(self, rng):
         k0 = random_full_rank(rng, 4, 0.5, 2.0)
         cache = polar_init(k0)
-        assert frob(cache.radial @ cache.u0 - k0) <= 1e-12 * frob(k0)
         assert frob(cache.radial @ cache.radial - k0 @ k0.conj().T) <= 1e-11
-        gram = cache.u0.conj().T @ cache.u0
-        assert frob(gram - np.eye(4)) <= 1e-12 * 2.0
+        assert_polar_split(cache, k0, 1e-12)
+
+    def test_ill_conditioned_hilbert_like(self):
+        n = 6
+        hilbert = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
+        try:
+            cache = polar_init(hilbert)
+        except NearSingularError:
+            return  # also acceptable per the contract
+        cond = np.linalg.cond(hilbert)
+        assert frob(cache.radial_inv @ cache.radial - np.eye(n)) <= 1e-14 * cond
+        assert frob(cache.h_b_base @ hilbert @ hilbert - np.eye(n)) <= 1e-14 * cond ** 2
 
     def test_near_singular(self):
         with pytest.raises(NearSingularError):
             polar_init(np.diag([1.0, 1e-14]).astype(complex))
+        with pytest.raises(NearSingularError):
+            polar_init(np.diag([1.0, 0.0]).astype(complex))
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(NonSquareError):
+            polar_init(np.ones((2, 3)))
+
+
+_unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                   allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=arrays(np.complex128, (3, 3), elements=_unit_complex))
+def test_polar_split_property(m):
+    # ||m||_2 <= ||m||_F <= 3, so shifting by 4I keeps every singular value >= 1
+    k0 = m + 4.0 * np.eye(3)
+    assert_polar_split(polar_init(k0), k0, 1e-13)
 
 
 class TestEvolveW:

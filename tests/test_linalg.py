@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mesodyn.errors import (
-    NearSingularError,
     NonFiniteError,
-    NonSquareError,
-    NotPSDError,
     ShapeMismatchError,
 )
 from mesodyn.fixed_domain import polar_init
@@ -20,8 +17,6 @@ from mesodyn.linalg import (
     matrix_from_json,
     matrix_to_json,
     pairing,
-    psd_inverse,
-    psd_sqrt,
     unitary_exponential,
     unitary_exponentials,
 )
@@ -70,77 +65,6 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ShapeMismatchError):
             hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_squaring_oracle(self, rng):
-        k0 = crandn(rng, 3, 3)
-        gram = hermitian_part(k0 @ k0.conj().T)
-        root = psd_sqrt(gram)
-        assert frob(root @ root - gram) <= 1e-11 * frob(gram)
-        assert np.all(np.linalg.eigvalsh(root) >= -1e-12)
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-
-class TestPsdInverse:
-    def test_diagonal(self):
-        assert np.allclose(psd_inverse(np.diag([1.0, 4.0])), np.diag([1.0, 0.25]))
-
-    def test_identity(self):
-        assert np.allclose(psd_inverse(np.eye(2)), np.eye(2))
-
-    def test_ill_conditioned_hilbert_like(self):
-        n = 4
-        hilbert = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
-        try:
-            inv = psd_inverse(hilbert, floor=1e-12)
-        except NearSingularError:
-            return  # also acceptable per the contract
-        cond = np.linalg.cond(hilbert)
-        assert frob(hilbert @ inv - np.eye(n)) <= 1e-10 * cond
-
-    def test_near_singular_raises(self):
-        with pytest.raises(NearSingularError):
-            psd_inverse(np.diag([1.0, 1e-14]), floor=1e-12)
-
-
-class TestPolarDecompose:
-    """The polar split K = radial . u0 that polar_init caches."""
-
-    def test_positive_diagonal(self):
-        factors = polar_init(np.diag([2.0, 3.0]).astype(complex))
-        assert np.allclose(factors.radial, np.diag([2.0, 3.0]))
-        assert np.allclose(factors.u0, np.eye(2))
-
-    def test_scalar_phase(self):
-        factors = polar_init(np.array([[1j]]))
-        assert np.allclose(factors.radial, [[1.0]])
-        assert np.allclose(factors.u0, [[1j]])
-
-    def test_reconstruction_random(self, rng):
-        k = random_full_rank(rng, 3, 0.5, 2.0)
-        factors = polar_init(k)
-        assert frob(factors.radial @ factors.u0 - k) <= 1e-12 * frob(k)
-        u = factors.u0
-        assert frob(u.conj().T @ u - np.eye(3)) <= 1e-12 * np.sqrt(3)
-        assert np.all(np.linalg.eigvalsh(factors.radial) > 0)
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(NonSquareError):
-            polar_init(np.ones((2, 3)))
-
-    def test_rejects_singular(self):
-        with pytest.raises(NearSingularError):
-            polar_init(np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestUnitaryExponential:

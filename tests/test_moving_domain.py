@@ -3,6 +3,7 @@ import pytest
 
 from mesodyn.errors import (
     InsufficientSamplesError,
+    NearSingularError,
     NotHermitianGaugeError,
     NotOrthonormalError,
     RankDeficientError,
@@ -201,15 +202,25 @@ class TestAssembly:
         for _, k in ops:
             assert frob(image_projector(k) - p0) <= 1e-12
 
-    def test_a0_shape_rejected_before_evolution(self, monkeypatch):
+    @pytest.fixture
+    def no_frame_evolution(self, monkeypatch):
         def no_evolution(*args):
             raise AssertionError("evolved before checking a0")
 
         monkeypatch.setattr(moving_domain, "evolve_frame_schrodinger", no_evolution)
+
+    def test_a0_shape_rejected_before_evolution(self, no_frame_evolution):
         space = diag_space([1.0, 2.0], n=1)
         psi0 = np.eye(2, dtype=complex)[:, :1]
         with pytest.raises(ShapeMismatchError, match="a0 must be 1 x 1"):
             moving_solution(space, psi0, psi0, np.eye(2, dtype=complex),
+                            FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
+
+    def test_singular_a0_rejected_before_evolution(self, no_frame_evolution):
+        space = diag_space([1.0, 2.0, 3.0], n=2)
+        psi0 = np.eye(3, dtype=complex)[:, :2]
+        with pytest.raises(NearSingularError):
+            moving_solution(space, psi0, psi0, np.diag([1.0, 0.0]).astype(complex),
                             FieldProfile.constant(1.0), 1.0, t_end=1.0, dt=0.5)
 
 
