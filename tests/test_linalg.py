@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mesodyn.errors import (
+    NearSingularError,
     NonFiniteError,
     ShapeMismatchError,
 )
 from mesodyn.fixed_domain import polar_init
 from mesodyn.linalg import (
+    DEFAULT_PD_FLOOR,
     adjoint_inverse,
     adjoint_pseudo_inverse,
+    full_rank_svd,
     hermitian_eigendecompose,
     hermitian_part,
     matrix_from_json,
@@ -158,6 +161,36 @@ class TestPairing:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             pairing(np.eye(2), np.eye(3))
+
+
+class TestPolarDecompose:
+    """The polar factors K = (U S U*)(U V*) read off full_rank_svd."""
+
+    @staticmethod
+    def polar_factors(k):
+        u, s, vh = full_rank_svd(k, DEFAULT_PD_FLOOR)
+        return (u * s) @ u.conj().T, u @ vh
+
+    def test_positive_diagonal(self):
+        radial, unitary = self.polar_factors(np.diag([2.0, 3.0]).astype(complex))
+        assert np.allclose(radial, np.diag([2.0, 3.0]))
+        assert np.allclose(unitary, np.eye(2))
+
+    def test_scalar_phase(self):
+        radial, unitary = self.polar_factors(np.array([[1j]]))
+        assert np.allclose(radial, [[1.0]])
+        assert np.allclose(unitary, [[1j]])
+
+    def test_reconstruction_random(self, rng):
+        k = random_full_rank(rng, 3, 0.5, 2.0)
+        radial, unitary = self.polar_factors(k)
+        assert frob(radial @ unitary - k) <= 1e-12 * frob(k)
+        assert frob(unitary.conj().T @ unitary - np.eye(3)) <= 1e-12 * np.sqrt(3)
+        assert np.all(np.linalg.eigvalsh(radial) > 0)
+
+    def test_rejects_singular(self):
+        with pytest.raises(NearSingularError):
+            full_rank_svd(np.diag([1.0, 0.0]).astype(complex), DEFAULT_PD_FLOOR)
 
 
 class TestAdjointInverse:
