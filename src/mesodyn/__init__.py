@@ -37,8 +37,6 @@ from .fixed_domain import (
     EvolutionState,
     FactorizedCache,
     Trajectory,
-    evolve_V,
-    evolve_W,
     evolve_direct,
     evolve_factorized,
     evolve_series,

@@ -266,8 +266,10 @@ def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
 
 def _moving_inputs(cfg: ScenarioConfig, doc: dict):
     try:
-        ambient_dim = int(doc["ambient_dim"])
-        rank = int(doc["rank"])
+        ambient_dim, rank = doc["ambient_dim"], doc["rank"]
+        if not (type(ambient_dim) is int and type(rank) is int):
+            raise ConfigInvalidError(f"ambient_dim and rank must be integers, "
+                                     f"got {ambient_dim!r} and {rank!r}")
         psi0 = matrix_from_json(doc["psi0"])
         phi0 = matrix_from_json(doc["phi0"])
         a0 = matrix_from_json(doc["coeff_a0"])

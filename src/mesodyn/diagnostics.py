@@ -51,6 +51,12 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> flo
     The log-determinant is evaluated as the sum of eigenvalue logs of
     K K*, which survives dimension growth without overflow.
     """
+    electronic, entropy = _energy_terms(k, h, pd_floor)
+    return electronic + (b * b) * entropy
+
+
+def _energy_terms(k, h, pd_floor: float) -> tuple[float, float]:
+    """(trace(K H K*), log det(K K*)) from one eigvalsh of K K*."""
     a = require_square(k)
     hm = hermitian(h)
     gram = hermitian_part(a @ a.conj().T)
@@ -59,9 +65,7 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> flo
         raise NearSingularError(
             f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
             f"crosses the floor")
-    electronic = float(np.trace(a @ hm @ a.conj().T).real)
-    entropy = float(np.sum(np.log(w)))
-    return electronic + (b * b) * entropy
+    return float(np.trace(a @ hm @ a.conj().T).real), float(np.sum(np.log(w)))
 
 
 class DifferentialCheck(NamedTuple):
@@ -142,19 +146,14 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     gram0_norm = float(np.linalg.norm(gram0))
     radial_inv = polar_init(ks[0], cfg.pd_floor).radial_inv
     constant_h = cfg.hamiltonian.is_constant()
-    if constant_h:
-        h0 = cfg.hamiltonian.sample(0.0)
-        trace0 = float(np.trace(ks[0] @ h0 @ ks[0].conj().T).real)
-        trace_scale = max(abs(trace0), 1e-300)
-
+    h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
+    b_samples = np.array([cfg.field.sample(float(t)) for t in times])
+    terms = [_energy_terms(k, h_samples[i], cfg.pd_floor) for i, k in enumerate(ks)]
+    xi = np.array([electronic + (b * b) * entropy
+                   for (electronic, entropy), b in zip(terms, map(float, b_samples))])
+    trace0 = terms[0][0]  # trace(K0 H K0*), the constant-H invariant
     if len(ks) >= 2:
-        h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
-        b_samples = np.array([cfg.field.sample(float(t)) for t in times])
-        xi = np.array([
-            total_hamiltonian(k, h_samples[i], float(b_samples[i]), cfg.pd_floor)
-            for i, k in enumerate(ks)
-        ])
-        logdet_r2 = float(np.sum(np.log(np.linalg.eigvalsh(gram0))))
+        logdet_r2 = terms[0][1]  # log det(K0 K0*), from sample 0's eigenvalues
         if constant_h:
             h_dot = np.zeros_like(h_samples)
         else:
@@ -170,21 +169,15 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
         ])
         observed = np.gradient(xi, times)
     else:
-        xi = np.array([total_hamiltonian(ks[0], cfg.hamiltonian.sample(0.0),
-                                         cfg.field.sample(0.0), cfg.pd_floor)])
-        predicted = np.zeros(1)
-        observed = np.zeros(1)
+        predicted, observed = np.zeros(1), np.zeros(1)
 
     records = []
     for i, k in enumerate(ks):
         gram = hermitian_part(k @ k.conj().T)
         kk_drift = float(np.linalg.norm(gram - gram0)) / gram0_norm
         defect = unitary_defect(radial_inv @ k)
-        if constant_h:
-            tr = float(np.trace(k @ h0 @ k.conj().T).real)
-            trace_drift = abs(tr - trace0) / trace_scale
-        else:
-            trace_drift = None
+        trace_drift = (abs(terms[i][0] - trace0) / max(abs(trace0), 1e-300)
+                       if constant_h else None)
         records.append(DiagnosticsRecord(
             t=float(times[i]), xi=float(xi[i]),
             xi_rate_predicted=float(predicted[i]),

@@ -12,10 +12,11 @@ Three independent routes to the same trajectory:
   truncated at a caller-chosen number of terms.
 
 Fixed steps keep trajectories bit-reproducible; convergence studies
-(dt, dt/2) replace adaptivity.  The two stepping schemes, the
-midpoint-exponential product and classical RK4, live here once
-(``midpoint_product``, ``rk4``) and also drive the moving-domain frame,
-gauge and coefficient evolutions.
+(dt, dt/2) replace adaptivity.  The two propagation schemes live here
+once and also drive the moving-domain frame, gauge and coefficient
+evolutions: ``unitary_propagator`` (the exact exponential for a constant
+generator, the midpoint-exponential product for a time-dependent one)
+and classical RK4 (``rk4``).
 """
 
 from __future__ import annotations
@@ -104,17 +105,22 @@ def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR) -> FactorizedCache:
                            h_b_base=hermitian_part((u / (s * s)) @ uh))
 
 
-def midpoint_product(u0: np.ndarray, generator, times, wanted, sign: float,
-                     hbar: float, left: bool = False) -> list:
-    """Unitary propagator by the midpoint-exponential product.
+def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
+                       hbar: float, left: bool = False) -> list:
+    """Time-ordered U(t) = u0 . exp(i sign Int G dt' / hbar) as [(t, U)].
 
-    Step i multiplies U by exp(i * sign * dt * G(t_i + dt/2) / hbar) for
-    the Hermitian sampler ``generator``, from the right (or the left with
-    ``left``).  Second-order accurate and exactly unitary at every step.
-    ``sign`` (+1 or -1) and ``hbar`` stay separate so the exponent rounds
-    as dt / hbar does.  Returns [(t, U)] at the indices in ``wanted``,
-    starting from U = u0.
+    ``times`` is the step grid, ``wanted`` the indices returned.  The
+    generator picks the method.  A Hermitian matrix G is exact: one
+    eigendecomposition gives exp(i sign G t / hbar) at every wanted time.
+    A sampler ``t -> G(t)`` takes the midpoint-exponential product, step by
+    step exp(i sign dt G(t + dt/2) / hbar): second order, exactly unitary.
+    Factors multiply u0 from the right, or the left with ``left``.  ``sign``
+    and ``hbar`` stay separate so the exponent rounds as dt / hbar does.
     """
+    if not callable(generator):
+        ts = [float(times[i]) for i in sorted(wanted)]
+        exps = unitary_exponentials(generator, [sign * t / hbar for t in ts])
+        return [(t, e @ u0 if left else u0 @ e) for t, e in zip(ts, exps)]
     u = u0
     out = [(float(times[0]), u0.copy())] if 0 in wanted else []
     for i in range(len(times) - 1):
@@ -155,26 +161,6 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
     return out
 
 
-def evolve_W(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
-    """Unitary factor W(t) solving i*hbar*dW/dt = -W H(t), W(0) = u0.
-
-    Constant H uses W(t) = u0 exp(i H t / hbar) exactly, from one
-    eigendecomposition of H for all output times; time-dependent H
-    uses the midpoint-exponential product
-    W(t+dt) = W(t) exp(i H(t+dt/2) dt / hbar), second-order accurate and
-    exactly unitary at every step.
-
-    Returns [(t, W)] on the scenario's output grid.
-    """
-    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    if cfg.hamiltonian.is_constant():
-        exps = unitary_exponentials(cfg.hamiltonian.sample(0.0),
-                                    [t / cfg.hbar for t in plan.output_times])
-        return [(float(t), cache.u0 @ e) for t, e in zip(plan.output_times, exps)]
-    return midpoint_product(cache.u0, cfg.hamiltonian.sample, plan.times,
-                            set(plan.output_indices), 1.0, cfg.hbar)
-
-
 def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
     """[(t, exp((i/hbar) Int_0^t B^2 dt' h_b_base))] for increasing ``times``.
 
@@ -195,21 +181,16 @@ def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
     return list(zip(ts, unitary_exponentials(h_b_base, scales)))
 
 
-def evolve_V(cache: FactorizedCache, cfg: ScenarioConfig) -> list:
-    """Magnetic factor V(t) = exp((i/hbar) Int_0^t B^2 dt' (K0 K0*)^-1).
-
-    V commutes with h_b_base at all times (both are functions of the same
-    Hermitian matrix) and V(0) = I.
-    """
-    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    return magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
-
-
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
-    """Closed-form trajectory K(t) = radial . V(t) . W(t)."""
+    """Closed-form trajectory K(t) = radial . V(t) . W(t), W(0) = u0.
+
+    W solves i*hbar*dW/dt = -W H(t); V is the magnetic factor.
+    """
     cache = polar_init(cfg.initial_k, cfg.pd_floor)
-    ws = evolve_W(cache, cfg)
-    vs = evolve_V(cache, cfg)
+    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    ws = unitary_propagator(cache.u0, cfg.hamiltonian.generator(), plan.times,
+                            set(plan.output_indices), 1.0, cfg.hbar)
+    vs = magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
     return _trajectory([(tw, cache.radial @ v @ w) for (tw, w), (_, v) in zip(ws, vs)],
                        "factorized")
 

@@ -215,15 +215,24 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the row-major JSON literal produced by matrix_to_json."""
+    """Parse the row-major JSON literal produced by matrix_to_json.
+
+    Raises ValueError for every malformed literal.
+    """
     if not isinstance(obj, dict):
         raise ValueError("matrix literal must be an object")
     missing = {"rows", "cols", "re", "im"} - set(obj)
     if missing:
         raise ValueError(f"matrix literal is missing fields {sorted(missing)}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
+    rows, cols = obj["rows"], obj["cols"]
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValueError(f"matrix literal sizes must be non-negative integers, "
+                         f"got rows={rows!r}, cols={cols!r}")
+    try:
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"matrix literal entries must be numbers: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(
             f"matrix literal has {re.size} re / {im.size} im entries, "

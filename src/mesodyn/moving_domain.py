@@ -6,7 +6,8 @@ rank-N image spanned by phi0 while the domain frame psi(t) evolves by
 the one-particle Schroedinger propagator.  Stored frame columns are kets
 satisfying i*hbar d/dt |psi'> = +H |psi'>, i.e. the conjugate of the bra
 equation i*hbar d/dt <psi'| = -<psi'| H, so columns propagate by
-exp(-i H t / hbar).
+exp(-i H t / hbar).  Frame and gauge propagators use ``unitary_propagator``:
+exact for a constant generator, midpoint products for a time-dependent one.
 
 The assembled operator is K(t) = phi0 . A'(t) . psi(t)*, with the
 coefficient matrix driven purely by the magnetic term:
@@ -31,7 +32,7 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .fixed_domain import magnetic_factor, midpoint_product, polar_init, rk4
+from .fixed_domain import magnetic_factor, polar_init, rk4, unitary_propagator
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -84,11 +85,11 @@ def require_orthonormal_columns(m) -> np.ndarray:
 
 def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
                              hbar: float, output_stride: int = 1) -> list:
-    """Propagate the n frame kets by the midpoint-exponential product.
+    """Propagate the n frame kets by exp(-i Int H dt' / hbar) from the left.
 
-    Each step multiplies by exp(-i H(t+dt/2) dt / hbar), so orthonormality
-    of the frame is preserved to roundoff.  Returns [(t, psi)] on the
-    output grid.
+    Exact for constant H, the midpoint product exp(-i H(t+dt/2) dt / hbar)
+    otherwise; the frame stays orthonormal to roundoff.  Returns [(t, psi)]
+    on the output grid.
     """
     space.check()
     psi = require_orthonormal_columns(psi0)
@@ -96,8 +97,8 @@ def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
         raise ShapeMismatchError(
             f"psi0 must be {space.dim_h1} x {space.n}, got {psi.shape}")
     plan = step_plan(t_end, dt, output_stride)
-    return midpoint_product(psi, space.ambient_hamiltonian.sample, plan.times,
-                            set(plan.output_indices), -1.0, hbar, left=True)
+    return unitary_propagator(psi, space.ambient_hamiltonian.generator(), plan.times,
+                              set(plan.output_indices), -1.0, hbar, left=True)
 
 
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
@@ -204,25 +205,32 @@ def weak_residual(samples, space: AmbientSpace, field: FieldProfile, hbar: float
 
 
 def _as_gauge(c, n: int):
-    """Normalize a gauge spec (callable or constant matrix) to a sampler."""
-    if callable(c):
-        fn = c
-    else:
-        const = as_matrix(c)
-        fn = lambda t: const  # noqa: E731
+    """A gauge spec as a propagator generator, checked n x n and Hermitian.
 
-    def sample(t: float) -> np.ndarray:
-        m = as_matrix(fn(t))
+    A constant matrix is checked once and returned symmetrized; a callable
+    becomes a sampler that checks every sample.
+    """
+    def checked(m, what: str) -> np.ndarray:
+        m = as_matrix(m)
         if m.shape != (n, n):
-            raise ShapeMismatchError(f"gauge sample at t={t} has shape {m.shape}, "
-                                     f"expected {(n, n)}")
+            raise ShapeMismatchError(f"{what} has shape {m.shape}, expected {(n, n)}")
         dev = hermitian_excess(m, _GAUGE_HERMITIAN_TOL)
         if dev is not None:
             raise NotHermitianGaugeError(
-                f"gauge sample at t={t} is not Hermitian (max |C - C*| = {dev:.3e})")
+                f"{what} is not Hermitian (max |C - C*| = {dev:.3e})")
         return hermitian_part(m)
 
-    return sample
+    if callable(c):
+        return lambda t: checked(c(t), f"gauge sample at t={t}")
+    return checked(c, "constant gauge")
+
+
+def _gauge_propagators(g1, g2, n: int, times, hbar: float) -> list:
+    every = range(len(times))
+    eye = np.eye(n, dtype=np.complex128)
+    g1s = unitary_propagator(eye, g1, times, every, -1.0, hbar)
+    g2s = unitary_propagator(eye, g2, times, every, 1.0, hbar)
+    return [(t, u1, u2) for (t, u1), (_, u2) in zip(g1s, g2s)]
 
 
 def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
@@ -232,16 +240,13 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     g1 solves i*hbar dg1/dt = g1 C'(t) so that the image basis evolves as
     phi(t) = phi0 g1(t); g2 solves i*hbar dg2/dt = -g2 C''(t) so that
     <psi'_n| = sum [g2]_nl <psi_l| turns the gauged domain frame back into
-    the free one.  Both use midpoint-exponential products on the fine grid.
+    the free one.  A constant gauge gives exact exponentials, a callable
+    one midpoint-exponential products on the fine grid.
 
     Returns [(t, g1, g2)] including t = 0.
     """
-    times = step_plan(t_end, dt, 1).times
-    every = range(len(times))
-    eye = np.eye(n, dtype=np.complex128)
-    g1s = midpoint_product(eye, _as_gauge(c_prime, n), times, every, -1.0, hbar)
-    g2s = midpoint_product(eye, _as_gauge(c_double_prime, n), times, every, 1.0, hbar)
-    return [(t, g1, g2) for (t, g1), (_, g2) in zip(g1s, g2s)]
+    return _gauge_propagators(_as_gauge(c_prime, n), _as_gauge(c_double_prime, n),
+                              n, step_plan(t_end, dt, 1).times, hbar)
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
@@ -257,19 +262,20 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     operator makes the distance vanish up to integration accuracy.
     """
     image, a0 = _image_and_coefficients(space, phi0, a0)
-    psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
-    times = [t for t, _ in psi_free]
+    times = step_plan(t_end, dt, 1).times
+    # a singular a0 and a bad constant gauge are rejected before the frame evolves
     a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
-
-    props = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
-    # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
     c1 = _as_gauge(c_prime, space.n)
     c2 = _as_gauge(c_double_prime, space.n)
+    psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
+    props = _gauge_propagators(c1, c2, space.n, times, hbar)
 
+    # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
     def rhs(t: float, a: np.ndarray) -> np.ndarray:
         inv = adjoint_inverse(a, pd_floor)
         b = field.sample(t)
-        return (1j / hbar) * (c1(t) @ a + a @ c2(t) + (b * b) * inv)
+        g1, g2 = (c(t) if callable(c) else c for c in (c1, c2))
+        return (1j / hbar) * (g1 @ a + a @ g2 + (b * b) * inv)
 
     a_gauged = rk4(rhs, a0, times, range(len(times)))
 

@@ -182,6 +182,10 @@ class HamiltonianProfile:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
+    def generator(self):
+        """The matrix when constant, else ``sample``: what a propagator steps."""
+        return self.sample(0.0) if self.is_constant() else self.sample
+
     def sample(self, t: float) -> np.ndarray:
         if self.kind == "constant":
             return hermitian_part(self.matrix)

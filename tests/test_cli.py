@@ -288,6 +288,11 @@ class TestFlux:
             assert abs(sum(values) - 2.5) <= 1e-11
 
 
+def malformed(m, **fields):
+    """The JSON literal of m with some fields replaced."""
+    return {**matrix_to_json(m), **fields}
+
+
 def assert_config_rejected(argv, out):
     assert main(argv + ["--output", str(out)]) == 3
     manifest = json.loads((out / "run.json").read_text())
@@ -298,6 +303,15 @@ class TestHostileInputs:
     def flux_config(self, rng, tmp_path, upsilon, total_flux):
         extra = {"upsilon": matrix_to_json(upsilon), "total_flux": total_flux}
         return write_scenario(tmp_path / "f.json", small_config(rng), extra=extra)
+
+    @pytest.mark.parametrize("upsilon", [
+        malformed(np.ones((3, 1)), rows=None),
+        malformed(np.ones((3, 1)), re={}),
+    ], ids=["rows_null", "re_object"])
+    def test_flux_malformed_upsilon(self, upsilon, rng, tmp_path):
+        config = write_scenario(tmp_path / "f.json", small_config(rng),
+                                extra={"upsilon": upsilon, "total_flux": 1.0})
+        assert_config_rejected(["flux", "--config", config], tmp_path / "out")
 
     def test_flux_upsilon_of_wrong_length(self, rng, tmp_path):
         config = self.flux_config(rng, tmp_path, np.ones((2, 1)), 1.0)
@@ -320,12 +334,15 @@ class TestHostileInputs:
         {"nu": 0.0},
         {"unitary": matrix_to_json(2.0 * np.eye(3))},
         {"unitary": matrix_to_json(np.eye(2))},
-    ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size"])
+        {"unitary": malformed(np.eye(3), rows=None)},
+        {"unitary": malformed(np.eye(3), re={})},
+    ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size",
+            "unitary_rows_null", "unitary_re_object"])
     def test_critical_rejected_input(self, extra, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
-    def moving_config(self, rng, tmp_path, phi0_cols, a0):
+    def moving_config(self, rng, tmp_path, phi0_cols, a0, changes=None):
         dim, n = 4, 2
         cfg = ScenarioConfig(
             hbar=1.0,
@@ -339,14 +356,22 @@ class TestHostileInputs:
             "psi0": matrix_to_json(random_orthonormal_columns(rng, dim, n)),
             "phi0": matrix_to_json(random_orthonormal_columns(rng, 3, phi0_cols)),
             "coeff_a0": matrix_to_json(a0),
+            **(changes or {}),
         }
         return write_scenario(tmp_path / "m.json", cfg, extra=extra)
 
-    @pytest.mark.parametrize("phi0_cols, a0_dim", [(2, 3), (1, 2)],
-                             ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank"])
-    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, rng, tmp_path):
+    @pytest.mark.parametrize("phi0_cols, a0_dim, changes", [
+        (2, 3, None),
+        (1, 2, None),
+        (2, 2, {"rank": None}),
+        (2, 2, {"ambient_dim": [4]}),
+        (2, 2, {"psi0": malformed(np.eye(4)[:, :2], rows=None)}),
+        (2, 2, {"psi0": malformed(np.eye(4)[:, :2], re={})}),
+    ], ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank", "rank_null",
+            "ambient_dim_list", "psi0_rows_null", "psi0_re_object"])
+    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, changes, rng, tmp_path):
         a0 = random_full_rank(rng, a0_dim, 0.7, 1.4)
-        config = self.moving_config(rng, tmp_path, phi0_cols, a0)
+        config = self.moving_config(rng, tmp_path, phi0_cols, a0, changes)
         assert_config_rejected(["moving", "--config", config], tmp_path / "out")
 
     def test_moving_singular_coeff_a0(self, rng, tmp_path):

@@ -145,6 +145,25 @@ class TestInvariantReport:
         report = invariant_report(evolve_direct(cfg), cfg)
         assert report.max_trace_khk_drift() <= 1e-8
 
+    def test_one_eigvalsh_per_sample(self, rng, monkeypatch):
+        cfg = random_scenario(rng, 3, dt=1e-3, output_stride=100)
+        trajectory = evolve_factorized(cfg)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        report = invariant_report(trajectory, cfg)
+        monkeypatch.undo()
+        assert len(trajectory.states) == 11
+        assert len(calls) == len(trajectory.states)
+        for r, state in zip(report.records, trajectory.states):
+            assert r.xi == total_hamiltonian(state.k, cfg.hamiltonian.sample(r.t),
+                                             cfg.field.sample(r.t))
+
 
 class TestCriticalPoint:
     def test_closed_form_values(self):

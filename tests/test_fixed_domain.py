@@ -12,8 +12,6 @@ from mesodyn.errors import (
     TruncationDominatesError,
 )
 from mesodyn.fixed_domain import (
-    evolve_V,
-    evolve_W,
     evolve_direct,
     evolve_factorized,
     evolve_series,
@@ -21,6 +19,7 @@ from mesodyn.fixed_domain import (
     polar_init,
     rk4,
     series_unitary,
+    unitary_propagator,
 )
 from mesodyn.linalg import unitary_exponential
 from mesodyn.scenario import (
@@ -49,6 +48,19 @@ def constant_config(h, b, k0, t_end=1.0, dt=1e-3, stride=100, hbar=1.0):
         field=FieldProfile.constant(b),
         initial_k=np.asarray(k0, dtype=complex),
         t_end=t_end, dt=dt, output_stride=stride)
+
+
+def evolve_w(cache, cfg):
+    """W(t) from W(0) = u0 on the scenario's output grid, as evolve_factorized has it."""
+    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    return unitary_propagator(cache.u0, cfg.hamiltonian.generator(), plan.times,
+                              set(plan.output_indices), 1.0, cfg.hbar)
+
+
+def evolve_v(cache, cfg):
+    """The magnetic factor V(t) on the scenario's output grid."""
+    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    return magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
 
 
 def assert_polar_split(cache, k0, rtol):
@@ -126,7 +138,7 @@ class TestEvolveW:
     def test_constant_diagonal_phases(self):
         cfg = constant_config(np.diag([1.0, 2.0]), 0.0, np.eye(2), stride=500)
         cache = polar_init(cfg.initial_k)
-        for t, w in evolve_W(cache, cfg):
+        for t, w in evolve_w(cache, cfg):
             expected = np.diag(np.exp(1j * np.array([1.0, 2.0]) * t))
             assert frob(w - expected) <= 1e-12
 
@@ -134,7 +146,7 @@ class TestEvolveW:
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.zeros((3, 3)), 1.0, k0, stride=250)
         cache = polar_init(k0)
-        for _, w in evolve_W(cache, cfg):
+        for _, w in evolve_w(cache, cfg):
             assert frob(w - cache.u0) <= 1e-12
 
     def test_self_convergence_second_order(self, rng):
@@ -149,7 +161,7 @@ class TestEvolveW:
                                  field=FieldProfile.constant(0.0),
                                  initial_k=k0, t_end=1.0, dt=dt,
                                  output_stride=10 ** 9)
-            return evolve_W(polar_init(k0), cfg)[-1][1]
+            return evolve_w(polar_init(k0), cfg)[-1][1]
 
         reference = final_w(1.25e-4)
         e_coarse = frob(final_w(2e-3) - reference)
@@ -159,24 +171,43 @@ class TestEvolveW:
     def test_unitary_along_the_way(self, rng):
         cfg = random_scenario(rng, 4, dt=2e-3, output_stride=50)
         cache = polar_init(cfg.initial_k)
-        for _, w in evolve_W(cache, cfg):
+        for _, w in evolve_w(cache, cfg):
             assert frob(w.conj().T @ w - np.eye(4)) <= 1e-12
+
+
+class TestUnitaryPropagator:
+    """The exact (matrix) and midpoint (sampler) methods of one propagator."""
+
+    @pytest.mark.parametrize("left", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matrix_and_sampler_agree(self, rng, left, sign):
+        h = random_hermitian(rng, 3, 0.5, 2.0)
+        u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4)).u0
+        # 100 steps: the product's roundoff grows with the step count
+        plan = step_plan(1.0, 1e-2, 10)
+        wanted = set(plan.output_indices)
+        exact = unitary_propagator(u0, h, plan.times, wanted, sign, 0.7, left)
+        stepped = unitary_propagator(u0, lambda t: h, plan.times, wanted, sign, 0.7,
+                                     left)
+        assert [t for t, _ in exact] == [t for t, _ in stepped]
+        for (_, a), (_, b) in zip(exact, stepped):
+            assert frob(a - b) <= 1e-12
 
 
 class TestSharedEigendecomposition:
     """The constant-generator paths equal one exponential per output time."""
 
-    def test_constant_w_equals_per_time_exponentials(self, rng):
-        cfg = constant_config(random_hermitian(rng, 4, 0.5, 2.0), 0.8,
-                              random_full_rank(rng, 4, 0.7, 1.4),
-                              dt=1e-2, stride=7, hbar=0.7)
-        cache = polar_init(cfg.initial_k)
-        h = cfg.hamiltonian.sample(0.0)
-        times = step_plan(cfg.t_end, cfg.dt, cfg.output_stride).output_times
-        ws = evolve_W(cache, cfg)
-        assert [t for t, _ in ws] == [float(t) for t in times]
-        for (_, w), t in zip(ws, times):
-            assert np.array_equal(w, cache.u0 @ unitary_exponential(h, t / cfg.hbar))
+    def test_propagator_equals_per_time_exponentials(self, rng):
+        h = random_hermitian(rng, 4, 0.5, 2.0)
+        u0 = polar_init(random_full_rank(rng, 4, 0.7, 1.4)).u0
+        plan = step_plan(1.0, 1e-2, 7)
+        times = plan.output_times
+        for sign in (1.0, -1.0):
+            us = unitary_propagator(u0, h, plan.times, set(plan.output_indices),
+                                    sign, 0.7)
+            assert [t for t, _ in us] == [float(t) for t in times]
+            for (_, u), t in zip(us, times):
+                assert np.array_equal(u, u0 @ unitary_exponential(h, sign * t / 0.7))
 
     def test_magnetic_factor_equals_per_time_exponentials(self, rng):
         base = random_hermitian(rng, 3, 0.5, 2.0)
@@ -196,7 +227,7 @@ class TestEvolveV:
     def test_zero_field_identity(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.eye(3), 0.0, k0, stride=200)
-        for _, v in evolve_V(polar_init(k0), cfg):
+        for _, v in evolve_v(polar_init(k0), cfg):
             assert frob(v - np.eye(3)) <= 1e-13
 
     def test_diagonal_phases_at_pi(self):
@@ -204,7 +235,7 @@ class TestEvolveV:
         k0 = np.diag([1.0, 2.0]).astype(complex)
         cfg = constant_config(np.eye(2), 1.0, k0, t_end=np.pi, dt=np.pi / 100,
                               stride=10 ** 9)
-        t, v = evolve_V(polar_init(k0), cfg)[-1]
+        t, v = evolve_v(polar_init(k0), cfg)[-1]
         assert t == pytest.approx(np.pi)
         expected = np.diag([np.exp(1j * np.pi), np.exp(1j * np.pi / 4)])
         assert frob(v - expected) <= 1e-12
@@ -217,13 +248,13 @@ class TestEvolveV:
             field=FieldProfile.sinusoid(1.0, 1.0 / (2 * np.pi)),
             initial_k=np.eye(1, dtype=complex),
             t_end=np.pi, dt=np.pi / 100, output_stride=10 ** 9)
-        _, v = evolve_V(polar_init(cfg.initial_k), cfg)[-1]
+        _, v = evolve_v(polar_init(cfg.initial_k), cfg)[-1]
         assert abs(v[0, 0] - 1j) <= 1e-10
 
     def test_commutes_with_generator(self, rng):
         cfg = random_scenario(rng, 3, dt=2e-3, output_stride=100)
         cache = polar_init(cfg.initial_k)
-        for _, v in evolve_V(cache, cfg):
+        for _, v in evolve_v(cache, cfg):
             comm = v @ cache.h_b_base - cache.h_b_base @ v
             assert frob(comm) <= 1e-12
 

@@ -42,6 +42,14 @@ def diag_space(energies, dim_h2=None, n=1):
             np.diag(energies).astype(complex)))
 
 
+@pytest.fixture
+def no_frame_evolution(monkeypatch):
+    def no_evolution(*args):
+        raise AssertionError("evolved the frame before checking the inputs")
+
+    monkeypatch.setattr(moving_domain, "evolve_frame_schrodinger", no_evolution)
+
+
 class TestFrameEvolution:
     def test_constant_diagonal_kets_rotate_clockwise(self):
         # kets obey i hbar d/dt psi = +H psi, so columns pick up e^{-i E t}
@@ -202,13 +210,6 @@ class TestAssembly:
         for _, k in ops:
             assert frob(image_projector(k) - p0) <= 1e-12
 
-    @pytest.fixture
-    def no_frame_evolution(self, monkeypatch):
-        def no_evolution(*args):
-            raise AssertionError("evolved before checking a0")
-
-        monkeypatch.setattr(moving_domain, "evolve_frame_schrodinger", no_evolution)
-
     def test_a0_shape_rejected_before_evolution(self, no_frame_evolution):
         space = diag_space([1.0, 2.0], n=1)
         psi0 = np.eye(2, dtype=complex)[:, :1]
@@ -360,6 +361,21 @@ class TestGauge:
         with pytest.raises(NotHermitianGaugeError):
             gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
                                     1.0, 1e-2, skew, skew)
+
+    def test_singular_a0_rejected_before_evolution(self, rng, no_frame_evolution):
+        space, psi0, phi0, _, field = self._setup(rng)
+        zero = np.zeros((2, 2))
+        with pytest.raises(NearSingularError):
+            gauge_equivalence_check(space, psi0, phi0, np.diag([1.0, 0.0]), field,
+                                    1.0, 1.0, 1e-2, zero, zero)
+
+    def test_skew_constant_gauge_rejected_before_evolution(self, rng,
+                                                           no_frame_evolution):
+        space, psi0, phi0, a0, field = self._setup(rng)
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NotHermitianGaugeError, match="constant gauge"):
+            gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
+                                    1.0, 1e-2, np.zeros((2, 2)), skew)
 
 
 class TestFrameSignConsistency:
