@@ -38,6 +38,7 @@ from .fixed_domain import (
     FactorizedCache,
     Trajectory,
     evolve_direct,
+    evolve_direct_many,
     evolve_factorized,
     evolve_series,
     polar_init,

@@ -7,7 +7,9 @@ Three independent routes to the same trajectory:
   with the unitary W solving i*hbar*dW/dt = -W H(t).  The radial part is
   exact by construction, so this solver cannot hit the singularity.
 * ``evolve_direct`` — classical fixed-step RK4 on the equation itself,
-  re-checking the full-rank invariant at every stage.
+  re-checking the full-rank invariant at every stage;
+  ``evolve_direct_many`` runs scenarios that share a shape and a time grid
+  as one stacked RK4, bit-identical to one at a time.
 * ``evolve_series`` — the binomial power series for constant H and B,
   truncated at a caller-chosen number of terms.
 
@@ -37,10 +39,9 @@ from .linalg import (
     full_rank_svd,
     hermitian_part,
     require_square,
-    unitary_exponential,
     unitary_exponentials,
 )
-from .scenario import ScenarioConfig, integrate_b_squared, step_plan
+from .scenario import HamiltonianStack, ScenarioConfig, integrate_b_squared, step_plan
 
 SERIES_RADIUS_LIMIT = 10.0
 SERIES_TRUNCATION_RTOL = 1e-10
@@ -114,6 +115,8 @@ def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
     eigendecomposition gives exp(i sign G t / hbar) at every wanted time.
     A sampler ``t -> G(t)`` takes the midpoint-exponential product, step by
     step exp(i sign dt G(t + dt/2) / hbar): second order, exactly unitary.
+    Its samples must be exactly Hermitian, as the profiles' and gauges'
+    symmetrized samples are; they are eigendecomposed without a re-check.
     Factors multiply u0 from the right, or the left with ``left``.  ``sign``
     and ``hbar`` stay separate so the exponent rounds as dt / hbar does.
     """
@@ -125,8 +128,8 @@ def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
     out = [(float(times[0]), u0.copy())] if 0 in wanted else []
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
-        step = unitary_exponential(generator(float(times[i]) + 0.5 * dt),
-                                   sign * dt / hbar)
+        w, q = np.linalg.eigh(generator(float(times[i]) + 0.5 * dt))
+        step = (q * np.exp(1j * (sign * dt / hbar) * w)) @ q.conj().T
         u = step @ u if left else u @ step
         if (i + 1) in wanted:
             out.append((float(times[i + 1]), u))
@@ -195,12 +198,85 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
                        "factorized")
 
 
-def _direct_rhs(cfg: ScenarioConfig, t: float, k: np.ndarray) -> np.ndarray:
-    h = cfg.hamiltonian.sample(t)
-    b = cfg.field.sample(t)
-    # Inline (K*)^-1 = U S^-1 V*; the checked SVD is the per-stage rank test.
-    u, s, vh = full_rank_svd(k, cfg.pd_floor)
-    return (1j / cfg.hbar) * (k @ h + (b * b) * ((u / s) @ vh))
+def _direct_rhs(cfgs):
+    """The stacked right-hand side (i/hbar)(K H + B^2 (K*)^-1) of one group.
+
+    ``1j/hbar``, ``B^2`` and the floor are per-member arrays; B is sampled
+    per member with the scalar ``FieldProfile.sample``.
+    """
+    sample_h = HamiltonianStack([cfg.hamiltonian for cfg in cfgs])
+    fields = [cfg.field for cfg in cfgs]
+    i_over_hbar = np.array([1j / cfg.hbar for cfg in cfgs])[:, None, None]
+    floors = np.array([cfg.pd_floor for cfg in cfgs])
+
+    def rhs(t: float, k: np.ndarray) -> np.ndarray:
+        h = sample_h(t)
+        b2 = np.array([b * b for b in [f.sample(t) for f in fields]])[:, None, None]
+        # Inline (K*)^-1 = U S^-1 V*; the checked SVD is the per-stage rank test.
+        u, s, vh = full_rank_svd(k, floors)
+        return i_over_hbar * (k @ h + b2 * ((u / s[:, None, :]) @ vh))
+
+    return rhs
+
+
+def _direct_group_key(cfg: ScenarioConfig) -> tuple:
+    h = cfg.hamiltonian
+    return (np.shape(cfg.initial_k), cfg.t_end, cfg.dt, cfg.output_stride,
+            h.kind, h.times)
+
+
+def _evolve_direct_stack(cfgs) -> list:
+    """RK4 on the (S, n, n) stack of one group; one trajectory per member.
+
+    A floor crossing by any member raises; ``partial`` then holds stacked
+    samples.
+    """
+    first = cfgs[0]
+    plan = step_plan(first.t_end, first.dt, first.output_stride)
+    k0 = np.stack([np.asarray(cfg.initial_k, dtype=np.complex128) for cfg in cfgs])
+    samples = rk4(_direct_rhs(cfgs), k0, plan.times, set(plan.output_indices))
+    return [_trajectory([(t, k[m]) for t, k in samples], "direct")
+            for m in range(len(cfgs))]
+
+
+def evolve_direct_many(cfgs) -> list:
+    """``[evolve_direct(cfg) for cfg in cfgs]``, integrating stacks at once.
+
+    Scenarios that share the shape of K0, (t_end, dt, output_stride), the
+    H profile's kind and its knot times form one group, integrated as one
+    (S, n, n) RK4 run: one stacked SVD and matmul per stage instead of S.
+    Every member's trajectory is bit-identical to its own ``evolve_direct``.
+    If a member crosses the floor, its group is re-run one member at a
+    time, and the first scenario in list order that crosses raises its own
+    NearSingularError, ``last_good_time`` and ``partial`` as
+    ``evolve_direct`` gives them.
+    """
+    cfgs = list(cfgs)
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_direct_group_key(cfg), []).append(i)
+    out = [None] * len(cfgs)
+    failures = []
+    for members in groups.values():
+        if len(members) > 1:
+            try:
+                stacked = _evolve_direct_stack([cfgs[i] for i in members])
+            except NearSingularError:
+                pass  # re-run one at a time for the member's own error
+            else:
+                for i, trajectory in zip(members, stacked):
+                    out[i] = trajectory
+                continue
+        for i in members:
+            try:
+                (out[i],) = _evolve_direct_stack([cfgs[i]])
+            except NearSingularError as exc:
+                exc.partial = _trajectory([(t, k[0]) for t, k in exc.partial], "direct")
+                failures.append((i, exc))
+                break
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
 
 
 def evolve_direct(cfg: ScenarioConfig) -> Trajectory:
@@ -208,16 +284,10 @@ def evolve_direct(cfg: ScenarioConfig) -> Trajectory:
 
     On rank loss the solver stops with the last good state: the raised
     NearSingularError carries ``last_good_time`` and the partial
-    trajectory emitted so far.
+    trajectory emitted so far.  The one-scenario case of
+    ``evolve_direct_many``.
     """
-    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    try:
-        samples = rk4(lambda t, k: _direct_rhs(cfg, t, k), cfg.initial_k,
-                      plan.times, set(plan.output_indices))
-    except NearSingularError as exc:
-        exc.partial = _trajectory(exc.partial, "direct")
-        raise
-    return _trajectory(samples, "direct")
+    return evolve_direct_many([cfg])[0]
 
 
 def series_unitary(u0: np.ndarray, h: np.ndarray, h_b: np.ndarray, t: float,

@@ -49,9 +49,12 @@ def require_square(m) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2.  Bit-for-bit equal to its own conjugate transpose."""
+    """(M + M*) / 2 of a matrix or of each matrix in a stack.
+
+    Bit-for-bit equal to its own conjugate transpose.
+    """
     a = np.asarray(m, dtype=np.complex128)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_excess(a: np.ndarray, rtol: float) -> float | None:
@@ -62,14 +65,15 @@ def hermitian_excess(a: np.ndarray, rtol: float) -> float | None:
     return dev if dev > rtol * max(float(np.max(np.abs(a))), 1.0) else None
 
 
-def below_floor(lo: float, hi: float, floor: float) -> bool:
+def below_floor(lo, hi, floor):
     """Relative full-rank test: hi is not positive or lo <= floor * hi.
 
     ``lo``/``hi`` are the smallest and largest singular values (or
-    eigenvalues of a positive-definite matrix).  With an array ``lo`` and
-    positive ``hi`` it flags every value under the floor.
+    eigenvalues of a positive-definite matrix).  Arrays are tested
+    elementwise: an array ``lo`` with one ``hi`` flags every value under
+    the floor, and per-member arrays test each member of a stack.
     """
-    return hi <= 0.0 or lo <= floor * hi
+    return (hi <= 0.0) | (lo <= floor * hi)
 
 
 def hermitian(m) -> np.ndarray:
@@ -166,16 +170,23 @@ def singular_extent(k) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def full_rank_svd(a: np.ndarray, floor: float):
+def full_rank_svd(a: np.ndarray, floor):
     """(U, s, V*) with a = U diag(s) V*, for an already checked square array.
 
     The full-rank check behind every inverse and polar split: raises
-    NearSingularError when ``below_floor(s[-1], s[0], floor)``.
+    NearSingularError when ``below_floor(s[-1], s[0], floor)``.  A stack
+    (..., n, n) is decomposed in one call and every member is tested;
+    ``floor`` is one value or one per member.
     """
     u, s, vh = np.linalg.svd(a)
-    if below_floor(s[-1], s[0], floor):
+    lo, hi = s[..., -1], s[..., 0]
+    bad = below_floor(lo, hi, floor)
+    if bad.any():
+        # Report the first member under its floor.
+        j = np.flatnonzero(bad)[0]
+        lo, hi, floor = (np.ravel(np.broadcast_to(x, bad.shape))[j] for x in (lo, hi, floor))
         raise NearSingularError(
-            f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} crosses the floor {floor:.1e}"
+            f"singular value ratio {lo:.3e}/{hi:.3e} crosses the floor {floor:.1e}"
         )
     return u, s, vh
 
@@ -238,4 +249,6 @@ def matrix_from_json(obj) -> np.ndarray:
             f"matrix literal has {re.size} re / {im.size} im entries, "
             f"expected {rows * cols}"
         )
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix literal entries must be finite")
     return as_matrix((re + 1j * im).reshape(rows, cols))

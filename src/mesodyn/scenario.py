@@ -13,10 +13,12 @@ throwing.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,11 +128,6 @@ class FieldProfile:
         return _knot_domain(self.times, self.kind == "sampled-table")
 
     def sample(self, t: float) -> float:
-        lo, hi = self.domain()
-        if _outside_domain((lo, hi), t, t):
-            raise OutOfDomainError(
-                f"field sampled at t={t!r} outside its domain [{lo}, {hi}]"
-            )
         if self.kind == "constant":
             return self.value
         if self.kind == "sinusoid":
@@ -139,6 +136,12 @@ class FieldProfile:
         if self.kind == "linear-ramp":
             return self.slope * t + self.intercept
         if self.kind == "sampled-table":
+            # the only kind with a bounded domain
+            lo, hi = self.domain()
+            if _outside_domain((lo, hi), t, t):
+                raise OutOfDomainError(
+                    f"field sampled at t={t!r} outside its domain [{lo}, {hi}]"
+                )
             return float(np.interp(min(max(t, lo), hi), self.times, self.values))
         raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -150,7 +153,8 @@ class HamiltonianProfile:
     Sampling always returns the symmetrized matrix (M + M*)/2, which is
     bit-for-bit equal to its own conjugate transpose.  For the
     interpolated-sequence kind, interpolation is entrywise linear in
-    time followed by re-symmetrization.
+    time followed by re-symmetrization.  The symmetrized constant matrix
+    and the knot arrays are set up once, at the first sample.
     """
 
     kind: str
@@ -186,29 +190,65 @@ class HamiltonianProfile:
         """The matrix when constant, else ``sample``: what a propagator steps."""
         return self.sample(0.0) if self.is_constant() else self.sample
 
+    @cached_property
+    def _stack(self) -> "HamiltonianStack":
+        return HamiltonianStack((self,))
+
     def sample(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return hermitian_part(self.matrix)
-        if self.kind != "interpolated-sequence":
-            raise ValueError(f"unknown hamiltonian kind {self.kind!r}")
-        lo, hi = self.domain()
+        """H(t): the one-member case of ``HamiltonianStack``."""
+        return self._stack(t)[0]
+
+
+class HamiltonianStack:
+    """t -> the (S, n, n) stack of H_s(t) for profiles of one kind and knot times.
+
+    A constant stack is symmetrized once and returned, read-only, at every
+    t.  An interpolated stack holds each knot as one (S, n, n) array (a
+    view of the member's own matrix when S = 1), clamps t into the shared
+    knot range, finds its interval (``bisect_right``, i.e.
+    ``searchsorted`` side="right"), blends the two knots entrywise and
+    symmetrizes the blend.  Each member sees the operations of a lone
+    sample in the same order, so a stacked sample equals the members' own
+    samples bit for bit.
+    """
+
+    def __init__(self, profiles):
+        first = profiles[0]
+        if any(p.kind != first.kind or p.times != first.times for p in profiles):
+            raise ValueError("stacked hamiltonian profiles must share kind and knot times")
+        if first.kind not in HAMILTONIAN_KINDS:
+            raise ValueError(f"unknown hamiltonian kind {first.kind!r}")
+        self.times = first.times
+        self.domain = first.domain()
+        self.constant = None
+        self.knots = []
+        if first.kind == "constant":
+            self.constant = hermitian_part(np.stack([p.matrix for p in profiles]))
+            self.constant.flags.writeable = False
+        else:
+            for ms in zip(*(p.matrices for p in profiles)):
+                self.knots.append(ms[0][None] if len(ms) == 1 else np.stack(ms))
+
+    def __call__(self, t: float) -> np.ndarray:
+        if self.constant is not None:
+            return self.constant
+        lo, hi = self.domain
         if _outside_domain((lo, hi), t, t):
             raise OutOfDomainError(
                 f"hamiltonian sampled at t={t!r} outside its domain [{lo}, {hi}]"
             )
         t = min(max(t, lo), hi)
         ts = self.times
-        j = int(np.searchsorted(ts, t, side="right"))
+        j = bisect.bisect_right(ts, t)
         if j <= 0:
-            return hermitian_part(self.matrices[0])
+            return hermitian_part(self.knots[0])
         if j >= len(ts):
-            return hermitian_part(self.matrices[-1])
+            return hermitian_part(self.knots[-1])
         t0, t1 = ts[j - 1], ts[j]
         if t1 == t0:
-            return hermitian_part(self.matrices[j])
+            return hermitian_part(self.knots[j])
         theta = (t - t0) / (t1 - t0)
-        mixed = (1.0 - theta) * self.matrices[j - 1] + theta * self.matrices[j]
-        return hermitian_part(mixed)
+        return hermitian_part((1.0 - theta) * self.knots[j - 1] + theta * self.knots[j])
 
 
 def _simpson_exact(f, a: float, b: float) -> float:

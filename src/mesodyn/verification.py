@@ -21,6 +21,7 @@ from .diagnostics import (
 )
 from .fixed_domain import (
     evolve_direct,
+    evolve_direct_many,
     evolve_factorized,
     evolve_series,
 )
@@ -170,14 +171,13 @@ def convergence_order(errors) -> float:
 def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
     """Conservation of K K* for both solvers plus their final-state distance."""
     (rng,) = _child_rngs(seed, 1)
+    cfgs = [random_scenario(rng, int(rng.integers(2, 6)))
+            for _ in range(scenario_count)]
     worst_fact = 0.0
     worst_direct = 0.0
     worst_cross = 0.0
-    for _ in range(scenario_count):
-        dim = int(rng.integers(2, 6))
-        cfg = random_scenario(rng, dim)
+    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
         fact = evolve_factorized(cfg)
-        direct = evolve_direct(cfg)
         worst_fact = max(worst_fact,
                          invariant_report(fact, cfg).max_kk_star_drift())
         worst_direct = max(worst_direct,
@@ -194,14 +194,13 @@ def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
 def check_series_agreement(seed: int, scenario_count: int, terms: int = 30) -> list:
     """Constant-coefficient series vs both solvers at t = 0.5."""
     (rng,) = _child_rngs(seed, 1)
+    cfgs = [random_constant_scenario(rng, int(rng.integers(2, 6)), t_end=0.5)
+            for _ in range(scenario_count)]
     worst_fact = 0.0
     worst_direct = 0.0
-    for _ in range(scenario_count):
-        dim = int(rng.integers(2, 6))
-        cfg = random_constant_scenario(rng, dim, t_end=0.5)
+    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
         series = evolve_series(cfg, terms)
         fact = evolve_factorized(cfg)
-        direct = evolve_direct(cfg)
         for s_state, f_state, d_state in zip(series.states, fact.states,
                                              direct.states):
             worst_fact = max(worst_fact, float(np.linalg.norm(
@@ -219,14 +218,14 @@ def check_diagonal_closed_form(seed: int, scenario_count: int) -> list:
     from .diagnostics import special_diagonal_solution
 
     (rng,) = _child_rngs(seed, 1)
+    draws = [random_diagonal_scenario(rng, int(rng.integers(2, 5)))
+             for _ in range(scenario_count)]
+    directs = evolve_direct_many([cfg for cfg, _, _ in draws])
     worst = 0.0
-    for _ in range(scenario_count):
-        dim = int(rng.integers(2, 5))
-        cfg, r0, phi0 = random_diagonal_scenario(rng, dim)
+    for (cfg, r0, phi0), direct in zip(draws, directs):
         h0 = cfg.hamiltonian.sample(0.0)
         b = cfg.field.value
         fact = evolve_factorized(cfg)
-        direct = evolve_direct(cfg)
         for f_state, d_state in zip(fact.states, direct.states):
             reference = special_diagonal_solution(h0, b, r0, phi0, f_state.t,
                                                   cfg.hbar)
@@ -239,7 +238,8 @@ def check_critical_points(seed: int, draw_count: int = 10) -> list:
     """Construction residual and pure-phase evolution of critical points."""
     (rng,) = _child_rngs(seed, 1)
     worst_residual = 0.0
-    worst_phase = 0.0
+    cfgs = []
+    nus = []
     for _ in range(draw_count):
         dim = int(rng.integers(2, 6))
         h = random_hermitian(rng, dim, 0.5, 2.5)
@@ -251,13 +251,16 @@ def check_critical_points(seed: int, draw_count: int = 10) -> list:
             k @ h + (b * b) * adjoint_inverse(k) - nu * k)
         worst_residual = max(worst_residual,
                              float(residual) / float(np.linalg.norm(k)))
-        cfg = ScenarioConfig(hbar=1.0,
-                             hamiltonian=HamiltonianProfile.constant(h),
-                             field=FieldProfile.constant(b),
-                             initial_k=k, t_end=1.0, dt=1e-3,
-                             output_stride=1000)
-        final = evolve_direct(cfg).final
-        expected = np.exp(1j * nu * final.t) * k
+        cfgs.append(ScenarioConfig(hbar=1.0,
+                                   hamiltonian=HamiltonianProfile.constant(h),
+                                   field=FieldProfile.constant(b),
+                                   initial_k=k, t_end=1.0, dt=1e-3,
+                                   output_stride=1000))
+        nus.append(nu)
+    worst_phase = 0.0
+    for cfg, nu, direct in zip(cfgs, nus, evolve_direct_many(cfgs)):
+        final = direct.final
+        expected = np.exp(1j * nu * final.t) * cfg.initial_k
         worst_phase = max(worst_phase, float(np.linalg.norm(final.k - expected)))
     return [
         _result("critical_point_residual", worst_residual, 1e-11),
@@ -297,14 +300,17 @@ def check_energy_rate_order(seed: int) -> list:
 def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
     """trace(K H K*) is an integral of motion when H is constant."""
     (rng,) = _child_rngs(seed, 1)
-    worst = 0.0
+    cfgs = []
     for _ in range(scenario_count):
         dim = int(rng.integers(2, 6))
         hamiltonian = HamiltonianProfile.constant(random_hermitian(rng, dim, 0.5, 2.5))
-        cfg = ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=random_sinusoid(rng),
-                             initial_k=random_full_rank(rng, dim, 0.7, 1.5),
-                             t_end=1.0, dt=1e-3, output_stride=100)
-        report = invariant_report(evolve_direct(cfg), cfg)
+        cfgs.append(ScenarioConfig(
+            hbar=1.0, hamiltonian=hamiltonian, field=random_sinusoid(rng),
+            initial_k=random_full_rank(rng, dim, 0.7, 1.5),
+            t_end=1.0, dt=1e-3, output_stride=100))
+    worst = 0.0
+    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
+        report = invariant_report(direct, cfg)
         worst = max(worst, report.max_trace_khk_drift())
     return [_result("constant_h_trace_invariant", worst, 1e-8)]
 

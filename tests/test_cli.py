@@ -307,7 +307,8 @@ class TestHostileInputs:
     @pytest.mark.parametrize("upsilon", [
         malformed(np.ones((3, 1)), rows=None),
         malformed(np.ones((3, 1)), re={}),
-    ], ids=["rows_null", "re_object"])
+        malformed(np.ones((3, 1)), re=[float("nan"), 1.0, 1.0]),
+    ], ids=["rows_null", "re_object", "re_nan"])
     def test_flux_malformed_upsilon(self, upsilon, rng, tmp_path):
         config = write_scenario(tmp_path / "f.json", small_config(rng),
                                 extra={"upsilon": upsilon, "total_flux": 1.0})
@@ -336,11 +337,23 @@ class TestHostileInputs:
         {"unitary": matrix_to_json(np.eye(2))},
         {"unitary": malformed(np.eye(3), rows=None)},
         {"unitary": malformed(np.eye(3), re={})},
+        {"unitary": malformed(np.eye(3), im=[float("inf")] + [0.0] * 8)},
     ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size",
-            "unitary_rows_null", "unitary_re_object"])
+            "unitary_rows_null", "unitary_re_object", "unitary_im_inf"])
     def test_critical_rejected_input(self, extra, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
+
+    @pytest.mark.parametrize("literal", ["initial_k", "hamiltonian"])
+    def test_non_finite_scenario_literal(self, literal, rng, tmp_path):
+        doc = scenario_to_json(small_config(rng))
+        matrix = doc["hamiltonian"]["matrix"] if literal == "hamiltonian" else doc[literal]
+        matrix["re"][0] = float("nan")
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps(doc))
+        # The scenario is parsed before the output directory opens: no run.json.
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 3
 
     def moving_config(self, rng, tmp_path, phi0_cols, a0, changes=None):
         dim, n = 4, 2

@@ -13,6 +13,7 @@ from mesodyn.errors import (
 )
 from mesodyn.fixed_domain import (
     evolve_direct,
+    evolve_direct_many,
     evolve_factorized,
     evolve_series,
     magnetic_factor,
@@ -31,9 +32,11 @@ from mesodyn.scenario import (
 )
 from mesodyn.verification import (
     crandn,
+    random_drifting_hamiltonian,
     random_full_rank,
     random_hermitian,
     random_scenario,
+    random_sinusoid,
 )
 
 
@@ -343,6 +346,68 @@ class TestEvolveDirect:
         d1 = frob(finals[0] - finals[1])
         d2 = frob(finals[1] - finals[2])
         assert np.log2(d1 / d2) >= 3.5
+
+
+def assert_same_trajectory(a, b):
+    assert a.solver_tag == b.solver_tag
+    assert np.array_equal(a.times, b.times)
+    for sa, sb in zip(a.states, b.states, strict=True):
+        assert np.array_equal(sa.k, sb.k)
+
+
+def ramp_config(slope, k0, floor=1e-12):
+    """Dim 2, H = I, B = slope * t: RK4 drifts the singular-value ratio of
+    diag(1, 0.4) down as B grows, so a floor just under 0.4 trips mid-flight."""
+    return ScenarioConfig(
+        hbar=1.0, hamiltonian=HamiltonianProfile.constant(np.eye(2, dtype=complex)),
+        field=FieldProfile.linear_ramp(slope, 0.0), initial_k=np.asarray(k0, dtype=complex),
+        t_end=1.0, dt=0.02, output_stride=5, pd_floor=floor)
+
+
+class TestEvolveDirectMany:
+    def test_stacking_changes_no_bits(self, rng):
+        cfgs = []
+        for t_end, dt, stride in ((0.3, 1e-2, 5), (0.2, 5e-3, 7)):
+            for dim in (2, 3, 4, 5):
+                for interpolated in (False, True):
+                    for sinusoid in (False, True):
+                        h = (random_drifting_hamiltonian(rng, dim, t_end) if interpolated
+                             else HamiltonianProfile.constant(
+                                 random_hermitian(rng, dim, 0.5, 2.5)))
+                        field = (random_sinusoid(rng) if sinusoid
+                                 else FieldProfile.constant(rng.uniform(0.3, 1.0)))
+                        cfgs.append(ScenarioConfig(
+                            hbar=rng.uniform(0.7, 1.3), hamiltonian=h, field=field,
+                            initial_k=random_full_rank(rng, dim, 0.7, 1.5),
+                            t_end=t_end, dt=dt, output_stride=stride))
+        cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]
+        for cfg, stacked in zip(cfgs, evolve_direct_many(cfgs), strict=True):
+            assert_same_trajectory(stacked, evolve_direct(cfg))
+
+    def test_floor_crossing_member_reports_its_own_state(self):
+        bad = ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39)
+        stack = [ramp_config(1.0, np.diag([1.2, 0.9])), bad,
+                 ramp_config(0.5, np.diag([0.8, 1.1]))]
+        with pytest.raises(NearSingularError) as alone:
+            evolve_direct(bad)
+        with pytest.raises(NearSingularError) as stacked:
+            evolve_direct_many(stack)
+        assert 0.0 < alone.value.last_good_time < 1.0
+        assert stacked.value.last_good_time == alone.value.last_good_time
+        assert len(alone.value.partial.states) > 1
+        assert_same_trajectory(stacked.value.partial, alone.value.partial)
+
+    def test_first_crossing_scenario_in_list_order_raises(self):
+        # In the stack the second member crosses first in time; the first
+        # in list order still raises its own error.
+        late = ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39)
+        early = ramp_config(8.0, np.diag([1.0, 0.4]), floor=0.39)
+        with pytest.raises(NearSingularError) as alone:
+            evolve_direct(late)
+        with pytest.raises(NearSingularError) as stacked:
+            evolve_direct_many([late, early])
+        assert stacked.value.last_good_time == alone.value.last_good_time
+        assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
 
 class TestRk4:

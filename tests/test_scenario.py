@@ -14,6 +14,7 @@ from mesodyn.scenario import (
     TOO_MANY_STEPS,
     FieldProfile,
     HamiltonianProfile,
+    HamiltonianStack,
     ScenarioConfig,
     integrate_b_squared,
     scenario_from_json,
@@ -21,7 +22,7 @@ from mesodyn.scenario import (
     step_plan,
     validate_scenario,
 )
-from mesodyn.verification import random_hermitian
+from mesodyn.verification import crandn, random_hermitian
 
 
 def make_config(**overrides):
@@ -83,6 +84,53 @@ class TestSampleHamiltonian:
             [0.0, 1.0], [np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
         with pytest.raises(OutOfDomainError):
             profile.sample(1.5)
+
+
+def reference_sample(times, matrices, t):
+    """One profile's sample written out with the arithmetic of the stack."""
+    t = min(max(t, times[0]), times[-1])
+    j = int(np.searchsorted(times, t, side="right"))
+    if j >= len(times):
+        mixed = matrices[-1]
+    else:
+        theta = (t - times[j - 1]) / (times[j] - times[j - 1])
+        mixed = (1.0 - theta) * matrices[j - 1] + theta * matrices[j]
+    return (mixed + mixed.conj().T) / 2
+
+
+class TestHamiltonianStack:
+    TIMES = [0.0, 0.4, 1.0]
+
+    def tables(self, rng, count=3, dim=3):
+        # Knots off Hermitian at roundoff, so symmetrizing changes bits.
+        return [[random_hermitian(rng, dim, 0.5, 2.0) + 1e-15 * crandn(rng, dim, dim)
+                 for _ in self.TIMES] for _ in range(count)]
+
+    @pytest.mark.parametrize("t", [0.0, 0.13, 0.4, 0.77, 1.0, -1e-12, 1.0 + 1e-12],
+                             ids=["first_knot", "between", "inner_knot", "between_late",
+                                  "last_knot", "clamped_low", "clamped_high"])
+    def test_stacked_sample_is_each_members_own(self, t, rng):
+        tables = self.tables(rng)
+        profiles = [HamiltonianProfile.interpolated(self.TIMES, m) for m in tables]
+        stacked = HamiltonianStack(profiles)(t)
+        assert stacked.shape == (3, 3, 3)
+        for member, profile, matrices in zip(stacked, profiles, tables):
+            assert np.array_equal(member, profile.sample(t))
+            assert np.array_equal(member, reference_sample(self.TIMES, matrices, t))
+
+    def test_constant_stack(self, rng):
+        profiles = [HamiltonianProfile.constant(m[0]) for m in self.tables(rng)]
+        stacked = HamiltonianStack(profiles)(5.0)
+        for member, profile in zip(stacked, profiles):
+            assert np.array_equal(member, profile.sample(5.0))
+            assert np.array_equal(member, (profile.matrix + profile.matrix.conj().T) / 2)
+        assert not stacked.flags.writeable
+
+    def test_rejects_mixed_knots(self, rng):
+        first, second = self.tables(rng, count=2)
+        with pytest.raises(ValueError):
+            HamiltonianStack([HamiltonianProfile.interpolated(self.TIMES, first),
+                              HamiltonianProfile.interpolated([0.0, 0.5, 1.0], second)])
 
 
 class TestIntegrateBSquared:
