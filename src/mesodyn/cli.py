@@ -116,12 +116,20 @@ def parse_command(argv) -> Command:
                    output_dir=args.output, overrides=overrides)
 
 
+def _file_digest(path: str) -> str:
+    """sha256 of a file's bytes, read block by block."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigInvalidError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -351,17 +359,18 @@ def _error_record(exc: MesodynError) -> dict:
 def run(cmd: Command) -> RunManifest:
     """Dispatch one parsed command; returns the written manifest.
 
-    A package error raised once the output directory is open still leaves
-    a run.json, which records the error, before it propagates.
+    The output directory opens as soon as the config file is hashed, so
+    every package error after that, a rejected config included, still
+    leaves a run.json that records the error before it propagates.  Until
+    the scenario is built and validated, the manifest's digest is the
+    sha256 of the raw config file.
     """
     start = time.perf_counter()
     if cmd.verb == "verify":
         seed = int(cmd.overrides.get("seed", 42))
         digest = hashlib.sha256(f"verify-battery-seed-{seed}".encode()).hexdigest()
     else:
-        doc = _load_document(cmd.config_path)
-        cfg = _scenario_from_document(doc, cmd.overrides)
-        digest = cfg.digest()
+        digest = _file_digest(cmd.config_path)
     ws = _Workspace(cmd.output_dir, digest)
 
     def elapsed() -> float:
@@ -369,6 +378,10 @@ def run(cmd: Command) -> RunManifest:
         return 0.0 if cmd.verb == "verify" else time.perf_counter() - start
 
     try:
+        if cmd.verb != "verify":
+            doc = _load_document(cmd.config_path)
+            cfg = _scenario_from_document(doc, cmd.overrides)
+            ws.manifest.scenario_digest = cfg.digest()
         if cmd.verb == "verify":
             _run_verify(ws, cmd.overrides)
         elif cmd.verb == "simulate":

@@ -31,11 +31,13 @@ import numpy as np
 from .errors import (
     ConvergenceWarning,
     NearSingularError,
+    NonFiniteError,
     RequiresConstantCoefficientsError,
     TruncationDominatesError,
 )
 from .linalg import (
     DEFAULT_PD_FLOOR,
+    adjoint_inverse,
     full_rank_svd,
     hermitian_part,
     require_square,
@@ -141,7 +143,8 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
 
     Returns [(t, y)] at the indices in ``wanted``.  A NearSingularError
     raised inside a step is re-raised with ``last_good_time`` set to the
-    step start and ``partial`` holding the samples emitted before it.
+    step start and ``partial`` holding the samples emitted before it; a
+    NonFiniteError is re-raised naming the step.
     """
     y = np.array(y0, dtype=np.complex128)
     out = [(float(times[0]), y.copy())] if 0 in wanted else []
@@ -158,6 +161,8 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
             raise NearSingularError(
                 f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
                 last_good_time=t0, partial=out) from exc
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"non-finite state inside step [{t0}, {t0 + h}]: {exc}") from exc
         y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         if (i + 1) in wanted:
             out.append((float(times[i + 1]), y))
@@ -212,9 +217,8 @@ def _direct_rhs(cfgs):
     def rhs(t: float, k: np.ndarray) -> np.ndarray:
         h = sample_h(t)
         b2 = np.array([b * b for b in [f.sample(t) for f in fields]])[:, None, None]
-        # Inline (K*)^-1 = U S^-1 V*; the checked SVD is the per-stage rank test.
-        u, s, vh = full_rank_svd(k, floors)
-        return i_over_hbar * (k @ h + b2 * ((u / s[:, None, :]) @ vh))
+        # The checked (K*)^-1 is also the per-stage full-rank test.
+        return i_over_hbar * (k @ h + b2 * adjoint_inverse(k, floors))
 
     return rhs
 
@@ -244,7 +248,7 @@ def evolve_direct_many(cfgs) -> list:
 
     Scenarios that share the shape of K0, (t_end, dt, output_stride), the
     H profile's kind and its knot times form one group, integrated as one
-    (S, n, n) RK4 run: one stacked SVD and matmul per stage instead of S.
+    (S, n, n) RK4 run: one stacked (K*)^-1 and matmul per stage instead of S.
     Every member's trajectory is bit-identical to its own ``evolve_direct``.
     If a member crosses the floor, its group is re-run one member at a
     time, and the first scenario in list order that crosses raises its own

@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` values with dtype complex128.  The
 helpers here construct and check the structured operators the solvers
 rely on: Hermitian matrices (symmetrized at construction), unitaries and
-their exponentials, the checked full-rank SVD behind every inverse and
-polar split, and the trace pairings
+their exponentials, the checked full-rank SVD behind the polar split and
+the checked (K*)^-1 (singular values for the full-rank floor, LU for the
+inverse), and the trace pairings
 
     <L|N> = trace(L N*),   <L,N> = Re trace(L N*),   w(L,N) = Im trace(L N*).
 
@@ -170,15 +171,23 @@ def singular_extent(k) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def full_rank_svd(a: np.ndarray, floor):
-    """(U, s, V*) with a = U diag(s) V*, for an already checked square array.
+def _checked_svd(a: np.ndarray, floor, compute_uv: bool):
+    """np.linalg.svd of a square array or (..., n, n) stack, full rank or raise.
 
-    The full-rank check behind every inverse and polar split: raises
-    NearSingularError when ``below_floor(s[-1], s[0], floor)``.  A stack
-    (..., n, n) is decomposed in one call and every member is tested;
-    ``floor`` is one value or one per member.
+    The one "SVD, floor test, raise" sequence behind every inverse and
+    polar split.  Raises NonFiniteError for a NaN or Inf entry (LAPACK's
+    SVD can loop forever on Inf) and for an SVD that does not converge, and
+    NearSingularError when ``below_floor(s[-1], s[0], floor)`` for any
+    member; ``floor`` is one value or one per member.  Returns what
+    ``np.linalg.svd`` does: (U, s, V*), or s alone without ``compute_uv``.
     """
-    u, s, vh = np.linalg.svd(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    try:
+        out = np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"singular value decomposition failed: {exc}") from exc
+    s = out[1] if compute_uv else out
     lo, hi = s[..., -1], s[..., 0]
     bad = below_floor(lo, hi, floor)
     if bad.any():
@@ -188,13 +197,36 @@ def full_rank_svd(a: np.ndarray, floor):
         raise NearSingularError(
             f"singular value ratio {lo:.3e}/{hi:.3e} crosses the floor {floor:.1e}"
         )
-    return u, s, vh
+    return out
 
 
-def adjoint_inverse(k, floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
-    """(K*)^-1 = U S^-1 V* for square full-rank K = U S V*."""
-    u, s, vh = full_rank_svd(require_square(k), floor)
-    return (u / s) @ vh
+def full_rank_svd(a: np.ndarray, floor):
+    """(U, s, V*) with a = U diag(s) V*, for a square array or stack.
+
+    The polar split's SVD, checked as ``_checked_svd`` describes.
+    """
+    return _checked_svd(a, floor, compute_uv=True)
+
+
+def adjoint_inverse(k, floor=DEFAULT_PD_FLOOR) -> np.ndarray:
+    """(K*)^-1 of a square full-rank K, or of each member of a (..., n, n) stack.
+
+    The one checked (K*)^-1: the singular values alone (no singular
+    vectors) test the floor as ``_checked_svd`` describes, then an LU
+    inverse with partial pivoting inverts K*.  ``floor`` is one value or
+    one per member.  Each member of a stack is its own LAPACK call, so a
+    stack gives the same bits as one member at a time.
+    """
+    a = np.asarray(k, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"expected a square matrix or a stack of them, "
+                             f"got shape {a.shape}")
+    _checked_svd(a, floor, compute_uv=False)
+    try:
+        return np.linalg.inv(a.conj().swapaxes(-1, -2))
+    except np.linalg.LinAlgError as exc:
+        # Only an exactly zero pivot fails here, possible under a tiny floor.
+        raise NearSingularError(f"K* is singular to working precision: {exc}") from exc
 
 
 def adjoint_pseudo_inverse(k, floor: float = DEFAULT_PD_FLOOR):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -187,8 +188,10 @@ class TestSimulate:
     def test_exit_codes_for_bad_inputs(self, tmp_path):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
-        assert main(["simulate", "--config", str(bad_json),
-                     "--output", str(tmp_path / "o1")]) == 3
+        assert_config_rejected(["simulate", "--config", str(bad_json)], tmp_path / "o1")
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"hbar": "\xe9"}')
+        assert_config_rejected(["simulate", "--config", str(not_utf8)], tmp_path / "o3")
         missing = str(tmp_path / "nope.json")
         assert main(["simulate", "--config", missing,
                      "--output", str(tmp_path / "o2")]) == 5
@@ -209,7 +212,30 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--dt", "1e-300",
                      "--output", str(out)]) == 3
         assert "TOO_MANY_STEPS" in capsys.readouterr().err
-        assert not out.exists()
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "ConfigInvalidError"
+        assert "TOO_MANY_STEPS" in manifest["error"]["message"]
+        assert manifest["outputs"] == []
+
+    def test_overflowing_direct_run_is_typed_error(self, tmp_path, capsys):
+        # a valid scenario whose RK4 stages overflow: the non-finite state
+        # must not reach LAPACK's SVD, which fails (or never returns) on it
+        cfg = ScenarioConfig(
+            hbar=1e-3,
+            hamiltonian=HamiltonianProfile.constant(np.diag([1e150, 2e150]).astype(complex)),
+            field=FieldProfile.constant(1.0),
+            initial_k=np.eye(2, dtype=complex),
+            t_end=1.0, dt=0.1, output_stride=1)
+        config = write_scenario(tmp_path / "s.json", cfg)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", config, "--output", str(out),
+                         "--solver", "direct"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "NonFiniteError"
+        assert "inside step [0.0, 0.1]" in manifest["error"]["message"]
 
 
 class TestCompare:
@@ -351,9 +377,17 @@ class TestHostileInputs:
         matrix["re"][0] = float("nan")
         config = tmp_path / "s.json"
         config.write_text(json.dumps(doc))
-        # The scenario is parsed before the output directory opens: no run.json.
-        assert main(["simulate", "--config", str(config),
-                     "--output", str(tmp_path / "out")]) == 3
+        assert_config_rejected(["simulate", "--config", str(config)], tmp_path / "out")
+
+    def test_rejected_scenario_digest_is_of_raw_config(self, rng, tmp_path):
+        doc = scenario_to_json(small_config(rng))
+        doc["dt"] = -1.0
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps(doc))
+        assert_config_rejected(["simulate", "--config", str(config)], tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert manifest["scenario_digest"] == hashlib.sha256(config.read_bytes()).hexdigest()
+        assert manifest["outputs"] == []
 
     def moving_config(self, rng, tmp_path, phi0_cols, a0, changes=None):
         dim, n = 4, 2

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mesodyn.errors import (
     NearSingularError,
     NonFiniteError,
+    NonSquareError,
     ShapeMismatchError,
 )
 from mesodyn.fixed_domain import polar_init
@@ -198,6 +199,49 @@ class TestAdjointInverse:
         k = random_full_rank(rng, 4, 0.5, 2.0)
         inv = adjoint_inverse(k)
         assert frob(k.conj().T @ inv - np.eye(4)) <= 1e-12
+
+    def test_stack_equals_one_at_a_time(self, rng):
+        ks = np.stack([random_full_rank(rng, 5, 0.3, 3.0) for _ in range(4)])
+        floors = np.array([1e-12, 1e-10, 1e-6, 0.05])
+        stacked = adjoint_inverse(ks, floors)
+        for k, floor, inv in zip(ks, floors, stacked):
+            assert np.array_equal(inv, adjoint_inverse(k, floor))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+    def test_agrees_with_svd_formula(self, dim, rng):
+        k = random_full_rank(rng, dim, 0.5, 2.0)
+        u, s, vh = np.linalg.svd(k)
+        reference = (u / s) @ vh  # (K*)^-1 = U S^-1 V*
+        assert frob(adjoint_inverse(k) - reference) <= 1e-13 * frob(reference)
+
+    @pytest.mark.parametrize("ratio", [1e-13, 1e-11])
+    def test_floor_is_on_singular_values(self, ratio, rng):
+        k = (random_unitary(rng, 4) * [1.0, 0.5, 0.2, ratio]) @ random_unitary(rng, 4)
+        if ratio < 1e-12:
+            with pytest.raises(NearSingularError, match="crosses the floor"):
+                adjoint_inverse(k, 1e-12)
+        else:
+            inv = adjoint_inverse(k, 1e-12)
+            assert abs(np.linalg.norm(inv, 2) * ratio - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("floor", [DEFAULT_PD_FLOOR, 1e-300])
+    def test_exactly_singular_member(self, floor, rng):
+        # rank 1; its computed s_min (about 4e-17) passes a 1e-300 floor,
+        # and LU then meets an exactly zero pivot
+        singular = np.array([[0.1, 0.3], [0.2, 0.6]], dtype=complex)
+        ks = np.stack([random_full_rank(rng, 2, 0.5, 2.0), singular,
+                       random_full_rank(rng, 2, 0.5, 2.0)])
+        with pytest.raises(NearSingularError):
+            adjoint_inverse(ks, floor)
+
+    def test_rejects_non_finite_and_non_square(self, rng):
+        ks = np.stack([random_full_rank(rng, 3, 0.5, 2.0) for _ in range(2)])
+        ks[1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            adjoint_inverse(ks)
+        for shape in [(2, 3), (4,)]:
+            with pytest.raises(NonSquareError):
+                adjoint_inverse(np.ones(shape, dtype=complex))
 
     def test_pseudo_inverse_rank(self, rng):
         tall = crandn(rng, 5, 3)
