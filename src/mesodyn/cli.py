@@ -28,6 +28,7 @@ from .errors import (
     ConfigInvalidError,
     MesodynError,
     NearSingularError,
+    NonFiniteError,
     RequiresConstantCoefficientsError,
     TruncationDominatesError,
     UsageError,
@@ -144,9 +145,10 @@ def _finite_number(value, name: str) -> float:
     return number
 
 
-def _scenario_from_document(doc: dict, overrides: dict) -> ScenarioConfig:
+def _scenario_from_document(doc: dict, overrides: dict, verb: str) -> ScenarioConfig:
     try:
-        cfg = scenario_from_json(doc)
+        # the moving construction never reads initial_k
+        cfg = scenario_from_json(doc, require_initial_k=verb != "moving")
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigInvalidError(f"bad scenario document: {exc}") from exc
     updates = {}
@@ -205,8 +207,8 @@ def _run_simulate(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
             trajectory = evolve_series(cfg, int(overrides.get("terms", 30)))
         else:
             trajectory = evolve_factorized(cfg)
-    except NearSingularError as exc:
-        # retain whatever was integrated before the rank loss
+    except (NearSingularError, NonFiniteError) as exc:
+        # retain whatever was integrated before the rank loss or overflow
         if exc.partial is not None and exc.partial.states:
             _emit_trajectory(ws, exc.partial, cfg)
         ws.manifest.status["evolution_complete"] = "fail"
@@ -348,7 +350,7 @@ def _run_verify(ws: _Workspace, overrides: dict) -> None:
         ws.manifest.status[result.name] = "pass" if result.passed else "fail"
 
 
-def _error_record(exc: MesodynError) -> dict:
+def _error_record(exc: MesodynError | OSError) -> dict:
     record = {"type": type(exc).__name__, "message": str(exc)}
     last_good_time = getattr(exc, "last_good_time", None)
     if last_good_time is not None:
@@ -359,18 +361,18 @@ def _error_record(exc: MesodynError) -> dict:
 def run(cmd: Command) -> RunManifest:
     """Dispatch one parsed command; returns the written manifest.
 
-    The output directory opens as soon as the config file is hashed, so
-    every package error after that, a rejected config included, still
-    leaves a run.json that records the error before it propagates.  Until
-    the scenario is built and validated, the manifest's digest is the
-    sha256 of the raw config file.
+    The output directory opens first, so every package error and every
+    OSError after that, an unreadable or rejected config included, still
+    leaves a run.json that records the error before it propagates.  The
+    manifest's digest is empty until the config file is hashed, and the
+    sha256 of the raw file until the scenario is built and validated.
     """
     start = time.perf_counter()
     if cmd.verb == "verify":
         seed = int(cmd.overrides.get("seed", 42))
         digest = hashlib.sha256(f"verify-battery-seed-{seed}".encode()).hexdigest()
     else:
-        digest = _file_digest(cmd.config_path)
+        digest = ""
     ws = _Workspace(cmd.output_dir, digest)
 
     def elapsed() -> float:
@@ -379,8 +381,9 @@ def run(cmd: Command) -> RunManifest:
 
     try:
         if cmd.verb != "verify":
+            ws.manifest.scenario_digest = _file_digest(cmd.config_path)
             doc = _load_document(cmd.config_path)
-            cfg = _scenario_from_document(doc, cmd.overrides)
+            cfg = _scenario_from_document(doc, cmd.overrides, cmd.verb)
             ws.manifest.scenario_digest = cfg.digest()
         if cmd.verb == "verify":
             _run_verify(ws, cmd.overrides)
@@ -396,7 +399,7 @@ def run(cmd: Command) -> RunManifest:
             _run_flux(ws, cfg, doc)
         else:
             raise UsageError(f"unknown verb {cmd.verb!r}")
-    except MesodynError as exc:
+    except (MesodynError, OSError) as exc:
         # partial artifacts are already on disk; the manifest names the error
         ws.manifest.error = _error_record(exc)
         ws.finish(elapsed())

@@ -7,7 +7,21 @@ class MesodynError(Exception):
     """Base class for all package errors."""
 
 
-class NonFiniteError(MesodynError):
+class _EvolutionStop(MesodynError):
+    """An error that may stop an integration part way.
+
+    For mid-flight failures of the direct integrator, ``last_good_time``
+    holds the last completed step time and ``partial`` the trajectory of
+    states emitted before the failure.
+    """
+
+    def __init__(self, message, last_good_time=None, partial=None):
+        super().__init__(message)
+        self.last_good_time = last_good_time
+        self.partial = partial
+
+
+class NonFiniteError(_EvolutionStop):
     """A matrix or scalar contains NaN or Inf entries."""
 
 
@@ -19,18 +33,8 @@ class ShapeMismatchError(MesodynError):
     """Operands have incompatible shapes."""
 
 
-class NearSingularError(MesodynError):
-    """A conditioning floor was crossed (det K -> 0 regime).
-
-    For mid-flight failures of the direct integrator, ``last_good_time``
-    holds the last completed step time and ``partial`` the trajectory of
-    states emitted before the failure.
-    """
-
-    def __init__(self, message, last_good_time=None, partial=None):
-        super().__init__(message)
-        self.last_good_time = last_good_time
-        self.partial = partial
+class NearSingularError(_EvolutionStop):
+    """A conditioning floor was crossed (det K -> 0 regime)."""
 
 
 class OutOfDomainError(MesodynError):

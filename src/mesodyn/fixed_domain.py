@@ -141,31 +141,36 @@ def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
 def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
     """Classical fixed-step RK4 for dy/dt = rhs(t, y) on the grid ``times``.
 
-    Returns [(t, y)] at the indices in ``wanted``.  A NearSingularError
-    raised inside a step is re-raised with ``last_good_time`` set to the
-    step start and ``partial`` holding the samples emitted before it; a
-    NonFiniteError is re-raised naming the step.
+    Returns [(t, y)] at the indices in ``wanted``.  A NearSingularError or
+    NonFiniteError raised inside a step is re-raised naming the step, with
+    ``last_good_time`` set to the step start and ``partial`` holding the
+    samples emitted before it.  Overflow and invalid-operation warnings are
+    silenced for the whole loop: a state that overflows reaches the rhs's
+    own finiteness check and stops as a NonFiniteError.
     """
     y = np.array(y0, dtype=np.complex128)
     out = [(float(times[0]), y.copy())] if 0 in wanted else []
-    for i in range(len(times) - 1):
-        t0 = float(times[i])
-        h = float(times[i + 1] - times[i])
-        tm = t0 + 0.5 * h
-        try:
-            s1 = rhs(t0, y)
-            s2 = rhs(tm, y + (0.5 * h) * s1)
-            s3 = rhs(tm, y + (0.5 * h) * s2)
-            s4 = rhs(t0 + h, y + h * s3)
-        except NearSingularError as exc:
-            raise NearSingularError(
-                f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
-                last_good_time=t0, partial=out) from exc
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"non-finite state inside step [{t0}, {t0 + h}]: {exc}") from exc
-        y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        if (i + 1) in wanted:
-            out.append((float(times[i + 1]), y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            t0 = float(times[i])
+            h = float(times[i + 1] - times[i])
+            tm = t0 + 0.5 * h
+            try:
+                s1 = rhs(t0, y)
+                s2 = rhs(tm, y + (0.5 * h) * s1)
+                s3 = rhs(tm, y + (0.5 * h) * s2)
+                s4 = rhs(t0 + h, y + h * s3)
+            except NearSingularError as exc:
+                raise NearSingularError(
+                    f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
+                    last_good_time=t0, partial=out) from exc
+            except NonFiniteError as exc:
+                raise NonFiniteError(
+                    f"non-finite state inside step [{t0}, {t0 + h}]: {exc}",
+                    last_good_time=t0, partial=out) from exc
+            y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            if (i + 1) in wanted:
+                out.append((float(times[i + 1]), y))
     return out
 
 
@@ -232,8 +237,8 @@ def _direct_group_key(cfg: ScenarioConfig) -> tuple:
 def _evolve_direct_stack(cfgs) -> list:
     """RK4 on the (S, n, n) stack of one group; one trajectory per member.
 
-    A floor crossing by any member raises; ``partial`` then holds stacked
-    samples.
+    A floor crossing or a non-finite state in any member raises;
+    ``partial`` then holds stacked samples.
     """
     first = cfgs[0]
     plan = step_plan(first.t_end, first.dt, first.output_stride)
@@ -250,10 +255,10 @@ def evolve_direct_many(cfgs) -> list:
     H profile's kind and its knot times form one group, integrated as one
     (S, n, n) RK4 run: one stacked (K*)^-1 and matmul per stage instead of S.
     Every member's trajectory is bit-identical to its own ``evolve_direct``.
-    If a member crosses the floor, its group is re-run one member at a
-    time, and the first scenario in list order that crosses raises its own
-    NearSingularError, ``last_good_time`` and ``partial`` as
-    ``evolve_direct`` gives them.
+    If a member crosses the floor or turns non-finite, its group is re-run
+    one member at a time, and the first scenario in list order that stops
+    raises its own NearSingularError or NonFiniteError, ``last_good_time``
+    and ``partial`` as ``evolve_direct`` gives them.
     """
     cfgs = list(cfgs)
     groups = {}
@@ -265,7 +270,7 @@ def evolve_direct_many(cfgs) -> list:
         if len(members) > 1:
             try:
                 stacked = _evolve_direct_stack([cfgs[i] for i in members])
-            except NearSingularError:
+            except (NearSingularError, NonFiniteError):
                 pass  # re-run one at a time for the member's own error
             else:
                 for i, trajectory in zip(members, stacked):
@@ -274,7 +279,7 @@ def evolve_direct_many(cfgs) -> list:
         for i in members:
             try:
                 (out[i],) = _evolve_direct_stack([cfgs[i]])
-            except NearSingularError as exc:
+            except (NearSingularError, NonFiniteError) as exc:
                 exc.partial = _trajectory([(t, k[0]) for t, k in exc.partial], "direct")
                 failures.append((i, exc))
                 break
@@ -286,9 +291,9 @@ def evolve_direct_many(cfgs) -> list:
 def evolve_direct(cfg: ScenarioConfig) -> Trajectory:
     """Fixed-step RK4 on dK/dt = (i/hbar)(K H + B^2 (K*)^-1).
 
-    On rank loss the solver stops with the last good state: the raised
-    NearSingularError carries ``last_good_time`` and the partial
-    trajectory emitted so far.  The one-scenario case of
+    On rank loss or a non-finite state the solver stops with the last good
+    state: the raised NearSingularError or NonFiniteError carries
+    ``last_good_time`` and the partial trajectory emitted so far.  The one-scenario case of
     ``evolve_direct_many``.
     """
     return evolve_direct_many([cfg])[0]

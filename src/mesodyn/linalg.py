@@ -4,8 +4,9 @@ Matrices are plain ``numpy.ndarray`` values with dtype complex128.  The
 helpers here construct and check the structured operators the solvers
 rely on: Hermitian matrices (symmetrized at construction), unitaries and
 their exponentials, the checked full-rank SVD behind the polar split and
-the checked (K*)^-1 (singular values for the full-rank floor, LU for the
-inverse), and the trace pairings
+the checked (K*)^-1 (an LU inverse whose norms certify the full-rank
+floor, with the singular values deciding every case they cannot), and the
+trace pairings
 
     <L|N> = trace(L N*),   <L,N> = Re trace(L N*),   w(L,N) = Im trace(L N*).
 
@@ -15,6 +16,7 @@ its arguments or keeps state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +32,24 @@ from .errors import (
 HERMITIAN_RTOL = 1e-13          # allowed entrywise deviation from M = M*
 UNITARY_TOL = 1e-12             # ||U*U - I||_F <= UNITARY_TOL * sqrt(dim)
 DEFAULT_PD_FLOOR = 1e-12        # relative singular-value / eigenvalue floor
+
+# The norm screen of adjoint_inverse.  For a nonsingular K and X = (K*)^-1,
+#   s_min/s_max = 1/(||K||_2 ||X||_2) >= 1/c,   c = ||K||_F ||X||_F.
+# The LU inverse X' of K* has a relative forward error of at most about
+# n eps kappa <= n eps c (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 14), so c' = ||K||_F ||X'||_F under-reads c by that share.
+# LU guard: c' n eps <= 0.01 keeps that share near 1%, so c <= c'/0.99,
+#   and puts the exact s_min/s_max above about 99 n eps, clear of the SVD's
+#   own rounding (a few eps s_max): the SVD would pass under a tiny floor.
+# Margin: floor c' <= 1/2 then gives floor c <= 0.505, so the exact
+#   s_min/s_max is at least 1.98 floor, and the SVD's computed ratio, a few
+#   eps from it, passes the floor too.
+# One stack-wide c' serves every member, whose norms are at most the
+# stack's.  Anything else (a NaN or Inf c', an LU that raised) goes to the
+# SVD.
+INVERSE_SCREEN_MARGIN = 0.5
+INVERSE_LU_GUARD = 0.01
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -211,22 +231,39 @@ def full_rank_svd(a: np.ndarray, floor):
 def adjoint_inverse(k, floor=DEFAULT_PD_FLOOR) -> np.ndarray:
     """(K*)^-1 of a square full-rank K, or of each member of a (..., n, n) stack.
 
-    The one checked (K*)^-1: the singular values alone (no singular
-    vectors) test the floor as ``_checked_svd`` describes, then an LU
-    inverse with partial pivoting inverts K*.  ``floor`` is one value or
-    one per member.  Each member of a stack is its own LAPACK call, so a
-    stack gives the same bits as one member at a time.
+    The one checked (K*)^-1.  An LU inverse with partial pivoting inverts
+    K*.  The floor stays defined on singular values, as ``_checked_svd``
+    tests it, but the Frobenius norms of K and X = (K*)^-1 over the whole
+    stack certify a pass without an SVD when ``floor * ||K||_F ||X||_F``
+    is at most ``INVERSE_SCREEN_MARGIN`` and ``n eps ||K||_F ||X||_F`` at
+    most ``INVERSE_LU_GUARD`` (derivation beside the constants).  Every
+    other case runs the values-only SVD, which decides it: its
+    NearSingularError or NonFiniteError is raised, and an LU that failed
+    where the SVD passed raises NearSingularError.  ``floor`` is one value
+    or one per member.  Each member of a stack is its own LAPACK call, so
+    a stack gives the same bits as one member at a time.
     """
     a = np.asarray(k, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquareError(f"expected a square matrix or a stack of them, "
                              f"got shape {a.shape}")
-    _checked_svd(a, floor, compute_uv=False)
     try:
-        return np.linalg.inv(a.conj().swapaxes(-1, -2))
+        x = np.linalg.inv(a.conj().swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
+        lu_error = exc
+    else:
+        # Python floats: an overflow gives inf or nan, never a warning.
+        c = math.sqrt(float(np.vdot(a, a).real) * float(np.vdot(x, x).real))
+        if (c * np.asarray(floor).max() <= INVERSE_SCREEN_MARGIN
+                and c * a.shape[-1] * _EPS <= INVERSE_LU_GUARD):
+            return x
+        lu_error = None
+    _checked_svd(a, floor, compute_uv=False)
+    if lu_error is not None:
         # Only an exactly zero pivot fails here, possible under a tiny floor.
-        raise NearSingularError(f"K* is singular to working precision: {exc}") from exc
+        raise NearSingularError(
+            f"K* is singular to working precision: {lu_error}") from lu_error
+    return x
 
 
 def adjoint_pseudo_inverse(k, floor: float = DEFAULT_PD_FLOOR):

@@ -306,12 +306,14 @@ class ScenarioConfig:
 
     hbar and the profiles are shared by every solver; dt is the fine step
     of the time grid and output_stride thins the emitted states.
+    ``initial_k`` is None only for a moving-domain scenario, whose
+    construction never reads it; every fixed-domain solver needs it.
     """
 
     hbar: float
     hamiltonian: HamiltonianProfile
     field: FieldProfile
-    initial_k: np.ndarray
+    initial_k: np.ndarray | None
     t_end: float
     dt: float
     output_stride: int = 1
@@ -457,8 +459,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     _check_field(cfg.field, t_end, issues)
     h_dim = _check_hamiltonian(cfg.hamiltonian, t_end, issues)
 
-    k = np.asarray(cfg.initial_k, dtype=np.complex128)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+    k = None if cfg.initial_k is None else np.asarray(cfg.initial_k, dtype=np.complex128)
+    if k is None:
+        pass  # a moving-domain scenario, which never reads initial_k
+    elif k.ndim != 2 or k.shape[0] != k.shape[1]:
         issues.append(ValidationIssue(NOT_SQUARE, f"initial_k must be square, got {k.shape}"))
     elif not np.all(np.isfinite(k.real)) or not np.all(np.isfinite(k.imag)):
         issues.append(ValidationIssue(NON_FINITE, "initial_k has non-finite entries"))
@@ -554,34 +558,44 @@ def _hamiltonian_from_json(obj) -> HamiltonianProfile:
 
 
 def scenario_to_json(cfg: ScenarioConfig) -> dict:
-    return {
+    """The scenario's JSON object; ``initial_k`` is left out when None."""
+    doc = {
         "hbar": float(cfg.hbar),
         "hamiltonian": _hamiltonian_to_json(cfg.hamiltonian),
         "field": _field_to_json(cfg.field),
-        "initial_k": matrix_to_json(cfg.initial_k),
+        "initial_k": None if cfg.initial_k is None else matrix_to_json(cfg.initial_k),
         "t_end": float(cfg.t_end),
         "dt": float(cfg.dt),
         "output_stride": int(cfg.output_stride),
         "pd_floor": float(cfg.pd_floor),
     }
+    if doc["initial_k"] is None:
+        del doc["initial_k"]
+    return doc
 
 
-def scenario_from_json(obj) -> ScenarioConfig:
+def scenario_from_json(obj, require_initial_k: bool = True) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object.
 
     Raises ValueError on structural problems (missing keys, malformed
-    matrices); semantic checks belong to validate_scenario.
+    matrices); semantic checks belong to validate_scenario.  Without
+    ``require_initial_k`` (moving-domain scenarios) a missing
+    ``initial_k`` gives None.
     """
     if not isinstance(obj, dict):
         raise ValueError("scenario document must be a JSON object")
-    missing = {"hbar", "hamiltonian", "field", "initial_k", "t_end", "dt"} - set(obj)
+    required = {"hbar", "hamiltonian", "field", "t_end", "dt"}
+    if require_initial_k:
+        required.add("initial_k")
+    missing = required - set(obj)
     if missing:
         raise ValueError(f"scenario is missing keys {sorted(missing)}")
     return ScenarioConfig(
         hbar=float(obj["hbar"]),
         hamiltonian=_hamiltonian_from_json(obj["hamiltonian"]),
         field=_field_from_json(obj["field"]),
-        initial_k=matrix_from_json(obj["initial_k"]),
+        initial_k=(matrix_from_json(obj["initial_k"]) if "initial_k" in obj
+                   else None),
         t_end=float(obj["t_end"]),
         dt=float(obj["dt"]),
         output_stride=int(obj.get("output_stride", 1)),

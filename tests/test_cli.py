@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,11 @@ class TestSimulate:
         missing = str(tmp_path / "nope.json")
         assert main(["simulate", "--config", missing,
                      "--output", str(tmp_path / "o2")]) == 5
+        manifest = json.loads((tmp_path / "o2" / "run.json").read_text())
+        assert manifest["scenario_digest"] == ""
+        assert manifest["error"]["type"] == "FileNotFoundError"
+        assert "nope.json" in manifest["error"]["message"]
+        assert manifest["outputs"] == []
         assert main(["simulate"]) == 2
 
     def test_invalid_scenario_exit_code(self, tmp_path):
@@ -228,7 +234,8 @@ class TestSimulate:
             t_end=1.0, dt=0.1, output_stride=1)
         config = write_scenario(tmp_path / "s.json", cfg)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
             code = main(["simulate", "--config", config, "--output", str(out),
                          "--solver", "direct"])
         assert code == 1
@@ -236,6 +243,11 @@ class TestSimulate:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["error"]["type"] == "NonFiniteError"
         assert "inside step [0.0, 0.1]" in manifest["error"]["message"]
+        assert manifest["error"]["last_good_time"] == 0.0
+        assert manifest["status"]["evolution_complete"] == "fail"
+        rows = (out / "trajectory_direct.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.0"]
+        assert "diagnostics_direct.csv" in manifest["outputs"]
 
 
 class TestCompare:
@@ -289,6 +301,31 @@ class TestMoving:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["status"]["image_fixed"] == "pass"
         assert manifest["status"]["radial_conserved"] == "pass"
+
+    def test_runs_without_initial_k(self, rng, tmp_path):
+        dim, n = 4, 2
+        cfg = ScenarioConfig(
+            hbar=1.0,
+            hamiltonian=HamiltonianProfile.constant(random_hermitian(rng, dim, 0.5, 2.0)),
+            field=FieldProfile.constant(0.8), initial_k=None,
+            t_end=0.5, dt=1e-2, output_stride=10)
+        extra = {
+            "ambient_dim": dim,
+            "rank": n,
+            "psi0": matrix_to_json(random_orthonormal_columns(rng, dim, n)),
+            "phi0": matrix_to_json(random_orthonormal_columns(rng, 3, n)),
+            "coeff_a0": matrix_to_json(random_full_rank(rng, n, 0.7, 1.4)),
+        }
+        config = write_scenario(tmp_path / "m.json", cfg, extra=extra)
+        assert "initial_k" not in json.loads((tmp_path / "m.json").read_text())
+        out = tmp_path / "out"
+        assert main(["moving", "--config", config, "--output", str(out)]) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["scenario_digest"] == cfg.digest()
+        assert manifest["outputs"] == ["moving_report.csv"]
+        # every other verb still needs initial_k
+        for verb in ("simulate", "compare", "critical", "flux"):
+            assert_config_rejected([verb, "--config", config], tmp_path / verb)
 
     def test_missing_moving_keys_rejected(self, rng, tmp_path):
         config = write_scenario(tmp_path / "m.json", small_config(rng))

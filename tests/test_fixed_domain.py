@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mesodyn.errors import (
     ConvergenceWarning,
     NearSingularError,
+    NonFiniteError,
     NonSquareError,
     RequiresConstantCoefficientsError,
     TruncationDominatesError,
@@ -335,6 +336,12 @@ class TestEvolveDirect:
         assert len(partial.states) == 1
         assert partial.solver_tag == "direct"
 
+    def test_well_conditioned_stages_run_no_svd(self, rng, svd_calls):
+        # the conserved singular values keep every stage far above the
+        # floor, so the inverse's norm bound certifies each one
+        evolve_direct(random_scenario(rng, 4, dt=1e-2, output_stride=10))
+        assert svd_calls == []
+
     def test_rk4_self_convergence(self, rng):
         base = random_scenario(rng, 3, dt=4e-3, output_stride=10 ** 9)
         finals = []
@@ -410,6 +417,36 @@ class TestEvolveDirectMany:
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
 
+def overflow_config(h_scale=1e150, hbar=1e-3):
+    """Dim 2, K0 = I: with H = diag(1, 2) * 1e150 and hbar = 1e-3 the RK4
+    stages of the first step overflow to Inf."""
+    return ScenarioConfig(
+        hbar=hbar, hamiltonian=HamiltonianProfile.constant(
+            np.diag([1.0, 2.0]).astype(complex) * h_scale),
+        field=FieldProfile.constant(1.0), initial_k=np.eye(2, dtype=complex),
+        t_end=1.0, dt=0.1, output_stride=1)
+
+
+class TestNonFiniteStop:
+    def test_overflow_keeps_partial_trajectory(self, recwarn):
+        with pytest.raises(NonFiniteError, match=r"inside step \[0.0, 0.1\]") as excinfo:
+            evolve_direct(overflow_config())
+        assert excinfo.value.last_good_time == 0.0
+        assert [s.t for s in excinfo.value.partial.states] == [0.0]
+        assert excinfo.value.partial.solver_tag == "direct"
+        # the step loop silences numpy's overflow warnings
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_member_reports_its_own_state(self):
+        ok = overflow_config(h_scale=1.0, hbar=1.0)
+        with pytest.raises(NonFiniteError) as alone:
+            evolve_direct(overflow_config())
+        with pytest.raises(NonFiniteError) as stacked:
+            evolve_direct_many([ok, overflow_config()])
+        assert stacked.value.last_good_time == alone.value.last_good_time
+        assert_same_trajectory(stacked.value.partial, alone.value.partial)
+
+
 class TestRk4:
     def test_emits_wanted_samples_of_an_oscillator(self):
         times = np.linspace(0.0, 1.0, 101)
@@ -428,6 +465,18 @@ class TestRk4:
         with pytest.raises(NearSingularError) as excinfo:
             rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
         # the step [0.4, 0.5] is the first whose stages reach t = 0.5
+        assert excinfo.value.last_good_time == times[4]
+        assert [t for t, _ in excinfo.value.partial] == [times[0], times[2], times[4]]
+
+    def test_non_finite_keeps_last_good_time_and_partial(self):
+        def rhs(t, y):
+            if t >= 0.5:
+                raise NonFiniteError("matrix contains NaN or Inf entries")
+            return -y
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NonFiniteError, match="non-finite state inside step") as excinfo:
+            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
         assert excinfo.value.last_good_time == times[4]
         assert [t for t, _ in excinfo.value.partial] == [times[0], times[2], times[4]]
 

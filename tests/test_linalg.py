@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mesodyn.linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
     adjoint_pseudo_inverse,
+    below_floor,
     full_rank_svd,
     hermitian_eigendecompose,
     hermitian_part,
@@ -242,6 +245,58 @@ class TestAdjointInverse:
         for shape in [(2, 3), (4,)]:
             with pytest.raises(NonSquareError):
                 adjoint_inverse(np.ones(shape, dtype=complex))
+
+    @staticmethod
+    def with_ratio(rng, dim, ratio):
+        """U diag(s) V* with s from 1 down to ``ratio``, geometrically."""
+        s = np.geomspace(1.0, ratio, dim)
+        return (random_unitary(rng, dim) * s) @ random_unitary(rng, dim)
+
+    @pytest.mark.parametrize("floor", [1e-12, 1e-300])
+    @pytest.mark.parametrize("dim", [2, 5, 64])
+    @pytest.mark.parametrize("ratio", [1e-13, 0.9e-12, 1.1e-12, 1e-11, 1e-3])
+    def test_verdict_is_the_svd_verdict(self, ratio, dim, floor, rng):
+        k = self.with_ratio(rng, dim, ratio)
+        s = np.linalg.svd(k, compute_uv=False)
+        if below_floor(s[-1], s[0], floor):
+            with pytest.raises(NearSingularError, match="crosses the floor"):
+                adjoint_inverse(k, floor)
+        else:
+            inv = adjoint_inverse(k, floor)
+            assert np.array_equal(inv, np.linalg.inv(k.conj().T))
+
+    def test_svd_runs_only_when_the_norms_cannot_certify(self, rng, svd_calls):
+        ks = np.stack([0.1 * random_unitary(rng, 3) for _ in range(3)])
+        assert np.array_equal(adjoint_inverse(ks), np.linalg.inv(ks.conj().swapaxes(-1, -2)))
+        assert svd_calls == []
+        # s_min/s_max = 1.5e-12 passes a 1e-12 floor, but the stack's
+        # floor ||K||_F ||X||_F, about 0.69, misses the screen's 1/2 margin
+        ks[1] = self.with_ratio(rng, 3, 1.5e-12)
+        assert np.array_equal(adjoint_inverse(ks, 1e-12),
+                              np.linalg.inv(ks.conj().swapaxes(-1, -2)))
+        assert svd_calls == [ks.shape]
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_member_raises_promptly(self, bad, dim, rng):
+        ks = np.stack([random_full_rank(rng, dim, 0.5, 2.0) for _ in range(3)])
+        ks[1, dim - 1, 0] = bad
+        start = time.perf_counter()
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            adjoint_inverse(ks)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales_fall_back_to_the_svd(self, scale, rng, svd_calls):
+        # ||K||_F^2 or ||X||_F^2 leaves the double range, so the bound is
+        # inf or nan and the SVD decides
+        k = scale * random_full_rank(rng, 3, 0.5, 2.0)
+        assert np.array_equal(adjoint_inverse(k), np.linalg.inv(k.conj().T))
+        assert len(svd_calls) == 1
+        singular = scale * np.array([[1.0, 2.0], [1.0, 2.0 + 1e-14]], dtype=complex)
+        with pytest.raises(NearSingularError, match="crosses the floor"):
+            adjoint_inverse(singular)
+        assert len(svd_calls) == 2
 
     def test_pseudo_inverse_rank(self, rng):
         tall = crandn(rng, 5, 3)
