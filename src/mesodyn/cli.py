@@ -198,6 +198,14 @@ def _emit_trajectory(ws: _Workspace, trajectory, cfg: ScenarioConfig) -> None:
         "pass" if report.max_kk_star_drift() <= budget else "fail")
 
 
+def _retain_partial(ws: _Workspace, exc: NearSingularError | NonFiniteError,
+                    cfg: ScenarioConfig) -> None:
+    """Emit what a stopped run integrated before the rank loss or overflow."""
+    if exc.partial is not None and exc.partial.states:
+        _emit_trajectory(ws, exc.partial, cfg)
+    ws.manifest.status["evolution_complete"] = "fail"
+
+
 def _run_simulate(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
     solver = overrides.get("solver", "factorized")
     try:
@@ -208,20 +216,19 @@ def _run_simulate(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
         else:
             trajectory = evolve_factorized(cfg)
     except (NearSingularError, NonFiniteError) as exc:
-        # retain whatever was integrated before the rank loss or overflow
-        if exc.partial is not None and exc.partial.states:
-            _emit_trajectory(ws, exc.partial, cfg)
-        ws.manifest.status["evolution_complete"] = "fail"
+        _retain_partial(ws, exc, cfg)
         raise
     ws.manifest.status["evolution_complete"] = "pass"
     _emit_trajectory(ws, trajectory, cfg)
 
 
 def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
-    trajectories = {
-        "direct": evolve_direct(cfg),
-        "factorized": evolve_factorized(cfg),
-    }
+    try:
+        direct = evolve_direct(cfg)
+    except (NearSingularError, NonFiniteError) as exc:
+        _retain_partial(ws, exc, cfg)
+        raise
+    trajectories = {"direct": direct, "factorized": evolve_factorized(cfg)}
     constant = cfg.hamiltonian.is_constant() and cfg.field.kind == "constant"
     if constant:
         trajectories["series"] = evolve_series(cfg, int(overrides.get("terms", 30)))

@@ -264,12 +264,3 @@ def flux_distribution(k, flux: FluxInput) -> np.ndarray:
     if weight <= (1e-15 * float(np.linalg.norm(a)) * y_norm) ** 2:
         raise ZeroImageError("the operator annihilates the coherent state")
     return flux.total_flux * (np.abs(image) ** 2) / weight
-
-
-def trace_preserving_direction(k, l) -> np.ndarray:
-    """Project L onto directions preserving trace(K K*) to first order."""
-    a = as_matrix(k)
-    d = as_matrix(l)
-    overlap = pairing(a, d).riemannian
-    norm2 = pairing(a, a).riemannian
-    return d - (overlap / norm2) * a

@@ -242,7 +242,7 @@ def _evolve_direct_stack(cfgs) -> list:
     """
     first = cfgs[0]
     plan = step_plan(first.t_end, first.dt, first.output_stride)
-    k0 = np.stack([np.asarray(cfg.initial_k, dtype=np.complex128) for cfg in cfgs])
+    k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
     samples = rk4(_direct_rhs(cfgs), k0, plan.times, set(plan.output_indices))
     return [_trajectory([(t, k[m]) for t, k in samples], "direct")
             for m in range(len(cfgs))]
@@ -280,7 +280,9 @@ def evolve_direct_many(cfgs) -> list:
             try:
                 (out[i],) = _evolve_direct_stack([cfgs[i]])
             except (NearSingularError, NonFiniteError) as exc:
-                exc.partial = _trajectory([(t, k[0]) for t, k in exc.partial], "direct")
+                # a non-finite K0 is rejected before the first sample: no partial
+                exc.partial = _trajectory([(t, k[0]) for t, k in exc.partial or ()],
+                                          "direct")
                 failures.append((i, exc))
                 break
     if failures:

@@ -525,6 +525,8 @@ def _field_to_json(profile: FieldProfile) -> dict:
 
 
 def _field_from_json(obj) -> FieldProfile:
+    if not isinstance(obj, dict):
+        raise ValueError(f"field must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "constant":
         return FieldProfile.constant(obj["value"])
@@ -548,6 +550,9 @@ def _hamiltonian_to_json(profile: HamiltonianProfile) -> dict:
 
 
 def _hamiltonian_from_json(obj) -> HamiltonianProfile:
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"hamiltonian must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "constant":
         return HamiltonianProfile.constant(matrix_from_json(obj["matrix"]))

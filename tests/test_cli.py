@@ -39,6 +39,16 @@ def scalar_config(energy=1.0, b=1.0, r0=1.0, phi0=0.0):
         t_end=1.0, dt=1e-3, output_stride=100)
 
 
+def overflow_config():
+    """A valid scenario whose direct RK4 stages overflow in the first step."""
+    return ScenarioConfig(
+        hbar=1e-3,
+        hamiltonian=HamiltonianProfile.constant(np.diag([1e150, 2e150]).astype(complex)),
+        field=FieldProfile.constant(1.0),
+        initial_k=np.eye(2, dtype=complex),
+        t_end=1.0, dt=0.1, output_stride=1)
+
+
 def small_config(rng, dim=3):
     return ScenarioConfig(
         hbar=1.0,
@@ -224,15 +234,9 @@ class TestSimulate:
         assert manifest["outputs"] == []
 
     def test_overflowing_direct_run_is_typed_error(self, tmp_path, capsys):
-        # a valid scenario whose RK4 stages overflow: the non-finite state
-        # must not reach LAPACK's SVD, which fails (or never returns) on it
-        cfg = ScenarioConfig(
-            hbar=1e-3,
-            hamiltonian=HamiltonianProfile.constant(np.diag([1e150, 2e150]).astype(complex)),
-            field=FieldProfile.constant(1.0),
-            initial_k=np.eye(2, dtype=complex),
-            t_end=1.0, dt=0.1, output_stride=1)
-        config = write_scenario(tmp_path / "s.json", cfg)
+        # the non-finite state must not reach LAPACK's SVD, which fails (or
+        # never returns) on it
+        config = write_scenario(tmp_path / "s.json", overflow_config())
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
@@ -263,6 +267,22 @@ class TestCompare:
                          "factorized_vs_series"}
         assert all(line.split(",")[-1] == "pass" for line in lines[1:])
         assert all(float(line.split(",")[1]) <= 1e-6 for line in lines[1:])
+
+    def test_stopped_direct_run_keeps_partial_trajectory(self, tmp_path, capsys):
+        config = write_scenario(tmp_path / "s.json", overflow_config())
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--config", config, "--output", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "NonFiniteError"
+        assert manifest["error"]["last_good_time"] == 0.0
+        assert manifest["status"]["evolution_complete"] == "fail"
+        assert manifest["outputs"] == ["trajectory_direct.csv", "diagnostics_direct.csv"]
+        rows = (out / "trajectory_direct.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.0"]
 
 
 class TestCritical:
@@ -401,8 +421,11 @@ class TestHostileInputs:
         {"unitary": malformed(np.eye(3), rows=None)},
         {"unitary": malformed(np.eye(3), re={})},
         {"unitary": malformed(np.eye(3), im=[float("inf")] + [0.0] * 8)},
+        {"hamiltonian": 3},
+        {"field": None},
     ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size",
-            "unitary_rows_null", "unitary_re_object", "unitary_im_inf"])
+            "unitary_rows_null", "unitary_re_object", "unitary_im_inf",
+            "hamiltonian_not_object", "field_null"])
     def test_critical_rejected_input(self, extra, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")

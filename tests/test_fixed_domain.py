@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mesodyn.errors import (
     NonFiniteError,
     NonSquareError,
     RequiresConstantCoefficientsError,
+    ShapeMismatchError,
     TruncationDominatesError,
 )
 from mesodyn.fixed_domain import (
@@ -335,6 +338,20 @@ class TestEvolveDirect:
         assert partial is not None
         assert len(partial.states) == 1
         assert partial.solver_tag == "direct"
+
+    def test_missing_initial_k_is_typed_error(self, rng):
+        # the moving-domain form of a scenario passes validation without K0
+        cfg = dataclasses.replace(random_scenario(rng, 2), initial_k=None)
+        with pytest.raises(ShapeMismatchError):
+            evolve_direct(cfg)
+
+    def test_non_finite_initial_k_stops_before_the_first_sample(self, rng):
+        good = random_scenario(rng, 2, dt=1e-2, output_stride=10)
+        bad = dataclasses.replace(good, initial_k=np.full((2, 2), np.nan, dtype=complex))
+        with pytest.raises(NonFiniteError) as excinfo:
+            evolve_direct_many([good, bad])
+        assert excinfo.value.last_good_time is None
+        assert excinfo.value.partial.states == ()
 
     def test_well_conditioned_stages_run_no_svd(self, rng, svd_calls):
         # the conserved singular values keep every stage far above the

@@ -1,8 +1,61 @@
 import numpy as np
+import pytest
 
 from mesodyn.diagnostics import DiagnosticsRecord, DiagnosticsReport
 from mesodyn.fixed_domain import EvolutionState, Trajectory
-from mesodyn.reports import format_number, trajectory_csv
+from mesodyn.reports import CELL_CHUNK, format_cells, format_number, trajectory_csv
+
+
+def repr_cells(values):
+    """The definition format_cells must meet byte for byte."""
+    return ",".join(map(repr, values.tolist()))
+
+
+def assert_formats_as_repr(values):
+    text = format_cells(values)
+    if text != repr_cells(values):
+        # pytest's own diff of strings this long takes minutes to build
+        wrong = [(x, cell) for x, cell in zip(values.tolist(), text.split(","))
+                 if cell != repr(x)]
+        pytest.fail(f"format_cells differs from repr; first (value, cell): {wrong[:5]}")
+
+
+class TestFormatCells:
+    def test_random_bit_patterns(self, rng):
+        # uniformly drawn bits: every exponent, NaN payloads too
+        values = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64)
+        # the exponent field is zero about once in 2048 draws: add subnormals
+        subnormal_bits = rng.integers(1, 2 ** 52, size=2_000, dtype=np.uint64)
+        subnormals = subnormal_bits.view(np.float64) * rng.choice([-1.0, 1.0], 2_000)
+        for v in (values, subnormals):
+            assert_formats_as_repr(v)
+
+    def test_one_ulp_around_each_decade(self):
+        # repr switches to exponent form below 1e-4 and from 1e16 on
+        decades = 10.0 ** np.arange(-8, 21)
+        around = np.concatenate([np.nextafter(decades, 0.0), decades,
+                                 np.nextafter(decades, np.inf)])
+        assert_formats_as_repr(np.concatenate([around, -around]))
+
+    def test_zeros_infinities_nan_and_extremes(self):
+        finfo = np.finfo(np.float64)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, finfo.max, -finfo.max,
+                           finfo.smallest_subnormal, -finfo.smallest_subnormal])
+        assert format_cells(values) == (
+            "0.0,-0.0,inf,-inf,nan,1.7976931348623157e+308,"
+            "-1.7976931348623157e+308,5e-324,-5e-324")
+
+    @pytest.mark.parametrize("length", [0, 1, CELL_CHUNK - 1, CELL_CHUNK,
+                                        CELL_CHUNK + 1])
+    def test_lengths_around_the_chunk(self, length, rng):
+        values = rng.standard_normal(length)
+        assert_formats_as_repr(values)
+        if length:
+            # an exponent-form cell at the end of each chunk
+            values[CELL_CHUNK - 1::CELL_CHUNK] = 1e-300
+            values[-1] = np.nan
+            assert_formats_as_repr(values)
+            assert_formats_as_repr(values[::-1])
 
 
 def reference_trajectory_csv(trajectory, report):
@@ -68,6 +121,21 @@ class TestTrajectoryCsv:
         text = trajectory_csv(trajectory, report)
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[1].startswith("0.5,1.0,0.0,-2.0,0.0,")
+
+    def test_stopped_run_with_non_finite_entries(self, rng):
+        # a direct run stopped by overflow: Inf and NaN in the last sample,
+        # which is wide enough (2 * 33^2 entries) to span two chunks
+        k = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+        blown = k.copy()
+        blown[0, 0] = complex(np.inf, -np.inf)
+        blown[15, 16] = complex(np.nan, 1e-7)
+        blown[32, 32] = complex(1e300, np.nan)
+        states = (EvolutionState(t=0.0, k=k), EvolutionState(t=0.1, k=blown))
+        trajectory = Trajectory(states=states, solver_tag="direct")
+        report = DiagnosticsReport(records=(record(0.0, None), record(0.1, None)))
+        text = trajectory_csv(trajectory, report)
+        assert text == reference_trajectory_csv(trajectory, report)
+        assert text.splitlines()[2].split(",")[1:3] == ["inf", "-inf"]
 
     def test_empty_trajectory(self):
         trajectory = Trajectory(states=(), solver_tag="test")
