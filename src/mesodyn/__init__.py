@@ -34,7 +34,6 @@ from .errors import (
     ZeroImageError,
 )
 from .fixed_domain import (
-    EvolutionState,
     FactorizedCache,
     Trajectory,
     evolve_direct,

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     InsufficientSamplesError,
     NearSingularError,
+    NonFiniteError,
     NotDiagonalError,
     NuDoesNotDominateError,
     ShapeMismatchError,
@@ -51,21 +52,27 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> flo
     The log-determinant is evaluated as the sum of eigenvalue logs of
     K K*, which survives dimension growth without overflow.
     """
-    electronic, entropy = _energy_terms(k, h, pd_floor)
+    a = require_square(k)
+    gram = hermitian_part(a @ a.conj().T)
+    electronic, entropy = _energy_terms(a, hermitian(h), gram, pd_floor)
     return electronic + (b * b) * entropy
 
 
-def _energy_terms(k, h, pd_floor: float) -> tuple[float, float]:
-    """(trace(K H K*), log det(K K*)) from one eigvalsh of K K*."""
-    a = require_square(k)
-    hm = hermitian(h)
-    gram = hermitian_part(a @ a.conj().T)
-    w = np.linalg.eigvalsh(gram)
+def _energy_terms(k, h, gram, pd_floor: float) -> tuple[float, float]:
+    """(trace(K H K*), log det(K K*)) from one eigvalsh of gram = K K*.
+
+    Trusts its inputs: K square, H exactly Hermitian.  A non-finite K
+    leaves eigvalsh nothing to converge on: NonFiniteError.
+    """
+    try:
+        w = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"K K* has no eigenvalues: {exc}") from exc
     if below_floor(float(w[0]), float(w[-1]), pd_floor * pd_floor):
         raise NearSingularError(
             f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
             f"crosses the floor")
-    return float(np.trace(a @ hm @ a.conj().T).real), float(np.sum(np.log(w)))
+    return float(np.trace(k @ h @ k.conj().T).real), float(np.sum(np.log(w)))
 
 
 class DifferentialCheck(NamedTuple):
@@ -101,29 +108,27 @@ def differential_check(k, h, b: float, l,
 
 
 @dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-sample invariants; trace_khk_drift is None for time-dependent H."""
-
-    t: float
-    xi: float
-    xi_rate_predicted: float
-    xi_rate_observed: float
-    kk_star_drift: float
-    trace_khk_drift: float | None
-    unitarity_defect: float
-
-
-@dataclass(frozen=True)
 class DiagnosticsReport:
-    records: tuple
+    """Per-sample invariants, one array per column, aligned with ``times``.
+
+    trace_khk_drift is None for a time-dependent H.
+    """
+
+    times: np.ndarray
+    xi: np.ndarray
+    xi_rate_predicted: np.ndarray
+    xi_rate_observed: np.ndarray
+    kk_star_drift: np.ndarray
+    unitarity_defect: np.ndarray
+    trace_khk_drift: np.ndarray | None
 
     def max_kk_star_drift(self) -> float:
-        return max(r.kk_star_drift for r in self.records)
+        return float(np.max(self.kk_star_drift))
 
     def max_trace_khk_drift(self) -> float | None:
-        values = [r.trace_khk_drift for r in self.records
-                  if r.trace_khk_drift is not None]
-        return max(values) if values else None
+        if self.trace_khk_drift is None:
+            return None
+        return float(np.max(self.trace_khk_drift))
 
 
 def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> DiagnosticsReport:
@@ -136,55 +141,41 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     trace(K dH/dt K*) + d(B^2)/dt log det(K0 K0*) with finite-difference
     profile derivatives, xi_rate_observed the finite difference of xi
     itself; at interior samples both converge at second order in the
-    sample spacing.
+    sample spacing.  One pass over the samples; one K K* per sample serves
+    both the log-determinant and the drift.
     """
-    if not trajectory.states:
+    times, ks = trajectory.times, trajectory.ks
+    if not ks:
         raise InsufficientSamplesError("empty trajectory")
-    times = trajectory.times
-    ks = [s.k for s in trajectory.states]
-    gram0 = hermitian_part(ks[0] @ ks[0].conj().T)
-    gram0_norm = float(np.linalg.norm(gram0))
+    rates = len(ks) >= 2  # a time derivative needs two samples
     radial_inv = polar_init(ks[0], cfg.pd_floor).radial_inv
-    constant_h = cfg.hamiltonian.is_constant()
     h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
     b_samples = np.array([cfg.field.sample(float(t)) for t in times])
-    terms = [_energy_terms(k, h_samples[i], cfg.pd_floor) for i, k in enumerate(ks)]
-    xi = np.array([electronic + (b * b) * entropy
-                   for (electronic, entropy), b in zip(terms, map(float, b_samples))])
-    trace0 = terms[0][0]  # trace(K0 H K0*), the constant-H invariant
-    if len(ks) >= 2:
-        logdet_r2 = terms[0][1]  # log det(K0 K0*), from sample 0's eigenvalues
-        if constant_h:
-            h_dot = np.zeros_like(h_samples)
-        else:
-            h_dot = np.gradient(h_samples, times, axis=0)
-        if cfg.field.kind == "constant":
-            b_dot = np.zeros_like(b_samples)
-        else:
-            b_dot = np.gradient(b_samples, times)
-        predicted = np.array([
-            float(np.trace(ks[i] @ h_dot[i] @ ks[i].conj().T).real)
-            + 2.0 * float(b_samples[i]) * float(b_dot[i]) * logdet_r2
-            for i in range(len(ks))
-        ])
-        observed = np.gradient(xi, times)
-    else:
-        predicted, observed = np.zeros(1), np.zeros(1)
-
-    records = []
+    if rates:
+        h_dot = (np.zeros_like(h_samples) if cfg.hamiltonian.is_constant()
+                 else np.gradient(h_samples, times, axis=0))
+        b_dot = (np.zeros_like(b_samples) if cfg.field.kind == "constant"
+                 else np.gradient(b_samples, times))
+    rows = []
     for i, k in enumerate(ks):
         gram = hermitian_part(k @ k.conj().T)
-        kk_drift = float(np.linalg.norm(gram - gram0)) / gram0_norm
-        defect = unitary_defect(radial_inv @ k)
-        trace_drift = (abs(terms[i][0] - trace0) / max(abs(trace0), 1e-300)
-                       if constant_h else None)
-        records.append(DiagnosticsRecord(
-            t=float(times[i]), xi=float(xi[i]),
-            xi_rate_predicted=float(predicted[i]),
-            xi_rate_observed=float(observed[i]),
-            kk_star_drift=kk_drift, trace_khk_drift=trace_drift,
-            unitarity_defect=defect))
-    return DiagnosticsReport(records=tuple(records))
+        electronic, entropy = _energy_terms(k, h_samples[i], gram, cfg.pd_floor)
+        b = float(b_samples[i])
+        if i == 0:  # log det(K0 K0*) weighs d(B^2)/dt
+            gram0, gram0_norm, logdet_r2 = gram, float(np.linalg.norm(gram)), entropy
+        predicted = (float(np.trace(k @ h_dot[i] @ k.conj().T).real)
+                     + 2.0 * b * float(b_dot[i]) * logdet_r2) if rates else 0.0
+        rows.append((electronic, electronic + (b * b) * entropy, predicted,
+                     float(np.linalg.norm(gram - gram0)) / gram0_norm,
+                     unitary_defect(radial_inv @ k)))
+    electronic, xi, predicted, kk_drift, defect = map(np.array, zip(*rows))
+    observed = np.gradient(xi, times) if rates else np.zeros(1)
+    trace0 = electronic[0]  # trace(K0 H K0*), the constant-H invariant
+    trace_drift = (np.abs(electronic - trace0) / max(abs(trace0), 1e-300)
+                   if cfg.hamiltonian.is_constant() else None)
+    return DiagnosticsReport(times=times, xi=xi, xi_rate_predicted=predicted,
+                             xi_rate_observed=observed, kk_star_drift=kk_drift,
+                             unitarity_defect=defect, trace_khk_drift=trace_drift)
 
 
 @dataclass(frozen=True)

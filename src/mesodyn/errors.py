@@ -11,8 +11,9 @@ class _EvolutionStop(MesodynError):
     """An error that may stop an integration part way.
 
     For mid-flight failures of the direct integrator, ``last_good_time``
-    holds the last completed step time and ``partial`` the trajectory of
-    states emitted before the failure.
+    holds the last completed step time and ``partial`` the samples emitted
+    before the failure: the list of states from ``rk4``, which the direct
+    solver turns into a Trajectory on its output grid.
     """
 
     def __init__(self, message, last_good_time=None, partial=None):

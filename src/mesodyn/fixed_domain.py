@@ -13,12 +13,13 @@ Three independent routes to the same trajectory:
 * ``evolve_series`` — the binomial power series for constant H and B,
   truncated at a caller-chosen number of terms.
 
-Fixed steps keep trajectories bit-reproducible; convergence studies
-(dt, dt/2) replace adaptivity.  The two propagation schemes live here
-once and also drive the moving-domain frame, gauge and coefficient
-evolutions: ``unitary_propagator`` (the exact exponential for a constant
-generator, the midpoint-exponential product for a time-dependent one)
-and classical RK4 (``rk4``).
+Each returns a ``Trajectory``.  Fixed steps keep trajectories
+bit-reproducible; convergence studies (dt, dt/2) replace adaptivity.  The
+two propagation schemes live here once and also drive the moving-domain
+frame, gauge and coefficient evolutions: ``unitary_propagator`` (the
+exact exponential for a constant generator, the midpoint-exponential
+product for a time-dependent one) and classical RK4 (``rk4``).  Both
+return only their matrices, one per wanted time.
 """
 
 from __future__ import annotations
@@ -50,32 +51,15 @@ SERIES_TRUNCATION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class EvolutionState:
-    """One time sample of the dynamic operator."""
-
-    t: float
-    k: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples plus the tag of the solver that produced them."""
+    """K sampled on the step plan's output times: ``ks[i]`` at ``times[i]``.
 
-    states: tuple
+    A run that stopped holds the plan's first ``len(ks)`` output times.
+    """
+
+    times: np.ndarray
+    ks: list
     solver_tag: str
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
-    def final(self) -> EvolutionState:
-        return self.states[-1]
-
-
-def _trajectory(samples, solver_tag: str) -> Trajectory:
-    return Trajectory(states=tuple(EvolutionState(t=t, k=k) for t, k in samples),
-                      solver_tag=solver_tag)
 
 
 @dataclass(frozen=True)
@@ -110,7 +94,7 @@ def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR) -> FactorizedCache:
 
 def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
                        hbar: float, left: bool = False) -> list:
-    """Time-ordered U(t) = u0 . exp(i sign Int G dt' / hbar) as [(t, U)].
+    """Time-ordered U(t) = u0 . exp(i sign Int G dt' / hbar), one per wanted time.
 
     ``times`` is the step grid, ``wanted`` the indices returned.  The
     generator picks the method.  A Hermitian matrix G is exact: one
@@ -123,33 +107,33 @@ def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
     and ``hbar`` stay separate so the exponent rounds as dt / hbar does.
     """
     if not callable(generator):
-        ts = [float(times[i]) for i in sorted(wanted)]
-        exps = unitary_exponentials(generator, [sign * t / hbar for t in ts])
-        return [(t, e @ u0 if left else u0 @ e) for t, e in zip(ts, exps)]
+        exps = unitary_exponentials(
+            generator, [sign * float(times[i]) / hbar for i in sorted(wanted)])
+        return [e @ u0 if left else u0 @ e for e in exps]
     u = u0
-    out = [(float(times[0]), u0.copy())] if 0 in wanted else []
+    out = [u0.copy()] if 0 in wanted else []
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
         w, q = np.linalg.eigh(generator(float(times[i]) + 0.5 * dt))
         step = (q * np.exp(1j * (sign * dt / hbar) * w)) @ q.conj().T
         u = step @ u if left else u @ step
         if (i + 1) in wanted:
-            out.append((float(times[i + 1]), u))
+            out.append(u)
     return out
 
 
 def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
     """Classical fixed-step RK4 for dy/dt = rhs(t, y) on the grid ``times``.
 
-    Returns [(t, y)] at the indices in ``wanted``.  A NearSingularError or
-    NonFiniteError raised inside a step is re-raised naming the step, with
-    ``last_good_time`` set to the step start and ``partial`` holding the
-    samples emitted before it.  Overflow and invalid-operation warnings are
-    silenced for the whole loop: a state that overflows reaches the rhs's
+    Returns the list of y at the indices in ``wanted``.  A NearSingularError
+    or NonFiniteError raised inside a step is re-raised naming the step,
+    with ``last_good_time`` set to the step start and ``partial`` holding
+    the samples emitted before it.  Overflow and invalid-operation warnings
+    are silenced for the whole loop: a state that overflows reaches the rhs's
     own finiteness check and stops as a NonFiniteError.
     """
     y = np.array(y0, dtype=np.complex128)
-    out = [(float(times[0]), y.copy())] if 0 in wanted else []
+    out = [y.copy()] if 0 in wanted else []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(times) - 1):
             t0 = float(times[i])
@@ -170,17 +154,16 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
                     last_good_time=t0, partial=out) from exc
             y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             if (i + 1) in wanted:
-                out.append((float(times[i + 1]), y))
+                out.append(y)
     return out
 
 
 def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
-    """[(t, exp((i/hbar) Int_0^t B^2 dt' h_b_base))] for increasing ``times``.
+    """[exp((i/hbar) Int_0^t B^2 dt' h_b_base) for t in times], ``times`` increasing.
 
     The accumulated integral reuses each previous interval, one quadrature
     per requested time; one eigendecomposition of h_b_base serves them all.
     """
-    ts = []
     scales = []
     acc = 0.0
     prev_t = 0.0
@@ -189,9 +172,8 @@ def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
         if t > prev_t:
             acc += integrate_b_squared(field, prev_t, t)
             prev_t = t
-        ts.append(t)
         scales.append(acc / hbar)
-    return list(zip(ts, unitary_exponentials(h_b_base, scales)))
+    return unitary_exponentials(h_b_base, scales)
 
 
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
@@ -204,8 +186,8 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
     ws = unitary_propagator(cache.u0, cfg.hamiltonian.generator(), plan.times,
                             set(plan.output_indices), 1.0, cfg.hbar)
     vs = magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
-    return _trajectory([(tw, cache.radial @ v @ w) for (tw, w), (_, v) in zip(ws, vs)],
-                       "factorized")
+    return Trajectory(plan.output_times, [cache.radial @ v @ w for w, v in zip(ws, vs)],
+                      "factorized")
 
 
 def _direct_rhs(cfgs):
@@ -237,14 +219,22 @@ def _direct_group_key(cfg: ScenarioConfig) -> tuple:
 def _evolve_direct_stack(cfgs) -> list:
     """RK4 on the (S, n, n) stack of one group; one trajectory per member.
 
-    A floor crossing or a non-finite state in any member raises;
-    ``partial`` then holds stacked samples.
+    A floor crossing or a non-finite state in any member raises, with
+    ``partial`` the first member's trajectory up to the stop (empty when K0
+    is rejected), as ``evolve_direct_many`` re-runs a stopped group: one
+    member at a time.
     """
     first = cfgs[0]
     plan = step_plan(first.t_end, first.dt, first.output_stride)
-    k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
-    samples = rk4(_direct_rhs(cfgs), k0, plan.times, set(plan.output_indices))
-    return [_trajectory([(t, k[m]) for t, k in samples], "direct")
+    times = plan.output_times
+    try:
+        k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
+        samples = rk4(_direct_rhs(cfgs), k0, plan.times, set(plan.output_indices))
+    except (NearSingularError, NonFiniteError) as exc:
+        done = exc.partial or []
+        exc.partial = Trajectory(times[:len(done)], [k[0] for k in done], "direct")
+        raise
+    return [Trajectory(times, [k[m] for k in samples], "direct")
             for m in range(len(cfgs))]
 
 
@@ -280,9 +270,6 @@ def evolve_direct_many(cfgs) -> list:
             try:
                 (out[i],) = _evolve_direct_stack([cfgs[i]])
             except (NearSingularError, NonFiniteError) as exc:
-                # a non-finite K0 is rejected before the first sample: no partial
-                exc.partial = _trajectory([(t, k[0]) for t, k in exc.partial or ()],
-                                          "direct")
                 failures.append((i, exc))
                 break
     if failures:
@@ -345,13 +332,12 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
             f"series argument norm {radius:.2f} exceeds {SERIES_RADIUS_LIMIT}; "
             f"convergence will be slow", ConvergenceWarning, stacklevel=2)
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    states = []
-    for t in plan.output_times:
-        t = float(t)
+    ks = []
+    for t in plan.output_times.tolist():
         u, estimate = series_unitary(cache.u0, h, h_b, t, cfg.hbar, terms)
         if estimate > SERIES_TRUNCATION_RTOL * float(np.linalg.norm(u)):
             raise TruncationDominatesError(
                 f"first omitted term ({estimate:.3e}) dominates at t={t}; "
                 f"increase terms")
-        states.append((t, cache.radial @ u))
-    return _trajectory(states, "series")
+        ks.append(cache.radial @ u)
+    return Trajectory(plan.output_times, ks, "series")

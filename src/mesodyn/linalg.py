@@ -311,7 +311,7 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"matrix literal entries must be numbers: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(

@@ -8,6 +8,8 @@ satisfying i*hbar d/dt |psi'> = +H |psi'>, i.e. the conjugate of the bra
 equation i*hbar d/dt <psi'| = -<psi'| H, so columns propagate by
 exp(-i H t / hbar).  Frame and gauge propagators use ``unitary_propagator``:
 exact for a constant generator, midpoint products for a time-dependent one.
+Like them, the frame and coefficient evolutions return only their
+matrices; ``moving_solution`` returns a ``Trajectory`` tagged "moving".
 
 The assembled operator is K(t) = phi0 . A'(t) . psi(t)*, with the
 coefficient matrix driven purely by the magnetic term:
@@ -32,7 +34,7 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .fixed_domain import magnetic_factor, polar_init, rk4, unitary_propagator
+from .fixed_domain import Trajectory, magnetic_factor, polar_init, rk4, unitary_propagator
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -88,8 +90,8 @@ def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
     """Propagate the n frame kets by exp(-i Int H dt' / hbar) from the left.
 
     Exact for constant H, the midpoint product exp(-i H(t+dt/2) dt / hbar)
-    otherwise; the frame stays orthonormal to roundoff.  Returns [(t, psi)]
-    on the output grid.
+    otherwise; the frame stays orthonormal to roundoff.  Returns the list
+    of psi on the output grid, ``step_plan(t_end, dt, output_stride).output_times``.
     """
     space.check()
     psi = require_orthonormal_columns(psi0)
@@ -104,7 +106,7 @@ def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
                                  pd_floor: float = DEFAULT_PD_FLOOR,
                                  literal: bool = False) -> list:
-    """Closed-form coefficient matrix A'(t) at the requested times.
+    """Closed-form coefficient matrix A'(t), one per requested time.
 
     Satisfies i*hbar dA'/dt = -B^2 (A'*)^-1 with A'(0) = a0 and keeps
     A'(t) A'(t)* = a0 a0* for all t.  With ``literal=True`` the polar
@@ -113,9 +115,9 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     """
     cache = polar_init(a0, pd_floor)
     out = []
-    for t, v in magnetic_factor(cache.h_b_base, field, hbar, times):
+    for v in magnetic_factor(cache.h_b_base, field, hbar, times):
         a_t = cache.radial @ v
-        out.append((t, a_t if literal else a_t @ cache.u0))
+        out.append(a_t if literal else a_t @ cache.u0)
     return out
 
 
@@ -134,20 +136,20 @@ def _image_and_coefficients(space: AmbientSpace, phi0, a0):
 
 def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
                     hbar: float, t_end: float, dt: float, output_stride: int = 1,
-                    pd_floor: float = DEFAULT_PD_FLOOR, literal: bool = False) -> list:
-    """Extended operators [(t, K)] with K(t) = phi0 . A'(t) . psi(t)*.
+                    pd_floor: float = DEFAULT_PD_FLOOR,
+                    literal: bool = False) -> Trajectory:
+    """The extended operator K(t) = phi0 . A'(t) . psi(t)*, tagged "moving".
 
     The inputs are checked and the coefficients built (rejecting a singular
     a0) before the frame evolves.  The image of every sample is span(phi0)
     and the rank is exactly n.
     """
     image, a0 = _image_and_coefficients(space, phi0, a0)
-    coeffs = coefficient_matrix_evolution(
-        a0, field, hbar, step_plan(t_end, dt, output_stride).output_times,
-        pd_floor, literal)
+    times = step_plan(t_end, dt, output_stride).output_times
+    coeffs = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor, literal)
     frames = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, output_stride)
-    return [(t, image @ a @ psi.conj().T)
-            for (t, psi), (_, a) in zip(frames, coeffs)]
+    return Trajectory(times, [image @ a @ psi.conj().T for psi, a in zip(frames, coeffs)],
+                      "moving")
 
 
 def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
@@ -159,40 +161,41 @@ def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def moving_drift(operators, pd_floor: float = DEFAULT_PD_FLOOR) -> list:
-    """[(t, image_drift, radial_drift)] relative to the first sample.
+def moving_drift(trajectory: Trajectory, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
+    """(image_drifts, radial_drifts) per sample, relative to the first.
 
     image_drift is ||P(t) - P(0)||_F for the image projectors, radial_drift
     is ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.
     """
-    k0 = operators[0][1]
-    p0 = image_projector(k0, pd_floor)
-    gram0 = k0 @ k0.conj().T
-    return [(t, float(np.linalg.norm(image_projector(k, pd_floor) - p0)),
-             float(np.linalg.norm(k @ k.conj().T - gram0)))
-            for t, k in operators]
+    ks = trajectory.ks
+    p0 = image_projector(ks[0], pd_floor)
+    gram0 = ks[0] @ ks[0].conj().T
+    return ([float(np.linalg.norm(image_projector(k, pd_floor) - p0)) for k in ks],
+            [float(np.linalg.norm(k @ k.conj().T - gram0)) for k in ks])
 
 
-def weak_residual(samples, space: AmbientSpace, field: FieldProfile, hbar: float,
-                  pd_floor: float = DEFAULT_PD_FLOOR) -> list:
+def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
+                  hbar: float, pd_floor: float = DEFAULT_PD_FLOOR) -> list:
     """Residual of the defining equation tested on the ambient basis.
 
     For each interior sample, dK/dt is the centered difference and
-    (K*)^-1 the zero-extended pseudo-inverse at rank n; the returned value
-    is max over ambient basis vectors of the residual column norm.  For
-    assembled solutions this decays at second order in the sample spacing.
+    (K*)^-1 the zero-extended pseudo-inverse at rank n; the value is max
+    over ambient basis vectors of the residual column norm, one per time
+    in ``trajectory.times[1:-1]``.  For assembled solutions this decays at
+    second order in the sample spacing.
     """
-    if len(samples) < 3:
+    ks = trajectory.ks
+    if len(ks) < 3:
         raise InsufficientSamplesError(
-            f"need >= 3 samples for centered differences, got {len(samples)}")
+            f"need >= 3 samples for centered differences, got {len(ks)}")
     space.check()
     h_profile = space.ambient_hamiltonian
+    times = trajectory.times.tolist()
     out = []
-    for i in range(1, len(samples) - 1):
-        t_prev, k_prev = samples[i - 1]
-        t, k = samples[i]
-        t_next, k_next = samples[i + 1]
-        kdot = (k_next - k_prev) / (t_next - t_prev)
+    for i in range(1, len(ks) - 1):
+        t = times[i]
+        k = ks[i]
+        kdot = (ks[i + 1] - ks[i - 1]) / (times[i + 1] - times[i - 1])
         pinv, rank = adjoint_pseudo_inverse(k, pd_floor)
         if rank != space.n:
             raise RankDeficientError(
@@ -200,7 +203,7 @@ def weak_residual(samples, space: AmbientSpace, field: FieldProfile, hbar: float
         b = field.sample(t)
         h = h_profile.sample(t)
         residual = 1j * hbar * kdot + k @ h + (b * b) * pinv
-        out.append((float(t), float(np.max(np.linalg.norm(residual, axis=0)))))
+        out.append(float(np.max(np.linalg.norm(residual, axis=0))))
     return out
 
 
@@ -225,16 +228,8 @@ def _as_gauge(c, n: int):
     return checked(c, "constant gauge")
 
 
-def _gauge_propagators(g1, g2, n: int, times, hbar: float) -> list:
-    every = range(len(times))
-    eye = np.eye(n, dtype=np.complex128)
-    g1s = unitary_propagator(eye, g1, times, every, -1.0, hbar)
-    g2s = unitary_propagator(eye, g2, times, every, 1.0, hbar)
-    return [(t, u1, u2) for (t, u1), (_, u2) in zip(g1s, g2s)]
-
-
 def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
-                      hbar: float) -> list:
+                      hbar: float) -> tuple:
     """Unitary frame-change propagators for a Hermitian gauge pair.
 
     g1 solves i*hbar dg1/dt = g1 C'(t) so that the image basis evolves as
@@ -243,10 +238,15 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     the free one.  A constant gauge gives exact exponentials, a callable
     one midpoint-exponential products on the fine grid.
 
-    Returns [(t, g1, g2)] including t = 0.
+    Returns (g1s, g2s), one matrix each per time of the fine grid
+    ``step_plan(t_end, dt).times``, t = 0 included.
     """
-    return _gauge_propagators(_as_gauge(c_prime, n), _as_gauge(c_double_prime, n),
-                              n, step_plan(t_end, dt, 1).times, hbar)
+    times = step_plan(t_end, dt, 1).times
+    every = range(len(times))
+    eye = np.eye(n, dtype=np.complex128)
+    return (unitary_propagator(eye, _as_gauge(c_prime, n), times, every, -1.0, hbar),
+            unitary_propagator(eye, _as_gauge(c_double_prime, n), times, every, 1.0,
+                               hbar))
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
@@ -268,7 +268,7 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     c1 = _as_gauge(c_prime, space.n)
     c2 = _as_gauge(c_double_prime, space.n)
     psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
-    props = _gauge_propagators(c1, c2, space.n, times, hbar)
+    g1s, g2s = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
 
     # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
     def rhs(t: float, a: np.ndarray) -> np.ndarray:
@@ -280,8 +280,7 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     a_gauged = rk4(rhs, a0, times, range(len(times)))
 
     worst = 0.0
-    for (t, psi), (_, g1, g2), (_, a_g), (_, a_p) in zip(
-            psi_free, props, a_gauged, a_primed):
+    for psi, g1, g2, a_g, a_p in zip(psi_free, g1s, g2s, a_gauged, a_primed):
         k_u = (image @ g1) @ a_g @ (psi @ g2).conj().T
         k_p = image @ a_p @ psi.conj().T
         worst = max(worst, float(np.linalg.norm(k_u - k_p)))

@@ -79,38 +79,40 @@ def _csv(rows) -> str:
 
 def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport) -> str:
     """Per-sample operator entries (row-major re/im) plus drift columns."""
-    if not trajectory.states:
+    if not trajectory.ks:
         return "t\n"
-    rows_n, cols_n = trajectory.states[0].k.shape
+    rows_n, cols_n = trajectory.ks[0].shape
     header = ["t"]
     for i in range(rows_n):
         for j in range(cols_n):
             header += [f"k_re_{i}_{j}", f"k_im_{i}_{j}"]
     header += ["kk_drift", "trace_khk_drift", "unitarity_defect"]
     lines = [",".join(header)]
-    for state, record in zip(trajectory.states, report.records):
+    trace_drifts = report.trace_khk_drift
+    for i, (t, k) in enumerate(zip(trajectory.times, trajectory.ks)):
         # Row-major entries, each as (re, im): the float64 view of the
         # contiguous complex array interleaves them in that order.
-        entries = np.ascontiguousarray(state.k, dtype=np.complex128).reshape(-1)
-        drift = ("" if record.trace_khk_drift is None
-                 else format_number(record.trace_khk_drift))
-        lines.append(",".join([format_number(state.t),
+        entries = np.ascontiguousarray(k, dtype=np.complex128).reshape(-1)
+        drift = "" if trace_drifts is None else format_number(trace_drifts[i])
+        lines.append(",".join([format_number(t),
                                format_cells(entries.view(np.float64)),
-                               format_number(record.kk_star_drift), drift,
-                               format_number(record.unitarity_defect)]))
+                               format_number(report.kk_star_drift[i]), drift,
+                               format_number(report.unitarity_defect[i])]))
     return "\n".join(lines) + "\n"
 
 
 def diagnostics_csv(report: DiagnosticsReport) -> str:
     rows = [["t", "xi", "xi_rate_pred", "xi_rate_obs", "kk_drift",
              "trace_khk_drift", "unitarity_defect"]]
-    for r in report.records:
+    trace_drifts = report.trace_khk_drift
+    for i, t in enumerate(report.times):
         rows.append([
-            format_number(r.t), format_number(r.xi),
-            format_number(r.xi_rate_predicted), format_number(r.xi_rate_observed),
-            format_number(r.kk_star_drift),
-            "" if r.trace_khk_drift is None else format_number(r.trace_khk_drift),
-            format_number(r.unitarity_defect),
+            format_number(t), format_number(report.xi[i]),
+            format_number(report.xi_rate_predicted[i]),
+            format_number(report.xi_rate_observed[i]),
+            format_number(report.kk_star_drift[i]),
+            "" if trace_drifts is None else format_number(trace_drifts[i]),
+            format_number(report.unitarity_defect[i]),
         ])
     return _csv(rows)
 

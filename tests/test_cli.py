@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import random
 import warnings
 
 import numpy as np
@@ -409,6 +411,10 @@ class TestHostileInputs:
         config = self.flux_config(rng, tmp_path, np.ones((3, 1)), "lots")
         assert_config_rejected(["flux", "--config", config], tmp_path / "out")
 
+    def test_flux_oversized_total(self, rng, tmp_path):
+        config = self.flux_config(rng, tmp_path, np.ones((3, 1)), 10 ** 400)
+        assert_config_rejected(["flux", "--config", config], tmp_path / "out")
+
     def test_critical_non_numeric_nu(self, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng),
                                 extra={"nu": "big"})
@@ -423,9 +429,27 @@ class TestHostileInputs:
         {"unitary": malformed(np.eye(3), im=[float("inf")] + [0.0] * 8)},
         {"hamiltonian": 3},
         {"field": None},
+        # a JSON integer too large for a double, and an infinite stride
+        {"hbar": 10 ** 400},
+        {"t_end": 10 ** 400},
+        {"pd_floor": 10 ** 400},
+        {"nu": 10 ** 400},
+        {"field": {"kind": "constant", "value": 10 ** 400}},
+        {"field": {"kind": "sinusoid", "amplitude": 0.1, "frequency": 10 ** 400}},
+        {"hamiltonian": {"kind": "interpolated-sequence", "times": [0.0, 10 ** 400],
+                         "matrices": [matrix_to_json(np.eye(3))] * 2}},
+        {"unitary": malformed(np.eye(3), re=[10 ** 400] + [0.0] * 8)},
+        {"initial_k": malformed(np.eye(3), im=[0.0] * 8 + [-10 ** 400])},
+        {"output_stride": float("inf")},
+        {"output_stride": float("-inf")},
     ], ids=["nu_below_spectrum", "non_unitary", "unitary_of_wrong_size",
             "unitary_rows_null", "unitary_re_object", "unitary_im_inf",
-            "hamiltonian_not_object", "field_null"])
+            "hamiltonian_not_object", "field_null", "hbar_oversized_int",
+            "t_end_oversized_int", "pd_floor_oversized_int", "nu_oversized_int",
+            "field_value_oversized_int", "field_frequency_oversized_int",
+            "knot_time_oversized_int", "unitary_entry_oversized_int",
+            "initial_k_entry_oversized_int", "output_stride_inf",
+            "output_stride_minus_inf"])
     def test_critical_rejected_input(self, extra, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
@@ -493,3 +517,85 @@ class TestFormatting:
         for x in (0.1, 1e-12, np.pi, 2.0 / 3.0, 1234.5678):
             assert float(format_number(x)) == x
         assert format_number(1.0) == "1.0"
+
+
+# Values a mutation puts at one JSON path of a valid document.
+FUZZ_VALUES = (None, "text", 0, -1, 1e300, -1e300, 2 ** 70, 10 ** 400,
+               float("inf"), float("-inf"), float("nan"), [], {})
+FUZZ_COMMANDS = (["simulate", "--solver", "direct"],
+                 ["simulate", "--solver", "factorized"],
+                 ["simulate", "--solver", "series"],
+                 ["compare"], ["critical"], ["moving"], ["flux"])
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}  # the module docstring of mesodyn.cli
+
+
+def fuzz_documents():
+    """Valid 2x2 documents that every config verb accepts.
+
+    One has constant coefficients (the series solver's domain), one an
+    interpolated H and a sinusoidal B.  Both carry the extra keys of
+    critical, moving and flux.
+    """
+    h0 = np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex)
+    h1 = np.array([[1.5, 0.2j], [-0.2j, 2.5]])
+    k0 = np.array([[1.0, 0.2 + 0.1j], [0.0, 0.8]])
+    extra = {
+        "nu": 4.0,
+        "unitary": matrix_to_json(np.eye(2)),
+        "upsilon": matrix_to_json(np.ones((2, 1)) / np.sqrt(2.0)),
+        "total_flux": 1.5,
+        "ambient_dim": 2,
+        "rank": 1,
+        "psi0": matrix_to_json(np.eye(2)[:, :1]),
+        "phi0": matrix_to_json(np.eye(2)[:, 1:]),
+        "coeff_a0": matrix_to_json(np.array([[0.9 + 0.3j]])),
+    }
+    profiles = [
+        (HamiltonianProfile.constant(h0), FieldProfile.constant(0.7)),
+        (HamiltonianProfile.interpolated([0.0, 0.2], [h0, h1]),
+         FieldProfile.sinusoid(0.4, 0.25, 0.1, 0.7)),
+    ]
+    docs = []
+    for hamiltonian, field in profiles:
+        cfg = ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=field,
+                             initial_k=k0, t_end=0.2, dt=0.01, output_stride=5)
+        docs.append({**scenario_to_json(cfg), **extra})
+    return docs
+
+
+def json_paths(node, prefix=()):
+    """Every key path into a parsed JSON document, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+class TestConfigFuzzer:
+    def test_seeded_mutations_exit_with_a_documented_code(self, tmp_path):
+        draw = random.Random(11)
+        docs = fuzz_documents()
+        escaped = []
+        for i in range(200):
+            doc = copy.deepcopy(draw.choice(docs))
+            path = draw.choice(list(json_paths(doc)))
+            value = draw.choice(FUZZ_VALUES)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(value)
+            config = tmp_path / f"c{i}.json"
+            config.write_text(json.dumps(doc))
+            argv = draw.choice(FUZZ_COMMANDS) + ["--config", str(config)]
+            out = tmp_path / f"o{i}"
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main(argv + ["--output", str(out)])
+            except Exception as exc:  # noqa: BLE001 - an escape is the finding
+                escaped.append((i, argv[0], path, value, repr(exc)))
+                continue
+            if code not in EXIT_CODES or not (out / "run.json").is_file():
+                escaped.append((i, argv[0], path, value, code))
+        assert not escaped, escaped

@@ -14,6 +14,7 @@ from mesodyn.diagnostics import (
 )
 from mesodyn.errors import (
     NearSingularError,
+    NonFiniteError,
     NotDiagonalError,
     NuDoesNotDominateError,
     ZeroImageError,
@@ -102,9 +103,11 @@ class TestHamiltonianRate:
                              field=FieldProfile.constant(0.8),
                              initial_k=random_full_rank(rng, 3, 0.7, 1.4),
                              t_end=1.0, dt=1e-3, output_stride=100)
-        for record in invariant_report(evolve_factorized(cfg), cfg).records[1:-1]:
-            assert abs(record.xi_rate_predicted) <= 1e-8
-            assert abs(record.xi_rate_observed) <= 1e-8
+        report = invariant_report(evolve_factorized(cfg), cfg)
+        for predicted, observed in zip(report.xi_rate_predicted[1:-1],
+                                       report.xi_rate_observed[1:-1]):
+            assert abs(predicted) <= 1e-8
+            assert abs(observed) <= 1e-8
 
     def test_linear_field_rate(self, rng):
         # constant H, B(t) = t: rate = 2 t log det(K0 K0*)
@@ -115,11 +118,12 @@ class TestHamiltonianRate:
                                  random_hermitian(rng, 2, 0.5, 2.0)),
                              field=FieldProfile.linear_ramp(1.0, 0.0),
                              initial_k=k0, t_end=1.0, dt=1e-3, output_stride=100)
-        for record in invariant_report(evolve_factorized(cfg), cfg).records[1:-1]:
-            assert record.xi_rate_predicted == pytest.approx(2.0 * record.t * logdet,
-                                                             abs=1e-10)
-            assert record.xi_rate_observed == pytest.approx(record.xi_rate_predicted,
-                                                            abs=1e-4)
+        report = invariant_report(evolve_factorized(cfg), cfg)
+        for t, predicted, observed in zip(report.times[1:-1],
+                                          report.xi_rate_predicted[1:-1],
+                                          report.xi_rate_observed[1:-1]):
+            assert predicted == pytest.approx(2.0 * t * logdet, abs=1e-10)
+            assert observed == pytest.approx(predicted, abs=1e-4)
 
 
 class TestInvariantReport:
@@ -127,14 +131,14 @@ class TestInvariantReport:
         cfg = random_scenario(rng, 3, dt=1e-3, output_stride=100)
         report = invariant_report(evolve_factorized(cfg), cfg)
         assert report.max_kk_star_drift() <= 1e-10
-        assert all(r.trace_khk_drift is None for r in report.records)
-        assert all(np.isfinite(r.xi) for r in report.records)
+        assert report.trace_khk_drift is None
+        assert all(np.isfinite(xi) for xi in report.xi)
 
     def test_direct_drift_and_unitarity(self, rng):
         cfg = random_scenario(rng, 3, dt=1e-3, output_stride=100)
         report = invariant_report(evolve_direct(cfg), cfg)
         assert report.max_kk_star_drift() <= 1e-8
-        assert all(r.unitarity_defect <= 1e-8 for r in report.records)
+        assert all(defect <= 1e-8 for defect in report.unitarity_defect)
 
     def test_constant_h_trace_invariant(self, rng):
         h = random_hermitian(rng, 3, 0.5, 2.0)
@@ -159,11 +163,30 @@ class TestInvariantReport:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         report = invariant_report(trajectory, cfg)
         monkeypatch.undo()
-        assert len(trajectory.states) == 11
-        assert len(calls) == len(trajectory.states)
-        for r, state in zip(report.records, trajectory.states):
-            assert r.xi == total_hamiltonian(state.k, cfg.hamiltonian.sample(r.t),
-                                             cfg.field.sample(r.t))
+        assert len(trajectory.ks) == 11
+        assert len(calls) == len(trajectory.ks)
+        for t, xi, k in zip(report.times, report.xi, trajectory.ks):
+            assert xi == total_hamiltonian(k, cfg.hamiltonian.sample(t),
+                                           cfg.field.sample(t))
+
+    def test_one_column_per_quantity(self, rng):
+        cfg = random_scenario(rng, 3, dt=1e-2, output_stride=10)
+        trajectory = evolve_direct(cfg)
+        report = invariant_report(trajectory, cfg)
+        assert report.times is trajectory.times
+        for column in (report.xi, report.xi_rate_predicted, report.xi_rate_observed,
+                       report.kk_star_drift, report.unitarity_defect):
+            assert column.shape == trajectory.times.shape
+        assert report.kk_star_drift[0] == 0.0
+        assert report.max_kk_star_drift() == max(report.kk_star_drift)
+
+    def test_non_finite_sample_is_typed_error(self, rng):
+        # a direct run stopped by overflow may end on a non-finite sample
+        cfg = random_scenario(rng, 3, dt=1e-2, output_stride=10)
+        trajectory = evolve_direct(cfg)
+        trajectory.ks[-1] = np.full((3, 3), np.inf + 0j)
+        with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+            invariant_report(trajectory, cfg)
 
 
 class TestCriticalPoint:
@@ -204,8 +227,8 @@ class TestCriticalPoint:
                              hamiltonian=HamiltonianProfile.constant(h),
                              field=FieldProfile.constant(b), initial_k=k,
                              t_end=1.0, dt=1e-3, output_stride=1000)
-        final = evolve_direct(cfg).final
-        assert frob(final.k - np.exp(1j * nu * final.t) * k) <= 1e-8
+        final = evolve_direct(cfg)
+        assert frob(final.ks[-1] - np.exp(1j * nu * final.times[-1]) * k) <= 1e-8
 
 
 class TestSpecialDiagonalSolution:
@@ -245,11 +268,11 @@ class TestSpecialDiagonalSolution:
             t_end=1.0, dt=1e-3, output_stride=250)
         fact = evolve_factorized(cfg)
         direct = evolve_direct(cfg)
-        for f, d in zip(fact.states, direct.states):
+        for t, f, d in zip(fact.times, fact.ks, direct.ks):
             closed = special_diagonal_solution(np.diag(energies), b, r0, phi0,
-                                               f.t, 1.0)
-            assert frob(f.k - closed) <= 1e-8
-            assert frob(d.k - closed) <= 1e-8
+                                               t, 1.0)
+            assert frob(f - closed) <= 1e-8
+            assert frob(d - closed) <= 1e-8
 
     def test_rejects_off_diagonal(self):
         with pytest.raises(NotDiagonalError):

@@ -57,6 +57,15 @@ def constant_config(h, b, k0, t_end=1.0, dt=1e-3, stride=100, hbar=1.0):
         t_end=t_end, dt=dt, output_stride=stride)
 
 
+def output_times(cfg):
+    return step_plan(cfg.t_end, cfg.dt, cfg.output_stride).output_times
+
+
+def samples(trajectory):
+    """(t, K) per sample."""
+    return zip(trajectory.times, trajectory.ks, strict=True)
+
+
 def evolve_w(cache, cfg):
     """W(t) from W(0) = u0 on the scenario's output grid, as evolve_factorized has it."""
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
@@ -145,7 +154,7 @@ class TestEvolveW:
     def test_constant_diagonal_phases(self):
         cfg = constant_config(np.diag([1.0, 2.0]), 0.0, np.eye(2), stride=500)
         cache = polar_init(cfg.initial_k)
-        for t, w in evolve_w(cache, cfg):
+        for t, w in zip(output_times(cfg), evolve_w(cache, cfg)):
             expected = np.diag(np.exp(1j * np.array([1.0, 2.0]) * t))
             assert frob(w - expected) <= 1e-12
 
@@ -153,7 +162,7 @@ class TestEvolveW:
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.zeros((3, 3)), 1.0, k0, stride=250)
         cache = polar_init(k0)
-        for _, w in evolve_w(cache, cfg):
+        for w in evolve_w(cache, cfg):
             assert frob(w - cache.u0) <= 1e-12
 
     def test_self_convergence_second_order(self, rng):
@@ -168,7 +177,7 @@ class TestEvolveW:
                                  field=FieldProfile.constant(0.0),
                                  initial_k=k0, t_end=1.0, dt=dt,
                                  output_stride=10 ** 9)
-            return evolve_w(polar_init(k0), cfg)[-1][1]
+            return evolve_w(polar_init(k0), cfg)[-1]
 
         reference = final_w(1.25e-4)
         e_coarse = frob(final_w(2e-3) - reference)
@@ -178,7 +187,7 @@ class TestEvolveW:
     def test_unitary_along_the_way(self, rng):
         cfg = random_scenario(rng, 4, dt=2e-3, output_stride=50)
         cache = polar_init(cfg.initial_k)
-        for _, w in evolve_w(cache, cfg):
+        for w in evolve_w(cache, cfg):
             assert frob(w.conj().T @ w - np.eye(4)) <= 1e-12
 
 
@@ -196,8 +205,8 @@ class TestUnitaryPropagator:
         exact = unitary_propagator(u0, h, plan.times, wanted, sign, 0.7, left)
         stepped = unitary_propagator(u0, lambda t: h, plan.times, wanted, sign, 0.7,
                                      left)
-        assert [t for t, _ in exact] == [t for t, _ in stepped]
-        for (_, a), (_, b) in zip(exact, stepped):
+        assert len(exact) == len(stepped) == len(wanted)
+        for a, b in zip(exact, stepped):
             assert frob(a - b) <= 1e-12
 
 
@@ -212,8 +221,8 @@ class TestSharedEigendecomposition:
         for sign in (1.0, -1.0):
             us = unitary_propagator(u0, h, plan.times, set(plan.output_indices),
                                     sign, 0.7)
-            assert [t for t, _ in us] == [float(t) for t in times]
-            for (_, u), t in zip(us, times):
+            assert len(us) == len(times)
+            for u, t in zip(us, times):
                 assert np.array_equal(u, u0 @ unitary_exponential(h, sign * t / 0.7))
 
     def test_magnetic_factor_equals_per_time_exponentials(self, rng):
@@ -221,9 +230,9 @@ class TestSharedEigendecomposition:
         field = FieldProfile.sinusoid(0.9, 1.3, 0.4, 0.2)
         times = [0.0, 0.0, 0.25, 0.5, 0.5, 1.0]
         out = magnetic_factor(base, field, 1.3, times)
-        assert [t for t, _ in out] == times
+        assert len(out) == len(times)
         acc, prev = 0.0, 0.0
-        for (_, v), t in zip(out, times):
+        for v, t in zip(out, times):
             if t > prev:
                 acc += integrate_b_squared(field, prev, t)
                 prev = t
@@ -234,7 +243,7 @@ class TestEvolveV:
     def test_zero_field_identity(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.eye(3), 0.0, k0, stride=200)
-        for _, v in evolve_v(polar_init(k0), cfg):
+        for v in evolve_v(polar_init(k0), cfg):
             assert frob(v - np.eye(3)) <= 1e-13
 
     def test_diagonal_phases_at_pi(self):
@@ -242,7 +251,7 @@ class TestEvolveV:
         k0 = np.diag([1.0, 2.0]).astype(complex)
         cfg = constant_config(np.eye(2), 1.0, k0, t_end=np.pi, dt=np.pi / 100,
                               stride=10 ** 9)
-        t, v = evolve_v(polar_init(k0), cfg)[-1]
+        t, v = output_times(cfg)[-1], evolve_v(polar_init(k0), cfg)[-1]
         assert t == pytest.approx(np.pi)
         expected = np.diag([np.exp(1j * np.pi), np.exp(1j * np.pi / 4)])
         assert frob(v - expected) <= 1e-12
@@ -255,13 +264,13 @@ class TestEvolveV:
             field=FieldProfile.sinusoid(1.0, 1.0 / (2 * np.pi)),
             initial_k=np.eye(1, dtype=complex),
             t_end=np.pi, dt=np.pi / 100, output_stride=10 ** 9)
-        _, v = evolve_v(polar_init(cfg.initial_k), cfg)[-1]
+        v = evolve_v(polar_init(cfg.initial_k), cfg)[-1]
         assert abs(v[0, 0] - 1j) <= 1e-10
 
     def test_commutes_with_generator(self, rng):
         cfg = random_scenario(rng, 3, dt=2e-3, output_stride=100)
         cache = polar_init(cfg.initial_k)
-        for _, v in evolve_v(cache, cfg):
+        for v in evolve_v(cache, cfg):
             comm = v @ cache.h_b_base - cache.h_b_base @ v
             assert frob(comm) <= 1e-12
 
@@ -273,27 +282,27 @@ class TestEvolveFactorized:
         r0, phi0, energy, b, hbar = 1.3, 0.4, 1.2, 0.8, 0.9
         k0 = np.array([[r0 * np.exp(1j * phi0)]])
         cfg = constant_config([[energy]], b, k0, hbar=hbar, stride=100)
-        for state in evolve_factorized(cfg).states:
-            phase = (energy + b * b / r0 ** 2) * state.t / hbar + phi0
-            assert abs(state.k[0, 0] - r0 * np.exp(1j * phase)) <= 1e-12
+        for t, k in samples(evolve_factorized(cfg)):
+            phase = (energy + b * b / r0 ** 2) * t / hbar + phi0
+            assert abs(k[0, 0] - r0 * np.exp(1j * phase)) <= 1e-12
 
     def test_unit_scalar_gives_double_phase(self):
         # r0 = E = B = hbar = 1, phi0 = 0: K(t) = e^{2it}
         cfg = constant_config([[1.0]], 1.0, [[1.0]], stride=100)
-        for state in evolve_factorized(cfg).states:
-            assert abs(state.k[0, 0] - np.exp(2j * state.t)) <= 1e-12
+        for t, k in samples(evolve_factorized(cfg)):
+            assert abs(k[0, 0] - np.exp(2j * t)) <= 1e-12
 
     def test_free_case_is_frozen(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.zeros((3, 3)), 0.0, k0, stride=100)
-        for state in evolve_factorized(cfg).states:
-            assert frob(state.k - k0) <= 1e-12
+        for k in evolve_factorized(cfg).ks:
+            assert frob(k - k0) <= 1e-12
 
     def test_initial_condition_reproduced(self, rng):
         cfg = random_scenario(rng, 4)
-        first = evolve_factorized(cfg).states[0]
-        assert first.t == 0.0
-        assert frob(first.k - cfg.initial_k) <= 1e-12 * frob(cfg.initial_k)
+        trajectory = evolve_factorized(cfg)
+        assert trajectory.times[0] == 0.0
+        assert frob(trajectory.ks[0] - cfg.initial_k) <= 1e-12 * frob(cfg.initial_k)
 
     def test_against_direct_solver(self, rng):
         h0 = random_hermitian(rng, 3, 0.5, 2.0)
@@ -304,8 +313,8 @@ class TestEvolveFactorized:
             field=FieldProfile.sinusoid(0.4, 0.25, 0.3, 0.7),
             initial_k=random_full_rank(rng, 3, 0.7, 1.4),
             t_end=1.0, dt=1e-3, output_stride=10 ** 9)
-        fact = evolve_factorized(cfg).final.k
-        direct = evolve_direct(cfg).final.k
+        fact = evolve_factorized(cfg).ks[-1]
+        direct = evolve_direct(cfg).ks[-1]
         assert frob(fact - direct) <= 1e-7
 
 
@@ -313,14 +322,14 @@ class TestEvolveDirect:
     def test_free_case_is_frozen(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.zeros((3, 3)), 0.0, k0, stride=100)
-        for state in evolve_direct(cfg).states:
-            assert frob(state.k - k0) <= 1e-12
+        for k in evolve_direct(cfg).ks:
+            assert frob(k - k0) <= 1e-12
 
     def test_gram_conserved(self, rng):
         cfg = random_scenario(rng, 4, dt=1e-3, output_stride=100)
         gram0 = cfg.initial_k @ cfg.initial_k.conj().T
-        for state in evolve_direct(cfg).states:
-            drift = frob(state.k @ state.k.conj().T - gram0) / frob(gram0)
+        for k in evolve_direct(cfg).ks:
+            drift = frob(k @ k.conj().T - gram0) / frob(gram0)
             assert drift <= 1e-8
 
     def test_near_singular_reports_last_good_time(self):
@@ -336,7 +345,7 @@ class TestEvolveDirect:
         assert excinfo.value.last_good_time == 0.0
         partial = excinfo.value.partial
         assert partial is not None
-        assert len(partial.states) == 1
+        assert len(partial.ks) == 1
         assert partial.solver_tag == "direct"
 
     def test_missing_initial_k_is_typed_error(self, rng):
@@ -351,7 +360,8 @@ class TestEvolveDirect:
         with pytest.raises(NonFiniteError) as excinfo:
             evolve_direct_many([good, bad])
         assert excinfo.value.last_good_time is None
-        assert excinfo.value.partial.states == ()
+        assert excinfo.value.partial.ks == []
+        assert len(excinfo.value.partial.times) == 0
 
     def test_well_conditioned_stages_run_no_svd(self, rng, svd_calls):
         # the conserved singular values keep every stage far above the
@@ -366,7 +376,7 @@ class TestEvolveDirect:
             cfg = ScenarioConfig(hbar=1.0, hamiltonian=base.hamiltonian,
                                  field=base.field, initial_k=base.initial_k,
                                  t_end=1.0, dt=dt, output_stride=10 ** 9)
-            finals.append(evolve_direct(cfg).final.k)
+            finals.append(evolve_direct(cfg).ks[-1])
         d1 = frob(finals[0] - finals[1])
         d2 = frob(finals[1] - finals[2])
         assert np.log2(d1 / d2) >= 3.5
@@ -375,8 +385,8 @@ class TestEvolveDirect:
 def assert_same_trajectory(a, b):
     assert a.solver_tag == b.solver_tag
     assert np.array_equal(a.times, b.times)
-    for sa, sb in zip(a.states, b.states, strict=True):
-        assert np.array_equal(sa.k, sb.k)
+    for ka, kb in zip(a.ks, b.ks, strict=True):
+        assert np.array_equal(ka, kb)
 
 
 def ramp_config(slope, k0, floor=1e-12):
@@ -418,7 +428,7 @@ class TestEvolveDirectMany:
             evolve_direct_many(stack)
         assert 0.0 < alone.value.last_good_time < 1.0
         assert stacked.value.last_good_time == alone.value.last_good_time
-        assert len(alone.value.partial.states) > 1
+        assert len(alone.value.partial.ks) > 1
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
     def test_first_crossing_scenario_in_list_order_raises(self):
@@ -449,7 +459,7 @@ class TestNonFiniteStop:
         with pytest.raises(NonFiniteError, match=r"inside step \[0.0, 0.1\]") as excinfo:
             evolve_direct(overflow_config())
         assert excinfo.value.last_good_time == 0.0
-        assert [s.t for s in excinfo.value.partial.states] == [0.0]
+        assert list(excinfo.value.partial.times) == [0.0]
         assert excinfo.value.partial.solver_tag == "direct"
         # the step loop silences numpy's overflow warnings
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -467,9 +477,9 @@ class TestNonFiniteStop:
 class TestRk4:
     def test_emits_wanted_samples_of_an_oscillator(self):
         times = np.linspace(0.0, 1.0, 101)
-        samples = rk4(lambda t, y: 1j * y, np.eye(1), times, {0, 50, 100})
-        assert [t for t, _ in samples] == [0.0, 0.5, 1.0]
-        for t, y in samples:
+        ys = rk4(lambda t, y: 1j * y, np.eye(1), times, {0, 50, 100})
+        assert len(ys) == 3
+        for t, y in zip([0.0, 0.5, 1.0], ys):
             assert abs(y[0, 0] - np.exp(1j * t)) <= 1e-9
 
     def test_near_singular_keeps_last_good_time_and_partial(self):
@@ -483,7 +493,11 @@ class TestRk4:
             rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
         # the step [0.4, 0.5] is the first whose stages reach t = 0.5
         assert excinfo.value.last_good_time == times[4]
-        assert [t for t, _ in excinfo.value.partial] == [times[0], times[2], times[4]]
+        # the samples at times[0], times[2] and times[4] of y = exp(-t) I
+        partial = excinfo.value.partial
+        assert len(partial) == 3
+        for t, y in zip(times[[0, 2, 4]], partial):
+            assert abs(y[0, 0] - np.exp(-t)) <= 1e-6
 
     def test_non_finite_keeps_last_good_time_and_partial(self):
         def rhs(t, y):
@@ -495,7 +509,11 @@ class TestRk4:
         with pytest.raises(NonFiniteError, match="non-finite state inside step") as excinfo:
             rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
         assert excinfo.value.last_good_time == times[4]
-        assert [t for t, _ in excinfo.value.partial] == [times[0], times[2], times[4]]
+        # the samples at times[0], times[2] and times[4] of y = exp(-t) I
+        partial = excinfo.value.partial
+        assert len(partial) == 3
+        for t, y in zip(times[[0, 2, 4]], partial):
+            assert abs(y[0, 0] - np.exp(-t)) <= 1e-6
 
 
 class TestEvolveSeries:
@@ -525,7 +543,7 @@ class TestEvolveSeries:
             u, _ = series_unitary(cache.u0, h, (b * b) * cache.h_b_base, dt,
                                   1.0, terms=2)
             series = cache.radial @ u
-            exact = evolve_factorized(cfg).final.k
+            exact = evolve_factorized(cfg).ks[-1]
             return frob(series - exact)
 
         ratio = truncation_error(2e-3) / truncation_error(1e-3)
@@ -537,8 +555,8 @@ class TestEvolveSeries:
                               t_end=0.5, dt=1e-2, stride=10)
         series = evolve_series(cfg, terms=30)
         fact = evolve_factorized(cfg)
-        for s, f in zip(series.states, fact.states):
-            assert frob(s.k - f.k) <= 1e-9
+        for s, f in zip(series.ks, fact.ks):
+            assert frob(s - f) <= 1e-9
 
     def test_truncation_guard_raises(self, rng):
         h = random_hermitian(rng, 2, 0.5, 2.0)
@@ -569,3 +587,30 @@ class TestTrajectoryMetadata:
         times = evolve_factorized(cfg).times
         assert times[0] == 0.0
         assert times[-1] == cfg.t_end
+
+    @pytest.mark.parametrize("solver", ["factorized", "direct", "series"])
+    def test_times_are_the_plan_output_times(self, rng, solver):
+        h = random_hermitian(rng, 2, 0.5, 2.0)
+        cfg = constant_config(h, 0.7, random_full_rank(rng, 2, 0.8, 1.3),
+                              t_end=0.95, dt=1e-2, stride=7)
+        if solver == "factorized":
+            trajectory = evolve_factorized(cfg)
+        elif solver == "direct":
+            trajectory = evolve_direct(cfg)
+        else:
+            trajectory = evolve_series(cfg, 30)
+        assert trajectory.solver_tag == solver
+        assert np.array_equal(trajectory.times, output_times(cfg))
+        assert len(trajectory.ks) == len(trajectory.times)
+
+    @pytest.mark.parametrize("stop", ["floor", "overflow"])
+    def test_stopped_run_keeps_the_plans_first_output_times(self, stop):
+        cfg = (ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39) if stop == "floor"
+               else dataclasses.replace(overflow_config(h_scale=1e12, hbar=1.0),
+                                        output_stride=2))
+        with pytest.raises((NearSingularError, NonFiniteError)) as excinfo:
+            evolve_direct(cfg)
+        partial = excinfo.value.partial
+        assert len(partial.ks) > 1
+        assert np.array_equal(partial.times, output_times(cfg)[:len(partial.ks)])
+        assert np.all(partial.times <= excinfo.value.last_good_time)

@@ -9,7 +9,7 @@ from mesodyn.errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from mesodyn.fixed_domain import evolve_factorized
+from mesodyn.fixed_domain import Trajectory, evolve_factorized
 from mesodyn.linalg import unitary_exponential
 from mesodyn import moving_domain
 from mesodyn.moving_domain import (
@@ -22,7 +22,7 @@ from mesodyn.moving_domain import (
     moving_solution,
     weak_residual,
 )
-from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
+from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig, step_plan
 from mesodyn.verification import (
     random_full_rank,
     random_hermitian,
@@ -58,7 +58,7 @@ class TestFrameEvolution:
         psi0 = np.eye(3, dtype=complex)[:, :2]
         frames = evolve_frame_schrodinger(space, psi0, t_end=1.0, dt=1e-2,
                                           hbar=1.0, output_stride=25)
-        for t, psi in frames:
+        for t, psi in zip(step_plan(1.0, 1e-2, 25).output_times, frames):
             expected = psi0 * np.exp(-1j * np.array(energies)[:, None] * t)
             assert frob(psi - expected[:, :2]) <= 1e-12
 
@@ -67,7 +67,7 @@ class TestFrameEvolution:
             dim_h1=4, dim_h2=4, n=2,
             ambient_hamiltonian=HamiltonianProfile.constant(np.zeros((4, 4))))
         psi0 = random_orthonormal_columns(rng, 4, 2)
-        for _, psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-2, 1.0, 50):
+        for psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-2, 1.0, 50):
             assert frob(psi - psi0) <= 1e-13
 
     def test_orthonormality_preserved(self, rng):
@@ -77,7 +77,7 @@ class TestFrameEvolution:
             dim_h1=8, dim_h2=8, n=3,
             ambient_hamiltonian=HamiltonianProfile.interpolated([0.0, 1.0], [h0, h1]))
         psi0 = random_orthonormal_columns(rng, 8, 3)
-        for _, psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-3, 1.0, 100):
+        for psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-3, 1.0, 100):
             assert frob(psi.conj().T @ psi - np.eye(3)) <= 1e-10
 
     def test_rejects_skewed_frame(self):
@@ -95,7 +95,7 @@ class TestCoefficientEvolution:
         times = np.linspace(0.0, 1.0, 11)
         samples = coefficient_matrix_evolution(a0, FieldProfile.constant(1.0),
                                                1.0, times)
-        for t, a in samples:
+        for t, a in zip(times, samples):
             expected = r0 * np.exp(1j * (phi0 + t / r0 ** 2))
             assert abs(a[0, 0] - expected) <= 1e-12
 
@@ -103,7 +103,7 @@ class TestCoefficientEvolution:
         a0 = random_full_rank(rng, 3, 0.7, 1.4)
         samples = coefficient_matrix_evolution(a0, FieldProfile.constant(0.0),
                                                1.0, [0.0, 0.5, 1.0])
-        for _, a in samples:
+        for a in samples:
             assert frob(a - a0) <= 1e-13
 
     def test_initial_value_and_radial_conservation(self, rng):
@@ -111,9 +111,9 @@ class TestCoefficientEvolution:
         field = FieldProfile.sinusoid(0.5, 0.3, 0.2, 0.7)
         samples = coefficient_matrix_evolution(a0, field, 1.0,
                                                np.linspace(0.0, 1.0, 21))
-        assert frob(samples[0][1] - a0) <= 1e-12
+        assert frob(samples[0] - a0) <= 1e-12
         gram0 = a0 @ a0.conj().T
-        for _, a in samples:
+        for a in samples:
             assert frob(a @ a.conj().T - gram0) <= 1e-10
 
     def test_satisfies_equation_by_finite_differences(self, rng):
@@ -122,7 +122,7 @@ class TestCoefficientEvolution:
         hbar = 1.0
         delta = 1e-5
         for t in (0.2, 0.6, 0.9):
-            (_, before), (_, at), (_, after) = coefficient_matrix_evolution(
+            before, at, after = coefficient_matrix_evolution(
                 a0, field, hbar, [t - delta, t, t + delta])
             a_dot = (after - before) / (2.0 * delta)
             b = field.sample(t)
@@ -136,10 +136,10 @@ class TestCoefficientEvolution:
         times = [0.0, 0.5]
         literal = coefficient_matrix_evolution(a0, FieldProfile.constant(1.0),
                                                1.0, times, literal=True)
-        assert abs(literal[0][1][0, 0] - 1.0) <= 1e-12  # not 1j
+        assert abs(literal[0][0, 0] - 1.0) <= 1e-12  # not 1j
         corrected = coefficient_matrix_evolution(a0, FieldProfile.constant(1.0),
                                                  1.0, times)
-        assert abs(corrected[0][1][0, 0] - 1j) <= 1e-12
+        assert abs(corrected[0][0, 0] - 1j) <= 1e-12
 
     def test_literal_matches_corrected_for_positive_definite(self, rng):
         base = random_hermitian(rng, 2, 0.5, 1.5)
@@ -147,7 +147,7 @@ class TestCoefficientEvolution:
         times = np.linspace(0.0, 1.0, 5)
         lit = coefficient_matrix_evolution(base, field, 1.0, times, literal=True)
         cor = coefficient_matrix_evolution(base, field, 1.0, times)
-        for (_, a), (_, b) in zip(lit, cor):
+        for a, b in zip(lit, cor):
             assert frob(a - b) <= 1e-12
 
 
@@ -159,8 +159,8 @@ class TestAssembly:
         a0 = random_full_rank(rng, 3, 0.7, 1.4)
         ops = moving_solution(space, psi0, phi0, a0, FieldProfile.constant(0.9),
                               1.0, t_end=0.1, dt=0.1)
-        assert ops[0][0] == 0.0
-        assert frob(ops[0][1] - phi0 @ a0) <= 1e-14
+        assert ops.times[0] == 0.0
+        assert frob(ops.ks[0] - phi0 @ a0) <= 1e-14
 
     def test_rank_one_closed_form_free_hamiltonian(self, rng):
         # H = 0: K(t) = r0 e^{i phi0} e^{i B^2 t/(hbar r0^2)} |phi><psi|
@@ -174,7 +174,7 @@ class TestAssembly:
         ops = moving_solution(space, psi0, phi0, a0,
                               FieldProfile.constant(b), hbar,
                               t_end=1.0, dt=1e-2, output_stride=20)
-        for t, k in ops:
+        for t, k in zip(ops.times, ops.ks):
             phase = phase0 + b * b * t / (hbar * r0 ** 2)
             expected = r0 * np.exp(1j * phase) * (phi0 @ psi0.conj().T)
             assert frob(k - expected) <= 1e-10
@@ -191,7 +191,7 @@ class TestAssembly:
         ops = moving_solution(space, psi0, phi0, a0, field, 1.0,
                               t_end=1.0, dt=1e-3, output_stride=200)
         from mesodyn.scenario import integrate_b_squared
-        for t, k in ops:
+        for t, k in zip(ops.times, ops.ks):
             phase = phase0 + integrate_b_squared(field, 0.0, t) / r0 ** 2
             expected = r0 * np.exp(1j * phase) * (phi0 @ psi0.conj().T)
             assert frob(k - expected) <= 1e-8
@@ -206,9 +206,22 @@ class TestAssembly:
         ops = moving_solution(space, psi0, phi0, a0,
                               FieldProfile.constant(0.9), 1.0,
                               t_end=1.0, dt=1e-2, output_stride=20)
-        p0 = image_projector(ops[0][1])
-        for _, k in ops:
+        p0 = image_projector(ops.ks[0])
+        for k in ops.ks:
             assert frob(image_projector(k) - p0) <= 1e-12
+
+    def test_samples_the_plan_output_times(self, rng):
+        space = diag_space([1.0, 2.0, 3.0], n=2)
+        psi0 = np.eye(3, dtype=complex)[:, :2]
+        ops = moving_solution(space, psi0, psi0, random_full_rank(rng, 2, 0.7, 1.4),
+                              FieldProfile.constant(0.9), 1.0,
+                              t_end=0.95, dt=0.1, output_stride=3)
+        assert ops.solver_tag == "moving"
+        assert np.array_equal(ops.times, step_plan(0.95, 0.1, 3).output_times)
+        assert len(ops.ks) == len(ops.times)
+        assert len(evolve_frame_schrodinger(space, psi0, 0.95, 0.1, 1.0, 3)) == len(ops.ks)
+        g1s, g2s = gauge_propagators(np.eye(2), np.eye(2), 2, 0.95, 0.1, 1.0)
+        assert len(g1s) == len(g2s) == len(step_plan(0.95, 0.1).times)
 
     def test_a0_shape_rejected_before_evolution(self, no_frame_evolution):
         space = diag_space([1.0, 2.0], n=1)
@@ -244,13 +257,14 @@ class TestWeakResidual:
     def test_small_for_assembled_solution(self, rng):
         space, field, ops = self._assembled(rng, dt=1e-3)
         residuals = weak_residual(ops, space, field, hbar=1.0)
-        assert max(r for _, r in residuals) <= 1e-5
+        assert max(residuals) <= 1e-5
 
     def test_detects_corrupted_radial_part(self, rng):
         space, field, ops = self._assembled(rng, dt=1e-3)
-        corrupted = [(t, (1.0 + 1e-3) * k) for t, k in ops]
+        corrupted = Trajectory(ops.times, [(1.0 + 1e-3) * k for k in ops.ks],
+                               ops.solver_tag)
         residuals = weak_residual(corrupted, space, field, hbar=1.0)
-        assert max(r for _, r in residuals) >= 1e-4
+        assert max(residuals) >= 1e-4
 
     def test_embedded_fixed_domain_matches_factorized(self, rng):
         # full-rank square case: the assembled operator IS the factorized one
@@ -270,16 +284,16 @@ class TestWeakResidual:
                              output_stride=100)
         fact = evolve_factorized(cfg)
         assert cache.radial.shape == (3, 3)
-        for (t, k), state in zip(ops, fact.states):
-            assert abs(t - state.t) <= 1e-12
-            assert frob(k - state.k) <= 1e-9
+        for t, k, t_fact, k_fact in zip(ops.times, ops.ks, fact.times, fact.ks):
+            assert abs(t - t_fact) <= 1e-12
+            assert frob(k - k_fact) <= 1e-9
 
     def test_rank_deficient_rejected(self, rng):
         space = diag_space([1.0, 2.0, 3.0], n=2)
         psi = random_orthonormal_columns(rng, 3, 1)
         phi = random_orthonormal_columns(rng, 3, 1)
         k = phi @ psi.conj().T  # rank 1, space expects 2
-        samples = [(0.0, k), (0.1, k), (0.2, k)]
+        samples = Trajectory(np.array([0.0, 0.1, 0.2]), [k, k, k], "moving")
         with pytest.raises(RankDeficientError):
             weak_residual(samples, space, FieldProfile.constant(1.0), 1.0)
 
@@ -287,7 +301,7 @@ class TestWeakResidual:
         space = diag_space([1.0, 2.0], n=1)
         k = np.eye(2, dtype=complex)[:, :1] @ np.ones((1, 2))
         with pytest.raises(InsufficientSamplesError):
-            weak_residual([(0.0, k), (0.1, k)], space,
+            weak_residual(Trajectory(np.array([0.0, 0.1]), [k, k], "moving"), space,
                           FieldProfile.constant(1.0), 1.0)
 
 
@@ -305,7 +319,7 @@ class TestGauge:
     def test_zero_gauges_are_exact(self, rng):
         space, psi0, phi0, a0, field = self._setup(rng)
         zero = np.zeros((2, 2))
-        for _, g1, g2 in gauge_propagators(zero, zero, 2, 1.0, 0.25, 1.0):
+        for g1, g2 in zip(*gauge_propagators(zero, zero, 2, 1.0, 0.25, 1.0)):
             assert np.array_equal(g1, np.eye(2, dtype=complex))
             assert np.array_equal(g2, np.eye(2, dtype=complex))
         distance = gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
@@ -315,9 +329,9 @@ class TestGauge:
     def test_scalar_gauge_phases(self):
         # constant scalar gauges reduce to pure phase shuffling
         c1, c2, hbar = 0.6, -0.9, 1.0
-        props = gauge_propagators(np.array([[c1]]), np.array([[c2]]), 1, 1.0,
-                                  1e-3, hbar)
-        t, g1, g2 = props[-1]
+        g1s, g2s = gauge_propagators(np.array([[c1]]), np.array([[c2]]), 1, 1.0,
+                                     1e-3, hbar)
+        t, g1, g2 = step_plan(1.0, 1e-3).times[-1], g1s[-1], g2s[-1]
         assert abs(g1[0, 0] - np.exp(-1j * c1 * t / hbar)) <= 1e-10
         assert abs(g2[0, 0] - np.exp(+1j * c2 * t / hbar)) <= 1e-10
 
@@ -341,7 +355,7 @@ class TestGauge:
         c1 = random_hermitian(rng, 2, -0.8, 0.8)
         c2 = random_hermitian(rng, 2, -0.8, 0.8)
         eye = np.eye(2)
-        for _, g1, g2 in gauge_propagators(c1, c2, 2, 1.0, 1e-2, 1.0):
+        for g1, g2 in zip(*gauge_propagators(c1, c2, 2, 1.0, 1e-2, 1.0)):
             assert np.linalg.norm(g1 @ g1.conj().T - eye) <= 1e-12
             assert np.linalg.norm(g2 @ g2.conj().T - eye) <= 1e-12
 
@@ -391,7 +405,7 @@ class TestFrameSignConsistency:
         ops = moving_solution(space, one, one, r0 * one,
                               FieldProfile.constant(b), hbar,
                               t_end=1.0, dt=1e-2, output_stride=20)
-        for t, k in ops:
+        for t, k in zip(ops.times, ops.ks):
             expected = r0 * np.exp(1j * (energy + b * b / r0 ** 2) * t / hbar)
             assert abs(k[0, 0] - expected) <= 1e-10
 
@@ -401,6 +415,6 @@ class TestFrameSignConsistency:
                              ambient_hamiltonian=HamiltonianProfile.constant(h))
         psi0 = random_orthonormal_columns(rng, 4, 2)
         frames = evolve_frame_schrodinger(space, psi0, 1.0, 1e-3, 1.0, 500)
-        for t, psi in frames:
+        for t, psi in zip(step_plan(1.0, 1e-3, 500).output_times, frames):
             expected = unitary_exponential(h, -t) @ psi0
             assert frob(psi - expected) <= 1e-11

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mesodyn.diagnostics import DiagnosticsRecord, DiagnosticsReport
-from mesodyn.fixed_domain import EvolutionState, Trajectory
+from mesodyn.diagnostics import DiagnosticsReport
+from mesodyn.fixed_domain import Trajectory
 from mesodyn.reports import CELL_CHUNK, format_cells, format_number, trajectory_csv
 
 
@@ -60,32 +60,36 @@ class TestFormatCells:
 
 def reference_trajectory_csv(trajectory, report):
     """One format_number call per cell: the definition of the format."""
-    rows_n, cols_n = trajectory.states[0].k.shape
+    rows_n, cols_n = trajectory.ks[0].shape
     header = ["t"]
     for i in range(rows_n):
         for j in range(cols_n):
             header += [f"k_re_{i}_{j}", f"k_im_{i}_{j}"]
     header += ["kk_drift", "trace_khk_drift", "unitarity_defect"]
     rows = [header]
-    for state, record in zip(trajectory.states, report.records):
-        row = [format_number(state.t)]
+    for s, (t, k) in enumerate(zip(trajectory.times, trajectory.ks)):
+        row = [format_number(t)]
         for i in range(rows_n):
             for j in range(cols_n):
-                entry = state.k[i, j]
+                entry = k[i, j]
                 row += [format_number(entry.real), format_number(entry.imag)]
-        row.append(format_number(record.kk_star_drift))
-        row.append("" if record.trace_khk_drift is None
-                   else format_number(record.trace_khk_drift))
-        row.append(format_number(record.unitarity_defect))
+        row.append(format_number(report.kk_star_drift[s]))
+        row.append("" if report.trace_khk_drift is None
+                   else format_number(report.trace_khk_drift[s]))
+        row.append(format_number(report.unitarity_defect[s]))
         rows.append(row)
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-def record(t, trace_khk_drift):
-    return DiagnosticsRecord(t=t, xi=1.0, xi_rate_predicted=0.0,
-                             xi_rate_observed=0.0, kk_star_drift=2.5e-17,
-                             trace_khk_drift=trace_khk_drift,
-                             unitarity_defect=np.float64(1e-16))
+def report_of(times, trace_khk_drift=None):
+    """A report on ``times``: the given trace-drift column, the rest constant."""
+    count = len(times)
+    return DiagnosticsReport(
+        times=np.asarray(times, dtype=np.float64), xi=np.ones(count),
+        xi_rate_predicted=np.zeros(count), xi_rate_observed=np.zeros(count),
+        kk_star_drift=np.full(count, 2.5e-17), unitarity_defect=np.full(count, 1e-16),
+        trace_khk_drift=(None if trace_khk_drift is None
+                         else np.asarray(trace_khk_drift, dtype=np.float64)))
 
 
 class TestTrajectoryCsv:
@@ -98,26 +102,23 @@ class TestTrajectoryCsv:
         transposed = (rng.standard_normal((3, 2))
                       + 1j * rng.standard_normal((3, 2))).T
         assert not transposed.flags["C_CONTIGUOUS"]
-        states = (
-            EvolutionState(t=0.0, k=awkward),
-            EvolutionState(t=0.1, k=transposed),
-            EvolutionState(t=np.float64(1e22), k=awkward[:, ::-1]),
-        )
-        trajectory = Trajectory(states=states, solver_tag="test")
-        report = DiagnosticsReport(records=(
-            record(0.0, None), record(0.1, -0.0), record(1e22, 3.0)))
-        text = trajectory_csv(trajectory, report)
-        assert text == reference_trajectory_csv(trajectory, report)
-        first = text.splitlines()[1].split(",")
-        assert first[1:5] == ["-0.0", "5e-324", "3.0", "-0.0"]
-        assert first[5] == "1e+22"
-        assert first[-2] == ""
+        times = np.array([0.0, 0.1, 1e22])
+        trajectory = Trajectory(times=times, ks=[awkward, transposed, awkward[:, ::-1]],
+                                solver_tag="test")
+        for drifts, first_drift in ((None, ""), ([0.25, -0.0, 3.0], "0.25")):
+            report = report_of(times, drifts)
+            text = trajectory_csv(trajectory, report)
+            assert text == reference_trajectory_csv(trajectory, report)
+            first = text.splitlines()[1].split(",")
+            assert first[1:5] == ["-0.0", "5e-324", "3.0", "-0.0"]
+            assert first[5] == "1e+22"
+            assert first[-2] == first_drift
+        assert text.splitlines()[2].split(",")[-2] == "-0.0"
 
     def test_real_valued_k_writes_zero_imaginary_parts(self):
-        trajectory = Trajectory(
-            states=(EvolutionState(t=0.5, k=np.array([[1.0, -2.0]])),),
-            solver_tag="test")
-        report = DiagnosticsReport(records=(record(0.5, None),))
+        trajectory = Trajectory(times=np.array([0.5]), ks=[np.array([[1.0, -2.0]])],
+                                solver_tag="test")
+        report = report_of([0.5])
         text = trajectory_csv(trajectory, report)
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[1].startswith("0.5,1.0,0.0,-2.0,0.0,")
@@ -130,13 +131,13 @@ class TestTrajectoryCsv:
         blown[0, 0] = complex(np.inf, -np.inf)
         blown[15, 16] = complex(np.nan, 1e-7)
         blown[32, 32] = complex(1e300, np.nan)
-        states = (EvolutionState(t=0.0, k=k), EvolutionState(t=0.1, k=blown))
-        trajectory = Trajectory(states=states, solver_tag="direct")
-        report = DiagnosticsReport(records=(record(0.0, None), record(0.1, None)))
+        trajectory = Trajectory(times=np.array([0.0, 0.1]), ks=[k, blown],
+                                solver_tag="direct")
+        report = report_of([0.0, 0.1])
         text = trajectory_csv(trajectory, report)
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[2].split(",")[1:3] == ["inf", "-inf"]
 
     def test_empty_trajectory(self):
-        trajectory = Trajectory(states=(), solver_tag="test")
-        assert trajectory_csv(trajectory, DiagnosticsReport(records=())) == "t\n"
+        trajectory = Trajectory(times=np.array([]), ks=[], solver_tag="test")
+        assert trajectory_csv(trajectory, report_of([])) == "t\n"
