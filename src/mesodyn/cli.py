@@ -200,9 +200,33 @@ def _emit_trajectory(ws: _Workspace, trajectory, cfg: ScenarioConfig) -> None:
 
 def _retain_partial(ws: _Workspace, exc: NearSingularError | NonFiniteError,
                     cfg: ScenarioConfig) -> None:
-    """Emit what a stopped run integrated before the rank loss or overflow."""
-    if exc.partial is not None and exc.partial.ks:
-        _emit_trajectory(ws, exc.partial, cfg)
+    """Emit what a stopped run integrated before the rank loss or overflow.
+
+    The solver's error stays the run's error: the longest prefix whose
+    diagnostics succeed is written, or none.  A sample's diagnostics fail
+    on that sample alone, so a bisection finds the prefix.
+    """
+    partial = exc.partial
+
+    def prefix(end):
+        return dataclasses.replace(partial, times=partial.times[:end], ks=partial.ks[:end])
+
+    def reported(end):
+        try:
+            invariant_report(prefix(end), cfg)
+        except MesodynError:
+            return False
+        return True
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        good = len(partial.ks) if partial is not None else 0
+        if good and not reported(good):
+            good, bad = 0, good  # prefix ``good`` passes (or is empty), ``bad`` fails
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                good, bad = (mid, bad) if reported(mid) else (good, mid)
+        if good:
+            _emit_trajectory(ws, prefix(good), cfg)
     ws.manifest.status["evolution_complete"] = "fail"
 
 

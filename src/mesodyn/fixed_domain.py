@@ -130,7 +130,9 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
     with ``last_good_time`` set to the step start and ``partial`` holding
     the samples emitted before it.  Overflow and invalid-operation warnings
     are silenced for the whole loop: a state that overflows reaches the rhs's
-    own finiteness check and stops as a NonFiniteError.
+    own finiteness check as the next step's start, and stops as a
+    NonFiniteError of the step that produced it, without its sample.  The
+    final state is no stage input, so it is checked once after the loop.
     """
     y = np.array(y0, dtype=np.complex128)
     out = [y.copy()] if 0 in wanted else []
@@ -144,18 +146,35 @@ def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
                 s2 = rhs(tm, y + (0.5 * h) * s1)
                 s3 = rhs(tm, y + (0.5 * h) * s2)
                 s4 = rhs(t0 + h, y + h * s3)
-            except NearSingularError as exc:
-                raise NearSingularError(
-                    f"rank loss inside step [{t0}, {t0 + h}]: {exc}",
-                    last_good_time=t0, partial=out) from exc
-            except NonFiniteError as exc:
-                raise NonFiniteError(
-                    f"non-finite state inside step [{t0}, {t0 + h}]: {exc}",
-                    last_good_time=t0, partial=out) from exc
+            except (NearSingularError, NonFiniteError) as exc:
+                raise _step_stop(exc, times, i, y, wanted, out) from exc
             y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             if (i + 1) in wanted:
                 out.append(y)
+    if len(times) > 1 and not np.isfinite(y).all():
+        raise _step_stop(NonFiniteError("the final state is not finite"),
+                         times, len(times) - 1, y, wanted, out)
     return out
+
+
+def _step_stop(exc, times, i, y, wanted, out):
+    """The error of step i, whose start state is ``y``, for ``rk4`` to raise.
+
+    A non-finite start state was produced by step i - 1: that step is named
+    instead, and its sample is dropped from ``out``.
+    """
+    if i > 0 and not np.isfinite(y).all():
+        if i in wanted:
+            out.pop()
+        i -= 1
+        error = NonFiniteError
+    else:
+        error = type(exc)
+    what = "rank loss" if error is NearSingularError else "non-finite state"
+    t0 = float(times[i])
+    h = float(times[i + 1] - times[i])
+    return error(f"{what} inside step [{t0}, {t0 + h}]: {exc}",
+                 last_good_time=t0, partial=out)
 
 
 def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
@@ -194,16 +213,22 @@ def _direct_rhs(cfgs):
     """The stacked right-hand side (i/hbar)(K H + B^2 (K*)^-1) of one group.
 
     ``1j/hbar``, ``B^2`` and the floor are per-member arrays; B is sampled
-    per member with the scalar ``FieldProfile.sample``.
+    per member with the scalar ``FieldProfile.sample``.  The H stack and
+    B^2 of the last stage time are kept: an RK4 step has two distinct stage
+    times, the midpoint twice and its end, which the next step starts at.
     """
     sample_h = HamiltonianStack([cfg.hamiltonian for cfg in cfgs])
     fields = [cfg.field for cfg in cfgs]
     i_over_hbar = np.array([1j / cfg.hbar for cfg in cfgs])[:, None, None]
     floors = np.array([cfg.pd_floor for cfg in cfgs])
+    memo = {}
 
     def rhs(t: float, k: np.ndarray) -> np.ndarray:
-        h = sample_h(t)
-        b2 = np.array([b * b for b in [f.sample(t) for f in fields]])[:, None, None]
+        if t not in memo:
+            memo.clear()
+            memo[t] = (sample_h(t), np.array(
+                [b * b for b in [f.sample(t) for f in fields]])[:, None, None])
+        h, b2 = memo[t]
         # The checked (K*)^-1 is also the per-stage full-rank test.
         return i_over_hbar * (k @ h + b2 * adjoint_inverse(k, floors))
 
@@ -212,39 +237,44 @@ def _direct_rhs(cfgs):
 
 def _direct_group_key(cfg: ScenarioConfig) -> tuple:
     h = cfg.hamiltonian
-    return (np.shape(cfg.initial_k), cfg.t_end, cfg.dt, cfg.output_stride,
-            h.kind, h.times)
+    return (np.shape(cfg.initial_k), cfg.t_end, cfg.dt, h.kind, h.times)
 
 
 def _evolve_direct_stack(cfgs) -> list:
     """RK4 on the (S, n, n) stack of one group; one trajectory per member.
 
-    A floor crossing or a non-finite state in any member raises, with
-    ``partial`` the first member's trajectory up to the stop (empty when K0
-    is rejected), as ``evolve_direct_many`` re-runs a stopped group: one
-    member at a time.
+    The run keeps the union of the members' output indices, and each member
+    takes its own plan's samples from it.  A floor crossing or a non-finite
+    state in any member raises, with ``partial`` the first member's
+    trajectory up to the stop (empty when K0 is rejected), as
+    ``evolve_direct_many`` re-runs a stopped group: one member at a time.
     """
-    first = cfgs[0]
-    plan = step_plan(first.t_end, first.dt, first.output_stride)
-    times = plan.output_times
+    plans = [step_plan(cfg.t_end, cfg.dt, cfg.output_stride) for cfg in cfgs]
+    union = sorted(set().union(*(plan.output_indices for plan in plans)))
+    where = {index: j for j, index in enumerate(union)}  # step index -> sample
     try:
         k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
-        samples = rk4(_direct_rhs(cfgs), k0, plan.times, set(plan.output_indices))
+        samples = rk4(_direct_rhs(cfgs), k0, plans[0].times, where)
     except (NearSingularError, NonFiniteError) as exc:
         done = exc.partial or []
-        exc.partial = Trajectory(times[:len(done)], [k[0] for k in done], "direct")
+        plan = plans[0]
+        ks = [done[where[i]][0] for i in plan.output_indices if where[i] < len(done)]
+        exc.partial = Trajectory(plan.output_times[:len(ks)], ks, "direct")
         raise
-    return [Trajectory(times, [k[m] for k in samples], "direct")
-            for m in range(len(cfgs))]
+    return [Trajectory(plan.output_times,
+                       [samples[where[i]][m] for i in plan.output_indices], "direct")
+            for m, plan in enumerate(plans)]
 
 
 def evolve_direct_many(cfgs) -> list:
     """``[evolve_direct(cfg) for cfg in cfgs]``, integrating stacks at once.
 
-    Scenarios that share the shape of K0, (t_end, dt, output_stride), the
-    H profile's kind and its knot times form one group, integrated as one
-    (S, n, n) RK4 run: one stacked (K*)^-1 and matmul per stage instead of S.
-    Every member's trajectory is bit-identical to its own ``evolve_direct``.
+    Scenarios that share the shape of K0, (t_end, dt), the H profile's kind
+    and its knot times form one group, integrated as one (S, n, n) RK4 run:
+    one stacked (K*)^-1 and matmul per stage instead of S.  The states do
+    not depend on which samples are emitted, so members may differ in
+    ``output_stride``.  Every member's trajectory is bit-identical to its
+    own ``evolve_direct``.
     If a member crosses the floor or turns non-finite, its group is re-run
     one member at a time, and the first scenario in list order that stops
     raises its own NearSingularError or NonFiniteError, ``last_good_time``

@@ -5,10 +5,18 @@ SeedSequence children of one root seed), computes a worst-case metric,
 and compares it against the pinned threshold.  The CLI ``verify`` verb
 runs the whole battery; the acceptance tests run the same functions at
 their full pinned scale.
+
+The checks that run the direct route are generators: each yields its
+scenarios and is sent their trajectories.  Called alone, a check makes
+its own ``evolve_direct_many`` call; ``run_battery`` draws every such
+check's scenarios first and integrates them all in one call, where
+scenarios of different checks that share a group key share one stacked
+RK4 run.  Either way each check returns the same results, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +27,7 @@ from .diagnostics import (
     differential_check,
     invariant_report,
 )
-from .fixed_domain import (
+from .fixed_domain import (  # evolve_direct stays importable here for perfbench's tracer
     evolve_direct,
     evolve_direct_many,
     evolve_factorized,
@@ -164,10 +172,40 @@ def convergence_order(errors) -> float:
                for i in range(len(errors) - 1))
 
 
+def _run_direct_checks(checks) -> list:
+    """Drive direct-route checks through one ``evolve_direct_many`` call.
+
+    Each check is a generator that yields its scenarios, is sent their
+    direct trajectories, and returns its results.  Every check draws
+    before the one call; the results come back one list per check.
+    """
+    batches = [next(check) for check in checks]
+    directs = iter(evolve_direct_many([cfg for batch in batches for cfg in batch]))
+    results = []
+    for check, batch in zip(checks, batches):
+        try:
+            check.send([next(directs) for _ in batch])
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+def _direct_check(steps):
+    """A check from its generator ``steps``, which stays reachable for batching."""
+    @functools.wraps(steps)
+    def check(*args, **kwargs) -> list:
+        (results,) = _run_direct_checks([steps(*args, **kwargs)])
+        return results
+
+    check.steps = steps
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
 
+@_direct_check
 def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
     """Conservation of K K* for both solvers plus their final-state distance."""
     (rng,) = _child_rngs(seed, 1)
@@ -176,7 +214,8 @@ def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
     worst_fact = 0.0
     worst_direct = 0.0
     worst_cross = 0.0
-    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
+    directs = yield cfgs
+    for cfg, direct in zip(cfgs, directs):
         fact = evolve_factorized(cfg)
         worst_fact = max(worst_fact,
                          invariant_report(fact, cfg).max_kk_star_drift())
@@ -191,6 +230,7 @@ def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
     ]
 
 
+@_direct_check
 def check_series_agreement(seed: int, scenario_count: int, terms: int = 30) -> list:
     """Constant-coefficient series vs both solvers at t = 0.5."""
     (rng,) = _child_rngs(seed, 1)
@@ -198,7 +238,8 @@ def check_series_agreement(seed: int, scenario_count: int, terms: int = 30) -> l
             for _ in range(scenario_count)]
     worst_fact = 0.0
     worst_direct = 0.0
-    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
+    directs = yield cfgs
+    for cfg, direct in zip(cfgs, directs):
         series = evolve_series(cfg, terms)
         fact = evolve_factorized(cfg)
         for s_k, f_k, d_k in zip(series.ks, fact.ks, direct.ks):
@@ -210,6 +251,7 @@ def check_series_agreement(seed: int, scenario_count: int, terms: int = 30) -> l
     ]
 
 
+@_direct_check
 def check_diagonal_closed_form(seed: int, scenario_count: int) -> list:
     """Closed-form diagonal trajectory vs both solvers on the output grid."""
     from .diagnostics import special_diagonal_solution
@@ -217,7 +259,7 @@ def check_diagonal_closed_form(seed: int, scenario_count: int) -> list:
     (rng,) = _child_rngs(seed, 1)
     draws = [random_diagonal_scenario(rng, int(rng.integers(2, 5)))
              for _ in range(scenario_count)]
-    directs = evolve_direct_many([cfg for cfg, _, _ in draws])
+    directs = yield [cfg for cfg, _, _ in draws]
     worst = 0.0
     for (cfg, r0, phi0), direct in zip(draws, directs):
         h0 = cfg.hamiltonian.sample(0.0)
@@ -230,6 +272,7 @@ def check_diagonal_closed_form(seed: int, scenario_count: int) -> list:
     return [_result("diagonal_closed_form", worst, 1e-8)]
 
 
+@_direct_check
 def check_critical_points(seed: int, draw_count: int = 10) -> list:
     """Construction residual and pure-phase evolution of critical points."""
     (rng,) = _child_rngs(seed, 1)
@@ -254,7 +297,8 @@ def check_critical_points(seed: int, draw_count: int = 10) -> list:
                                    output_stride=1000))
         nus.append(nu)
     worst_phase = 0.0
-    for cfg, nu, direct in zip(cfgs, nus, evolve_direct_many(cfgs)):
+    directs = yield cfgs
+    for cfg, nu, direct in zip(cfgs, nus, directs):
         expected = np.exp(1j * nu * float(direct.times[-1])) * cfg.initial_k
         worst_phase = max(worst_phase, float(np.linalg.norm(direct.ks[-1] - expected)))
     return [
@@ -292,6 +336,7 @@ def check_energy_rate_order(seed: int) -> list:
     return [_result("energy_rate_order", convergence_order(errors), 1.9, ">=")]
 
 
+@_direct_check
 def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
     """trace(K H K*) is an integral of motion when H is constant."""
     (rng,) = _child_rngs(seed, 1)
@@ -304,7 +349,8 @@ def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
             initial_k=random_full_rank(rng, dim, 0.7, 1.5),
             t_end=1.0, dt=1e-3, output_stride=100))
     worst = 0.0
-    for cfg, direct in zip(cfgs, evolve_direct_many(cfgs)):
+    directs = yield cfgs
+    for cfg, direct in zip(cfgs, directs):
         report = invariant_report(direct, cfg)
         worst = max(worst, report.max_trace_khk_drift())
     return [_result("constant_h_trace_invariant", worst, 1e-8)]
@@ -384,13 +430,13 @@ def check_gauge_equivalence(seed: int) -> list:
     return [_result("gauge_equivalence", float(sum(distances)), 1e-8)]
 
 
+@_direct_check
 def check_rk4_order(seed: int) -> list:
     """Direct-solver self-convergence at fourth order (uniqueness regression)."""
     (rng,) = _child_rngs(seed, 1)
     base = random_scenario(rng, 3, t_end=1.0, dt=4e-3, output_stride=10 ** 9)
-    finals = []
-    for dt in (4e-3, 2e-3, 1e-3):
-        finals.append(evolve_direct(replace(base, dt=dt)).ks[-1])
+    directs = yield [replace(base, dt=dt) for dt in (4e-3, 2e-3, 1e-3)]
+    finals = [direct.ks[-1] for direct in directs]
     diffs = [float(np.linalg.norm(finals[i] - finals[i + 1])) for i in range(2)]
     return [_result("rk4_self_convergence_order", convergence_order(diffs), 3.5, ">=")]
 
@@ -398,16 +444,23 @@ def check_rk4_order(seed: int) -> list:
 def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
                 series_count: int = 5, diagonal_count: int = 5,
                 constant_h_count: int = 5) -> list:
-    """Run every check with child seeds derived from one root seed."""
-    results = []
-    results += check_conservation_and_agreement(seed + 1, scenario_count)
-    results += check_series_agreement(seed + 2, series_count)
-    results += check_diagonal_closed_form(seed + 3, diagonal_count)
-    results += check_critical_points(seed + 4)
-    results += check_differential_identity(seed + 5, draw_count)
-    results += check_energy_rate_order(seed + 6)
-    results += check_constant_h_invariant(seed + 7, constant_h_count)
-    results += check_moving_domain(seed + 8)
-    results += check_gauge_equivalence(seed + 9)
-    results += check_rk4_order(seed + 10)
-    return results
+    """Run every check with child seeds derived from one root seed.
+
+    The direct-route checks integrate all of their scenarios in one
+    ``evolve_direct_many`` call; each result equals its own ``check_*``.
+    """
+    conservation, series, diagonal, critical, constant_h, rk4_order = _run_direct_checks([
+        check_conservation_and_agreement.steps(seed + 1, scenario_count),
+        check_series_agreement.steps(seed + 2, series_count),
+        check_diagonal_closed_form.steps(seed + 3, diagonal_count),
+        check_critical_points.steps(seed + 4),
+        check_constant_h_invariant.steps(seed + 7, constant_h_count),
+        check_rk4_order.steps(seed + 10),
+    ])
+    return (conservation + series + diagonal + critical
+            + check_differential_identity(seed + 5, draw_count)
+            + check_energy_rate_order(seed + 6)
+            + constant_h
+            + check_moving_domain(seed + 8)
+            + check_gauge_equivalence(seed + 9)
+            + rk4_order)

@@ -255,6 +255,33 @@ class TestSimulate:
         assert [row.split(",")[0] for row in rows[1:]] == ["0.0"]
         assert "diagnostics_direct.csv" in manifest["outputs"]
 
+    @pytest.mark.parametrize("t_end", [1.0, 0.6])
+    def test_overflow_after_finite_samples_keeps_the_solvers_error(self, tmp_path, capsys,
+                                                                   t_end):
+        # H = 1e14 diag(1, 2): the state at 0.5 is finite and the step
+        # [0.5, 0.6] overflows it, also when it is the last step.  The sample
+        # at 0.4 is finite, but its K K* overflows, so the partial CSVs hold
+        # the samples at 0.0 and 0.2.
+        cfg = dataclasses.replace(
+            overflow_config(), hbar=1.0, output_stride=2, t_end=t_end,
+            hamiltonian=HamiltonianProfile.constant(np.diag([1e14, 2e14]).astype(complex)))
+        config = write_scenario(tmp_path / "s.json", cfg)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
+            code = main(["simulate", "--config", config, "--output", str(out),
+                         "--solver", "direct"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "NonFiniteError"
+        assert "inside step [0.5, 0.6" in manifest["error"]["message"]
+        assert manifest["error"]["last_good_time"] == 0.5
+        assert manifest["status"]["evolution_complete"] == "fail"
+        assert manifest["outputs"] == ["trajectory_direct.csv", "diagnostics_direct.csv"]
+        rows = (out / "trajectory_direct.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "0.2"]
+
 
 class TestCompare:
     def test_three_way_agreement(self, rng, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mesodyn import fixed_domain
 from mesodyn.errors import (
     ConvergenceWarning,
     NearSingularError,
@@ -26,7 +27,7 @@ from mesodyn.fixed_domain import (
     series_unitary,
     unitary_propagator,
 )
-from mesodyn.linalg import unitary_exponential
+from mesodyn.linalg import adjoint_inverse, unitary_exponential
 from mesodyn.scenario import (
     FieldProfile,
     HamiltonianProfile,
@@ -431,6 +432,40 @@ class TestEvolveDirectMany:
         assert len(alone.value.partial.ks) > 1
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
+    def test_mixed_output_strides_share_one_run(self, rng, monkeypatch):
+        # the states do not depend on which samples are emitted: one run
+        # serves every stride, and each member gets its own plan's samples
+        runs = []
+
+        def counting_rk4(rhs, y0, times, wanted):
+            runs.append(len(y0))
+            return rk4(rhs, y0, times, wanted)
+
+        monkeypatch.setattr(fixed_domain, "rk4", counting_rk4)
+        cfgs = [random_scenario(rng, 3, t_end=1.5, dt=1e-2, output_stride=stride)
+                for stride in (1, 7, 100, 10 ** 9)]
+        stacked = evolve_direct_many(cfgs)
+        assert runs == [4]
+        for cfg, trajectory in zip(cfgs, stacked, strict=True):
+            assert_same_trajectory(trajectory, evolve_direct(cfg))
+            assert np.array_equal(trajectory.times, output_times(cfg))
+
+    def test_floor_crossing_member_of_a_mixed_stride_group(self):
+        bad = dataclasses.replace(ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39),
+                                  output_stride=3)
+        stack = [dataclasses.replace(ramp_config(1.0, np.diag([1.2, 0.9])), output_stride=1),
+                 bad, dataclasses.replace(ramp_config(0.5, np.diag([0.8, 1.1])),
+                                          output_stride=10 ** 9)]
+        with pytest.raises(NearSingularError) as alone:
+            evolve_direct(bad)
+        with pytest.raises(NearSingularError) as stacked:
+            evolve_direct_many(stack)
+        assert stacked.value.last_good_time == alone.value.last_good_time
+        assert len(alone.value.partial.ks) > 1
+        assert np.array_equal(alone.value.partial.times,
+                              output_times(bad)[:len(alone.value.partial.ks)])
+        assert_same_trajectory(stacked.value.partial, alone.value.partial)
+
     def test_first_crossing_scenario_in_list_order_raises(self):
         # In the stack the second member crosses first in time; the first
         # in list order still raises its own error.
@@ -442,6 +477,41 @@ class TestEvolveDirectMany:
             evolve_direct_many([late, early])
         assert stacked.value.last_good_time == alone.value.last_good_time
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
+
+
+def reference_direct(cfg):
+    """RK4 on one scenario that samples H and B afresh at all four stages."""
+    def rhs(t, k):
+        b = cfg.field.sample(t)
+        return (1j / cfg.hbar) * (k @ cfg.hamiltonian.sample(t)
+                                  + (b * b) * adjoint_inverse(k, cfg.pd_floor))
+
+    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    k = np.array(cfg.initial_k, dtype=np.complex128)
+    ks = [k]
+    for i in range(len(plan.times) - 1):
+        t0 = float(plan.times[i])
+        h = float(plan.times[i + 1] - plan.times[i])
+        tm = t0 + 0.5 * h
+        s1 = rhs(t0, k)
+        s2 = rhs(tm, k + (0.5 * h) * s1)
+        s3 = rhs(tm, k + (0.5 * h) * s2)
+        s4 = rhs(t0 + h, k + h * s3)
+        k = k + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        ks.append(k)
+    return [ks[i] for i in plan.output_indices]
+
+
+class TestStageCoefficients:
+    def test_direct_route_equals_fresh_stage_samples(self, rng):
+        # evolve_direct keeps each stage time's H and B^2 for the next stage
+        # at that time; a reference that samples them at every stage must
+        # give the same bits
+        cfg = dataclasses.replace(random_scenario(rng, 3, t_end=0.7, dt=7e-3,
+                                                  output_stride=9), hbar=0.83)
+        trajectory = evolve_direct(cfg)
+        for k, expected in zip(trajectory.ks, reference_direct(cfg), strict=True):
+            assert np.array_equal(k, expected)
 
 
 def overflow_config(h_scale=1e150, hbar=1e-3):
@@ -514,6 +584,29 @@ class TestRk4:
         assert len(partial) == 3
         for t, y in zip(times[[0, 2, 4]], partial):
             assert abs(y[0, 0] - np.exp(-t)) <= 1e-6
+
+    def test_non_finite_start_state_blames_the_previous_step(self):
+        # the step [0.4, 0.5] returns NaN; the next step's rhs meets it
+        def rhs(t, y):
+            if np.isnan(y).any():
+                raise NonFiniteError("matrix contains NaN or Inf entries")
+            return np.full_like(y, np.nan) if t > 0.45 else -y
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NonFiniteError, match=r"inside step \[0.4, 0.5\]") as excinfo:
+            rk4(rhs, np.eye(2), times, set(range(0, 11)))
+        assert excinfo.value.last_good_time == times[4]
+        assert len(excinfo.value.partial) == 5  # times[0..4]; the NaN at times[5] is dropped
+
+    def test_non_finite_final_state_is_an_error(self):
+        def rhs(t, y):
+            return np.full_like(y, np.inf) if t > 0.95 else -y
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NonFiniteError, match=r"inside step \[0.9, 1.0\]") as excinfo:
+            rk4(rhs, np.eye(2), times, {0, 9, 10})
+        assert excinfo.value.last_good_time == times[9]
+        assert len(excinfo.value.partial) == 2  # times[0] and times[9]
 
 
 class TestEvolveSeries:
