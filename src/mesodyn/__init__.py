@@ -34,7 +34,6 @@ from .errors import (
     ZeroImageError,
 )
 from .fixed_domain import (
-    FactorizedCache,
     Trajectory,
     evolve_direct,
     evolve_direct_many,

@@ -148,7 +148,8 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     if not ks:
         raise InsufficientSamplesError("empty trajectory")
     rates = len(ks) >= 2  # a time derivative needs two samples
-    radial_inv = polar_init(ks[0], cfg.pd_floor).radial_inv
+    u, s, _ = polar_init(ks[0], cfg.pd_floor)
+    radial_inv = hermitian_part((u / s) @ u.conj().T)
     h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
     b_samples = np.array([cfg.field.sample(float(t)) for t in times])
     if rates:

@@ -4,8 +4,12 @@ Three independent routes to the same trajectory:
 
 * ``evolve_factorized`` — the structure-preserving closed form
   K(t) = sqrt(K0 K0*) . exp((i/hbar) Int B^2 (K0 K0*)^-1 dt') . W(t),
-  with the unitary W solving i*hbar*dW/dt = -W H(t).  The radial part is
-  exact by construction, so this solver cannot hit the singularity.
+  with the unitary W solving i*hbar*dW/dt = -W H(t), run in K0's own
+  singular basis: with K0 = U diag(s) V*, phi(t) = Int_0^t B^2 and M(t)
+  the H-propagator from the identity,
+  K(t) = U . diag(s v(t)) . V* M(t),  v_j(t) = exp(i phi(t) / (hbar s_j^2)).
+  K K* = U diag(s^2) U* holds by construction, so this solver cannot hit
+  the singularity, and for constant H so does trace(K H K*).
 * ``evolve_direct`` — classical fixed-step RK4 on the equation itself,
   re-checking the full-rank invariant at every stage;
   ``evolve_direct_many`` runs scenarios that share a shape and a time grid
@@ -62,34 +66,14 @@ class Trajectory:
     solver_tag: str
 
 
-@dataclass(frozen=True)
-class FactorizedCache:
-    """The polar split of K0, all four factors from one SVD K0 = U S V*.
+def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR):
+    """The SVD (U, s, V*) of K0 = U diag(s) V* behind the polar split.
 
-    radial      = sqrt(K0 K0*) = U S U*, fixed for the whole evolution
-    radial_inv  = radial^-1 = U S^-1 U*
-    u0          = radial^-1 K0 = U V*, the initial unitary factor
-    h_b_base    = (K0 K0*)^-1 = U S^-2 U*, so the magnetic generator is
-                  B(t)^2 * h_b_base
+    Every factor follows from it: sqrt(K0 K0*) = U diag(s) U*, the
+    unitary factor U V* and (K0 K0*)^-1 = U diag(s^-2) U*.  Its
+    singular-value floor raises NearSingularError at ``pd_floor``.
     """
-
-    radial: np.ndarray
-    radial_inv: np.ndarray
-    u0: np.ndarray
-    h_b_base: np.ndarray
-
-
-def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR) -> FactorizedCache:
-    """Split K0 = radial . u0 and cache radial^-1 and (K0 K0*)^-1.
-
-    One SVD K0 = U S V* gives every factor (the Hermitian ones symmetrized);
-    its singular-value floor raises NearSingularError at ``pd_floor``.
-    """
-    u, s, vh = full_rank_svd(require_square(k0), pd_floor)
-    uh = u.conj().T
-    return FactorizedCache(radial=hermitian_part((u * s) @ uh),
-                           radial_inv=hermitian_part((u / s) @ uh), u0=u @ vh,
-                           h_b_base=hermitian_part((u / (s * s)) @ uh))
+    return full_rank_svd(require_square(k0), pd_floor)
 
 
 def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
@@ -177,13 +161,17 @@ def _step_stop(exc, times, i, y, wanted, out):
                  last_good_time=t0, partial=out)
 
 
-def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
-    """[exp((i/hbar) Int_0^t B^2 dt' h_b_base) for t in times], ``times`` increasing.
+def magnetic_factor(s: np.ndarray, field, hbar: float, times) -> list:
+    """[exp((i/hbar) Int_0^t B^2 dt' / s^2) for t in times], ``times`` increasing.
 
-    The accumulated integral reuses each previous interval, one quadrature
-    per requested time; one eigendecomposition of h_b_base serves them all.
+    The eigenvalues of the magnetic factor V(t) = U diag(v) U*, whose
+    generator B^2 (K0 K0*)^-1 = B^2 U diag(s^-2) U* is diagonal in K0's
+    left singular basis: one phase vector per requested time, no
+    eigendecomposition.  The accumulated integral reuses each previous
+    interval, one quadrature per requested time.
     """
-    scales = []
+    s2 = s * s
+    out = []
     acc = 0.0
     prev_t = 0.0
     for t in times:
@@ -191,21 +179,22 @@ def magnetic_factor(h_b_base: np.ndarray, field, hbar: float, times) -> list:
         if t > prev_t:
             acc += integrate_b_squared(field, prev_t, t)
             prev_t = t
-        scales.append(acc / hbar)
-    return unitary_exponentials(h_b_base, scales)
+        out.append(np.exp(1j * (acc / hbar) / s2))
+    return out
 
 
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
-    """Closed-form trajectory K(t) = radial . V(t) . W(t), W(0) = u0.
+    """Closed-form trajectory K(t) = U diag(s v(t)) W(t), W(0) = V*.
 
-    W solves i*hbar*dW/dt = -W H(t); V is the magnetic factor.
+    With K0 = U diag(s) V*, W solves i*hbar*dW/dt = -W H(t) and v(t) is the
+    magnetic phase vector: one matmul per sample.
     """
-    cache = polar_init(cfg.initial_k, cfg.pd_floor)
+    u, s, vh = polar_init(cfg.initial_k, cfg.pd_floor)
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    ws = unitary_propagator(cache.u0, cfg.hamiltonian.generator(), plan.times,
+    ws = unitary_propagator(vh, cfg.hamiltonian.generator(), plan.times,
                             set(plan.output_indices), 1.0, cfg.hbar)
-    vs = magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
-    return Trajectory(plan.output_times, [cache.radial @ v @ w for w, v in zip(ws, vs)],
+    vs = magnetic_factor(s, cfg.field, cfg.hbar, plan.output_times)
+    return Trajectory(plan.output_times, [(u * (s * v)) @ w for w, v in zip(ws, vs)],
                       "factorized")
 
 
@@ -346,16 +335,18 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
     """Power-series trajectory K(t) = radial . U(t) for constant H and B.
 
     ``terms`` counts the series terms kept (k = 0 .. terms-1).  A
-    first-omitted-term estimate above 1e-10 * ||U|| raises
-    TruncationDominatesError.
+    first-omitted-term estimate above 1e-10 * ||U||, or either of them not
+    finite (an overflowed series), raises TruncationDominatesError.
     """
     if not (cfg.hamiltonian.is_constant() and cfg.field.kind == "constant"):
         raise RequiresConstantCoefficientsError(
             "the series solver needs constant hamiltonian and field profiles")
-    cache = polar_init(cfg.initial_k, cfg.pd_floor)
+    u, s, vh = polar_init(cfg.initial_k, cfg.pd_floor)
+    uh = u.conj().T
+    radial, u0 = hermitian_part((u * s) @ uh), u @ vh
     h = cfg.hamiltonian.sample(0.0)
     b = cfg.field.value
-    h_b = (b * b) * cache.h_b_base
+    h_b = (b * b) * hermitian_part((u / (s * s)) @ uh)
     radius = float(np.linalg.norm(h + h_b)) * cfg.t_end / cfg.hbar
     if radius > SERIES_RADIUS_LIMIT:
         warnings.warn(
@@ -364,10 +355,13 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
     ks = []
     for t in plan.output_times.tolist():
-        u, estimate = series_unitary(cache.u0, h, h_b, t, cfg.hbar, terms)
-        if estimate > SERIES_TRUNCATION_RTOL * float(np.linalg.norm(u)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            unitary, estimate = series_unitary(u0, h, h_b, t, cfg.hbar, terms)
+            norm = float(np.linalg.norm(unitary))
+        # not (a <= b) also catches a NaN estimate
+        if not (np.isfinite(norm) and estimate <= SERIES_TRUNCATION_RTOL * norm):
             raise TruncationDominatesError(
-                f"first omitted term ({estimate:.3e}) dominates at t={t}; "
-                f"increase terms")
-        ks.append(cache.radial @ u)
+                f"first omitted term ({estimate:.3e}) dominates ||U|| ({norm:.3e}) "
+                f"at t={t}; increase terms, or use another solver if either overflowed")
+        ks.append(radial @ unitary)
     return Trajectory(plan.output_times, ks, "series")

@@ -16,9 +16,12 @@ coefficient matrix driven purely by the magnetic term:
 
     A'(t) = sqrt(A0 A0*) . exp((i/hbar) Int B^2 (A0 A0*)^-1 dt') . polar_unitary(A0)
 
-This is the factorized fixed-domain solution with H = 0.  The trailing
-polar-unitary factor preserves A'(0) = A0 for arbitrary full-rank A0; the
-``literal`` flag drops it, which is only correct for positive-definite A0.
+This is the factorized fixed-domain solution with H = 0, formed as that is
+in A0's singular basis: with A0 = U diag(s) V* and the magnetic phases
+v_j(t) = exp(i Int B^2 dt' / (hbar s_j^2)), A'(t) = U . diag(s v(t)) . V*.
+The trailing polar-unitary factor U V* preserves A'(0) = A0 for arbitrary
+full-rank A0; the ``literal`` flag drops it, giving U . diag(s v(t)) . U*,
+which is only correct for positive-definite A0.
 """
 
 from __future__ import annotations
@@ -113,12 +116,9 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     unitary of a0 is dropped (the printed closed form), which changes the
     initial value unless a0 is positive definite.
     """
-    cache = polar_init(a0, pd_floor)
-    out = []
-    for v in magnetic_factor(cache.h_b_base, field, hbar, times):
-        a_t = cache.radial @ v
-        out.append(a_t if literal else a_t @ cache.u0)
-    return out
+    u, s, vh = polar_init(a0, pd_floor)
+    right = u.conj().T if literal else vh
+    return [(u * (s * v)) @ right for v in magnetic_factor(s, field, hbar, times)]
 
 
 def _image_and_coefficients(space: AmbientSpace, phi0, a0):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mesodyn import fixed_domain
+from mesodyn.diagnostics import invariant_report
 from mesodyn.errors import (
     ConvergenceWarning,
     NearSingularError,
@@ -27,7 +29,7 @@ from mesodyn.fixed_domain import (
     series_unitary,
     unitary_propagator,
 )
-from mesodyn.linalg import adjoint_inverse, unitary_exponential
+from mesodyn.linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from mesodyn.scenario import (
     FieldProfile,
     HamiltonianProfile,
@@ -42,6 +44,7 @@ from mesodyn.verification import (
     random_hermitian,
     random_scenario,
     random_sinusoid,
+    random_unitary,
 )
 
 
@@ -67,66 +70,94 @@ def samples(trajectory):
     return zip(trajectory.times, trajectory.ks, strict=True)
 
 
-def evolve_w(cache, cfg):
-    """W(t) from W(0) = u0 on the scenario's output grid, as evolve_factorized has it."""
+def polar_factors(k0):
+    """(radial, u0, (K0 K0*)^-1) built from polar_init's SVD as evolve_series does."""
+    u, s, vh = polar_init(k0)
+    uh = u.conj().T
+    return (hermitian_part((u * s) @ uh), u @ vh,
+            hermitian_part((u / (s * s)) @ uh))
+
+
+def evolve_w(w0, cfg):
+    """W(t) from W(0) = w0 on the scenario's output grid, as evolve_factorized has it."""
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    return unitary_propagator(cache.u0, cfg.hamiltonian.generator(), plan.times,
+    return unitary_propagator(w0, cfg.hamiltonian.generator(), plan.times,
                               set(plan.output_indices), 1.0, cfg.hbar)
 
 
-def evolve_v(cache, cfg):
-    """The magnetic factor V(t) on the scenario's output grid."""
+def evolve_v(k0, cfg):
+    """The magnetic factor V(t) = U diag(v(t)) U* on the scenario's output grid."""
+    u, s, _ = polar_init(k0)
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    return magnetic_factor(cache.h_b_base, cfg.field, cfg.hbar, plan.output_times)
+    return [(u * v) @ u.conj().T
+            for v in magnetic_factor(s, cfg.field, cfg.hbar, plan.output_times)]
 
 
-def assert_polar_split(cache, k0, rtol):
-    """The SVD-built factors agree with K0 and with each other."""
+def assert_polar_split(k0, rtol):
+    """polar_init's SVD and the factors built from it agree with K0."""
     dim = k0.shape[0]
     eye = np.eye(dim)
-    assert frob(cache.radial @ cache.u0 - k0) <= rtol * frob(k0)
-    assert frob(cache.u0.conj().T @ cache.u0 - eye) <= 1e-12 * np.sqrt(dim)
-    assert frob(cache.radial_inv @ cache.radial - eye) <= rtol * np.sqrt(dim)
+    u, s, vh = polar_init(k0)
+    assert frob((u * s) @ vh - k0) <= rtol * frob(k0)
+    assert frob(u.conj().T @ u - eye) <= 1e-12 * np.sqrt(dim)
+    assert frob(vh @ vh.conj().T - eye) <= 1e-12 * np.sqrt(dim)
+    radial, u0, h_b_base = polar_factors(k0)
+    assert frob(radial @ u0 - k0) <= rtol * frob(k0)
+    assert frob(u0.conj().T @ u0 - eye) <= 1e-12 * np.sqrt(dim)
+    radial_inv = (u / s) @ u.conj().T
+    assert frob(radial_inv @ radial - eye) <= rtol * np.sqrt(dim)
     gram = k0 @ k0.conj().T
-    assert frob(cache.h_b_base @ gram - eye) <= rtol * np.sqrt(dim)
+    assert frob(h_b_base @ gram - eye) <= rtol * np.sqrt(dim)
     # radial is positive definite with K0's singular values as eigenvalues
-    w = np.linalg.eigvalsh(cache.radial)
-    s = np.linalg.svd(k0, compute_uv=False)[::-1]
+    w = np.linalg.eigvalsh(radial)
+    expected = np.linalg.svd(k0, compute_uv=False)[::-1]
     assert np.all(w > 0)
-    assert np.max(np.abs(w - s)) <= rtol * s[-1]
+    assert np.max(np.abs(w - expected)) <= rtol * expected[-1]
+    assert np.max(np.abs(s[::-1] - expected)) <= rtol * expected[-1]
 
 
 class TestPolarInit:
-    """The polar split K0 = radial . u0 that polar_init caches."""
+    """The SVD K0 = U diag(s) V* that polar_init returns, and the polar split from it."""
 
     def test_positive_diagonal(self):
-        cache = polar_init(np.diag([2.0, 3.0]).astype(complex))
-        assert np.allclose(cache.radial, np.diag([2.0, 3.0]))
-        assert np.allclose(cache.u0, np.eye(2))
-        assert np.allclose(cache.h_b_base, np.diag([0.25, 1.0 / 9.0]))
+        k0 = np.diag([2.0, 3.0]).astype(complex)
+        _, s, _ = polar_init(k0)
+        radial, u0, h_b_base = polar_factors(k0)
+        assert np.allclose(s, [3.0, 2.0])
+        assert np.allclose(radial, np.diag([2.0, 3.0]))
+        assert np.allclose(u0, np.eye(2))
+        assert np.allclose(h_b_base, np.diag([0.25, 1.0 / 9.0]))
 
     def test_scalar_phase(self):
-        cache = polar_init(np.array([[1j]]))
-        assert np.allclose(cache.radial, [[1.0]])
-        assert np.allclose(cache.u0, [[1j]])
-        assert np.allclose(cache.h_b_base, [[1.0]])
+        _, s, _ = polar_init(np.array([[1j]]))
+        radial, u0, h_b_base = polar_factors(np.array([[1j]]))
+        assert np.allclose(s, [1.0])
+        assert np.allclose(radial, [[1.0]])
+        assert np.allclose(u0, [[1j]])
+        assert np.allclose(h_b_base, [[1.0]])
 
     def test_reconstruction(self, rng):
         k0 = random_full_rank(rng, 4, 0.5, 2.0)
-        cache = polar_init(k0)
-        assert frob(cache.radial @ cache.radial - k0 @ k0.conj().T) <= 1e-11
-        assert_polar_split(cache, k0, 1e-12)
+        radial, _, _ = polar_factors(k0)
+        assert frob(radial @ radial - k0 @ k0.conj().T) <= 1e-11
+        assert_polar_split(k0, 1e-12)
 
     def test_ill_conditioned_hilbert_like(self):
         n = 6
         hilbert = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
         try:
-            cache = polar_init(hilbert)
+            u, s, vh = polar_init(hilbert)
         except NearSingularError:
             return  # also acceptable per the contract
         cond = np.linalg.cond(hilbert)
-        assert frob(cache.radial_inv @ cache.radial - np.eye(n)) <= 1e-14 * cond
-        assert frob(cache.h_b_base @ hilbert @ hilbert - np.eye(n)) <= 1e-14 * cond ** 2
+        eye = np.eye(n)
+        assert frob((u * s) @ vh - hilbert) <= 1e-14 * cond
+        assert frob(u.conj().T @ u - eye) <= 1e-12 * np.sqrt(n)
+        assert frob(vh @ vh.conj().T - eye) <= 1e-12 * np.sqrt(n)
+        radial, _, h_b_base = polar_factors(hilbert)
+        radial_inv = (u / s) @ u.conj().T
+        assert frob(radial_inv @ radial - eye) <= 1e-14 * cond
+        assert frob(h_b_base @ hilbert @ hilbert - eye) <= 1e-14 * cond ** 2
 
     def test_near_singular(self):
         with pytest.raises(NearSingularError):
@@ -148,23 +179,22 @@ _unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
 def test_polar_split_property(m):
     # ||m||_2 <= ||m||_F <= 3, so shifting by 4I keeps every singular value >= 1
     k0 = m + 4.0 * np.eye(3)
-    assert_polar_split(polar_init(k0), k0, 1e-13)
+    assert_polar_split(k0, 1e-13)
 
 
 class TestEvolveW:
     def test_constant_diagonal_phases(self):
         cfg = constant_config(np.diag([1.0, 2.0]), 0.0, np.eye(2), stride=500)
-        cache = polar_init(cfg.initial_k)
-        for t, w in zip(output_times(cfg), evolve_w(cache, cfg)):
+        for t, w in zip(output_times(cfg), evolve_w(np.eye(2), cfg)):
             expected = np.diag(np.exp(1j * np.array([1.0, 2.0]) * t))
             assert frob(w - expected) <= 1e-12
 
     def test_zero_hamiltonian_freezes(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.zeros((3, 3)), 1.0, k0, stride=250)
-        cache = polar_init(k0)
-        for w in evolve_w(cache, cfg):
-            assert frob(w - cache.u0) <= 1e-12
+        _, _, vh = polar_init(k0)
+        for w in evolve_w(vh, cfg):
+            assert frob(w - vh) <= 1e-12
 
     def test_self_convergence_second_order(self, rng):
         # time-dependent H: halving dt cuts the error about 4x
@@ -178,7 +208,7 @@ class TestEvolveW:
                                  field=FieldProfile.constant(0.0),
                                  initial_k=k0, t_end=1.0, dt=dt,
                                  output_stride=10 ** 9)
-            return evolve_w(polar_init(k0), cfg)[-1]
+            return evolve_w(polar_init(k0)[2], cfg)[-1]
 
         reference = final_w(1.25e-4)
         e_coarse = frob(final_w(2e-3) - reference)
@@ -187,8 +217,7 @@ class TestEvolveW:
 
     def test_unitary_along_the_way(self, rng):
         cfg = random_scenario(rng, 4, dt=2e-3, output_stride=50)
-        cache = polar_init(cfg.initial_k)
-        for w in evolve_w(cache, cfg):
+        for w in evolve_w(polar_init(cfg.initial_k)[2], cfg):
             assert frob(w.conj().T @ w - np.eye(4)) <= 1e-12
 
 
@@ -199,7 +228,7 @@ class TestUnitaryPropagator:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_matrix_and_sampler_agree(self, rng, left, sign):
         h = random_hermitian(rng, 3, 0.5, 2.0)
-        u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4)).u0
+        _, _, u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4))
         # 100 steps: the product's roundoff grows with the step count
         plan = step_plan(1.0, 1e-2, 10)
         wanted = set(plan.output_indices)
@@ -216,7 +245,7 @@ class TestSharedEigendecomposition:
 
     def test_propagator_equals_per_time_exponentials(self, rng):
         h = random_hermitian(rng, 4, 0.5, 2.0)
-        u0 = polar_init(random_full_rank(rng, 4, 0.7, 1.4)).u0
+        _, _, u0 = polar_init(random_full_rank(rng, 4, 0.7, 1.4))
         plan = step_plan(1.0, 1e-2, 7)
         times = plan.output_times
         for sign in (1.0, -1.0):
@@ -227,24 +256,28 @@ class TestSharedEigendecomposition:
                 assert np.array_equal(u, u0 @ unitary_exponential(h, sign * t / 0.7))
 
     def test_magnetic_factor_equals_per_time_exponentials(self, rng):
-        base = random_hermitian(rng, 3, 0.5, 2.0)
+        # U diag(v) U* is the exponential of the generator U diag(s^-2) U*
+        u, s, _ = polar_init(random_full_rank(rng, 3, 0.5, 1.5))
+        base = hermitian_part((u / (s * s)) @ u.conj().T)
         field = FieldProfile.sinusoid(0.9, 1.3, 0.4, 0.2)
         times = [0.0, 0.0, 0.25, 0.5, 0.5, 1.0]
-        out = magnetic_factor(base, field, 1.3, times)
+        out = magnetic_factor(s, field, 1.3, times)
         assert len(out) == len(times)
         acc, prev = 0.0, 0.0
         for v, t in zip(out, times):
             if t > prev:
                 acc += integrate_b_squared(field, prev, t)
                 prev = t
-            assert np.array_equal(v, unitary_exponential(base, acc / 1.3))
+            assert v.shape == s.shape
+            expected = unitary_exponential(base, acc / 1.3)
+            assert frob((u * v) @ u.conj().T - expected) <= 1e-12
 
 
 class TestEvolveV:
     def test_zero_field_identity(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
         cfg = constant_config(np.eye(3), 0.0, k0, stride=200)
-        for v in evolve_v(polar_init(k0), cfg):
+        for v in evolve_v(k0, cfg):
             assert frob(v - np.eye(3)) <= 1e-13
 
     def test_diagonal_phases_at_pi(self):
@@ -252,7 +285,7 @@ class TestEvolveV:
         k0 = np.diag([1.0, 2.0]).astype(complex)
         cfg = constant_config(np.eye(2), 1.0, k0, t_end=np.pi, dt=np.pi / 100,
                               stride=10 ** 9)
-        t, v = output_times(cfg)[-1], evolve_v(polar_init(k0), cfg)[-1]
+        t, v = output_times(cfg)[-1], evolve_v(k0, cfg)[-1]
         assert t == pytest.approx(np.pi)
         expected = np.diag([np.exp(1j * np.pi), np.exp(1j * np.pi / 4)])
         assert frob(v - expected) <= 1e-12
@@ -265,14 +298,14 @@ class TestEvolveV:
             field=FieldProfile.sinusoid(1.0, 1.0 / (2 * np.pi)),
             initial_k=np.eye(1, dtype=complex),
             t_end=np.pi, dt=np.pi / 100, output_stride=10 ** 9)
-        v = evolve_v(polar_init(cfg.initial_k), cfg)[-1]
+        v = evolve_v(cfg.initial_k, cfg)[-1]
         assert abs(v[0, 0] - 1j) <= 1e-10
 
     def test_commutes_with_generator(self, rng):
         cfg = random_scenario(rng, 3, dt=2e-3, output_stride=100)
-        cache = polar_init(cfg.initial_k)
-        for v in evolve_v(cache, cfg):
-            comm = v @ cache.h_b_base - cache.h_b_base @ v
+        _, _, h_b_base = polar_factors(cfg.initial_k)
+        for v in evolve_v(cfg.initial_k, cfg):
+            comm = v @ h_b_base - h_b_base @ v
             assert frob(comm) <= 1e-12
 
 
@@ -317,6 +350,22 @@ class TestEvolveFactorized:
         fact = evolve_factorized(cfg).ks[-1]
         direct = evolve_direct(cfg).ks[-1]
         assert frob(fact - direct) <= 1e-7
+
+    @pytest.mark.parametrize("cond", [1e3, 1e4, 1e5, 1e6])
+    def test_ill_conditioned_invariants_hold_to_roundoff(self, rng, cond):
+        # K(t) = U diag(s v(t)) V* M(t) keeps K K* and, for constant H,
+        # trace(K H K*) by construction, however wide the spread of s
+        for _ in range(5):
+            s = np.geomspace(1.0, 1.0 / cond, 4)
+            k0 = (random_unitary(rng, 4) * s) @ random_unitary(rng, 4).conj().T
+            cfg = ScenarioConfig(
+                hbar=1.0,
+                hamiltonian=HamiltonianProfile.constant(random_hermitian(rng, 4, 0.5, 2.0)),
+                field=random_sinusoid(rng), initial_k=k0, t_end=1.0, dt=1e-2,
+                output_stride=10)
+            report = invariant_report(evolve_factorized(cfg), cfg)
+            assert report.max_trace_khk_drift() <= 1e-12
+            assert report.max_kk_star_drift() <= 1e-12
 
 
 class TestEvolveDirect:
@@ -617,25 +666,23 @@ class TestEvolveSeries:
 
     def test_zero_time_returns_initial_unitary(self, rng):
         k0 = random_full_rank(rng, 3, 0.7, 1.4)
-        cache = polar_init(k0)
+        _, u0, h_b = polar_factors(k0)
         h = random_hermitian(rng, 3, 0.5, 2.0)
-        h_b = polar_init(k0).h_b_base
         for terms in (1, 2, 7):
-            u, estimate = series_unitary(cache.u0, h, h_b, 0.0, 1.0, terms)
-            assert np.array_equal(u, cache.u0)
+            u, estimate = series_unitary(u0, h, h_b, 0.0, 1.0, terms)
+            assert np.array_equal(u, u0)
             assert estimate == 0.0
 
     def test_two_terms_is_first_order_accurate(self, rng):
         h = random_hermitian(rng, 2, 0.5, 2.0)
         b = 0.8
         k0 = random_full_rank(rng, 2, 0.8, 1.3)
-        cache = polar_init(k0)
+        radial, u0, h_b_base = polar_factors(k0)
 
         def truncation_error(dt):
             cfg = constant_config(h, b, k0, t_end=dt, dt=dt / 2, stride=10 ** 9)
-            u, _ = series_unitary(cache.u0, h, (b * b) * cache.h_b_base, dt,
-                                  1.0, terms=2)
-            series = cache.radial @ u
+            u, _ = series_unitary(u0, h, (b * b) * h_b_base, dt, 1.0, terms=2)
+            series = radial @ u
             exact = evolve_factorized(cfg).ks[-1]
             return frob(series - exact)
 
@@ -657,6 +704,17 @@ class TestEvolveSeries:
                               t_end=0.5, dt=1e-2, stride=10)
         with pytest.raises(TruncationDominatesError):
             evolve_series(cfg, terms=2)
+
+    def test_overflowed_series_raises(self):
+        # |u| reaches 1e182 at t = 0.05: its norm and the estimate overflow
+        cfg = constant_config([[0.35689222]], 1.0036723106227856,
+                              [[0.00085388 + 0.00068901j]], t_end=0.2, dt=1e-2,
+                              stride=5, hbar=0.0018165821532520128)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TruncationDominatesError):
+                evolve_series(cfg, terms=30)
+        assert [w.category for w in caught] == [ConvergenceWarning]
 
     def test_radius_warning(self, rng):
         h = random_hermitian(rng, 2, 4.0, 6.0)

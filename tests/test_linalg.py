@@ -355,8 +355,10 @@ def test_pairing_antisymmetry_property(l, n):
 def test_polar_reconstruction_property(m):
     # shifting by 3I keeps every singular value >= 3 - ||m||_F > 0
     k = m + 3.0 * np.eye(2)
-    factors = polar_init(k)
-    assert frob(factors.radial @ factors.u0 - k) <= 1e-12 * frob(k)
+    u, s, vh = polar_init(k)
+    assert frob((u * s) @ vh - k) <= 1e-12 * frob(k)
+    # the polar split K = R U built from it: R = U S U*, U = U V*
+    assert frob(((u * s) @ u.conj().T) @ (u @ vh) - k) <= 1e-12 * frob(k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
