@@ -55,7 +55,6 @@ from .linalg import (
 from .moving_domain import (
     AmbientSpace,
     coefficient_matrix_evolution,
-    evolve_frame_schrodinger,
     gauge_equivalence_check,
     gauge_propagators,
     moving_solution,

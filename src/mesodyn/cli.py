@@ -76,26 +76,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mesodyn", description=__doc__)
     sub = parser.add_subparsers(dest="verb")
 
-    def add(verb: str, needs_config: bool) -> argparse.ArgumentParser:
+    def add(verb: str) -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=needs_config, default=None)
+        p.add_argument("--config", required=True)
         p.add_argument("--output", default="mesodyn_out")
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--t-end", dest="t_end", type=float, default=None)
         p.add_argument("--hbar", type=float, default=None)
         return p
 
-    sim = add("simulate", True)
+    sim = add("simulate")
     sim.add_argument("--solver", choices=("direct", "factorized", "series"),
                      default="factorized")
     sim.add_argument("--terms", type=int, default=30)
-    cmp_p = add("compare", True)
+    cmp_p = add("compare")
     cmp_p.add_argument("--terms", type=int, default=30)
-    add("critical", True)
-    mov = add("moving", True)
+    add("critical")
+    mov = add("moving")
     mov.add_argument("--literal-atime", dest="literal_atime", action="store_true")
-    add("flux", True)
-    ver = add("verify", False)
+    add("flux")
+    ver = sub.add_parser("verify")  # the seeded battery reads no config
+    ver.add_argument("--output", default="mesodyn_out")
     ver.add_argument("--seed", type=int, default=42)
     return parser
 
@@ -113,7 +114,7 @@ def parse_command(argv) -> Command:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             overrides[key] = value
-    return Command(verb=args.verb, config_path=args.config,
+    return Command(verb=args.verb, config_path=getattr(args, "config", None),
                    output_dir=args.output, overrides=overrides)
 
 

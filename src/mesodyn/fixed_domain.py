@@ -20,10 +20,11 @@ Three independent routes to the same trajectory:
 Each returns a ``Trajectory``.  Fixed steps keep trajectories
 bit-reproducible; convergence studies (dt, dt/2) replace adaptivity.  The
 two propagation schemes live here once and also drive the moving-domain
-frame, gauge and coefficient evolutions: ``unitary_propagator`` (the
-exact exponential for a constant generator, the midpoint-exponential
-product for a time-dependent one) and classical RK4 (``rk4``).  Both
-return only their matrices, one per wanted time.
+and gauge evolutions: classical RK4 (``rk4``) and ``unitary_propagator``
+for i*hbar*dU/dt = -U G, factors from the right (exact for a constant G,
+midpoint-exponential products for a time-dependent one).  Both return
+only their matrices, one per wanted time; ``factorized_samples``
+assembles U diag(s v(t)) W(t) for both domains.
 """
 
 from __future__ import annotations
@@ -76,31 +77,28 @@ def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR):
     return full_rank_svd(require_square(k0), pd_floor)
 
 
-def unitary_propagator(u0: np.ndarray, generator, times, wanted, sign: float,
-                       hbar: float, left: bool = False) -> list:
-    """Time-ordered U(t) = u0 . exp(i sign Int G dt' / hbar), one per wanted time.
+def unitary_propagator(u0: np.ndarray, generator, times, wanted, hbar: float) -> list:
+    """Time-ordered U(t) = u0 . exp(i Int G dt' / hbar), one per wanted time.
 
-    ``times`` is the step grid, ``wanted`` the indices returned.  The
-    generator picks the method.  A Hermitian matrix G is exact: one
-    eigendecomposition gives exp(i sign G t / hbar) at every wanted time.
-    A sampler ``t -> G(t)`` takes the midpoint-exponential product, step by
-    step exp(i sign dt G(t + dt/2) / hbar): second order, exactly unitary.
-    Its samples must be exactly Hermitian, as the profiles' and gauges'
-    symmetrized samples are; they are eigendecomposed without a re-check.
-    Factors multiply u0 from the right, or the left with ``left``.  ``sign``
-    and ``hbar`` stay separate so the exponent rounds as dt / hbar does.
+    U solves i*hbar*dU/dt = -U G with U(0) = u0; ``times`` is the step
+    grid, ``wanted`` the indices returned.  The generator picks the method.
+    A Hermitian matrix G is exact: one eigendecomposition gives
+    exp(i G t / hbar) at every wanted time.  A sampler ``t -> G(t)`` takes
+    the midpoint-exponential product, step by step exp(i dt G(t + dt/2) / hbar):
+    second order, exactly unitary.  Its samples must be exactly Hermitian,
+    as the profiles' and gauges' symmetrized samples are; they are
+    eigendecomposed without a re-check.
     """
     if not callable(generator):
         exps = unitary_exponentials(
-            generator, [sign * float(times[i]) / hbar for i in sorted(wanted)])
-        return [e @ u0 if left else u0 @ e for e in exps]
+            generator, [float(times[i]) / hbar for i in sorted(wanted)])
+        return [u0 @ e for e in exps]
     u = u0
     out = [u0.copy()] if 0 in wanted else []
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
         w, q = np.linalg.eigh(generator(float(times[i]) + 0.5 * dt))
-        step = (q * np.exp(1j * (sign * dt / hbar) * w)) @ q.conj().T
-        u = step @ u if left else u @ step
+        u = u @ ((q * np.exp(1j * (dt / hbar) * w)) @ q.conj().T)
         if (i + 1) in wanted:
             out.append(u)
     return out
@@ -183,19 +181,29 @@ def magnetic_factor(s: np.ndarray, field, hbar: float, times) -> list:
     return out
 
 
+def factorized_samples(left, s, w0, hamiltonian, field, hbar: float, plan) -> list:
+    """[left diag(s v(t)) W(t) for t in plan.output_times], W(0) = w0.
+
+    W solves i*hbar*dW/dt = -W H(t), v(t) is the magnetic phase vector of
+    the singular values ``s``.  The fixed domain passes left = U, the moving
+    one folds its image basis into ``left`` and its frame into ``w0``.
+    """
+    ws = unitary_propagator(w0, hamiltonian.generator(), plan.times,
+                            set(plan.output_indices), hbar)
+    vs = magnetic_factor(s, field, hbar, plan.output_times)
+    return [(left * (s * v)) @ w for w, v in zip(ws, vs)]
+
+
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
     """Closed-form trajectory K(t) = U diag(s v(t)) W(t), W(0) = V*.
 
     With K0 = U diag(s) V*, W solves i*hbar*dW/dt = -W H(t) and v(t) is the
-    magnetic phase vector: one matmul per sample.
+    magnetic phase vector (``factorized_samples``).
     """
     u, s, vh = polar_init(cfg.initial_k, cfg.pd_floor)
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
-    ws = unitary_propagator(vh, cfg.hamiltonian.generator(), plan.times,
-                            set(plan.output_indices), 1.0, cfg.hbar)
-    vs = magnetic_factor(s, cfg.field, cfg.hbar, plan.output_times)
-    return Trajectory(plan.output_times, [(u * (s * v)) @ w for w, v in zip(ws, vs)],
-                      "factorized")
+    return Trajectory(plan.output_times, factorized_samples(
+        u, s, vh, cfg.hamiltonian, cfg.field, cfg.hbar, plan), "factorized")
 
 
 def _direct_rhs(cfgs):
@@ -311,24 +319,21 @@ def series_unitary(u0: np.ndarray, h: np.ndarray, h_b: np.ndarray, t: float,
                    hbar: float, terms: int):
     """Truncated series for the unitary factor with constant coefficients.
 
-    Term k carries the binomial sum over C(k, j) h_b^j u0 h^(k-j), built by
-    the recurrence S_{k+1} = h_b S_k + S_k h.  Returns (U, estimate) where
-    the estimate is the Frobenius norm of the first omitted term.
+    Term k is z^k/k! times the binomial sum over C(k, j) h_b^j u0 h^(k-j),
+    z = i t / hbar, carried scaled by the recurrence
+    T_{k+1} = (z / (k+1)) (h_b T_k + T_k h), so a term overflows only where
+    the series does.  Returns (U, estimate) where the estimate is the
+    Frobenius norm of the first omitted term T_terms.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     z = 1j * t / hbar
-    s = u0.astype(np.complex128)
-    u = s.copy()
-    c = 1.0 + 0.0j
-    for k in range(1, terms):
-        s = h_b @ s + s @ h
-        c = c * z / k
-        u = u + c * s
-    s_next = h_b @ s + s @ h
-    c_next = c * z / terms
-    estimate = abs(c_next) * float(np.linalg.norm(s_next))
-    return u, estimate
+    term = u0.astype(np.complex128)
+    u = np.zeros_like(term)
+    for k in range(1, terms + 1):
+        u = u + term
+        term = (z / k) * (h_b @ term + term @ h)
+    return u, float(np.linalg.norm(term))
 
 
 def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:

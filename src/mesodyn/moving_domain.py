@@ -3,13 +3,11 @@
 The dense domain of the (formally unbounded) ambient Hamiltonian is
 modeled by a finite ambient dimension M; the operator keeps a fixed
 rank-N image spanned by phi0 while the domain frame psi(t) evolves by
-the one-particle Schroedinger propagator.  Stored frame columns are kets
-satisfying i*hbar d/dt |psi'> = +H |psi'>, i.e. the conjugate of the bra
-equation i*hbar d/dt <psi'| = -<psi'| H, so columns propagate by
-exp(-i H t / hbar).  Frame and gauge propagators use ``unitary_propagator``:
-exact for a constant generator, midpoint products for a time-dependent one.
-Like them, the frame and coefficient evolutions return only their
-matrices; ``moving_solution`` returns a ``Trajectory`` tagged "moving".
+the one-particle Schroedinger propagator.  The frame is carried as its
+bras psi(t)*, which solve i*hbar d<psi|/dt = -<psi| H: the Schroedinger
+factor W of the fixed domain, multiplied from the right.  Frame and
+gauge propagators are ``unitary_propagator``'s, exact for a constant
+generator, midpoint products for a time-dependent one.
 
 The assembled operator is K(t) = phi0 . A'(t) . psi(t)*, with the
 coefficient matrix driven purely by the magnetic term:
@@ -21,7 +19,10 @@ in A0's singular basis: with A0 = U diag(s) V* and the magnetic phases
 v_j(t) = exp(i Int B^2 dt' / (hbar s_j^2)), A'(t) = U . diag(s v(t)) . V*.
 The trailing polar-unitary factor U V* preserves A'(0) = A0 for arbitrary
 full-rank A0; the ``literal`` flag drops it, giving U . diag(s v(t)) . U*,
-which is only correct for positive-definite A0.
+which is only correct for positive-definite A0.  So K(t) is
+(phi0 U) diag(s v(t)) W(t) with W(0) = V* psi0*, assembled by
+``fixed_domain.factorized_samples`` as the fixed-domain solution is;
+``moving_solution`` returns it as a ``Trajectory`` tagged "moving".
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .fixed_domain import Trajectory, magnetic_factor, polar_init, rk4, unitary_propagator
+from .fixed_domain import (Trajectory, factorized_samples, magnetic_factor, polar_init,
+                           rk4, unitary_propagator)
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -88,24 +90,6 @@ def require_orthonormal_columns(m) -> np.ndarray:
     return a
 
 
-def evolve_frame_schrodinger(space: AmbientSpace, psi0, t_end: float, dt: float,
-                             hbar: float, output_stride: int = 1) -> list:
-    """Propagate the n frame kets by exp(-i Int H dt' / hbar) from the left.
-
-    Exact for constant H, the midpoint product exp(-i H(t+dt/2) dt / hbar)
-    otherwise; the frame stays orthonormal to roundoff.  Returns the list
-    of psi on the output grid, ``step_plan(t_end, dt, output_stride).output_times``.
-    """
-    space.check()
-    psi = require_orthonormal_columns(psi0)
-    if psi.shape != (space.dim_h1, space.n):
-        raise ShapeMismatchError(
-            f"psi0 must be {space.dim_h1} x {space.n}, got {psi.shape}")
-    plan = step_plan(t_end, dt, output_stride)
-    return unitary_propagator(psi, space.ambient_hamiltonian.generator(), plan.times,
-                              set(plan.output_indices), -1.0, hbar, left=True)
-
-
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
                                  pd_floor: float = DEFAULT_PD_FLOOR,
                                  literal: bool = False) -> list:
@@ -121,9 +105,14 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     return [(u * (s * v)) @ right for v in magnetic_factor(s, field, hbar, times)]
 
 
-def _image_and_coefficients(space: AmbientSpace, phi0, a0):
-    """The checked image basis (dim_h2 x n) and coefficient matrix (n x n)."""
+def _image_and_coefficients(space: AmbientSpace, psi0, phi0, a0):
+    """The checked domain frame (dim_h1 x n), image basis (dim_h2 x n) and
+    coefficient matrix (n x n)."""
     space.check()
+    frame = require_orthonormal_columns(psi0)
+    if frame.shape != (space.dim_h1, space.n):
+        raise ShapeMismatchError(
+            f"psi0 must be {space.dim_h1} x {space.n}, got {frame.shape}")
     image = require_orthonormal_columns(phi0)
     if image.shape != (space.dim_h2, space.n):
         raise ShapeMismatchError(
@@ -131,7 +120,7 @@ def _image_and_coefficients(space: AmbientSpace, phi0, a0):
     a = as_matrix(a0)
     if a.shape != (space.n, space.n):
         raise ShapeMismatchError(f"a0 must be {space.n} x {space.n}, got {a.shape}")
-    return image, a
+    return frame, image, a
 
 
 def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
@@ -140,16 +129,17 @@ def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
                     literal: bool = False) -> Trajectory:
     """The extended operator K(t) = phi0 . A'(t) . psi(t)*, tagged "moving".
 
-    The inputs are checked and the coefficients built (rejecting a singular
-    a0) before the frame evolves.  The image of every sample is span(phi0)
+    The inputs are checked and a0's SVD taken (rejecting a singular a0)
+    before the frame evolves.  The image of every sample is span(phi0)
     and the rank is exactly n.
     """
-    image, a0 = _image_and_coefficients(space, phi0, a0)
-    times = step_plan(t_end, dt, output_stride).output_times
-    coeffs = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor, literal)
-    frames = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, output_stride)
-    return Trajectory(times, [image @ a @ psi.conj().T for psi, a in zip(frames, coeffs)],
-                      "moving")
+    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
+    u, s, vh = polar_init(a0, pd_floor)
+    right = u.conj().T if literal else vh
+    plan = step_plan(t_end, dt, output_stride)
+    return Trajectory(plan.output_times, factorized_samples(
+        image @ u, s, right @ frame.conj().T, space.ambient_hamiltonian, field, hbar,
+        plan), "moving")
 
 
 def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
@@ -244,9 +234,11 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     times = step_plan(t_end, dt, 1).times
     every = range(len(times))
     eye = np.eye(n, dtype=np.complex128)
-    return (unitary_propagator(eye, _as_gauge(c_prime, n), times, every, -1.0, hbar),
-            unitary_propagator(eye, _as_gauge(c_double_prime, n), times, every, 1.0,
-                               hbar))
+    c1 = _as_gauge(c_prime, n)
+    # g1 carries the opposite sign: its generator is -C'
+    minus_c1 = (lambda t: -c1(t)) if callable(c1) else -c1
+    return (unitary_propagator(eye, minus_c1, times, every, hbar),
+            unitary_propagator(eye, _as_gauge(c_double_prime, n), times, every, hbar))
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
@@ -261,13 +253,14 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     by integrating its gauged equation.  Gauge invariance of the physical
     operator makes the distance vanish up to integration accuracy.
     """
-    image, a0 = _image_and_coefficients(space, phi0, a0)
+    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
     times = step_plan(t_end, dt, 1).times
     # a singular a0 and a bad constant gauge are rejected before the frame evolves
     a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
     c1 = _as_gauge(c_prime, space.n)
     c2 = _as_gauge(c_double_prime, space.n)
-    psi_free = evolve_frame_schrodinger(space, psi0, t_end, dt, hbar, 1)
+    bras = unitary_propagator(frame.conj().T, space.ambient_hamiltonian.generator(),
+                              times, range(len(times)), hbar)
     g1s, g2s = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
 
     # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
@@ -280,8 +273,8 @@ def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
     a_gauged = rk4(rhs, a0, times, range(len(times)))
 
     worst = 0.0
-    for psi, g1, g2, a_g, a_p in zip(psi_free, g1s, g2s, a_gauged, a_primed):
-        k_u = (image @ g1) @ a_g @ (psi @ g2).conj().T
-        k_p = image @ a_p @ psi.conj().T
+    for bra, g1, g2, a_g, a_p in zip(bras, g1s, g2s, a_gauged, a_primed):
+        k_u = (image @ g1) @ a_g @ (g2.conj().T @ bra)
+        k_p = image @ a_p @ bra
         worst = max(worst, float(np.linalg.norm(k_u - k_p)))
     return worst

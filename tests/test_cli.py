@@ -94,6 +94,18 @@ class TestParseCommand:
         assert cmd.overrides["seed"] == 7
         assert cmd.config_path is None
 
+    @pytest.mark.parametrize("options", [
+        ["--config", "nonexistent.json", "--dt", "5", "--hbar", "-1"],
+        ["--dt", "0.1"],
+        ["--t-end", "2"],
+    ])
+    def test_verify_rejects_scenario_options(self, tmp_path, options):
+        # the battery draws its own scenarios: a scenario option is a usage error
+        with pytest.raises(UsageError):
+            parse_command(["verify", *options])
+        assert main(["verify", "--output", str(tmp_path / "v"), *options]) == 2
+        assert not (tmp_path / "v").exists()
+
     def test_literal_atime_flag(self):
         cmd = parse_command(["moving", "--config", "m.json", "--literal-atime"])
         assert cmd.overrides["literal_atime"] is True

@@ -82,7 +82,7 @@ def evolve_w(w0, cfg):
     """W(t) from W(0) = w0 on the scenario's output grid, as evolve_factorized has it."""
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
     return unitary_propagator(w0, cfg.hamiltonian.generator(), plan.times,
-                              set(plan.output_indices), 1.0, cfg.hbar)
+                              set(plan.output_indices), cfg.hbar)
 
 
 def evolve_v(k0, cfg):
@@ -224,17 +224,16 @@ class TestEvolveW:
 class TestUnitaryPropagator:
     """The exact (matrix) and midpoint (sampler) methods of one propagator."""
 
-    @pytest.mark.parametrize("left", [False, True])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_matrix_and_sampler_agree(self, rng, left, sign):
-        h = random_hermitian(rng, 3, 0.5, 2.0)
+    def test_matrix_and_sampler_agree(self, rng, sign):
+        # the opposite sign, i hbar dU/dt = +U G, is the generator -G
+        h = sign * random_hermitian(rng, 3, 0.5, 2.0)
         _, _, u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4))
         # 100 steps: the product's roundoff grows with the step count
         plan = step_plan(1.0, 1e-2, 10)
         wanted = set(plan.output_indices)
-        exact = unitary_propagator(u0, h, plan.times, wanted, sign, 0.7, left)
-        stepped = unitary_propagator(u0, lambda t: h, plan.times, wanted, sign, 0.7,
-                                     left)
+        exact = unitary_propagator(u0, h, plan.times, wanted, 0.7)
+        stepped = unitary_propagator(u0, lambda t: h, plan.times, wanted, 0.7)
         assert len(exact) == len(stepped) == len(wanted)
         for a, b in zip(exact, stepped):
             assert frob(a - b) <= 1e-12
@@ -248,12 +247,11 @@ class TestSharedEigendecomposition:
         _, _, u0 = polar_init(random_full_rank(rng, 4, 0.7, 1.4))
         plan = step_plan(1.0, 1e-2, 7)
         times = plan.output_times
-        for sign in (1.0, -1.0):
-            us = unitary_propagator(u0, h, plan.times, set(plan.output_indices),
-                                    sign, 0.7)
+        for g in (h, -h):
+            us = unitary_propagator(u0, g, plan.times, set(plan.output_indices), 0.7)
             assert len(us) == len(times)
             for u, t in zip(us, times):
-                assert np.array_equal(u, u0 @ unitary_exponential(h, sign * t / 0.7))
+                assert np.array_equal(u, u0 @ unitary_exponential(g, t / 0.7))
 
     def test_magnetic_factor_equals_per_time_exponentials(self, rng):
         # U diag(v) U* is the exponential of the generator U diag(s^-2) U*
@@ -715,6 +713,22 @@ class TestEvolveSeries:
             with pytest.raises(TruncationDominatesError):
                 evolve_series(cfg, terms=30)
         assert [w.category for w in caught] == [ConvergenceWarning]
+
+    def test_overflow_repro_is_exact_at_zero_and_stops_where_it_overflows(self):
+        # the scaled terms stay finite at t = 0, where the series is u0 itself;
+        # the first sample whose terms overflow is t = 0.05
+        hbar, b = 0.0018165821532520128, 1.0036723106227856
+        k0 = [[0.00085388 + 0.00068901j]]
+        cfg = constant_config([[0.35689222]], b, k0, t_end=0.2, dt=1e-2, stride=5,
+                              hbar=hbar)
+        _, u0, h_b = polar_factors(np.asarray(k0))
+        u, estimate = series_unitary(u0, cfg.hamiltonian.sample(0.0), (b * b) * h_b,
+                                     0.0, hbar, 30)
+        assert np.array_equal(u, u0)
+        assert estimate == 0.0
+        with pytest.warns(ConvergenceWarning):
+            with pytest.raises(TruncationDominatesError, match=r"at t=0\.05;"):
+                evolve_series(cfg, terms=30)
 
     def test_radius_warning(self, rng):
         h = random_hermitian(rng, 2, 4.0, 6.0)

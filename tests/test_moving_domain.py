@@ -9,13 +9,12 @@ from mesodyn.errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from mesodyn.fixed_domain import Trajectory, evolve_factorized
+from mesodyn.fixed_domain import Trajectory, evolve_factorized, polar_init
 from mesodyn.linalg import unitary_exponential
-from mesodyn import moving_domain
+from mesodyn import fixed_domain, moving_domain
 from mesodyn.moving_domain import (
     AmbientSpace,
     coefficient_matrix_evolution,
-    evolve_frame_schrodinger,
     gauge_equivalence_check,
     gauge_propagators,
     image_projector,
@@ -42,32 +41,51 @@ def diag_space(energies, dim_h2=None, n=1):
             np.diag(energies).astype(complex)))
 
 
+def frame_samples(space, psi0, t_end, dt, output_stride):
+    """The frame psi(t) of a moving solution with A' = I (a0 = I, B = 0).
+
+    With the image basis phi0 = the first n unit vectors, K(t) = phi0 psi(t)*,
+    so the frame is read back from K's first n rows.
+    """
+    n = space.n
+    phi0 = np.eye(space.dim_h2, dtype=complex)[:, :n]
+    ops = moving_solution(space, psi0, phi0, np.eye(n, dtype=complex),
+                          FieldProfile.constant(0.0), 1.0, t_end=t_end, dt=dt,
+                          output_stride=output_stride)
+    return ops.times, [k[:n].conj().T for k in ops.ks]
+
+
 @pytest.fixture
 def no_frame_evolution(monkeypatch):
+    """Fail on any propagation: the moving solution's (through the
+    factorized assembly) and the gauge check's direct bras and gauges."""
     def no_evolution(*args):
         raise AssertionError("evolved the frame before checking the inputs")
 
-    monkeypatch.setattr(moving_domain, "evolve_frame_schrodinger", no_evolution)
+    monkeypatch.setattr(fixed_domain, "unitary_propagator", no_evolution)
+    monkeypatch.setattr(moving_domain, "unitary_propagator", no_evolution)
 
 
 class TestFrameEvolution:
+    """The frame as the moving solution carries it: bras right-multiplied."""
+
     def test_constant_diagonal_kets_rotate_clockwise(self):
         # kets obey i hbar d/dt psi = +H psi, so columns pick up e^{-i E t}
         energies = [1.0, 2.0, 3.0]
         space = diag_space(energies, n=2)
         psi0 = np.eye(3, dtype=complex)[:, :2]
-        frames = evolve_frame_schrodinger(space, psi0, t_end=1.0, dt=1e-2,
-                                          hbar=1.0, output_stride=25)
-        for t, psi in zip(step_plan(1.0, 1e-2, 25).output_times, frames):
+        times, frames = frame_samples(space, psi0, t_end=1.0, dt=1e-2, output_stride=25)
+        assert len(frames) == 5
+        for t, psi in zip(times, frames):
             expected = psi0 * np.exp(-1j * np.array(energies)[:, None] * t)
-            assert frob(psi - expected[:, :2]) <= 1e-12
+            assert frob(psi - expected) <= 1e-12
 
     def test_zero_hamiltonian_freezes_frame(self, rng):
         space = AmbientSpace(
             dim_h1=4, dim_h2=4, n=2,
             ambient_hamiltonian=HamiltonianProfile.constant(np.zeros((4, 4))))
         psi0 = random_orthonormal_columns(rng, 4, 2)
-        for psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-2, 1.0, 50):
+        for psi in frame_samples(space, psi0, 1.0, 1e-2, 50)[1]:
             assert frob(psi - psi0) <= 1e-13
 
     def test_orthonormality_preserved(self, rng):
@@ -77,14 +95,31 @@ class TestFrameEvolution:
             dim_h1=8, dim_h2=8, n=3,
             ambient_hamiltonian=HamiltonianProfile.interpolated([0.0, 1.0], [h0, h1]))
         psi0 = random_orthonormal_columns(rng, 8, 3)
-        for psi in evolve_frame_schrodinger(space, psi0, 1.0, 1e-3, 1.0, 100):
+        for psi in frame_samples(space, psi0, 1.0, 1e-3, 100)[1]:
             assert frob(psi.conj().T @ psi - np.eye(3)) <= 1e-10
 
-    def test_rejects_skewed_frame(self):
+    def test_rejects_skewed_frame(self, no_frame_evolution):
         space = diag_space([1.0, 2.0], n=2)
         bad = np.array([[1.0, 0.9], [0.0, 0.1]], dtype=complex)
+        eye = np.eye(2, dtype=complex)
         with pytest.raises(NotOrthonormalError):
-            evolve_frame_schrodinger(space, bad, 1.0, 1e-2, 1.0)
+            moving_solution(space, bad, eye, eye, FieldProfile.constant(1.0), 1.0,
+                            t_end=1.0, dt=1e-2)
+        with pytest.raises(NotOrthonormalError):
+            gauge_equivalence_check(space, bad, eye, eye, FieldProfile.constant(1.0),
+                                    1.0, 1.0, 1e-2, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_spy_sees_the_evolution(self, no_frame_evolution):
+        # the "rejected before evolution" tests are not vacuous: valid inputs
+        # reach the spy through both callers
+        space = diag_space([1.0, 2.0], n=2)
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(AssertionError, match="evolved the frame"):
+            moving_solution(space, eye, eye, eye, FieldProfile.constant(1.0), 1.0,
+                            t_end=1.0, dt=0.5)
+        with pytest.raises(AssertionError, match="evolved the frame"):
+            gauge_equivalence_check(space, eye, eye, eye, FieldProfile.constant(1.0),
+                                    1.0, 1.0, 0.5, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestCoefficientEvolution:
@@ -219,7 +254,6 @@ class TestAssembly:
         assert ops.solver_tag == "moving"
         assert np.array_equal(ops.times, step_plan(0.95, 0.1, 3).output_times)
         assert len(ops.ks) == len(ops.times)
-        assert len(evolve_frame_schrodinger(space, psi0, 0.95, 0.1, 1.0, 3)) == len(ops.ks)
         g1s, g2s = gauge_propagators(np.eye(2), np.eye(2), 2, 0.95, 0.1, 1.0)
         assert len(g1s) == len(g2s) == len(step_plan(0.95, 0.1).times)
 
@@ -271,21 +305,35 @@ class TestWeakResidual:
         h = random_hermitian(rng, 3, 0.5, 2.0)
         k0 = random_full_rank(rng, 3, 0.7, 1.4)
         field = FieldProfile.sinusoid(0.4, 0.3, 0.2, 0.7)
-        space = AmbientSpace(dim_h1=3, dim_h2=3, n=3,
-                             ambient_hamiltonian=HamiltonianProfile.constant(h))
-        phi0 = np.eye(3, dtype=complex)
-        ops = moving_solution(space, phi0, phi0, k0, field, 1.0,
-                              t_end=1.0, dt=1e-3, output_stride=100)
-        cfg = ScenarioConfig(hbar=1.0,
-                             hamiltonian=HamiltonianProfile.constant(h),
-                             field=field, initial_k=k0, t_end=1.0, dt=1e-3,
-                             output_stride=100)
-        fact = evolve_factorized(cfg)
-        assert len(ops.ks) == len(fact.ks)
-        assert frob(ops.ks[0] - k0) <= 1e-12 * frob(k0)
-        for t, k, t_fact, k_fact in zip(ops.times, ops.ks, fact.times, fact.ks):
-            assert abs(t - t_fact) <= 1e-12
+        eye = np.eye(3, dtype=complex)
+
+        def both(hamiltonian, psi0, phi0, a0):
+            space = AmbientSpace(dim_h1=3, dim_h2=3, n=3, ambient_hamiltonian=hamiltonian)
+            ops = moving_solution(space, psi0, phi0, a0, field, 1.0,
+                                  t_end=1.0, dt=1e-3, output_stride=100)
+            fact = evolve_factorized(ScenarioConfig(
+                hbar=1.0, hamiltonian=hamiltonian, field=field, initial_k=k0,
+                t_end=1.0, dt=1e-3, output_stride=100))
+            assert np.array_equal(ops.times, fact.times)
+            assert len(ops.ks) == len(fact.ks) == 11
+            return ops.ks, fact.ks
+
+        constant = HamiltonianProfile.constant(h)
+        moving, fixed = both(constant, eye, eye, k0)
+        assert frob(moving[0] - k0) <= 1e-12 * frob(k0)
+        for k, k_fact in zip(moving, fixed):
             assert frob(k - k_fact) <= 1e-9
+        # with psi0 = phi0 = I both run the same operations: the same bits
+        drifting = HamiltonianProfile.interpolated(
+            [0.0, 1.0], [random_hermitian(rng, 3, 0.5, 2.0) for _ in range(2)])
+        moving, fixed = both(drifting, eye, eye, k0)
+        assert all(np.array_equal(k, k_fact) for k, k_fact in zip(moving, fixed))
+        # K0 = U S V*: psi0 = V, phi0 = U, a0 = S is the same formula in K0's
+        # own singular basis, so the two agree to roundoff
+        u, s, vh = polar_init(k0)
+        moving, fixed = both(drifting, vh.conj().T, u, np.diag(s).astype(complex))
+        for k, k_fact in zip(moving, fixed):
+            assert frob(k - k_fact) <= 1e-12 * frob(k_fact)
 
     def test_rank_deficient_rejected(self, rng):
         space = diag_space([1.0, 2.0, 3.0], n=2)
@@ -409,11 +457,13 @@ class TestFrameSignConsistency:
             assert abs(k[0, 0] - expected) <= 1e-10
 
     def test_frame_matches_propagator(self, rng):
+        # the kets are exp(-i H t / hbar) psi0, the bras psi0* exp(i H t / hbar)
         h = random_hermitian(rng, 4, 0.5, 2.0)
         space = AmbientSpace(dim_h1=4, dim_h2=4, n=2,
                              ambient_hamiltonian=HamiltonianProfile.constant(h))
         psi0 = random_orthonormal_columns(rng, 4, 2)
-        frames = evolve_frame_schrodinger(space, psi0, 1.0, 1e-3, 1.0, 500)
-        for t, psi in zip(step_plan(1.0, 1e-3, 500).output_times, frames):
+        times, frames = frame_samples(space, psi0, 1.0, 1e-3, 500)
+        assert np.array_equal(times, step_plan(1.0, 1e-3, 500).output_times)
+        for t, psi in zip(times, frames):
             expected = unitary_exponential(h, -t) @ psi0
             assert frob(psi - expected) <= 1e-11
