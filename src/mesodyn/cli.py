@@ -11,6 +11,8 @@ dominates, or the series solver given time-dependent coefficients).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import contextvars
 import dataclasses
 import hashlib
 import json
@@ -18,6 +20,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -56,6 +59,12 @@ from .scenario import ScenarioConfig, scenario_from_json, validate_scenario
 from .verification import run_battery
 
 COMPARE_TOLERANCE = 1e-6
+# compare overlaps its direct and factorized routes from this operator
+# dimension up.  Overlapped over sequential compare time, one BLAS thread
+# on 2 cores (median of 8 pairs): 0.87-1.32 at dims 4-8, where the GIL
+# binds, 1.03 at 16, 1.07 at 24, 0.91 at 32 (faster in 8 of 8), 0.71-0.77
+# at 48 to 128.
+OVERLAP_MIN_DIM = 32
 VERBS = ("simulate", "compare", "critical", "moving", "flux", "verify")
 
 
@@ -247,13 +256,65 @@ def _run_simulate(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
     _emit_trajectory(ws, trajectory, cfg)
 
 
-def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
+def _blas_pinned() -> bool:
+    """Whether OpenBLAS runs one thread: OPENBLAS_NUM_THREADS if set to a
+    positive count, else OMP_NUM_THREADS, is 1 (numpy's OpenBLAS order)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def _usable_cpus() -> int:
     try:
-        direct = evolve_direct(cfg)
-    except (NearSingularError, NonFiniteError) as exc:
-        _retain_partial(ws, exc, cfg)
-        raise
-    trajectories = {"direct": direct, "factorized": evolve_factorized(cfg)}
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def overlap_routes(dim: int) -> bool:
+    """Whether compare runs its factorized route beside the direct one.
+
+    Both routes are LAPACK-bound and share no state, so with one BLAS
+    thread each they fill two CPUs.  An unpinned BLAS pool already uses
+    them (overlapped, the routes fought over it and took about 1.5 times
+    as long), and below OVERLAP_MIN_DIM the GIL serializes them.
+    """
+    return dim >= OVERLAP_MIN_DIM and _blas_pinned() and _usable_cpus() >= 2
+
+
+@contextlib.contextmanager
+def _factorized_route(cfg: ScenarioConfig):
+    """Yield a call that returns ``evolve_factorized(cfg)``.
+
+    Overlapped, the route starts on a worker thread here, in a copy of the
+    caller's context (numpy's errstate lives there), and the call waits
+    for it; leaving the block, by a return or an error, waits for the
+    worker too.  Otherwise the call runs the route.
+    """
+    if not overlap_routes(cfg.initial_k.shape[0]):
+        yield lambda: evolve_factorized(cfg)
+        return
+    # imported here: concurrent.futures adds about 4 ms to ``import mesodyn``
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(contextvars.copy_context().run, evolve_factorized, cfg)
+        yield future.result
+
+
+def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
+    with _factorized_route(cfg) as factorized:
+        try:
+            direct = evolve_direct(cfg)
+        except (NearSingularError, NonFiniteError) as exc:
+            _retain_partial(ws, exc, cfg)
+            raise
+        trajectories = {"direct": direct, "factorized": factorized()}
     constant = cfg.hamiltonian.is_constant() and cfg.field.kind == "constant"
     if constant:
         trajectories["series"] = evolve_series(cfg, int(overrides.get("terms", 30)))
@@ -388,6 +449,27 @@ def _error_record(exc: MesodynError | OSError) -> dict:
     return record
 
 
+@contextlib.contextmanager
+def _recording_warnings(manifest: RunManifest):
+    """Record in ``manifest.warnings`` each warning shown in the block.
+
+    Only ``showwarning`` is wrapped, so the active filters still decide
+    which warnings are shown (and recorded), turned into errors or
+    ignored, and a shown warning still reaches stderr.  The hook is
+    process-wide, so compare's worker thread is recorded too.
+    """
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, category, *args, **kwargs):
+            manifest.warnings.append({"category": category.__name__,
+                                      "message": str(message)})
+            show(message, category, *args, **kwargs)
+
+        warnings.showwarning = record
+        yield
+
+
 def run(cmd: Command) -> RunManifest:
     """Dispatch one parsed command; returns the written manifest.
 
@@ -409,32 +491,33 @@ def run(cmd: Command) -> RunManifest:
         # wall_time stays 0.0 for verify: its manifests are byte-reproducible.
         return 0.0 if cmd.verb == "verify" else time.perf_counter() - start
 
-    try:
-        if cmd.verb != "verify":
-            ws.manifest.scenario_digest = _file_digest(cmd.config_path)
-            doc = _load_document(cmd.config_path)
-            cfg = _scenario_from_document(doc, cmd.overrides, cmd.verb)
-            ws.manifest.scenario_digest = cfg.digest()
-        if cmd.verb == "verify":
-            _run_verify(ws, cmd.overrides)
-        elif cmd.verb == "simulate":
-            _run_simulate(ws, cfg, cmd.overrides)
-        elif cmd.verb == "compare":
-            _run_compare(ws, cfg, cmd.overrides)
-        elif cmd.verb == "critical":
-            _run_critical(ws, cfg, doc)
-        elif cmd.verb == "moving":
-            _run_moving(ws, cfg, doc, cmd.overrides)
-        elif cmd.verb == "flux":
-            _run_flux(ws, cfg, doc)
-        else:
-            raise UsageError(f"unknown verb {cmd.verb!r}")
-    except (MesodynError, OSError) as exc:
-        # partial artifacts are already on disk; the manifest names the error
-        ws.manifest.error = _error_record(exc)
-        ws.finish(elapsed())
-        raise
-    return ws.finish(elapsed())
+    with _recording_warnings(ws.manifest):
+        try:
+            if cmd.verb != "verify":
+                ws.manifest.scenario_digest = _file_digest(cmd.config_path)
+                doc = _load_document(cmd.config_path)
+                cfg = _scenario_from_document(doc, cmd.overrides, cmd.verb)
+                ws.manifest.scenario_digest = cfg.digest()
+            if cmd.verb == "verify":
+                _run_verify(ws, cmd.overrides)
+            elif cmd.verb == "simulate":
+                _run_simulate(ws, cfg, cmd.overrides)
+            elif cmd.verb == "compare":
+                _run_compare(ws, cfg, cmd.overrides)
+            elif cmd.verb == "critical":
+                _run_critical(ws, cfg, doc)
+            elif cmd.verb == "moving":
+                _run_moving(ws, cfg, doc, cmd.overrides)
+            elif cmd.verb == "flux":
+                _run_flux(ws, cfg, doc)
+            else:
+                raise UsageError(f"unknown verb {cmd.verb!r}")
+        except (MesodynError, OSError) as exc:
+            # partial artifacts are already on disk; the manifest names the error
+            ws.manifest.error = _error_record(exc)
+            ws.finish(elapsed())
+            raise
+        return ws.finish(elapsed())
 
 
 def main(argv=None) -> int:

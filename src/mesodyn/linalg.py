@@ -294,6 +294,51 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def matrix_json_text(m) -> str:
+    """``json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":"))``.
+
+    The entries go through ``format_cells``, whose cells are the same
+    repr text that json writes for a finite float.
+    """
+    a = as_matrix(m)
+    return (f'{{"cols":{a.shape[1]},"im":[{format_cells(a.imag.ravel())}],'
+            f'"re":[{format_cells(a.real.ravel())}],"rows":{a.shape[0]}}}')
+
+
+# Entries per orjson call.  The bytes and str copies of one call live at
+# once: a call per trajectory, or per dim-128 row, raised peak RSS by up
+# to 10%, while 2048 entries keep each copy near 50 kB.
+CELL_CHUNK = 2048
+
+
+def format_cells(values: np.ndarray) -> str:
+    """``",".join(map(repr, values.tolist()))`` for a 1-D float64 array.
+
+    orjson writes the same shortest round-trip digits as repr, 7x to 17x
+    faster on rows of 8192 to 512 entries.  The two differ only where repr switches to exponent form
+    (0 < |x| < 1e-4 or |x| >= 1e16: "1e-05" against "1e-5") and for NaN and
+    Inf, which orjson writes as null.  Those cells are re-written by repr,
+    and only a chunk that holds one is split into cells.
+    """
+    import orjson  # loaded on first use: it adds about 4 ms to ``import mesodyn``
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    magnitude = np.abs(values)
+    repr_only = ~((magnitude == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+    parts = []
+    for start in range(0, values.size, CELL_CHUNK):
+        chunk = values[start:start + CELL_CHUNK]
+        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        odd = np.flatnonzero(repr_only[start:start + CELL_CHUNK])
+        if odd.size:
+            cells = text.split(",")
+            for i in odd.tolist():
+                cells[i] = repr(float(chunk[i]))
+            text = ",".join(cells)
+        parts.append(text)
+    return ",".join(parts)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the row-major JSON literal produced by matrix_to_json.
 

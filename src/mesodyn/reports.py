@@ -3,7 +3,7 @@
 All numeric cells use the shortest round-trip decimal representation of
 the double (Python's repr), so identical runs produce byte-identical
 files.  Trajectory entries, the bulk of every artifact, are formatted by
-``format_cells`` through orjson, whose text is byte-equal to repr's.
+``linalg.format_cells`` through orjson, whose text is byte-equal to repr's.
 Writers go through a temp-file + atomic-rename so a crashed run never
 leaves a truncated artifact behind.
 """
@@ -16,47 +16,15 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import orjson
 
 from .diagnostics import DiagnosticsReport
 from .fixed_domain import Trajectory
+from .linalg import format_cells
 
 
 def format_number(x) -> str:
     """Shortest decimal string that round-trips the double exactly."""
     return repr(float(x))
-
-
-# Entries per orjson call.  The bytes and str copies of one call live at
-# once: a call per trajectory, or per dim-128 row, raised peak RSS by up
-# to 10%, while 2048 entries keep each copy near 50 kB.
-CELL_CHUNK = 2048
-
-
-def format_cells(values: np.ndarray) -> str:
-    """``",".join(map(repr, values.tolist()))`` for a 1-D float64 array.
-
-    orjson writes the same shortest round-trip digits as repr, 7x to 17x
-    faster on rows of 8192 to 512 entries.  The two differ only where repr switches to exponent form
-    (0 < |x| < 1e-4 or |x| >= 1e16: "1e-05" against "1e-5") and for NaN and
-    Inf, which orjson writes as null.  Those cells are re-written by repr,
-    and only a chunk that holds one is split into cells.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    magnitude = np.abs(values)
-    repr_only = ~((magnitude == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
-    parts = []
-    for start in range(0, values.size, CELL_CHUNK):
-        chunk = values[start:start + CELL_CHUNK]
-        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        odd = np.flatnonzero(repr_only[start:start + CELL_CHUNK])
-        if odd.size:
-            cells = text.split(",")
-            for i in odd.tolist():
-                cells[i] = repr(float(chunk[i]))
-            text = ",".join(cells)
-        parts.append(text)
-    return ",".join(parts)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -161,6 +129,7 @@ class RunManifest:
 
     ``error`` is set when the run stopped on a package error:
     {"type", "message"} plus "last_good_time" when the error carries one.
+    ``warnings`` holds one {"category", "message"} per warning shown.
     """
 
     scenario_digest: str
@@ -169,6 +138,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     status: dict = field(default_factory=dict)
     error: dict | None = None
+    warnings: list = field(default_factory=list)
 
     def ok(self) -> bool:
         return self.error is None and all(v == "pass" for v in self.status.values())
@@ -184,4 +154,6 @@ def manifest_json(manifest: RunManifest) -> str:
     }
     if manifest.error is not None:
         doc["error"] = dict(manifest.error)
+    if manifest.warnings:  # left out when empty: most manifests keep their bytes
+        doc["warnings"] = [dict(w) for w in manifest.warnings]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

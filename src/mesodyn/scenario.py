@@ -17,6 +17,7 @@ import bisect
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -31,6 +32,7 @@ from .linalg import (
     hermitian_excess,
     hermitian_part,
     matrix_from_json,
+    matrix_json_text,
     matrix_to_json,
     singular_extent,
 )
@@ -320,9 +322,22 @@ class ScenarioConfig:
     pd_floor: float = DEFAULT_PD_FLOOR
 
     def digest(self) -> str:
-        """Content hash of the scenario (sha256 of its canonical JSON)."""
-        payload = json.dumps(scenario_to_json(self), sort_keys=True,
-                             separators=(",", ":"))
+        """Content hash of the scenario: the sha256 of its canonical JSON,
+        ``json.dumps(scenario_to_json(self), sort_keys=True, separators=(",", ":"))``.
+
+        Each matrix literal, nearly all of those bytes, is written by
+        ``matrix_json_text`` and spliced in for a placeholder string; the
+        document's only other strings are kind names, so none collides.
+        """
+        literals = []
+
+        def placeholder(m) -> str:
+            literals.append(matrix_json_text(m))
+            return f"\x00{len(literals) - 1}"  # json writes it as "\u0000<i>"
+
+        skeleton = json.dumps(_scenario_document(self, placeholder), sort_keys=True,
+                              separators=(",", ":"))
+        payload = re.sub(r'"\\u0000(\d+)"', lambda m: literals[int(m[1])], skeleton)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -540,12 +555,12 @@ def _field_from_json(obj) -> FieldProfile:
     raise ValueError(f"unknown field kind {kind!r}")
 
 
-def _hamiltonian_to_json(profile: HamiltonianProfile) -> dict:
+def _hamiltonian_to_json(profile: HamiltonianProfile, literal) -> dict:
     if profile.kind == "constant":
-        return {"kind": "constant", "matrix": matrix_to_json(profile.matrix)}
+        return {"kind": "constant", "matrix": literal(profile.matrix)}
     if profile.kind == "interpolated-sequence":
         return {"kind": "interpolated-sequence", "times": list(profile.times),
-                "matrices": [matrix_to_json(m) for m in profile.matrices]}
+                "matrices": [literal(m) for m in profile.matrices]}
     raise ValueError(f"unknown hamiltonian kind {profile.kind!r}")
 
 
@@ -564,11 +579,16 @@ def _hamiltonian_from_json(obj) -> HamiltonianProfile:
 
 def scenario_to_json(cfg: ScenarioConfig) -> dict:
     """The scenario's JSON object; ``initial_k`` is left out when None."""
+    return _scenario_document(cfg, matrix_to_json)
+
+
+def _scenario_document(cfg: ScenarioConfig, literal) -> dict:
+    """``scenario_to_json`` with each matrix written by ``literal``."""
     doc = {
         "hbar": float(cfg.hbar),
-        "hamiltonian": _hamiltonian_to_json(cfg.hamiltonian),
+        "hamiltonian": _hamiltonian_to_json(cfg.hamiltonian, literal),
         "field": _field_to_json(cfg.field),
-        "initial_k": None if cfg.initial_k is None else matrix_to_json(cfg.initial_k),
+        "initial_k": None if cfg.initial_k is None else literal(cfg.initial_k),
         "t_end": float(cfg.t_end),
         "dt": float(cfg.dt),
         "output_stride": int(cfg.output_stride),

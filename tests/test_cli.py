@@ -3,13 +3,21 @@ import dataclasses
 import hashlib
 import json
 import random
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from mesodyn import cli
 from mesodyn.cli import Command, main, parse_command, run
-from mesodyn.errors import UsageError
+from mesodyn.errors import (
+    ConvergenceWarning,
+    NearSingularError,
+    NonFiniteError,
+    UsageError,
+)
+from mesodyn.fixed_domain import evolve_direct, evolve_factorized
 from mesodyn.linalg import matrix_to_json
 from mesodyn.reports import format_number
 from mesodyn.scenario import (
@@ -324,6 +332,179 @@ class TestCompare:
         assert manifest["outputs"] == ["trajectory_direct.csv", "diagnostics_direct.csv"]
         rows = (out / "trajectory_direct.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.0"]
+
+
+def time_dependent_config(rng, dim, t_end=0.01):
+    """A scenario with a time-dependent H and B, for both compare routes."""
+    h0 = random_hermitian(rng, dim, 0.5, 2.5)
+    return ScenarioConfig(
+        hbar=1.0,
+        hamiltonian=HamiltonianProfile.interpolated(
+            [0.0, 1.0], [h0, h0 + random_hermitian(rng, dim, -0.4, 0.4)]),
+        field=FieldProfile.sinusoid(0.4, 0.25, 0.1, 0.7),
+        initial_k=random_full_rank(rng, dim, 0.7, 1.5),
+        t_end=t_end, dt=1e-3, output_stride=5)
+
+
+def main_joining_threads(argv) -> int:
+    """``main(argv)``, asserting that it leaves no thread of its own running."""
+    before = threading.active_count()
+    code = main(argv)
+    assert threading.active_count() == before
+    return code
+
+
+class TestCompareOverlap:
+    """compare's factorized route on a worker thread beside the direct one."""
+
+    @pytest.fixture
+    def overlap(self, monkeypatch):
+        def force(on: bool):
+            monkeypatch.setattr(cli, "overlap_routes", lambda dim: on)
+        return force
+
+    def test_overlapped_equals_sequential(self, rng, tmp_path, overlap, monkeypatch):
+        config = write_scenario(tmp_path / "s.json",
+                                time_dependent_config(rng, cli.OVERLAP_MIN_DIM))
+        on_main = []
+
+        def factorized(cfg):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return evolve_factorized(cfg)
+
+        monkeypatch.setattr(cli, "evolve_factorized", factorized)
+        files = {}
+        for on in (True, False):
+            overlap(on)
+            out = tmp_path / f"out_{on}"
+            assert main_joining_threads(["compare", "--config", config,
+                                         "--output", str(out)]) == 0
+            manifest = json.loads((out / "run.json").read_text())
+            manifest["wall_time"] = 0.0
+            files[on] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+            files[on]["run.json"] = manifest
+        assert on_main == [False, True]
+        assert sorted(files[True]) == ["comparison.csv", "diagnostics_direct.csv",
+                                       "diagnostics_factorized.csv", "run.json",
+                                       "trajectory_direct.csv",
+                                       "trajectory_factorized.csv"]
+        for name in files[True]:
+            assert files[True][name] == files[False][name], name
+
+    def test_direct_stop_wins(self, rng, tmp_path, overlap, monkeypatch):
+        config = write_scenario(tmp_path / "s.json", time_dependent_config(rng, 3))
+        direct_stopped = threading.Event()
+        factorized_ran = []
+
+        def direct(cfg):
+            partial = evolve_direct(cfg)
+            direct_stopped.set()
+            raise NearSingularError("direct lost rank", last_good_time=partial.times[-1],
+                                    partial=partial)
+
+        def factorized(cfg):
+            assert direct_stopped.wait(timeout=30)
+            factorized_ran.append(True)
+            raise NonFiniteError("factorized overflowed")
+
+        monkeypatch.setattr(cli, "evolve_direct", direct)
+        monkeypatch.setattr(cli, "evolve_factorized", factorized)
+        overlap(True)
+        out = tmp_path / "out"
+        assert main_joining_threads(["compare", "--config", config,
+                                     "--output", str(out)]) == 4
+        assert factorized_ran == [True]
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "NearSingularError"
+        assert manifest["error"]["message"] == "direct lost rank"
+        assert manifest["outputs"] == ["trajectory_direct.csv", "diagnostics_direct.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics_direct.csv", "run.json", "trajectory_direct.csv"]
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_factorized_error_after_clean_direct_run(self, rng, tmp_path, overlap,
+                                                     monkeypatch, on):
+        config = write_scenario(tmp_path / "s.json", time_dependent_config(rng, 3))
+
+        def factorized(cfg):
+            raise NearSingularError("factorized lost rank", last_good_time=0.0)
+
+        monkeypatch.setattr(cli, "evolve_factorized", factorized)
+        overlap(on)
+        out = tmp_path / "out"
+        assert main_joining_threads(["compare", "--config", config,
+                                     "--output", str(out)]) == 4
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"] == {"type": "NearSingularError",
+                                     "message": "factorized lost rank",
+                                     "last_good_time": 0.0}
+        assert manifest["outputs"] == []
+        assert manifest["status"] == {}
+
+    def test_worker_warning_is_recorded(self, rng, tmp_path, overlap, monkeypatch):
+        config = write_scenario(tmp_path / "s.json", time_dependent_config(rng, 3))
+
+        def factorized(cfg):
+            warnings.warn("from the worker", ConvergenceWarning)
+            return evolve_factorized(cfg)
+
+        monkeypatch.setattr(cli, "evolve_factorized", factorized)
+        overlap(True)
+        out = tmp_path / "out"
+        with pytest.warns(ConvergenceWarning, match="from the worker"):
+            assert main_joining_threads(["compare", "--config", config,
+                                         "--output", str(out)]) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["warnings"] == [{"category": "ConvergenceWarning",
+                                         "message": "from the worker"}]
+
+    def test_predicate(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        dim = cli.OVERLAP_MIN_DIM
+        assert cli.overlap_routes(dim)
+        assert not cli.overlap_routes(dim - 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+        assert not cli.overlap_routes(dim)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli.overlap_routes(dim)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert not cli.overlap_routes(dim)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert not cli.overlap_routes(dim)  # an unpinned pool
+
+
+class TestWarningsInManifest:
+    def test_series_overflow_records_its_convergence_warning(self, tmp_path):
+        cfg = ScenarioConfig(
+            hbar=0.0018165821532520128,
+            hamiltonian=HamiltonianProfile.constant(np.array([[0.35689222]], dtype=complex)),
+            field=FieldProfile.constant(1.0036723106227856),
+            initial_k=np.array([[0.00085388 + 0.00068901j]]),
+            t_end=0.2, dt=0.01, output_stride=5)
+        config = write_scenario(tmp_path / "s.json", cfg)
+        argv = ["simulate", "--solver", "series", "--config", config]
+        with pytest.warns(ConvergenceWarning):
+            assert main(argv + ["--output", str(tmp_path / "a")]) == 6
+        manifest = json.loads((tmp_path / "a" / "run.json").read_text())
+        assert manifest["error"]["type"] == "TruncationDominatesError"
+        [warning] = manifest["warnings"]
+        assert warning["category"] == "ConvergenceWarning"
+        assert warning["message"].startswith("series argument norm ")
+        # a warning the filters ignore is neither shown nor recorded
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv + ["--output", str(tmp_path / "b")]) == 6
+        assert "warnings" not in json.loads((tmp_path / "b" / "run.json").read_text())
+
+    def test_verify_manifest_has_no_warnings_key(self, tmp_path):
+        assert main(["verify", "--output", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run.json").read_text())
+        assert sorted(manifest) == ["outputs", "scenario_digest", "status",
+                                    "tool_version", "wall_time"]
 
 
 class TestCritical:

@@ -3,7 +3,8 @@ import pytest
 
 from mesodyn.diagnostics import DiagnosticsReport
 from mesodyn.fixed_domain import Trajectory
-from mesodyn.reports import CELL_CHUNK, format_cells, format_number, trajectory_csv
+from mesodyn.linalg import CELL_CHUNK, format_cells
+from mesodyn.reports import format_number, trajectory_csv
 
 
 def repr_cells(values):

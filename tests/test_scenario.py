@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -282,3 +283,25 @@ class TestJsonRoundTrip:
         a = make_config()
         b = make_config(t_end=2.0)
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize("kind", ["constant", "interpolated-sequence"])
+    def test_digest_is_sha256_of_canonical_json(self, rng, kind):
+        # the values where repr and orjson disagree, plus the default pd_floor;
+        # dim 48 puts 2304 entries in each re/im list, past one orjson chunk
+        special = np.array([1e-05, 1e16, -0.0, 5e-324, 1e-12, -1e-05 + 5e-324j])
+        h = random_hermitian(rng, 48, 0.5, 2.0)
+        h[np.diag_indices(6)] += special.real
+        k0 = crandn(rng, 48, 48)
+        k0.flat[:special.size] = special
+        k0.flat[-special.size:] = special.conj()
+        if kind == "constant":
+            hamiltonian = HamiltonianProfile.constant(h)
+        else:
+            hamiltonian = HamiltonianProfile.interpolated([0.0, 1e-05, 1e16], [h, h, h])
+        cfg = ScenarioConfig(
+            hbar=1e-05, hamiltonian=hamiltonian,
+            field=FieldProfile.sampled_table([0.0, 1e-05, 1e16], [-0.0, 5e-324, 1e16]),
+            initial_k=k0, t_end=1e16, dt=5e-324)
+        assert cfg.pd_floor == 1e-12
+        payload = json.dumps(scenario_to_json(cfg), sort_keys=True, separators=(",", ":"))
+        assert cfg.digest() == hashlib.sha256(payload.encode("utf-8")).hexdigest()
