@@ -7,7 +7,7 @@ the one-particle Schroedinger propagator.  The frame is carried as its
 bras psi(t)*, which solve i*hbar d<psi|/dt = -<psi| H: the Schroedinger
 factor W of the fixed domain, multiplied from the right.  Frame and
 gauge propagators are ``unitary_propagator``'s, exact for a constant
-generator, midpoint products for a time-dependent one.
+generator, fourth-order Magnus products for a time-dependent one.
 
 The assembled operator is K(t) = phi0 . A'(t) . psi(t)*, with the
 coefficient matrix driven purely by the magnetic term:
@@ -226,7 +226,8 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     phi(t) = phi0 g1(t); g2 solves i*hbar dg2/dt = -g2 C''(t) so that
     <psi'_n| = sum [g2]_nl <psi_l| turns the gauged domain frame back into
     the free one.  A constant gauge gives exact exponentials, a callable
-    one midpoint-exponential products on the fine grid.
+    one fourth-order Magnus products on the fine grid, sampling it at each
+    step's two Gauss-Legendre nodes.
 
     Returns (g1s, g2s), one matrix each per time of the fine grid
     ``step_plan(t_end, dt).times``, t = 0 included.

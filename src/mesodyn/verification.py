@@ -32,6 +32,7 @@ from .fixed_domain import (  # evolve_direct stays importable here for perfbench
     evolve_direct_many,
     evolve_factorized,
     evolve_series,
+    polar_init,
 )
 from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from .moving_domain import (
@@ -214,6 +215,7 @@ def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
     worst_fact = 0.0
     worst_direct = 0.0
     worst_cross = 0.0
+    worst_heisenberg = 0.0
     directs = yield cfgs
     for cfg, direct in zip(cfgs, directs):
         fact = evolve_factorized(cfg)
@@ -223,10 +225,17 @@ def check_conservation_and_agreement(seed: int, scenario_count: int) -> list:
                            invariant_report(direct, cfg).max_kk_star_drift())
         worst_cross = max(worst_cross, float(np.linalg.norm(
             fact.ks[-1] - direct.ks[-1])))
+        # K*K(t) = W0* K0*K0 W0 whatever B is; the factorized K*K is that by
+        # construction, so it is the reference for the direct one
+        scale = float(np.linalg.norm(cfg.initial_k.conj().T @ cfg.initial_k))
+        for d_k, f_k in zip(direct.ks, fact.ks):
+            worst_heisenberg = max(worst_heisenberg, float(np.linalg.norm(
+                d_k.conj().T @ d_k - f_k.conj().T @ f_k)) / scale)
     return [
         _result("conservation_factorized", worst_fact, 1e-10),
         _result("conservation_direct", worst_direct, 1e-8),
         _result("cross_solver_distance", worst_cross, 1e-6),
+        _result("kstar_k_heisenberg", worst_heisenberg, 1e-10),
     ]
 
 
@@ -356,6 +365,16 @@ def check_constant_h_invariant(seed: int, scenario_count: int) -> list:
     return [_result("constant_h_trace_invariant", worst, 1e-8)]
 
 
+def check_magnus_order(seed: int) -> list:
+    """Factorized self-convergence at fourth order: the Magnus step of W."""
+    (rng,) = _child_rngs(seed, 1)
+    base = random_scenario(rng, 3, t_end=1.0, dt=1e-1, output_stride=10 ** 9)
+    finals = [evolve_factorized(replace(base, dt=dt)).ks[-1]
+              for dt in (1e-1, 5e-2, 2.5e-2)]
+    diffs = [float(np.linalg.norm(finals[i] - finals[i + 1])) for i in range(2)]
+    return [_result("magnus_self_convergence_order", convergence_order(diffs), 3.5, ">=")]
+
+
 def _moving_setup(rng: np.random.Generator, dim_h1: int = 8, dim_h2: int = 5,
                   n: int = 3, t_end: float = 1.0):
     space = AmbientSpace(
@@ -414,6 +433,24 @@ def check_moving_domain(seed: int) -> list:
     ]
 
 
+def check_moving_full_rank_reduction(seed: int) -> list:
+    """At full rank, psi0 = V, phi0 = U, a0 = diag(s) is K0 = U diag(s) V*.
+
+    The moving solution then is the fixed-domain one in K0's singular
+    basis; the metric is their largest relative distance over the samples.
+    """
+    (rng,) = _child_rngs(seed, 1)
+    cfg = random_scenario(rng, 3, t_end=1.0, dt=1e-2, output_stride=10)
+    u, s, vh = polar_init(cfg.initial_k)
+    space = AmbientSpace(dim_h1=3, dim_h2=3, n=3, ambient_hamiltonian=cfg.hamiltonian)
+    moving = moving_solution(space, vh.conj().T, u, np.diag(s).astype(complex),
+                             cfg.field, cfg.hbar, cfg.t_end, cfg.dt, cfg.output_stride)
+    fact = evolve_factorized(cfg)
+    worst = max(float(np.linalg.norm(m - f) / np.linalg.norm(f))
+                for m, f in zip(moving.ks, fact.ks))
+    return [_result("moving_full_rank_reduction", worst, 1e-12)]
+
+
 def check_gauge_equivalence(seed: int) -> list:
     """Two valid gauges of the same data produce the same physical operator."""
     (rng,) = _child_rngs(seed, 1)
@@ -463,4 +500,6 @@ def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
             + constant_h
             + check_moving_domain(seed + 8)
             + check_gauge_equivalence(seed + 9)
-            + rk4_order)
+            + rk4_order
+            + check_magnus_order(seed + 11)
+            + check_moving_full_rank_reduction(seed + 12))

@@ -17,7 +17,9 @@ from mesodyn.verification import (
     check_differential_identity,
     check_energy_rate_order,
     check_gauge_equivalence,
+    check_magnus_order,
     check_moving_domain,
+    check_moving_full_rank_reduction,
     check_rk4_order,
     check_series_agreement,
 )
@@ -55,6 +57,14 @@ def test_criterion_2_cross_solver_oracle(conservation_results):
     series = check_series_agreement(ROOT_SEED + 2, scenario_count=10, terms=30)
     assert all(r.threshold == 1e-9 for r in series)
     _assert_all(2, cross + series)
+
+
+def test_kstar_k_heisenberg(conservation_results):
+    # the paper's autonomous Schroedinger factor: the direct route's K*K
+    # follows W0* K0*K0 W0 whatever the field is
+    results = [r for r in conservation_results if r.name == "kstar_k_heisenberg"]
+    assert results[0].threshold == 1e-10
+    _assert_all("(kstar_k)", results)
 
 
 def test_criterion_3_diagonal_closed_form():
@@ -118,3 +128,18 @@ def test_rk4_uniqueness_regression():
     # supporting regression: direct-solver self-convergence stays at order 4
     results = check_rk4_order(ROOT_SEED + 10)
     _assert_all("(rk4 regression)", results)
+
+
+def test_magnus_order_regression():
+    # supporting regression: the factorized W's Magnus step stays at order 4
+    results = check_magnus_order(ROOT_SEED + 11)
+    assert results[0].threshold == 3.5 and results[0].comparison == ">="
+    _assert_all("(magnus regression)", results)
+
+
+def test_moving_full_rank_reduction():
+    # supporting regression: at full rank the moving construction is the
+    # fixed-domain solution
+    results = check_moving_full_rank_reduction(ROOT_SEED + 12)
+    assert results[0].threshold == 1e-12
+    _assert_all("(moving reduction)", results)

@@ -196,8 +196,9 @@ class TestEvolveW:
         for w in evolve_w(vh, cfg):
             assert frob(w - vh) <= 1e-12
 
-    def test_self_convergence_second_order(self, rng):
-        # time-dependent H: halving dt cuts the error about 4x
+    def test_self_convergence_fourth_order(self, rng):
+        # time-dependent H: halving dt cuts the Magnus error about 16x; the
+        # ladder keeps the errors (about 1e-8 and 1e-9) far above roundoff
         h0 = random_hermitian(rng, 3, 0.5, 2.0)
         h1 = random_hermitian(rng, 3, 0.5, 2.0)
         profile = HamiltonianProfile.interpolated([0.0, 1.0], [h0, h1])
@@ -210,10 +211,11 @@ class TestEvolveW:
                                  output_stride=10 ** 9)
             return evolve_w(polar_init(k0)[2], cfg)[-1]
 
-        reference = final_w(1.25e-4)
-        e_coarse = frob(final_w(2e-3) - reference)
-        e_fine = frob(final_w(1e-3) - reference)
-        assert 2.5 <= e_coarse / e_fine <= 6.0
+        reference = final_w(1 / 320)
+        e_coarse = frob(final_w(1e-1) - reference)
+        e_fine = frob(final_w(5e-2) - reference)
+        assert e_fine >= 1e-11
+        assert 14.0 <= e_coarse / e_fine <= 18.0
 
     def test_unitary_along_the_way(self, rng):
         cfg = random_scenario(rng, 4, dt=2e-3, output_stride=50)
@@ -222,7 +224,7 @@ class TestEvolveW:
 
 
 class TestUnitaryPropagator:
-    """The exact (matrix) and midpoint (sampler) methods of one propagator."""
+    """The exact (matrix) and Magnus (sampler) methods of one propagator."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_matrix_and_sampler_agree(self, rng, sign):
@@ -237,6 +239,32 @@ class TestUnitaryPropagator:
         assert len(exact) == len(stepped) == len(wanted)
         for a, b in zip(exact, stepped):
             assert frob(a - b) <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sampler_is_fourth_order_against_rk4(self, rng, sign):
+        # a generator that does not commute with itself over time, checked
+        # against RK4 on i hbar dU/dt = -U G itself: the commutator's sign
+        # is what makes the error fall 16x per halving (the wrong sign, 4x)
+        a = random_hermitian(rng, 3, 0.5, 2.0)
+        b = random_hermitian(rng, 3, -1.0, 1.0)
+
+        def g(t):
+            return sign * (np.cos(t) * a + np.sin(2.0 * t) * b)
+
+        hbar = 0.7
+        _, _, u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4))
+        fine = step_plan(1.0, 1e-3, 1).times
+        (reference,) = rk4(lambda t, u: (1j / hbar) * (u @ g(t)), u0, fine,
+                           {len(fine) - 1})
+
+        def error(dt):
+            times = step_plan(1.0, dt, 1).times
+            (u,) = unitary_propagator(u0, g, times, {len(times) - 1}, hbar)
+            return frob(u - reference)
+
+        e_coarse, e_fine = error(1e-1), error(5e-2)
+        assert e_fine >= 1e-10
+        assert 14.0 <= e_coarse / e_fine <= 18.0
 
 
 class TestSharedEigendecomposition:
