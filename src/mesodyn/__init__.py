@@ -25,6 +25,7 @@ from .errors import (
     NotHermitianGaugeError,
     NotOrthonormalError,
     NuDoesNotDominateError,
+    OffGridKnotWarning,
     OutOfDomainError,
     RankDeficientError,
     RequiresConstantCoefficientsError,

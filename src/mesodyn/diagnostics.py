@@ -150,7 +150,7 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     rates = len(ks) >= 2  # a time derivative needs two samples
     u, s, _ = polar_init(ks[0], cfg.pd_floor)
     radial_inv = hermitian_part((u / s) @ u.conj().T)
-    h_samples = np.array([cfg.hamiltonian.sample(float(t)) for t in times])
+    h_samples = cfg.hamiltonian.samples(times)
     b_samples = np.array([cfg.field.sample(float(t)) for t in times])
     if rates:
         h_dot = (np.zeros_like(h_samples) if cfg.hamiltonian.is_constant()

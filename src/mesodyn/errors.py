@@ -95,3 +95,7 @@ class UsageError(MesodynError):
 
 class ConvergenceWarning(UserWarning):
     """The series evaluation is outside its comfortable convergence radius."""
+
+
+class OffGridKnotWarning(UserWarning):
+    """A Hamiltonian knot lies strictly inside a step of the time grid."""

@@ -22,9 +22,10 @@ bit-reproducible; convergence studies (dt, dt/2) replace adaptivity.  The
 two propagation schemes live here once and also drive the moving-domain
 and gauge evolutions: classical RK4 (``rk4``) and ``unitary_propagator``
 for i*hbar*dU/dt = -U G, factors from the right (exact for a constant G,
-fourth-order Magnus products for a time-dependent one).  Both return
-only their matrices, one per wanted time; ``factorized_samples``
-assembles U diag(s v(t)) W(t) for both domains.
+fourth-order Magnus products for a time-dependent one, sampled, formed and
+eigendecomposed a chunk of steps at a time).  Both return only their
+matrices, one per wanted time; ``factorized_samples`` assembles
+U diag(s v(t)) W(t) for both domains.
 """
 
 from __future__ import annotations
@@ -56,9 +57,15 @@ SERIES_TRUNCATION_RTOL = 1e-10
 
 # the Gauss-Legendre nodes of one step, as fractions of it, and the Magnus
 # commutator weight sqrt(3)/12
-_GAUSS_LO = 0.5 - 3.0 ** 0.5 / 6.0
-_GAUSS_HI = 0.5 + 3.0 ** 0.5 / 6.0
+_GAUSS_NODES = np.array([0.5 - 3.0 ** 0.5 / 6.0, 0.5 + 3.0 ** 0.5 / 6.0])
 _SQRT3_12 = 3.0 ** 0.5 / 12.0
+# Matrix entries per Magnus chunk: a chunk of max(1, MAGNUS_CHUNK // n**2)
+# steps is sampled, multiplied and eigendecomposed as one stack, so up to
+# dim 128 a (chunk, n, n) array stays within 256 KB.  Dims up to 8 take 256
+# or more steps per chunk, dim 64 four, dims from 91 up one: there eigh
+# dominates and a larger stack only leaves the cache (README "Constant
+# generators").
+MAGNUS_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -86,37 +93,70 @@ def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR):
 def unitary_propagator(u0: np.ndarray, generator, times, wanted, hbar: float) -> list:
     """Time-ordered U(t) = u0 . exp(i Int G dt' / hbar), one per wanted time.
 
-    U solves i*hbar*dU/dt = -U G with U(0) = u0; ``times`` is the step
-    grid, ``wanted`` the indices returned.  The generator picks the method.
-    A Hermitian matrix G is exact: one eigendecomposition gives
-    exp(i G t / hbar) at every wanted time.  A sampler ``t -> G(t)`` takes
-    the fourth-order Magnus step at the two Gauss-Legendre nodes
-    t + (1/2 -+ sqrt(3)/6) dt: with G1, G2 sampled there, step by step
-    exp(i dt M / hbar), M = (G1 + G2)/2 + (i sqrt(3) dt / (12 hbar)) [G1, G2].
-    Fourth order, one eigendecomposition per step, exactly unitary; the
-    commutator's sign is that of factors on the right.  Its samples must be
-    exactly Hermitian, as the profiles' and gauges' symmetrized samples
-    are.  Then so is M, since [G1, G2] is formed as X - X* with X = G1 G2,
-    exactly anti-Hermitian, and M is eigendecomposed without a re-check.
+    U solves i*hbar*dU/dt = -U G with U(0) = u0 (u0 may be rectangular);
+    ``times`` is the step grid, ``wanted`` the indices returned.  The
+    generator picks the method.  A Hermitian matrix G is exact: one
+    eigendecomposition gives exp(i G t / hbar) at every wanted time.  A
+    sampler ``times -> (T, n, n)`` stack of G(t) takes the fourth-order
+    Magnus step at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt:
+    with G1, G2 sampled there, step by step exp(i dt M / hbar),
+    M = (G1 + G2)/2 + (i sqrt(3) dt / (12 hbar)) [G1, G2].  Fourth order,
+    exactly unitary; the commutator's sign is that of factors on the right.
+    Its samples must be exactly Hermitian, as the profiles' and gauges'
+    symmetrized samples are.  Then so is M, since [G1, G2] is formed as
+    X - X* with X = G1 G2, exactly anti-Hermitian, and M is
+    eigendecomposed without a re-check.
+
+    The steps run in chunks of max(1, MAGNUS_CHUNK // n**2): one sampler
+    call for the chunk's nodes, in time order, and X, M, one ``eigh`` and
+    the step exponentials on its (chunk, n, n) stack, so memory stays flat
+    in the step count.  Only the products u . E_k run step by step.  Every
+    stacked operation applies a single step's floating point operations,
+    so the product is bit-identical to stepping one at a time.
     """
     if not callable(generator):
         exps = unitary_exponentials(
             generator, [float(times[i]) / hbar for i in sorted(wanted)])
         return [u0 @ e for e in exps]
+    times = np.asarray(times, dtype=np.float64)
+    n = u0.shape[-1]
+    chunk = max(1, MAGNUS_CHUNK // (n * n))
     u = u0
     out = [u0.copy()] if 0 in wanted else []
-    for i in range(len(times) - 1):
-        t = float(times[i])
-        dt = float(times[i + 1] - times[i])
-        g1 = generator(t + _GAUSS_LO * dt)
-        g2 = generator(t + _GAUSS_HI * dt)
-        x = g1 @ g2
-        m = 0.5 * (g1 + g2) + (1j * _SQRT3_12 * dt / hbar) * (x - x.conj().T)
-        w, q = np.linalg.eigh(m)
-        u = u @ ((q * np.exp(1j * (dt / hbar) * w)) @ q.conj().T)
-        if (i + 1) in wanted:
-            out.append(u)
+    for start in range(0, len(times) - 1, chunk):
+        steps = _magnus_exponentials(generator, times[start:start + chunk + 1], hbar)
+        for i, e in enumerate(steps, start + 1):
+            u = u @ e
+            if i in wanted:
+                out.append(u)
     return out
+
+
+def _magnus_exponentials(generator, times: np.ndarray, hbar: float) -> np.ndarray:
+    """The (c, n, n) stack of Magnus step exponentials on the c steps of ``times``.
+
+    Each stage drops the arrays the next one does not read, so a chunk
+    holds few (c, n, n) arrays at once.
+    """
+    t0, dt = times[:-1, None], times[1:, None] - times[:-1, None]
+    # the nodes in time order: G1 at even, G2 at odd positions
+    g = generator((t0 + _GAUSS_NODES * dt).ravel())
+    g1, g2 = g[0::2], g[1::2]
+    # M = (G1 + G2)/2 + c (X - X*), formed in place: a product with c = i r or
+    # with 0.5 has one zero component, so the operand order keeps the bits
+    m = g1 @ g2
+    np.subtract(m, m.conj().swapaxes(-1, -2), out=m)
+    m *= (1j * (_SQRT3_12 * dt / hbar))[..., None]
+    half = g1 + g2
+    del g, g1, g2
+    half *= 0.5
+    m += half
+    del half
+    w, q = np.linalg.eigh(m)
+    del m
+    q_star = q.conj().swapaxes(-1, -2)
+    q *= np.exp(1j * (dt / hbar) * w)[:, None, :]
+    return q @ q_star
 
 
 def rk4(rhs, y0: np.ndarray, times, wanted) -> list:

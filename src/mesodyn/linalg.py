@@ -69,13 +69,17 @@ def require_square(m) -> np.ndarray:
     return a
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
+def hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(M + M*) / 2 of a matrix or of each matrix in a stack.
 
-    Bit-for-bit equal to its own conjugate transpose.
+    Bit-for-bit equal to its own conjugate transpose.  ``out=m`` (a complex
+    array the caller owns) symmetrizes it in place, with the same bits and
+    one temporary fewer.
     """
     a = np.asarray(m, dtype=np.complex128)
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    out = np.add(a, a.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
 
 
 def hermitian_excess(a: np.ndarray, rtol: float) -> float | None:

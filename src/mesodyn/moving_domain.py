@@ -179,10 +179,10 @@ def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
         raise InsufficientSamplesError(
             f"need >= 3 samples for centered differences, got {len(ks)}")
     space.check()
-    h_profile = space.ambient_hamiltonian
+    h_samples = space.ambient_hamiltonian.samples(trajectory.times[1:-1])
     times = trajectory.times.tolist()
     out = []
-    for i in range(1, len(ks) - 1):
+    for i, h in enumerate(h_samples, 1):
         t = times[i]
         k = ks[i]
         kdot = (ks[i + 1] - ks[i - 1]) / (times[i + 1] - times[i - 1])
@@ -191,17 +191,17 @@ def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
             raise RankDeficientError(
                 f"sample at t={t} has rank {rank}, expected {space.n}")
         b = field.sample(t)
-        h = h_profile.sample(t)
         residual = 1j * hbar * kdot + k @ h + (b * b) * pinv
         out.append(float(np.max(np.linalg.norm(residual, axis=0))))
     return out
 
 
 def _as_gauge(c, n: int):
-    """A gauge spec as a propagator generator, checked n x n and Hermitian.
+    """A gauge spec as a generator, checked n x n and Hermitian.
 
     A constant matrix is checked once and returned symmetrized; a callable
-    becomes a sampler that checks every sample.
+    becomes a scalar sampler that checks every sample, as the gauged RK4
+    takes it (``_stacked`` makes it a propagator's generator).
     """
     def checked(m, what: str) -> np.ndarray:
         m = as_matrix(m)
@@ -218,6 +218,14 @@ def _as_gauge(c, n: int):
     return checked(c, "constant gauge")
 
 
+def _stacked(sample):
+    """A gauge generator as the propagator takes it: a matrix as it is, a
+    scalar sampler ``t -> G(t)`` as ``times -> (T, n, n)``, sampled in order."""
+    if not callable(sample):
+        return sample
+    return lambda times: np.array([sample(t) for t in times.tolist()])
+
+
 def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
                       hbar: float) -> tuple:
     """Unitary frame-change propagators for a Hermitian gauge pair.
@@ -227,7 +235,7 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     <psi'_n| = sum [g2]_nl <psi_l| turns the gauged domain frame back into
     the free one.  A constant gauge gives exact exponentials, a callable
     one fourth-order Magnus products on the fine grid, sampling it at each
-    step's two Gauss-Legendre nodes.
+    step's two Gauss-Legendre nodes, one Python float at a time.
 
     Returns (g1s, g2s), one matrix each per time of the fine grid
     ``step_plan(t_end, dt).times``, t = 0 included.
@@ -235,11 +243,12 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     times = step_plan(t_end, dt, 1).times
     every = range(len(times))
     eye = np.eye(n, dtype=np.complex128)
-    c1 = _as_gauge(c_prime, n)
+    c1 = _stacked(_as_gauge(c_prime, n))
     # g1 carries the opposite sign: its generator is -C'
-    minus_c1 = (lambda t: -c1(t)) if callable(c1) else -c1
+    minus_c1 = (lambda times: -c1(times)) if callable(c1) else -c1
     return (unitary_propagator(eye, minus_c1, times, every, hbar),
-            unitary_propagator(eye, _as_gauge(c_double_prime, n), times, every, hbar))
+            unitary_propagator(eye, _stacked(_as_gauge(c_double_prime, n)), times,
+                               every, hbar))
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,

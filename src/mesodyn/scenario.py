@@ -18,12 +18,13 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import OffGridKnotWarning, OutOfDomainError
 from .linalg import (
     DEFAULT_PD_FLOOR,
     HERMITIAN_RTOL,
@@ -65,12 +66,15 @@ MAX_FINE_STEPS = 10 ** 7
 _DOMAIN_SLACK = 1e-9
 
 
-def _outside_domain(domain: tuple[float, float], t0: float, t1: float) -> bool:
-    """[t0, t1] leaves the domain by more than a relative slack."""
+def _outside_domain(domain: tuple[float, float], t0, t1):
+    """[t0, t1] leaves the domain by more than a relative slack.
+
+    Elementwise for arrays of times, a bool for floats.
+    """
     lo, hi = domain
     slack = _DOMAIN_SLACK * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
                                 abs(hi) if math.isfinite(hi) else 0.0)
-    return t0 < lo - slack or t1 > hi + slack
+    return (t0 < lo - slack) | (t1 > hi + slack)
 
 
 def _knot_domain(times: tuple, tabulated: bool) -> tuple[float, float]:
@@ -189,8 +193,8 @@ class HamiltonianProfile:
         return self.kind == "constant"
 
     def generator(self):
-        """The matrix when constant, else ``sample``: what a propagator steps."""
-        return self.sample(0.0) if self.is_constant() else self.sample
+        """The matrix when constant, else ``samples``: what a propagator steps."""
+        return self.sample(0.0) if self.is_constant() else self.samples
 
     @cached_property
     def _stack(self) -> "HamiltonianStack":
@@ -200,18 +204,28 @@ class HamiltonianProfile:
         """H(t): the one-member case of ``HamiltonianStack``."""
         return self._stack(t)[0]
 
+    def samples(self, times) -> np.ndarray:
+        """The (T, n, n) stack of ``sample(t)`` for each t in ``times``, bit for bit."""
+        return self._stack.at(times)[:, 0]
+
+
+def _blend(theta, lo, hi):
+    """(1 - theta) lo + theta hi entrywise, the interpolation of both samplers."""
+    return (1.0 - theta) * lo + theta * hi
+
 
 class HamiltonianStack:
     """t -> the (S, n, n) stack of H_s(t) for profiles of one kind and knot times.
 
     A constant stack is symmetrized once and returned, read-only, at every
-    t.  An interpolated stack holds each knot as one (S, n, n) array (a
-    view of the member's own matrix when S = 1), clamps t into the shared
-    knot range, finds its interval (``bisect_right``, i.e.
-    ``searchsorted`` side="right"), blends the two knots entrywise and
-    symmetrizes the blend.  Each member sees the operations of a lone
+    t.  An interpolated stack holds its knots as one (K, S, n, n) array,
+    built once, clamps t into the shared knot range, finds its interval
+    (``bisect_right``, i.e. ``searchsorted`` side="right"), blends the two
+    knots entrywise and symmetrizes the blend; at or past the last knot it
+    symmetrizes that knot.  Each member sees the operations of a lone
     sample in the same order, so a stacked sample equals the members' own
-    samples bit for bit.
+    samples bit for bit, and ``at`` samples many times in one call with
+    the same bits as ``__call__`` at each.
     """
 
     def __init__(self, profiles):
@@ -223,34 +237,60 @@ class HamiltonianStack:
         self.times = first.times
         self.domain = first.domain()
         self.constant = None
-        self.knots = []
         if first.kind == "constant":
             self.constant = hermitian_part(np.stack([p.matrix for p in profiles]))
             self.constant.flags.writeable = False
-        else:
-            for ms in zip(*(p.matrices for p in profiles)):
-                self.knots.append(ms[0][None] if len(ms) == 1 else np.stack(ms))
+        elif first.matrices:  # an empty table has an empty domain: nothing to sample
+            self.knots = np.stack([np.stack(ms) for ms in zip(*(p.matrices for p in profiles))])
+            self.knot_times = np.array(self.times)
+            # t1 - t0 of each knot's interval; the last knot's has no end
+            self.spans = np.append(np.diff(self.knot_times), 1.0)
+
+    def _out_of_domain(self, t: float) -> OutOfDomainError:
+        lo, hi = self.domain
+        return OutOfDomainError(
+            f"hamiltonian sampled at t={t!r} outside its domain [{lo}, {hi}]")
 
     def __call__(self, t: float) -> np.ndarray:
         if self.constant is not None:
             return self.constant
         lo, hi = self.domain
         if _outside_domain((lo, hi), t, t):
-            raise OutOfDomainError(
-                f"hamiltonian sampled at t={t!r} outside its domain [{lo}, {hi}]"
-            )
+            raise self._out_of_domain(t)
         t = min(max(t, lo), hi)
         ts = self.times
         j = bisect.bisect_right(ts, t)
-        if j <= 0:
-            return hermitian_part(self.knots[0])
         if j >= len(ts):
             return hermitian_part(self.knots[-1])
         t0, t1 = ts[j - 1], ts[j]
-        if t1 == t0:
-            return hermitian_part(self.knots[j])
-        theta = (t - t0) / (t1 - t0)
-        return hermitian_part((1.0 - theta) * self.knots[j - 1] + theta * self.knots[j])
+        return hermitian_part(_blend((t - t0) / (t1 - t0), self.knots[j - 1], self.knots[j]))
+
+    def at(self, times) -> np.ndarray:
+        """The (T, S, n, n) stack of ``self(t)`` for each t in ``times``.
+
+        One clamp, one ``searchsorted`` and one blend for all T times; a
+        time outside the domain raises the error ``self(t)`` raises for the
+        first such t.
+        """
+        ts = np.asarray(times, dtype=np.float64)
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, ts.shape + self.constant.shape)
+        lo, hi = self.domain
+        outside = _outside_domain((lo, hi), ts, ts)
+        if outside.any():
+            raise self._out_of_domain(float(ts[np.argmax(outside)]))
+        ts = np.minimum(np.maximum(ts, lo), hi)
+        i = np.searchsorted(self.knot_times, ts, side="right") - 1  # the knot at or before t
+        last = i == len(self.times) - 1  # at the last knot: that knot itself, set below
+        i = np.minimum(i, len(self.times) - 2)  # so blend those in the last interval
+        # complex up front, as a scalar theta is converted: the blend then
+        # broadcasts it without a buffered cast
+        theta = ((ts - self.knot_times[i]) / self.spans[i]).astype(np.complex128)
+        if i.size and (i == i[0]).all():  # one interval: blend views of its two knots
+            i = i[0]
+        out = _blend(theta[:, None, None, None], self.knots[i], self.knots[i + 1])
+        out[last] = self.knots[-1]
+        return hermitian_part(out, out=out)
 
 
 def _simpson_exact(f, a: float, b: float) -> float:
@@ -444,11 +484,41 @@ def _check_hamiltonian(profile: HamiltonianProfile, t_end: float, issues: list) 
     return dim
 
 
+def _warn_off_grid_knots(cfg: ScenarioConfig) -> None:
+    """One OffGridKnotWarning if an H knot lies strictly inside a step.
+
+    H is only continuous at a knot, so a knot inside a step puts a kink
+    between the step's Gauss nodes and costs that step its order.  A knot
+    within the domain slack of a grid time counts as on it.
+    """
+    h = cfg.hamiltonian
+    inner = [t for t in h.times if 0.0 < t < cfg.t_end]
+    if h.kind != "interpolated-sequence" or not inner:
+        return
+    grid = step_plan(cfg.t_end, cfg.dt).times
+    off = []
+    for t in inner:
+        j = int(np.searchsorted(grid, t))  # grid[j - 1] < t <= grid[j]
+        t0, t1 = float(grid[j - 1]), float(grid[j])
+        slack = _DOMAIN_SLACK * max(1.0, abs(t))
+        if t - t0 > slack and t1 - t > slack:
+            off.append((t, t0, t1))
+    if off:
+        t, t0, t1 = off[0]
+        more = f" (and {len(off) - 1} more knots)" if len(off) > 1 else ""
+        warnings.warn(
+            f"hamiltonian knot t={t!r} lies strictly inside the step [{t0!r}, {t1!r}]"
+            f"{more}: the kink costs that step its order; put the knots on the "
+            f"dt={cfg.dt!r} step grid", OffGridKnotWarning, stacklevel=3)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     """Check every scenario invariant; never raises.
 
     An empty report means every solver precondition on the scenario holds
-    at t = 0 and the profiles cover [0, t_end].
+    at t = 0 and the profiles cover [0, t_end].  A valid scenario with an
+    ``interpolated-sequence`` knot strictly inside a step of its dt grid
+    is no violation, but emits one OffGridKnotWarning.
     """
     issues: list[ValidationIssue] = []
 
@@ -494,6 +564,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
                 f"initial_k singular-value ratio {smin:.3e}/{smax:.3e} "
                 f"crosses pd_floor {floor:.1e}"))
 
+    if not issues:
+        _warn_off_grid_knots(cfg)
     return ValidationReport(issues=tuple(issues))
 
 

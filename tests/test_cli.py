@@ -15,6 +15,7 @@ from mesodyn.errors import (
     ConvergenceWarning,
     NearSingularError,
     NonFiniteError,
+    OffGridKnotWarning,
     UsageError,
 )
 from mesodyn.fixed_domain import evolve_direct, evolve_factorized
@@ -498,6 +499,35 @@ class TestWarningsInManifest:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(argv + ["--output", str(tmp_path / "b")]) == 6
+        assert "warnings" not in json.loads((tmp_path / "b" / "run.json").read_text())
+
+    def test_off_grid_knot_is_listed_once(self, tmp_path):
+        # the README's 3x3 example: knots at 0, 0.3337 and 1 on a dt = 0.01 grid
+        rng = np.random.default_rng(3)
+        matrices = [random_hermitian(rng, 3, 0.5, 2.0) for _ in range(3)]
+        cfg = ScenarioConfig(
+            hbar=1.0,
+            hamiltonian=HamiltonianProfile.interpolated([0.0, 0.3337, 1.0], matrices),
+            field=FieldProfile.constant(0.8),
+            initial_k=random_full_rank(rng, 3, 0.7, 1.4),
+            t_end=1.0, dt=1e-2, output_stride=10)
+        config = write_scenario(tmp_path / "offgrid.json", cfg)
+        # compare's routes part at the kink: the warning explains its failed check
+        for verb, code in (("simulate", 0), ("compare", 1)):
+            out = tmp_path / verb
+            with pytest.warns(OffGridKnotWarning):
+                assert main([verb, "--config", config, "--output", str(out)]) == code
+            [warning] = json.loads((out / "run.json").read_text())["warnings"]
+            assert warning["category"] == "OffGridKnotWarning"
+            assert warning["message"].startswith(
+                "hamiltonian knot t=0.3337 lies strictly inside the step [0.33, 0.34]")
+        # on the grid, at 0.34, nothing is listed
+        on_grid = dataclasses.replace(cfg, hamiltonian=HamiltonianProfile.interpolated(
+            [0.0, 0.34, 1.0], matrices))
+        config = write_scenario(tmp_path / "ongrid.json", on_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", config, "--output", str(tmp_path / "b")]) == 0
         assert "warnings" not in json.loads((tmp_path / "b" / "run.json").read_text())
 
     def test_verify_manifest_has_no_warnings_key(self, tmp_path):

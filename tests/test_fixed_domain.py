@@ -235,7 +235,10 @@ class TestUnitaryPropagator:
         plan = step_plan(1.0, 1e-2, 10)
         wanted = set(plan.output_indices)
         exact = unitary_propagator(u0, h, plan.times, wanted, 0.7)
-        stepped = unitary_propagator(u0, lambda t: h, plan.times, wanted, 0.7)
+        # a sampler returns the (T, n, n) stack of G at its T times
+        stepped = unitary_propagator(
+            u0, lambda times: np.broadcast_to(h, (len(times),) + h.shape),
+            plan.times, wanted, 0.7)
         assert len(exact) == len(stepped) == len(wanted)
         for a, b in zip(exact, stepped):
             assert frob(a - b) <= 1e-12
@@ -259,12 +262,62 @@ class TestUnitaryPropagator:
 
         def error(dt):
             times = step_plan(1.0, dt, 1).times
-            (u,) = unitary_propagator(u0, g, times, {len(times) - 1}, hbar)
+            (u,) = unitary_propagator(u0, lambda ts: np.array([g(t) for t in ts]),
+                                      times, {len(times) - 1}, hbar)
             return frob(u - reference)
 
         e_coarse, e_fine = error(1e-1), error(5e-2)
         assert e_fine >= 1e-10
         assert 14.0 <= e_coarse / e_fine <= 18.0
+
+
+def reference_magnus(u0, sample, times, wanted, hbar):
+    """The fourth-order Magnus product one step at a time, from scalar samples."""
+    lo, hi = 0.5 - 3.0 ** 0.5 / 6.0, 0.5 + 3.0 ** 0.5 / 6.0
+    u = u0
+    out = [u0.copy()] if 0 in wanted else []
+    for i in range(len(times) - 1):
+        t = float(times[i])
+        dt = float(times[i + 1] - times[i])
+        g1 = sample(t + lo * dt)
+        g2 = sample(t + hi * dt)
+        x = g1 @ g2
+        m = 0.5 * (g1 + g2) + (1j * (3.0 ** 0.5 / 12.0) * dt / hbar) * (x - x.conj().T)
+        w, q = np.linalg.eigh(m)
+        u = u @ ((q * np.exp(1j * (dt / hbar) * w)) @ q.conj().T)
+        if (i + 1) in wanted:
+            out.append(u)
+    return out
+
+
+class TestStackedMagnus:
+    """The chunked Magnus product is the per-step product, bit for bit."""
+
+    @pytest.mark.parametrize("budget, dim, steps", [
+        (40, 2, 23),       # chunks of 10 steps, the last one of 3
+        (40, 3, 10),       # chunks of 4, the last one of 2
+        (40, 7, 5),        # 49 entries over the budget: one step per chunk
+        (None, 3, 7),      # the module's budget: one chunk
+        (None, 90, 3),     # the module's budget: chunks of 2, the last one of 1
+        (None, 91, 2),     # the first dim of one step per chunk
+    ])
+    @pytest.mark.parametrize("every", [False, True], ids=["chunk_edges", "every_step"])
+    def test_equals_per_step_product(self, rng, monkeypatch, budget, dim, steps, every):
+        if budget is not None:
+            monkeypatch.setattr(fixed_domain, "MAGNUS_CHUNK", budget)
+        chunk = max(1, fixed_domain.MAGNUS_CHUNK // dim ** 2)
+        profile = HamiltonianProfile.interpolated(
+            [0.0, 0.5, 1.0], [random_hermitian(rng, dim, 0.5, 2.0) for _ in range(3)])
+        times = step_plan(1.0, 1.0 / steps).times
+        wanted = (set(range(steps + 1)) if every
+                  else {0, steps} | set(range(chunk, steps, chunk)) | {chunk + 1})
+        square = random_unitary(rng, dim)
+        for u0 in (square, square[:2]):  # rectangular, as the moving frame's bras
+            got = unitary_propagator(u0, profile.generator(), times, wanted, 0.7)
+            expected = reference_magnus(u0, profile.sample, times, wanted, 0.7)
+            assert len(got) == len(expected) == len(wanted & set(range(steps + 1)))
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestSharedEigendecomposition:

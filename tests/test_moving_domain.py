@@ -423,6 +423,21 @@ class TestGauge:
             gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
                                     1.0, 1e-2, skew, skew)
 
+    @pytest.mark.parametrize("which", ["c_prime", "c_double_prime"])
+    def test_callable_gauge_names_its_non_hermitian_sample(self, which):
+        # Hermitian up to t = 0.5, then skew: the first Gauss node past 0.5 is named
+        def gauge(t):
+            return np.array([[0.0, 1.0], [0.0, 0.0]]) if t > 0.5 else np.eye(2)
+
+        times = step_plan(1.0, 0.1, 1).times.tolist()
+        nodes = [t + f * (u - t) for t, u in zip(times, times[1:])
+                 for f in (0.5 - 3.0 ** 0.5 / 6.0, 0.5 + 3.0 ** 0.5 / 6.0)]
+        first = next(t for t in nodes if t > 0.5)
+        gauges = {"c_prime": np.eye(2), "c_double_prime": np.eye(2), which: gauge}
+        with pytest.raises(NotHermitianGaugeError,
+                           match=rf"^gauge sample at t={first} is not Hermitian"):
+            gauge_propagators(gauges["c_prime"], gauges["c_double_prime"], 2, 1.0, 0.1, 1.0)
+
     def test_singular_a0_rejected_before_evolution(self, rng, no_frame_evolution):
         space, psi0, phi0, _, field = self._setup(rng)
         zero = np.zeros((2, 2))

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mesodyn.errors import OutOfDomainError
+from mesodyn.errors import OffGridKnotWarning, OutOfDomainError
 from mesodyn.scenario import (
     BAD_STRIDE,
     BAD_TABLE,
@@ -127,6 +129,45 @@ class TestHamiltonianStack:
             assert np.array_equal(member, (profile.matrix + profile.matrix.conj().T) / 2)
         assert not stacked.flags.writeable
 
+    @pytest.mark.parametrize("count", [1, 3], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("knots", [[0.0, 1.0], [0.0, 0.4, 1.0]],
+                             ids=["two_knots", "three_knots"])
+    @pytest.mark.parametrize("times", [
+        [0.77, 0.0, 0.13, 0.4, 1.0, -1e-12, 1.0 + 1e-12, 0.13, 0.999],
+        [0.31, 0.05, 0.2],
+        [1.0, 1.0 + 1e-12],
+    ], ids=["unsorted_on_between_and_clamped", "one_interval", "last_knot_only"])
+    def test_array_sampler_is_the_per_time_sample(self, times, knots, count, rng):
+        tables = [[random_hermitian(rng, 3, 0.5, 2.0) + 1e-15 * crandn(rng, 3, 3)
+                   for _ in knots] for _ in range(count)]
+        for matrices in tables:
+            # signed zeros: a blend at theta = 1 would turn the -0.0 real parts into +0.0
+            matrices[-1][0, 1], matrices[-1][1, 0] = complex(-0.0, -1.0), complex(-0.0, 1.0)
+        profiles = [HamiltonianProfile.interpolated(knots, m) for m in tables]
+        stack = HamiltonianStack(profiles)
+        sampled = stack.at(times)
+        assert sampled.shape == (len(times), count, 3, 3)
+        for t, sample in zip(times, sampled):
+            assert sample.tobytes() == stack(t).tobytes()
+        for t, sample in zip(times, profiles[0].samples(times)):
+            assert sample.tobytes() == profiles[0].sample(t).tobytes()
+
+    def test_array_sampler_names_the_first_time_outside(self, rng):
+        profile = HamiltonianProfile.interpolated(self.TIMES, self.tables(rng, count=1)[0])
+        with pytest.raises(OutOfDomainError) as lone:
+            profile.sample(1.5)
+        with pytest.raises(OutOfDomainError) as stacked:
+            profile.samples([0.5, 1.5, -0.5])
+        assert str(stacked.value) == str(lone.value)
+        assert "t=1.5 outside its domain [0.0, 1.0]" in str(lone.value)
+
+    def test_constant_array_sampler(self, rng):
+        profile = HamiltonianProfile.constant(self.tables(rng, count=1)[0][0])
+        samples = profile.samples([0.0, 5.0, -3.0])
+        assert samples.shape == (3, 3, 3)
+        for sample in samples:
+            assert np.array_equal(sample, profile.sample(0.0))
+
     def test_rejects_mixed_knots(self, rng):
         first, second = self.tables(rng, count=2)
         with pytest.raises(ValueError):
@@ -238,6 +279,57 @@ class TestValidateScenario:
                           initial_k=np.full((2, 2), np.nan, dtype=complex))
         report = validate_scenario(cfg)
         assert not report.ok
+
+
+class TestOffGridKnots:
+    """A knot strictly inside a step of the dt grid warns once; a knot on it does not."""
+
+    def config(self, rng, knots, dt=1e-2):
+        # the README's 3x3 example
+        matrices = [random_hermitian(rng, 3, 0.5, 2.0) for _ in knots]
+        return make_config(hamiltonian=HamiltonianProfile.interpolated(knots, matrices),
+                           initial_k=np.eye(3, dtype=complex), dt=dt)
+
+    def test_knot_inside_a_step_warns_once(self, rng):
+        cfg = self.config(rng, [0.0, 0.3337, 1.0])
+        grid = step_plan(cfg.t_end, cfg.dt).times
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert validate_scenario(cfg).ok
+        [warning] = caught
+        assert warning.category is OffGridKnotWarning
+        assert issubclass(OffGridKnotWarning, UserWarning)
+        message = str(warning.message)
+        assert "knot t=0.3337" in message
+        assert f"step [{float(grid[33])!r}, {float(grid[34])!r}]" in message
+        assert "more knots" not in message
+
+    def test_several_off_grid_knots_warn_once(self, rng):
+        cfg = self.config(rng, [0.0, 0.3337, 0.5, 0.6661, 1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validate_scenario(cfg)
+        [warning] = caught
+        assert "knot t=0.3337" in str(warning.message)
+        assert "(and 1 more knots)" in str(warning.message)
+
+    @pytest.mark.parametrize("knots, dt", [
+        ([0.0, 0.34, 1.0], 1e-2),   # on the grid up to the rounding of 34 * dt
+        ([0.0, 1.0], 1e-2),
+        ([0.0, 0.3, 1.0], 0.1),     # 3 * 0.1 is 0.30000000000000004
+        ([-1.0, 0.5, 2.0], 0.25),   # knots outside [0, t_end] and one on the grid
+    ])
+    def test_on_grid_knots_do_not_warn(self, rng, knots, dt):
+        cfg = self.config(rng, knots, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_scenario(cfg).ok
+
+    def test_invalid_scenario_does_not_warn(self, rng):
+        cfg = dataclasses.replace(self.config(rng, [0.0, 0.3337, 1.0]), hbar=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not validate_scenario(cfg).ok
 
 
 class TestStepPlan:
