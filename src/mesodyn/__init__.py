@@ -57,6 +57,7 @@ from .moving_domain import (
     AmbientSpace,
     coefficient_matrix_evolution,
     gauge_equivalence_check,
+    gauge_equivalence_checks,
     gauge_propagators,
     moving_solution,
     weak_residual,

@@ -333,7 +333,7 @@ def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
 
 
 def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
-    h = cfg.hamiltonian.sample(0.0)
+    h = cfg.hamiltonian.samples([0.0])[0]
     b = cfg.field.sample(0.0)
     nu = doc.get("nu")
     if nu is None:

@@ -13,7 +13,8 @@ Three independent routes to the same trajectory:
 * ``evolve_direct`` — classical fixed-step RK4 on the equation itself,
   re-checking the full-rank invariant at every stage;
   ``evolve_direct_many`` runs scenarios that share a shape and a time grid
-  as one stacked RK4, bit-identical to one at a time.
+  as one stacked RK4, bit-identical to one at a time, reading H and B^2
+  from stacks sampled a chunk of steps at a time (``rk4_stages``).
 * ``evolve_series`` — the binomial power series for constant H and B,
   truncated at a caller-chosen number of terms.
 
@@ -50,7 +51,7 @@ from .linalg import (
     require_square,
     unitary_exponentials,
 )
-from .scenario import HamiltonianStack, ScenarioConfig, integrate_b_squared, step_plan
+from .scenario import ScenarioConfig, integrate_b_squared, step_plan
 
 SERIES_RADIUS_LIMIT = 10.0
 SERIES_TRUNCATION_RTOL = 1e-10
@@ -261,35 +262,67 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
         u, s, vh, cfg.hamiltonian, cfg.field, cfg.hbar, plan), "factorized")
 
 
-def _direct_rhs(cfgs):
+def rk4_stages(times, chunk: int, sample):
+    """t -> the samples at a stage time of ``rk4`` on the grid ``times``.
+
+    ``sample(ts)`` returns a tuple of arrays or lists indexed like ``ts``.
+    It is called once per chunk of ``chunk`` steps, in time order, with the
+    chunk's distinct stage times ``t0``, ``t0 + 0.5*h`` and ``t0 + h``,
+    formed as ``rk4`` forms them; a chunk's first ``t0`` is the previous
+    chunk's last end and is not sampled again.  So each distinct stage time
+    is sampled once, and one chunk's samples are held.  The times must be
+    asked in ``rk4``'s order; a time out of it raises ValueError.
+    """
+    ts, stacks, entry, at, start = [], (), (), -1, 0
+
+    def lookup(t: float) -> tuple:
+        nonlocal ts, stacks, entry, at, start
+        if not ts or ts[at] != t:
+            at += 1
+            if at == len(ts):
+                last, wanted = ts[-1] if ts else None, {}
+                for i in range(start, min(start + chunk, len(times) - 1)):
+                    t0, h = float(times[i]), float(times[i + 1] - times[i])
+                    wanted.update(dict.fromkeys([t0, t0 + 0.5 * h, t0 + h]))
+                ts = [s for s in wanted if s != last]
+                stacks = entry = ()  # drop the previous chunk before sampling this one
+                stacks, at, start = sample(ts), 0, start + chunk
+            if at == len(ts) or ts[at] != t:
+                raise ValueError(f"stage time {t!r} asked out of rk4's order")
+            entry = tuple(x[at] for x in stacks)
+        return entry
+
+    return lookup
+
+
+def _direct_rhs(cfgs, times):
     """The stacked right-hand side (i/hbar)(K H + B^2 (K*)^-1) of one group.
 
-    ``1j/hbar``, ``B^2`` and the floor are per-member arrays; B is sampled
-    per member with the scalar ``FieldProfile.sample``.  The H stack and
-    B^2 of the last stage time are kept: an RK4 step has two distinct stage
-    times, the midpoint twice and its end, which the next step starts at.
+    ``1j/hbar`` and the floor are per-member arrays.  The rhs reads H and
+    B^2 from ``rk4_stages`` stacks of (T, S, n, n) and (T, S, 1, 1), a chunk
+    of max(1, MAGNUS_CHUNK // (S n**2)) steps at a time: each member's
+    profile sampled once per chunk by ``samples``, B with the scalar
+    ``FieldProfile.sample`` once per member and stage time.
     """
-    sample_h = HamiltonianStack([cfg.hamiltonian for cfg in cfgs])
+    profiles = [cfg.hamiltonian for cfg in cfgs]
     fields = [cfg.field for cfg in cfgs]
     i_over_hbar = np.array([1j / cfg.hbar for cfg in cfgs])[:, None, None]
     floors = np.array([cfg.pd_floor for cfg in cfgs])
-    memo = {}
+
+    def sample(ts: list) -> tuple:
+        hs = [profile.samples(ts) for profile in profiles]
+        b2 = np.array([[b * b for b in [f.sample(t) for f in fields]] for t in ts])
+        return hs[0][:, None] if len(hs) == 1 else np.stack(hs, axis=1), b2[..., None, None]
+
+    n = np.shape(cfgs[0].initial_k)[-1]
+    stages = rk4_stages(times, max(1, MAGNUS_CHUNK // (len(cfgs) * n * n)), sample)
 
     def rhs(t: float, k: np.ndarray) -> np.ndarray:
-        if t not in memo:
-            memo.clear()
-            memo[t] = (sample_h(t), np.array(
-                [b * b for b in [f.sample(t) for f in fields]])[:, None, None])
-        h, b2 = memo[t]
+        h, b2 = stages(t)
         # The checked (K*)^-1 is also the per-stage full-rank test.
         return i_over_hbar * (k @ h + b2 * adjoint_inverse(k, floors))
 
     return rhs
-
-
-def _direct_group_key(cfg: ScenarioConfig) -> tuple:
-    h = cfg.hamiltonian
-    return (np.shape(cfg.initial_k), cfg.t_end, cfg.dt, h.kind, h.times)
 
 
 def _evolve_direct_stack(cfgs) -> list:
@@ -306,7 +339,7 @@ def _evolve_direct_stack(cfgs) -> list:
     where = {index: j for j, index in enumerate(union)}  # step index -> sample
     try:
         k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
-        samples = rk4(_direct_rhs(cfgs), k0, plans[0].times, where)
+        samples = rk4(_direct_rhs(cfgs, plans[0].times), k0, plans[0].times, where)
     except (NearSingularError, NonFiniteError) as exc:
         done = exc.partial or []
         plan = plans[0]
@@ -321,9 +354,9 @@ def _evolve_direct_stack(cfgs) -> list:
 def evolve_direct_many(cfgs) -> list:
     """``[evolve_direct(cfg) for cfg in cfgs]``, integrating stacks at once.
 
-    Scenarios that share the shape of K0, (t_end, dt), the H profile's kind
-    and its knot times form one group, integrated as one (S, n, n) RK4 run:
-    one stacked (K*)^-1 and matmul per stage instead of S.  The states do
+    Scenarios that share the shape of K0 and the grid (t_end, dt) form one
+    group, whatever their H and B profiles, integrated as one (S, n, n) RK4
+    run: one stacked (K*)^-1 and matmul per stage instead of S.  The states do
     not depend on which samples are emitted, so members may differ in
     ``output_stride``.  Every member's trajectory is bit-identical to its
     own ``evolve_direct``.
@@ -335,7 +368,7 @@ def evolve_direct_many(cfgs) -> list:
     cfgs = list(cfgs)
     groups = {}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault(_direct_group_key(cfg), []).append(i)
+        groups.setdefault((np.shape(cfg.initial_k), cfg.t_end, cfg.dt), []).append(i)
     out = [None] * len(cfgs)
     failures = []
     for members in groups.values():
@@ -404,7 +437,7 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
     u, s, vh = polar_init(cfg.initial_k, cfg.pd_floor)
     uh = u.conj().T
     radial, u0 = hermitian_part((u * s) @ uh), u @ vh
-    h = cfg.hamiltonian.sample(0.0)
+    h = cfg.hamiltonian.samples([0.0])[0]
     b = cfg.field.value
     h_b = (b * b) * hermitian_part((u / (s * s)) @ uh)
     radius = float(np.linalg.norm(h + h_b)) * cfg.t_end / cfg.hbar

@@ -38,8 +38,8 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .fixed_domain import (Trajectory, factorized_samples, magnetic_factor, polar_init,
-                           rk4, unitary_propagator)
+from .fixed_domain import (MAGNUS_CHUNK, Trajectory, factorized_samples, magnetic_factor,
+                           polar_init, rk4, rk4_stages, unitary_propagator)
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -197,11 +197,11 @@ def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
 
 
 def _as_gauge(c, n: int):
-    """A gauge spec as a generator, checked n x n and Hermitian.
+    """A gauge spec as a propagator's generator, checked n x n and Hermitian.
 
     A constant matrix is checked once and returned symmetrized; a callable
-    becomes a scalar sampler that checks every sample, as the gauged RK4
-    takes it (``_stacked`` makes it a propagator's generator).
+    ``t -> C(t)`` becomes a sampler ``times -> (T, n, n)`` that calls it one
+    Python float at a time, in order, and checks every sample.
     """
     def checked(m, what: str) -> np.ndarray:
         m = as_matrix(m)
@@ -214,16 +214,9 @@ def _as_gauge(c, n: int):
         return hermitian_part(m)
 
     if callable(c):
-        return lambda t: checked(c(t), f"gauge sample at t={t}")
+        return lambda times: np.array([checked(c(t), f"gauge sample at t={t}")
+                                       for t in np.asarray(times).tolist()])
     return checked(c, "constant gauge")
-
-
-def _stacked(sample):
-    """A gauge generator as the propagator takes it: a matrix as it is, a
-    scalar sampler ``t -> G(t)`` as ``times -> (T, n, n)``, sampled in order."""
-    if not callable(sample):
-        return sample
-    return lambda times: np.array([sample(t) for t in times.tolist()])
 
 
 def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
@@ -235,56 +228,80 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     <psi'_n| = sum [g2]_nl <psi_l| turns the gauged domain frame back into
     the free one.  A constant gauge gives exact exponentials, a callable
     one fourth-order Magnus products on the fine grid, sampling it at each
-    step's two Gauss-Legendre nodes, one Python float at a time.
+    step's two Gauss-Legendre nodes.
 
     Returns (g1s, g2s), one matrix each per time of the fine grid
     ``step_plan(t_end, dt).times``, t = 0 included.
     """
-    times = step_plan(t_end, dt, 1).times
+    return _gauge_propagators(_as_gauge(c_prime, n), _as_gauge(c_double_prime, n), n,
+                              step_plan(t_end, dt, 1).times, hbar)
+
+
+def _gauge_propagators(c1, c2, n: int, times, hbar: float) -> tuple:
+    """``gauge_propagators`` of gauges built by ``_as_gauge``, on the grid ``times``."""
     every = range(len(times))
     eye = np.eye(n, dtype=np.complex128)
-    c1 = _stacked(_as_gauge(c_prime, n))
     # g1 carries the opposite sign: its generator is -C'
     minus_c1 = (lambda times: -c1(times)) if callable(c1) else -c1
     return (unitary_propagator(eye, minus_c1, times, every, hbar),
-            unitary_propagator(eye, _stacked(_as_gauge(c_double_prime, n)), times,
-                               every, hbar))
+            unitary_propagator(eye, c2, times, every, hbar))
+
+
+def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
+                             field: FieldProfile, hbar: float, t_end: float,
+                             dt: float, gauges,
+                             pd_floor: float = DEFAULT_PD_FLOOR) -> list:
+    """Max distance between the gauged and the gauge-free assembled operator,
+    one per (C', C'') pair in ``gauges``.
+
+    The gauge-free (primed) solution uses the free frame and the closed
+    coefficient form, computed once.  The gauged solution evolves the image
+    basis phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient
+    matrix by integrating its gauged equation: all P pairs as one (P, n, n)
+    RK4, whose rhs reads C', C'' and B^2 from ``rk4_stages`` stacks (a
+    callable gauge sampled once per distinct stage time).  Every rhs
+    operation is per member, so each distance has the bits of its pair run
+    alone.  Gauge invariance of the physical operator makes the distance
+    vanish up to integration accuracy.
+    """
+    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
+    times = step_plan(t_end, dt, 1).times
+    # a singular a0 and a bad constant gauge are rejected before the frame evolves
+    a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
+    c1s, c2s = zip(*[(_as_gauge(c1, space.n), _as_gauge(c2, space.n)) for c1, c2 in gauges])
+    bras = unitary_propagator(frame.conj().T, space.ambient_hamiltonian.generator(),
+                              times, range(len(times)), hbar)
+    propagators = [_gauge_propagators(c1, c2, space.n, times, hbar)
+                   for c1, c2 in zip(c1s, c2s)]
+
+    def sample(ts: list) -> tuple:
+        def stack(cs) -> np.ndarray:
+            return np.stack([c(ts) if callable(c) else np.broadcast_to(c, (len(ts), *c.shape))
+                             for c in cs], axis=1)
+
+        return stack(c1s), stack(c2s), [b * b for b in [field.sample(t) for t in ts]]
+
+    stages = rk4_stages(times, max(1, MAGNUS_CHUNK // (len(c1s) * space.n ** 2)), sample)
+
+    # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
+    def rhs(t: float, a: np.ndarray) -> np.ndarray:
+        c1, c2, b2 = stages(t)
+        return (1j / hbar) * (c1 @ a + a @ c2 + b2 * adjoint_inverse(a, pd_floor))
+
+    a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)))
+    worst = [0.0] * len(c1s)
+    for m, (g1s, g2s) in enumerate(propagators):
+        for bra, g1, g2, a_g, a_p in zip(bras, g1s, g2s, a_gauged, a_primed):
+            k_u = (image @ g1) @ a_g[m] @ (g2.conj().T @ bra)
+            k_p = image @ a_p @ bra
+            worst[m] = max(worst[m], float(np.linalg.norm(k_u - k_p)))
+    return worst
 
 
 def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
                             field: FieldProfile, hbar: float, t_end: float,
                             dt: float, c_prime, c_double_prime,
                             pd_floor: float = DEFAULT_PD_FLOOR) -> float:
-    """Max distance between the gauged and the gauge-free assembled operator.
-
-    The gauge-free (primed) solution uses the free frame and the closed
-    coefficient form.  The gauged solution evolves the image basis
-    phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient matrix
-    by integrating its gauged equation.  Gauge invariance of the physical
-    operator makes the distance vanish up to integration accuracy.
-    """
-    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
-    times = step_plan(t_end, dt, 1).times
-    # a singular a0 and a bad constant gauge are rejected before the frame evolves
-    a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
-    c1 = _as_gauge(c_prime, space.n)
-    c2 = _as_gauge(c_double_prime, space.n)
-    bras = unitary_propagator(frame.conj().T, space.ambient_hamiltonian.generator(),
-                              times, range(len(times)), hbar)
-    g1s, g2s = gauge_propagators(c_prime, c_double_prime, space.n, t_end, dt, hbar)
-
-    # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
-    def rhs(t: float, a: np.ndarray) -> np.ndarray:
-        inv = adjoint_inverse(a, pd_floor)
-        b = field.sample(t)
-        g1, g2 = (c(t) if callable(c) else c for c in (c1, c2))
-        return (1j / hbar) * (g1 @ a + a @ g2 + (b * b) * inv)
-
-    a_gauged = rk4(rhs, a0, times, range(len(times)))
-
-    worst = 0.0
-    for bra, g1, g2, a_g, a_p in zip(bras, g1s, g2s, a_gauged, a_primed):
-        k_u = (image @ g1) @ a_g @ (g2.conj().T @ bra)
-        k_p = image @ a_p @ bra
-        worst = max(worst, float(np.linalg.norm(k_u - k_p)))
-    return worst
+    """The one-pair case of ``gauge_equivalence_checks``."""
+    return gauge_equivalence_checks(space, psi0, phi0, a0, field, hbar, t_end, dt,
+                                    [(c_prime, c_double_prime)], pd_floor)[0]

@@ -13,7 +13,6 @@ throwing.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -194,102 +193,52 @@ class HamiltonianProfile:
 
     def generator(self):
         """The matrix when constant, else ``samples``: what a propagator steps."""
-        return self.sample(0.0) if self.is_constant() else self.samples
+        return self.samples([0.0])[0] if self.is_constant() else self.samples
 
     @cached_property
-    def _stack(self) -> "HamiltonianStack":
-        return HamiltonianStack((self,))
-
-    def sample(self, t: float) -> np.ndarray:
-        """H(t): the one-member case of ``HamiltonianStack``."""
-        return self._stack(t)[0]
+    def _table(self):
+        """What ``samples`` reads, set up at the first sample: the symmetrized
+        matrix, read-only, when constant, else the (K, n, n) knots, their
+        times and each knot's interval length (the last knot's has no end)."""
+        if self.kind not in HAMILTONIAN_KINDS:
+            raise ValueError(f"unknown hamiltonian kind {self.kind!r}")
+        if self.is_constant():
+            matrix = hermitian_part(self.matrix)
+            matrix.flags.writeable = False
+            return matrix
+        knot_times = np.array(self.times)
+        return np.stack(self.matrices), knot_times, np.append(np.diff(knot_times), 1.0)
 
     def samples(self, times) -> np.ndarray:
-        """The (T, n, n) stack of ``sample(t)`` for each t in ``times``, bit for bit."""
-        return self._stack.at(times)[:, 0]
+        """The (T, n, n) stack of H(t), one sample per t in ``times``.
 
-
-def _blend(theta, lo, hi):
-    """(1 - theta) lo + theta hi entrywise, the interpolation of both samplers."""
-    return (1.0 - theta) * lo + theta * hi
-
-
-class HamiltonianStack:
-    """t -> the (S, n, n) stack of H_s(t) for profiles of one kind and knot times.
-
-    A constant stack is symmetrized once and returned, read-only, at every
-    t.  An interpolated stack holds its knots as one (K, S, n, n) array,
-    built once, clamps t into the shared knot range, finds its interval
-    (``bisect_right``, i.e. ``searchsorted`` side="right"), blends the two
-    knots entrywise and symmetrizes the blend; at or past the last knot it
-    symmetrizes that knot.  Each member sees the operations of a lone
-    sample in the same order, so a stacked sample equals the members' own
-    samples bit for bit, and ``at`` samples many times in one call with
-    the same bits as ``__call__`` at each.
-    """
-
-    def __init__(self, profiles):
-        first = profiles[0]
-        if any(p.kind != first.kind or p.times != first.times for p in profiles):
-            raise ValueError("stacked hamiltonian profiles must share kind and knot times")
-        if first.kind not in HAMILTONIAN_KINDS:
-            raise ValueError(f"unknown hamiltonian kind {first.kind!r}")
-        self.times = first.times
-        self.domain = first.domain()
-        self.constant = None
-        if first.kind == "constant":
-            self.constant = hermitian_part(np.stack([p.matrix for p in profiles]))
-            self.constant.flags.writeable = False
-        elif first.matrices:  # an empty table has an empty domain: nothing to sample
-            self.knots = np.stack([np.stack(ms) for ms in zip(*(p.matrices for p in profiles))])
-            self.knot_times = np.array(self.times)
-            # t1 - t0 of each knot's interval; the last knot's has no end
-            self.spans = np.append(np.diff(self.knot_times), 1.0)
-
-    def _out_of_domain(self, t: float) -> OutOfDomainError:
-        lo, hi = self.domain
-        return OutOfDomainError(
-            f"hamiltonian sampled at t={t!r} outside its domain [{lo}, {hi}]")
-
-    def __call__(self, t: float) -> np.ndarray:
-        if self.constant is not None:
-            return self.constant
-        lo, hi = self.domain
-        if _outside_domain((lo, hi), t, t):
-            raise self._out_of_domain(t)
-        t = min(max(t, lo), hi)
-        ts = self.times
-        j = bisect.bisect_right(ts, t)
-        if j >= len(ts):
-            return hermitian_part(self.knots[-1])
-        t0, t1 = ts[j - 1], ts[j]
-        return hermitian_part(_blend((t - t0) / (t1 - t0), self.knots[j - 1], self.knots[j]))
-
-    def at(self, times) -> np.ndarray:
-        """The (T, S, n, n) stack of ``self(t)`` for each t in ``times``.
-
-        One clamp, one ``searchsorted`` and one blend for all T times; a
-        time outside the domain raises the error ``self(t)`` raises for the
-        first such t.
+        A constant profile is its symmetrized matrix, read-only, at every t.
+        An interpolated one clamps t into its knot range, finds its interval
+        (``searchsorted`` side="right"), blends the two knots entrywise and
+        symmetrizes the blend; at or past the last knot it symmetrizes that
+        knot.  One clamp, one ``searchsorted`` and one blend serve all T
+        times, and each sample has the bits of sampling its time alone.  A
+        time outside the domain raises OutOfDomainError for the first such t.
         """
         ts = np.asarray(times, dtype=np.float64)
-        if self.constant is not None:
-            return np.broadcast_to(self.constant, ts.shape + self.constant.shape)
-        lo, hi = self.domain
+        if self.is_constant():
+            return np.broadcast_to(self._table, ts.shape + self._table.shape)
+        lo, hi = self.domain()
         outside = _outside_domain((lo, hi), ts, ts)
         if outside.any():
-            raise self._out_of_domain(float(ts[np.argmax(outside)]))
+            raise OutOfDomainError(f"hamiltonian sampled at t={float(ts[np.argmax(outside)])!r} "
+                                   f"outside its domain [{lo}, {hi}]")
+        knots, knot_times, spans = self._table
         ts = np.minimum(np.maximum(ts, lo), hi)
-        i = np.searchsorted(self.knot_times, ts, side="right") - 1  # the knot at or before t
-        last = i == len(self.times) - 1  # at the last knot: that knot itself, set below
-        i = np.minimum(i, len(self.times) - 2)  # so blend those in the last interval
-        # complex up front, as a scalar theta is converted: the blend then
-        # broadcasts it without a buffered cast
-        theta = ((ts - self.knot_times[i]) / self.spans[i]).astype(np.complex128)
+        i = np.searchsorted(knot_times, ts, side="right") - 1  # the knot at or before t
+        last = i == len(knot_times) - 1  # at the last knot: that knot itself, set below
+        i = np.minimum(i, len(knot_times) - 2)  # so blend those in the last interval
+        # complex up front: the blend then broadcasts theta without a buffered cast
+        theta = ((ts - knot_times[i]) / spans[i]).astype(np.complex128)[:, None, None]
         if i.size and (i == i[0]).all():  # one interval: blend views of its two knots
             i = i[0]
-        out = _blend(theta[:, None, None, None], self.knots[i], self.knots[i + 1])
-        out[last] = self.knots[-1]
+        out = (1.0 - theta) * knots[i] + theta * knots[i + 1]
+        out[last] = knots[-1]
         return hermitian_part(out, out=out)
 
 

@@ -37,7 +37,7 @@ from .fixed_domain import (  # evolve_direct stays importable here for perfbench
 from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from .moving_domain import (
     AmbientSpace,
-    gauge_equivalence_check,
+    gauge_equivalence_checks,
     moving_drift,
     moving_solution,
     weak_residual,
@@ -271,7 +271,7 @@ def check_diagonal_closed_form(seed: int, scenario_count: int) -> list:
     directs = yield [cfg for cfg, _, _ in draws]
     worst = 0.0
     for (cfg, r0, phi0), direct in zip(draws, directs):
-        h0 = cfg.hamiltonian.sample(0.0)
+        h0 = cfg.hamiltonian.samples([0.0])[0]
         b = cfg.field.value
         fact = evolve_factorized(cfg)
         for t, f_k, d_k in zip(fact.times.tolist(), fact.ks, direct.ks):
@@ -417,7 +417,7 @@ def check_moving_domain(seed: int) -> list:
     b = float(rng_rank1.uniform(0.3, 1.0))
     ops1 = moving_solution(space1, psi1, phi1, a1, FieldProfile.constant(b),
                            hbar=1.0, t_end=1.0, dt=1e-3, output_stride=100)
-    h_ambient = space1.ambient_hamiltonian.sample(0.0)
+    h_ambient = space1.ambient_hamiltonian.samples([0.0])[0]
     worst_rank1 = 0.0
     for t, k in zip(ops1.times.tolist(), ops1.ks):
         psi_t = unitary_exponential(h_ambient, -t) @ psi1
@@ -455,13 +455,10 @@ def check_gauge_equivalence(seed: int) -> list:
     """Two valid gauges of the same data produce the same physical operator."""
     (rng,) = _child_rngs(seed, 1)
     space, psi0, phi0, a0, field = _moving_setup(rng, dim_h1=6, dim_h2=5, n=2)
-    distances = []
-    for _ in range(2):
-        c_prime = random_hermitian(rng, space.n, -0.8, 0.8)
-        c_double = random_hermitian(rng, space.n, -0.8, 0.8)
-        distances.append(gauge_equivalence_check(
-            space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0, dt=1e-3,
-            c_prime=c_prime, c_double_prime=c_double))
+    gauges = [(random_hermitian(rng, space.n, -0.8, 0.8),
+               random_hermitian(rng, space.n, -0.8, 0.8)) for _ in range(2)]
+    distances = gauge_equivalence_checks(space, psi0, phi0, a0, field, hbar=1.0,
+                                         t_end=1.0, dt=1e-3, gauges=gauges)
     # Each gauged assembly is compared to the shared gauge-free one, so the
     # distance between the two gauged assemblies is bounded by the sum.
     return [_result("gauge_equivalence", float(sum(distances)), 1e-8)]

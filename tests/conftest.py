@@ -21,3 +21,13 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "_checked_svd", counting)
     return calls
+
+
+@pytest.fixture(scope="session")
+def verify_seed_42(tmp_path_factory):
+    """One ``mesodyn verify --seed 42`` run, shared by the tests that read
+    it: (exit code, output directory)."""
+    from mesodyn.cli import main
+
+    out = tmp_path_factory.mktemp("verify_seed_42")
+    return main(["verify", "--seed", "42", "--output", str(out)]), out

@@ -530,9 +530,10 @@ class TestWarningsInManifest:
             assert main(["compare", "--config", config, "--output", str(tmp_path / "b")]) == 0
         assert "warnings" not in json.loads((tmp_path / "b" / "run.json").read_text())
 
-    def test_verify_manifest_has_no_warnings_key(self, tmp_path):
-        assert main(["verify", "--output", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "run.json").read_text())
+    def test_verify_manifest_has_no_warnings_key(self, verify_seed_42):
+        code, out = verify_seed_42
+        assert code == 0
+        manifest = json.loads((out / "run.json").read_text())
         assert sorted(manifest) == ["outputs", "scenario_digest", "status",
                                     "tool_version", "wall_time"]
 

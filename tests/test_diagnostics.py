@@ -166,7 +166,7 @@ class TestInvariantReport:
         assert len(trajectory.ks) == 11
         assert len(calls) == len(trajectory.ks)
         for t, xi, k in zip(report.times, report.xi, trajectory.ks):
-            assert xi == total_hamiltonian(k, cfg.hamiltonian.sample(t),
+            assert xi == total_hamiltonian(k, cfg.hamiltonian.samples([t])[0],
                                            cfg.field.sample(t))
 
     def test_one_column_per_quantity(self, rng):

@@ -314,7 +314,8 @@ class TestStackedMagnus:
         square = random_unitary(rng, dim)
         for u0 in (square, square[:2]):  # rectangular, as the moving frame's bras
             got = unitary_propagator(u0, profile.generator(), times, wanted, 0.7)
-            expected = reference_magnus(u0, profile.sample, times, wanted, 0.7)
+            expected = reference_magnus(u0, lambda t: profile.samples([t])[0], times,
+                                        wanted, 0.7)
             assert len(got) == len(expected) == len(wanted & set(range(steps + 1)))
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
@@ -606,12 +607,82 @@ class TestEvolveDirectMany:
         assert stacked.value.last_good_time == alone.value.last_good_time
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
+    @staticmethod
+    def mixed_group(rng, dim, count, t_end=1.0, dt=4e-3):
+        """Scenarios of one shape and grid with constant and interpolated H
+        of three different knot sets, and constant and sinusoidal B."""
+        knot_sets = [None, [0.0, t_end], [0.0, 0.4, t_end], [-1.0, 0.6, 2.0 * t_end]]
+        cfgs = []
+        for m in range(count):
+            knots = knot_sets[m % len(knot_sets)]
+            h = (HamiltonianProfile.constant(random_hermitian(rng, dim, 0.5, 2.5))
+                 if knots is None else HamiltonianProfile.interpolated(
+                     knots, [random_hermitian(rng, dim, 0.5, 2.5) for _ in knots]))
+            field = (random_sinusoid(rng) if m % 2
+                     else FieldProfile.constant(rng.uniform(0.3, 1.0)))
+            cfgs.append(ScenarioConfig(
+                hbar=rng.uniform(0.7, 1.3), hamiltonian=h, field=field,
+                initial_k=random_full_rank(rng, dim, 0.7, 1.5),
+                t_end=t_end, dt=dt, output_stride=25))
+        return cfgs
+
+    def test_mixed_kinds_and_knots_form_one_group(self, rng, monkeypatch):
+        cfgs = self.mixed_group(rng, 3, 5, t_end=0.5, dt=1e-2)
+        groups = []
+
+        def spy(members):
+            groups.append(len(members))
+            return stack(members)
+
+        stack = fixed_domain._evolve_direct_stack
+        monkeypatch.setattr(fixed_domain, "_evolve_direct_stack", spy)
+        stacked = evolve_direct_many(cfgs)
+        assert groups == [5]
+        for cfg, trajectory in zip(cfgs, stacked, strict=True):
+            assert_same_trajectory(trajectory, evolve_direct(cfg))
+
+    def test_stack_over_several_chunks_changes_no_bits(self, rng):
+        # three dim-8 members take MAGNUS_CHUNK // (3 * 64) = 85 steps per
+        # chunk, so the 250 steps span three chunks; a lone member's 256-step
+        # chunk holds them all, and the reference samples at every stage
+        cfgs = self.mixed_group(rng, 8, 3)
+        assert fixed_domain.MAGNUS_CHUNK // (3 * 64) < 250 <= fixed_domain.MAGNUS_CHUNK // 64
+        for cfg, stacked in zip(cfgs, evolve_direct_many(cfgs), strict=True):
+            assert_same_trajectory(stacked, evolve_direct(cfg))
+            for k, expected in zip(stacked.ks, reference_direct(cfg), strict=True):
+                assert np.array_equal(k, expected)
+
+    def test_every_stage_time_is_sampled_once(self, rng, monkeypatch):
+        # N steps have 2N + 1 distinct stage times: each step's start, its
+        # midpoint (two stages) and its end, the next step's start
+        cfgs = self.mixed_group(rng, 8, 3)
+        h_times, b_times = {}, {}
+        samples, sample = HamiltonianProfile.samples, FieldProfile.sample
+
+        def h_spy(profile, times):
+            h_times.setdefault(id(profile), []).extend(np.asarray(times).tolist())
+            return samples(profile, times)
+
+        def b_spy(profile, t):
+            b_times.setdefault(id(profile), []).append(t)
+            return sample(profile, t)
+
+        monkeypatch.setattr(HamiltonianProfile, "samples", h_spy)
+        monkeypatch.setattr(FieldProfile, "sample", b_spy)
+        evolve_direct_many(cfgs)
+        steps = len(step_plan(1.0, 4e-3).times) - 1
+        assert steps == 250
+        for cfg in cfgs:
+            for seen in (h_times[id(cfg.hamiltonian)], b_times[id(cfg.field)]):
+                assert len(seen) == len(set(seen)) == 2 * steps + 1
+                assert seen == sorted(seen)
+
 
 def reference_direct(cfg):
     """RK4 on one scenario that samples H and B afresh at all four stages."""
     def rhs(t, k):
         b = cfg.field.sample(t)
-        return (1j / cfg.hbar) * (k @ cfg.hamiltonian.sample(t)
+        return (1j / cfg.hbar) * (k @ cfg.hamiltonian.samples([t])[0]
                                   + (b * b) * adjoint_inverse(k, cfg.pd_floor))
 
     plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
@@ -632,14 +703,22 @@ def reference_direct(cfg):
 
 class TestStageCoefficients:
     def test_direct_route_equals_fresh_stage_samples(self, rng):
-        # evolve_direct keeps each stage time's H and B^2 for the next stage
-        # at that time; a reference that samples them at every stage must
-        # give the same bits
+        # evolve_direct samples H and B^2 once per distinct stage time, a
+        # chunk of steps at a time; a reference that samples them at every
+        # stage must give the same bits
         cfg = dataclasses.replace(random_scenario(rng, 3, t_end=0.7, dt=7e-3,
                                                   output_stride=9), hbar=0.83)
         trajectory = evolve_direct(cfg)
         for k, expected in zip(trajectory.ks, reference_direct(cfg), strict=True):
             assert np.array_equal(k, expected)
+
+    def test_stage_time_out_of_order_raises(self):
+        # two steps per chunk of the grid 0, 0.25, ..., 1: the stage times
+        # 0, 0.125, 0.25, 0.375 and 0.5 come first; 0.5 may not skip 0.25
+        stages = fixed_domain.rk4_stages(np.linspace(0.0, 1.0, 5), 2, lambda ts: (ts,))
+        assert [stages(t) for t in (0.0, 0.125, 0.125)] == [(0.0,), (0.125,), (0.125,)]
+        with pytest.raises(ValueError, match="out of rk4's order"):
+            stages(0.5)
 
 
 def overflow_config(h_scale=1e150, hbar=1e-3):
@@ -803,7 +882,7 @@ class TestEvolveSeries:
         cfg = constant_config([[0.35689222]], b, k0, t_end=0.2, dt=1e-2, stride=5,
                               hbar=hbar)
         _, u0, h_b = polar_factors(np.asarray(k0))
-        u, estimate = series_unitary(u0, cfg.hamiltonian.sample(0.0), (b * b) * h_b,
+        u, estimate = series_unitary(u0, cfg.hamiltonian.samples([0.0])[0], (b * b) * h_b,
                                      0.0, hbar, 30)
         assert np.array_equal(u, u0)
         assert estimate == 0.0

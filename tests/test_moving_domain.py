@@ -9,13 +9,14 @@ from mesodyn.errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from mesodyn.fixed_domain import Trajectory, evolve_factorized, polar_init
+from mesodyn.fixed_domain import Trajectory, evolve_factorized, polar_init, rk4
 from mesodyn.linalg import unitary_exponential
 from mesodyn import fixed_domain, moving_domain
 from mesodyn.moving_domain import (
     AmbientSpace,
     coefficient_matrix_evolution,
     gauge_equivalence_check,
+    gauge_equivalence_checks,
     gauge_propagators,
     image_projector,
     moving_solution,
@@ -397,6 +398,39 @@ class TestGauge:
         distance = gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
                                            1.0, 1e-3, c1, c2)
         assert distance <= 1e-8
+
+    def test_stacked_pairs_equal_each_pair_alone(self, rng, monkeypatch):
+        # one constant pair and one with a callable C', run as one stacked
+        # RK4 and one pair at a time: the same coefficient bits and distances
+        space, psi0, phi0, a0, field = self._setup(rng)
+        base = random_hermitian(rng, 2, -0.7, 0.7)
+        calls = []
+
+        def c_prime(t):
+            calls.append(t)
+            return np.sin(2 * np.pi * 0.15 * t) * base
+
+        gauges = [(random_hermitian(rng, 2, -0.8, 0.8), random_hermitian(rng, 2, -0.8, 0.8)),
+                  (c_prime, random_hermitian(rng, 2, -0.8, 0.8))]
+        runs = []
+
+        def keeping_rk4(rhs, y0, times, wanted):
+            runs.append(rk4(rhs, y0, times, wanted))
+            return runs[-1]
+
+        monkeypatch.setattr(moving_domain, "rk4", keeping_rk4)
+        stacked = gauge_equivalence_checks(space, psi0, phi0, a0, field, 1.0,
+                                           1.0, 1e-2, gauges)
+        # 100 steps: two Magnus nodes per step, then 201 distinct RK4 stage times
+        assert len(calls) == 2 * 100 + 201
+        alone = [gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0,
+                                         1.0, 1e-2, c1, c2) for c1, c2 in gauges]
+        assert stacked == alone
+        assert all(0.0 < distance <= 1e-6 for distance in stacked)
+        together, *lone = runs
+        for m, run in enumerate(lone):
+            for pair, single in zip(together, run, strict=True):
+                assert np.array_equal(pair[m], single[0])
 
     def test_gauge_propagators_are_unitary(self, rng):
         c1 = random_hermitian(rng, 2, -0.8, 0.8)

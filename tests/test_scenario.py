@@ -17,7 +17,6 @@ from mesodyn.scenario import (
     TOO_MANY_STEPS,
     FieldProfile,
     HamiltonianProfile,
-    HamiltonianStack,
     ScenarioConfig,
     integrate_b_squared,
     scenario_from_json,
@@ -68,29 +67,29 @@ class TestSampleField:
 class TestSampleHamiltonian:
     def test_constant(self):
         profile = HamiltonianProfile.constant(np.diag([1.0, 2.0]).astype(complex))
-        assert np.allclose(profile.sample(17.3), np.diag([1.0, 2.0]))
+        assert np.allclose(profile.samples([17.3])[0], np.diag([1.0, 2.0]))
 
     def test_sequence_midpoint(self):
         profile = HamiltonianProfile.interpolated(
             [0.0, 1.0], [np.eye(2, dtype=complex), 3.0 * np.eye(2, dtype=complex)])
-        assert np.allclose(profile.sample(0.5), 2.0 * np.eye(2))
+        assert np.allclose(profile.samples([0.5])[0], 2.0 * np.eye(2))
 
     def test_interpolation_is_bitwise_hermitian(self, rng):
         samples = [random_hermitian(rng, 3, 0.5, 2.0) for _ in range(3)]
         profile = HamiltonianProfile.interpolated([0.0, 0.4, 1.0], samples)
         for t in (0.0, 0.13, 0.4, 0.77, 1.0):
-            h = profile.sample(t)
+            h = profile.samples([t])[0]
             assert np.array_equal(h, h.conj().T)
 
     def test_out_of_domain(self):
         profile = HamiltonianProfile.interpolated(
             [0.0, 1.0], [np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
         with pytest.raises(OutOfDomainError):
-            profile.sample(1.5)
+            profile.samples([1.5])
 
 
 def reference_sample(times, matrices, t):
-    """One profile's sample written out with the arithmetic of the stack."""
+    """One sample written out with the arithmetic of ``HamiltonianProfile.samples``."""
     t = min(max(t, times[0]), times[-1])
     j = int(np.searchsorted(times, t, side="right"))
     if j >= len(times):
@@ -101,35 +100,32 @@ def reference_sample(times, matrices, t):
     return (mixed + mixed.conj().T) / 2
 
 
-class TestHamiltonianStack:
+class TestHamiltonianSamples:
     TIMES = [0.0, 0.4, 1.0]
 
-    def tables(self, rng, count=3, dim=3):
+    def table(self, rng, dim=3, knots=TIMES):
         # Knots off Hermitian at roundoff, so symmetrizing changes bits.
-        return [[random_hermitian(rng, dim, 0.5, 2.0) + 1e-15 * crandn(rng, dim, dim)
-                 for _ in self.TIMES] for _ in range(count)]
+        return [random_hermitian(rng, dim, 0.5, 2.0) + 1e-15 * crandn(rng, dim, dim)
+                for _ in knots]
 
     @pytest.mark.parametrize("t", [0.0, 0.13, 0.4, 0.77, 1.0, -1e-12, 1.0 + 1e-12],
                              ids=["first_knot", "between", "inner_knot", "between_late",
                                   "last_knot", "clamped_low", "clamped_high"])
-    def test_stacked_sample_is_each_members_own(self, t, rng):
-        tables = self.tables(rng)
-        profiles = [HamiltonianProfile.interpolated(self.TIMES, m) for m in tables]
-        stacked = HamiltonianStack(profiles)(t)
-        assert stacked.shape == (3, 3, 3)
-        for member, profile, matrices in zip(stacked, profiles, tables):
-            assert np.array_equal(member, profile.sample(t))
-            assert np.array_equal(member, reference_sample(self.TIMES, matrices, t))
+    def test_sample_is_the_reference_blend(self, t, rng):
+        matrices = self.table(rng)
+        (sample,) = HamiltonianProfile.interpolated(self.TIMES, matrices).samples([t])
+        assert sample.shape == (3, 3)
+        assert np.array_equal(sample, reference_sample(self.TIMES, matrices, t))
 
-    def test_constant_stack(self, rng):
-        profiles = [HamiltonianProfile.constant(m[0]) for m in self.tables(rng)]
-        stacked = HamiltonianStack(profiles)(5.0)
-        for member, profile in zip(stacked, profiles):
-            assert np.array_equal(member, profile.sample(5.0))
-            assert np.array_equal(member, (profile.matrix + profile.matrix.conj().T) / 2)
-        assert not stacked.flags.writeable
+    def test_constant_samples(self, rng):
+        profile = HamiltonianProfile.constant(self.table(rng)[0])
+        samples = profile.samples([0.0, 5.0, -3.0])
+        assert samples.shape == (3, 3, 3)
+        for sample in samples:
+            assert np.array_equal(sample, (profile.matrix + profile.matrix.conj().T) / 2)
+        assert not samples.flags.writeable
 
-    @pytest.mark.parametrize("count", [1, 3], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("knots", [[0.0, 1.0], [0.0, 0.4, 1.0]],
                              ids=["two_knots", "three_knots"])
     @pytest.mark.parametrize("times", [
@@ -137,42 +133,31 @@ class TestHamiltonianStack:
         [0.31, 0.05, 0.2],
         [1.0, 1.0 + 1e-12],
     ], ids=["unsorted_on_between_and_clamped", "one_interval", "last_knot_only"])
-    def test_array_sampler_is_the_per_time_sample(self, times, knots, count, rng):
-        tables = [[random_hermitian(rng, 3, 0.5, 2.0) + 1e-15 * crandn(rng, 3, 3)
-                   for _ in knots] for _ in range(count)]
-        for matrices in tables:
+    def test_each_sample_is_its_own_times(self, times, knots, dim, rng):
+        matrices = self.table(rng, dim, knots)
+        if dim > 1:
             # signed zeros: a blend at theta = 1 would turn the -0.0 real parts into +0.0
             matrices[-1][0, 1], matrices[-1][1, 0] = complex(-0.0, -1.0), complex(-0.0, 1.0)
-        profiles = [HamiltonianProfile.interpolated(knots, m) for m in tables]
-        stack = HamiltonianStack(profiles)
-        sampled = stack.at(times)
-        assert sampled.shape == (len(times), count, 3, 3)
+        profile = HamiltonianProfile.interpolated(knots, matrices)
+        sampled = profile.samples(times)
+        assert sampled.shape == (len(times), dim, dim)
         for t, sample in zip(times, sampled):
-            assert sample.tobytes() == stack(t).tobytes()
-        for t, sample in zip(times, profiles[0].samples(times)):
-            assert sample.tobytes() == profiles[0].sample(t).tobytes()
+            assert sample.tobytes() == profile.samples([t])[0].tobytes()
+            assert sample.tobytes() == reference_sample(knots, matrices, t).tobytes()
 
-    def test_array_sampler_names_the_first_time_outside(self, rng):
-        profile = HamiltonianProfile.interpolated(self.TIMES, self.tables(rng, count=1)[0])
+    def test_samples_name_the_first_time_outside(self, rng):
+        profile = HamiltonianProfile.interpolated(self.TIMES, self.table(rng))
         with pytest.raises(OutOfDomainError) as lone:
-            profile.sample(1.5)
-        with pytest.raises(OutOfDomainError) as stacked:
+            profile.samples([1.5])
+        with pytest.raises(OutOfDomainError) as many:
             profile.samples([0.5, 1.5, -0.5])
-        assert str(stacked.value) == str(lone.value)
+        assert str(many.value) == str(lone.value)
         assert "t=1.5 outside its domain [0.0, 1.0]" in str(lone.value)
 
-    def test_constant_array_sampler(self, rng):
-        profile = HamiltonianProfile.constant(self.tables(rng, count=1)[0][0])
-        samples = profile.samples([0.0, 5.0, -3.0])
-        assert samples.shape == (3, 3, 3)
-        for sample in samples:
-            assert np.array_equal(sample, profile.sample(0.0))
-
-    def test_rejects_mixed_knots(self, rng):
-        first, second = self.tables(rng, count=2)
-        with pytest.raises(ValueError):
-            HamiltonianStack([HamiltonianProfile.interpolated(self.TIMES, first),
-                              HamiltonianProfile.interpolated([0.0, 0.5, 1.0], second)])
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown hamiltonian kind"):
+            HamiltonianProfile(kind="stepwise", times=(0.0, 1.0),
+                               matrices=(np.eye(2), np.eye(2))).samples([0.5])
 
 
 class TestIntegrateBSquared:
