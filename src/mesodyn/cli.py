@@ -25,6 +25,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .concurrency import two_cores
 from .diagnostics import FluxInput, flux_distribution, invariant_report
 from .diagnostics import CriticalPointSpec, critical_point
 from .errors import (
@@ -256,26 +257,6 @@ def _run_simulate(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
     _emit_trajectory(ws, trajectory, cfg)
 
 
-def _blas_pinned() -> bool:
-    """Whether OpenBLAS runs one thread: OPENBLAS_NUM_THREADS if set to a
-    positive count, else OMP_NUM_THREADS, is 1 (numpy's OpenBLAS order)."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def overlap_routes(dim: int) -> bool:
     """Whether compare runs its factorized route beside the direct one.
 
@@ -284,7 +265,7 @@ def overlap_routes(dim: int) -> bool:
     them (overlapped, the routes fought over it and took about 1.5 times
     as long), and below OVERLAP_MIN_DIM the GIL serializes them.
     """
-    return dim >= OVERLAP_MIN_DIM and _blas_pinned() and _usable_cpus() >= 2
+    return dim >= OVERLAP_MIN_DIM and two_cores()
 
 
 @contextlib.contextmanager

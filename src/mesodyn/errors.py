@@ -21,6 +21,10 @@ class _EvolutionStop(MesodynError):
         self.last_good_time = last_good_time
         self.partial = partial
 
+    def __reduce__(self):
+        # pickled (out of verify's worker process) without the partial samples
+        return type(self), (str(self), self.last_good_time)
+
 
 class NonFiniteError(_EvolutionStop):
     """A matrix or scalar contains NaN or Inf entries."""

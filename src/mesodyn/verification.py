@@ -8,10 +8,12 @@ their full pinned scale.
 
 The checks that run the direct route are generators: each yields its
 scenarios and is sent their trajectories.  Called alone, a check makes
-its own ``evolve_direct_many`` call; ``run_battery`` draws every such
-check's scenarios first and integrates them all in one call, where
-scenarios of different checks that share a group key share one stacked
-RK4 run.  Either way each check returns the same results, bit for bit.
+its own ``evolve_direct_many`` call; ``run_battery`` draws the scenarios
+of all such checks but the series one first and integrates them in one
+call, where scenarios of different checks that share a group key share
+one stacked RK4 run.  Either way each check returns the same results,
+bit for bit, and so does the battery whether or not it runs its two
+halves in two processes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .concurrency import run_halves
 from .diagnostics import (
     CriticalPointSpec,
     critical_point,
@@ -480,23 +483,36 @@ def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
                 constant_h_count: int = 5) -> list:
     """Run every check with child seeds derived from one root seed.
 
-    The direct-route checks integrate all of their scenarios in one
-    ``evolve_direct_many`` call; each result equals its own ``check_*``.
+    The battery runs as two halves of about equal time, by
+    ``concurrency.run_halves``: the first in a forked worker beside the
+    second when two cores are free, else one after the other.  The first
+    half is every direct-route check but the series one, integrating all
+    of their scenarios in one ``evolve_direct_many`` call; the second is
+    the series check (its t_end 0.5 groups never merge with the others)
+    and the checks off the direct route.  Each result equals its own
+    ``check_*``, and the list keeps the battery's order.  Should both
+    halves fail, the first half's error is raised.
     """
-    conservation, series, diagonal, critical, constant_h, rk4_order = _run_direct_checks([
-        check_conservation_and_agreement.steps(seed + 1, scenario_count),
-        check_series_agreement.steps(seed + 2, series_count),
-        check_diagonal_closed_form.steps(seed + 3, diagonal_count),
-        check_critical_points.steps(seed + 4),
-        check_constant_h_invariant.steps(seed + 7, constant_h_count),
-        check_rk4_order.steps(seed + 10),
-    ])
-    return (conservation + series + diagonal + critical
-            + check_differential_identity(seed + 5, draw_count)
-            + check_energy_rate_order(seed + 6)
-            + constant_h
-            + check_moving_domain(seed + 8)
-            + check_gauge_equivalence(seed + 9)
-            + rk4_order
-            + check_magnus_order(seed + 11)
-            + check_moving_full_rank_reduction(seed + 12))
+    def direct_route():
+        return _run_direct_checks([
+            check_conservation_and_agreement.steps(seed + 1, scenario_count),
+            check_diagonal_closed_form.steps(seed + 3, diagonal_count),
+            check_critical_points.steps(seed + 4),
+            check_constant_h_invariant.steps(seed + 7, constant_h_count),
+            check_rk4_order.steps(seed + 10),
+        ])
+
+    def the_rest():
+        return [check_series_agreement(seed + 2, series_count),
+                check_differential_identity(seed + 5, draw_count),
+                check_energy_rate_order(seed + 6),
+                check_moving_domain(seed + 8),
+                check_gauge_equivalence(seed + 9),
+                check_magnus_order(seed + 11),
+                check_moving_full_rank_reduction(seed + 12)]
+
+    (conservation, diagonal, critical, constant_h, rk4_order), (
+        series, differential, energy, moving, gauge, magnus, full_rank,
+    ) = run_halves(direct_route, the_rest)
+    return (conservation + series + diagonal + critical + differential + energy
+            + constant_h + moving + gauge + rk4_order + magnus + full_rank)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mesodyn import cli
+from mesodyn import cli, concurrency
 from mesodyn.cli import Command, main, parse_command, run
 from mesodyn.errors import (
     ConvergenceWarning,
@@ -460,7 +460,7 @@ class TestCompareOverlap:
                                          "message": "from the worker"}]
 
     def test_predicate(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrency, "_usable_cpus", lambda: 2)
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         dim = cli.OVERLAP_MIN_DIM
@@ -470,9 +470,9 @@ class TestCompareOverlap:
         assert not cli.overlap_routes(dim)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert cli.overlap_routes(dim)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrency, "_usable_cpus", lambda: 1)
         assert not cli.overlap_routes(dim)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrency, "_usable_cpus", lambda: 2)
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.delenv("OMP_NUM_THREADS")
         assert not cli.overlap_routes(dim)  # an unpinned pool

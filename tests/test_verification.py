@@ -1,6 +1,17 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
-from mesodyn import fixed_domain, verification
+from mesodyn import concurrency, fixed_domain, verification
+from mesodyn.cli import main
+from mesodyn.errors import NearSingularError, NonFiniteError
 from mesodyn.verification import (
     check_conservation_and_agreement,
     check_constant_h_invariant,
@@ -28,6 +39,20 @@ def _echo(name):
     return check
 
 
+@pytest.fixture
+def split(monkeypatch):
+    """Force run_battery's halves into a forked worker (True) or one after
+    the other (False), and check that no worker outlives the test."""
+    def force(on: bool):
+        monkeypatch.setattr(concurrency, "fork_worker", lambda: on)
+    yield force
+    assert multiprocessing.active_children() == []
+
+
+def _key(results):
+    return [(r.name, r.metric.hex(), r.threshold, r.comparison, r.passed) for r in results]
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_battery_equals_its_checks_one_at_a_time(seed, monkeypatch):
     # run_battery integrates every direct-route scenario in one call; each
@@ -46,9 +71,192 @@ def test_battery_equals_its_checks_one_at_a_time(seed, monkeypatch):
              + check_rk4_order(seed + 10)
              + verification.check_magnus_order(seed + 11)
              + verification.check_moving_full_rank_reduction(seed + 12))
-    battery = run_battery(seed, **COUNTS)
-    assert [(r.name, r.metric.hex(), r.threshold, r.comparison, r.passed) for r in battery] == [
-        (r.name, r.metric.hex(), r.threshold, r.comparison, r.passed) for r in alone]
+    assert _key(run_battery(seed, **COUNTS)) == _key(alone)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_split_battery_equals_its_checks_one_at_a_time(seed, split, monkeypatch):
+    # the forked worker inherits the stand-ins, which are module attributes
+    split(True)
+    test_battery_equals_its_checks_one_at_a_time(seed, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_split_battery_is_bit_identical(seed, split):
+    split(True)
+    forked = run_battery(seed)
+    split(False)
+    assert _key(forked) == _key(run_battery(seed))
+    assert len(forked) == 20 and all(r.passed for r in forked)
+
+
+DIRECT = ("check_conservation_and_agreement", "check_series_agreement",
+          "check_diagonal_closed_form", "check_critical_points",
+          "check_constant_h_invariant", "check_rk4_order")
+
+
+def _stand_in(action=lambda: None):
+    """A direct-route check that yields no scenario, running ``action`` first."""
+    def steps(seed, *counts):
+        action()
+        yield []
+        return [verification._result("stand_in", 0.0, 1.0)]
+    return verification._direct_check(steps)
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    """Replace every check by a quick one; returns a setter for one check.
+
+    check_critical_points runs in the worker half; check_gauge_equivalence
+    runs beside it, off the direct route.
+    """
+    for name in DIRECT:
+        monkeypatch.setattr(verification, name, _stand_in())
+    for name in OFF_ROUTE:
+        monkeypatch.setattr(verification, name, _echo(name))
+
+    def set_check(name, action):
+        if name in DIRECT:
+            monkeypatch.setattr(verification, name, _stand_in(action))
+        else:
+            monkeypatch.setattr(verification, name, lambda seed, *counts: action())
+    return set_check
+
+
+def _lose_rank():
+    raise NearSingularError(f"lost rank in process {os.getpid()}",
+                            last_good_time=0.25, partial=[0.0])
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_worker_error_keeps_its_type_message_and_time(on, split, stand_ins, tmp_path):
+    split(on)
+    stand_ins("check_critical_points", _lose_rank)
+    with pytest.raises(NearSingularError) as info:
+        run_battery(42)
+    message = str(info.value)
+    assert (message != f"lost rank in process {os.getpid()}") == on
+    assert info.value.last_good_time == 0.25
+    # the partial samples of a stop stay in the process that made them
+    assert info.value.partial == (None if on else [0.0])
+    assert main(["verify", "--output", str(tmp_path)]) == 4
+    error = json.loads((tmp_path / "run.json").read_text())["error"]
+    assert error["type"] == "NearSingularError"
+    assert error["message"].startswith("lost rank in process ")
+    assert error["last_good_time"] == 0.25
+
+
+def _overflow():
+    raise NonFiniteError("overflow beside the worker")
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_when_both_halves_fail_the_first_halfs_error_wins(on, split, stand_ins):
+    split(on)
+    stand_ins("check_gauge_equivalence", _overflow)
+    with pytest.raises(NonFiniteError, match="overflow beside the worker"):
+        run_battery(42)
+    stand_ins("check_critical_points", _lose_rank)
+    with pytest.raises(NearSingularError):
+        run_battery(42)
+
+
+def test_worker_that_dies_is_a_typed_error(split, stand_ins, tmp_path, capsys):
+    split(True)
+    stand_ins("check_critical_points", lambda: os._exit(3))
+    assert main(["verify", "--output", str(tmp_path)]) == 1
+    message = "worker process exited with code 3 before it sent a result"
+    assert json.loads((tmp_path / "run.json").read_text())["error"] == {
+        "type": "MesodynError", "message": message}
+    assert capsys.readouterr().err == f"mesodyn: {message}\n"
+
+
+def test_interrupt_here_stops_the_worker(split, stand_ins):
+    split(True)
+    stand_ins("check_critical_points", lambda: time.sleep(60))
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    stand_ins("check_gauge_equivalence", interrupt)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_battery(42)
+    assert time.perf_counter() - start < 30
+
+
+def test_fork_needs_two_cores_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(concurrency, "two_cores", lambda: True)
+    assert concurrency.fork_worker()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not concurrency.fork_worker()
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    monkeypatch.setattr(concurrency, "two_cores", lambda: False)
+    assert not concurrency.fork_worker()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# verify with quick stand-in checks; check_critical_points, in the worker
+# half, warns.  argv: output directory, "split" or "serial".
+WARNING_RUN = """
+import sys, warnings
+from mesodyn import cli, concurrency, verification
+from mesodyn.errors import ConvergenceWarning
+
+def quiet(seed, *counts):
+    yield []
+    return [verification._result("quiet", 0.0, 1.0)]
+
+def warning(seed, *counts):
+    warnings.warn("from the worker", ConvergenceWarning)
+    yield []
+    return [verification._result("warned", 0.0, 1.0)]
+
+for name in %r:
+    setattr(verification, name, verification._direct_check(quiet))
+verification.check_critical_points = verification._direct_check(warning)
+for name in %r:
+    setattr(verification, name, lambda seed, *counts: [])
+concurrency.fork_worker = lambda: sys.argv[2] == "split"
+sys.exit(cli.main(["verify", "--output", sys.argv[1]]))
+""" % (DIRECT, OFF_ROUTE)
+
+
+def _python(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_worker_warning_is_shown_and_listed_once(tmp_path):
+    manifests = {}
+    for mode in ("split", "serial"):
+        out = tmp_path / mode
+        done = _python("-c", WARNING_RUN, str(out), mode)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("from the worker") == 1, done.stderr
+        assert "ConvergenceWarning" in done.stderr
+        manifests[mode] = (out / "run.json").read_bytes()
+    assert json.loads(manifests["split"])["warnings"] == [
+        {"category": "ConvergenceWarning", "message": "from the worker"}]
+    assert manifests["split"] == manifests["serial"]
+
+
+def test_import_starts_no_process_machinery():
+    probe = ("import sys, mesodyn, mesodyn.cli, mesodyn.verification\n"
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+             " if m in sys.modules))")
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_magnus_order_catches_a_wrong_commutator_sign(monkeypatch):
