@@ -23,7 +23,7 @@ class _EvolutionStop(MesodynError):
 
     def __reduce__(self):
         # pickled (out of verify's worker process) without the partial samples
-        return type(self), (str(self), self.last_good_time)
+        return type(self), (str(self),), dict(vars(self), partial=None)
 
 
 class NonFiniteError(_EvolutionStop):

@@ -363,7 +363,8 @@ def evolve_direct_many(cfgs) -> list:
     If a member crosses the floor or turns non-finite, its group is re-run
     one member at a time, and the first scenario in list order that stops
     raises its own NearSingularError or NonFiniteError, ``last_good_time``
-    and ``partial`` as ``evolve_direct`` gives them.
+    and ``partial`` as ``evolve_direct`` gives them, with its place in
+    ``cfgs`` as ``scenario_index``.
     """
     cfgs = list(cfgs)
     groups = {}
@@ -388,7 +389,9 @@ def evolve_direct_many(cfgs) -> list:
                 failures.append((i, exc))
                 break
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        index, error = min(failures, key=lambda failure: failure[0])
+        error.scenario_index = index
+        raise error
     return out
 
 

@@ -490,6 +490,7 @@ class TestEvolveDirect:
         with pytest.raises(NonFiniteError) as excinfo:
             evolve_direct_many([good, bad])
         assert excinfo.value.last_good_time is None
+        assert excinfo.value.scenario_index == 1
         assert excinfo.value.partial.ks == []
         assert len(excinfo.value.partial.times) == 0
 
@@ -557,6 +558,7 @@ class TestEvolveDirectMany:
         with pytest.raises(NearSingularError) as stacked:
             evolve_direct_many(stack)
         assert 0.0 < alone.value.last_good_time < 1.0
+        assert stacked.value.scenario_index == 1
         assert stacked.value.last_good_time == alone.value.last_good_time
         assert len(alone.value.partial.ks) > 1
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
@@ -605,6 +607,7 @@ class TestEvolveDirectMany:
         with pytest.raises(NearSingularError) as stacked:
             evolve_direct_many([late, early])
         assert stacked.value.last_good_time == alone.value.last_good_time
+        assert stacked.value.scenario_index == 0
         assert_same_trajectory(stacked.value.partial, alone.value.partial)
 
     @staticmethod

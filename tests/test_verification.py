@@ -1,6 +1,8 @@
+import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -162,6 +164,75 @@ def test_when_both_halves_fail_the_first_halfs_error_wins(on, split, stand_ins):
         run_battery(42)
 
 
+def _stopping(name, stage):
+    """A direct-route stand-in with one scenario that stops at ``stage``: 0
+    while drawing, 1 in the integration, 2 on its trajectory, None never."""
+    def steps(seed, *counts):
+        if stage == 0:
+            raise NearSingularError(f"{name} stops drawing")
+        yield [f"{name} stops integrating" if stage == 1 else "runs"]
+        if stage == 2:
+            raise NearSingularError(f"{name} stops on its trajectory")
+        return [verification._result(name, 0.0, 1.0)]
+    return verification._direct_check(steps)
+
+
+def _integrate(cfgs):
+    """evolve_direct_many on the stand-ins' scenarios: the first that stops raises."""
+    for i, cfg in enumerate(cfgs):
+        if cfg.endswith("integrating"):
+            error = NearSingularError(cfg, last_good_time=0.5)
+            error.scenario_index = i
+            raise error
+    return [None] * len(cfgs)
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_when_both_halves_fail_the_serial_batterys_error_wins(on, split, monkeypatch):
+    # the serial battery ran every direct-route check in one call, the
+    # series check second; the split must raise the error that call met first
+    split(on)
+    monkeypatch.setattr(verification, "evolve_direct_many", _integrate)
+    for name in OFF_ROUTE:
+        monkeypatch.setattr(verification, name, _echo(name))
+    series_won = set()
+    for other in DIRECT[:1] + DIRECT[2:]:
+        for series_stage, other_stage in itertools.product(range(3), repeat=2):
+            for name in DIRECT:
+                stage = {"check_series_agreement": series_stage,
+                         other: other_stage}.get(name)
+                monkeypatch.setattr(verification, name, _stopping(name, stage))
+            with pytest.raises(NearSingularError) as serial:
+                verification._run_direct_checks(
+                    [getattr(verification, name).steps(42) for name in DIRECT])
+            with pytest.raises(NearSingularError) as split_run:
+                run_battery(42)
+            assert str(split_run.value) == str(serial.value)
+            series_won.add(str(serial.value).startswith("check_series_agreement"))
+    assert series_won == {True, False}
+
+
+def test_worker_error_keeps_its_worker_traceback(split, stand_ins):
+    split(True)
+
+    def divide():
+        return 1 / 0
+
+    stand_ins("check_critical_points", divide)
+    with pytest.raises(ZeroDivisionError) as info:
+        run_battery(42)
+    cause = info.value.__cause__
+    assert "in divide" in str(cause) and "ZeroDivisionError" in str(cause)
+
+
+def test_worker_ignores_an_interrupt_meant_for_the_terminal(split, stand_ins, capfd):
+    # Ctrl-C signals the whole foreground group; only the caller stops
+    split(True)
+    stand_ins("check_critical_points", lambda: os.kill(os.getpid(), signal.SIGINT))
+    assert len(run_battery(42)) == 12
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_worker_that_dies_is_a_typed_error(split, stand_ins, tmp_path, capsys):
     split(True)
     stand_ins("check_critical_points", lambda: os._exit(3))
@@ -186,8 +257,12 @@ def test_interrupt_here_stops_the_worker(split, stand_ins):
     assert time.perf_counter() - start < 30
 
 
-def test_fork_needs_two_cores_and_no_other_thread(monkeypatch):
-    monkeypatch.setattr(concurrency, "two_cores", lambda: True)
+def test_fork_needs_two_cpus_and_no_other_thread(monkeypatch):
+    # the battery's small matrices never thread in BLAS, so an unpinned
+    # BLAS pool does not take the worker's CPU
+    monkeypatch.setattr(concurrency, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert concurrency.fork_worker()
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -198,7 +273,7 @@ def test_fork_needs_two_cores_and_no_other_thread(monkeypatch):
         stop.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
-    monkeypatch.setattr(concurrency, "two_cores", lambda: False)
+    monkeypatch.setattr(concurrency, "_usable_cpus", lambda: 1)
     assert not concurrency.fork_worker()
 
 
