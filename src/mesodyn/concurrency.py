@@ -140,40 +140,21 @@ def _forked_outcomes(first, second) -> list:
     return [(value, error, shown), here]
 
 
-def _raise_earlier(error, other, shown, precedes):
-    """Raise ``other``, showing its half's warnings ``shown`` first, if it
-    ``precedes`` the first half's ``error``; else raise ``error``."""
-    if other is not None and precedes(other, error):
-        _replay(shown)
-        raise other from None
-    raise error
-
-
-def run_halves(first, second, precedes) -> tuple:
-    """``(first(), second())``: two halves that share no state.
+def run_halves(first, second) -> tuple:
+    """``(first(), second())``: two halves that share no state, in that order.
 
     Where ``fork_worker`` allows, ``first`` runs in a forked worker while
-    ``second`` runs here, and the worker's warnings are shown when it ends,
-    before ``second``'s.  Otherwise they run one after the other, and
-    ``second`` runs after a failed ``first`` only to learn its error.
-    Either way the same values and errors come back: should both halves
-    fail, ``first``'s error is raised unless ``precedes(second's error,
-    first's error)``.  A worker that exits without sending its outcome
-    raises ``MesodynError``.
+    ``second`` runs here; otherwise they run one after the other.  Either
+    way the halves end in order: ``first``'s warnings are shown and its
+    error raised, then ``second``'s.  So should both halves fail,
+    ``first``'s error wins and ``second``'s warnings are not shown.  A
+    worker that exits without sending its outcome raises ``MesodynError``.
     """
     if not fork_worker():
-        try:
-            value = first()
-        except Exception as error:
-            _, other, shown = _outcome(second)
-            _raise_earlier(error, other, shown, precedes)
-        return value, second()
-    (value, error, shown), (other_value, other, other_shown) = _forked_outcomes(
-        first, second)
-    _replay(shown)
-    if error is not None:
-        _raise_earlier(error, other, other_shown, precedes)
-    _replay(other_shown)
-    if other is not None:
-        raise other
-    return value, other_value
+        return first(), second()
+    outcomes = _forked_outcomes(first, second)
+    for _, error, shown in outcomes:
+        _replay(shown)
+        if error is not None:
+            raise error
+    return tuple(value for value, _, _ in outcomes)

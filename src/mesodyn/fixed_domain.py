@@ -363,8 +363,7 @@ def evolve_direct_many(cfgs) -> list:
     If a member crosses the floor or turns non-finite, its group is re-run
     one member at a time, and the first scenario in list order that stops
     raises its own NearSingularError or NonFiniteError, ``last_good_time``
-    and ``partial`` as ``evolve_direct`` gives them, with its place in
-    ``cfgs`` as ``scenario_index``.
+    and ``partial`` as ``evolve_direct`` gives them.
     """
     cfgs = list(cfgs)
     groups = {}
@@ -389,8 +388,7 @@ def evolve_direct_many(cfgs) -> list:
                 failures.append((i, exc))
                 break
     if failures:
-        index, error = min(failures, key=lambda failure: failure[0])
-        error.scenario_index = index
+        _, error = min(failures, key=lambda failure: failure[0])
         raise error
     return out
 

@@ -13,7 +13,8 @@ of all such checks but the series one first and integrates them in one
 call, where scenarios of different checks that share a group key share
 one stacked RK4 run.  Either way each check returns the same results,
 bit for bit, and so does the battery whether or not it runs its two
-halves in two processes.
+halves in two processes.  The halves end in order, so a failing battery
+raises its first half's error if that half fails, else its second's.
 """
 
 from __future__ import annotations
@@ -182,32 +183,16 @@ def _run_direct_checks(checks) -> list:
     Each check is a generator that yields its scenarios, is sent their
     direct trajectories, and returns its results.  Every check draws
     before the one call; the results come back one list per check.
-    An error leaves with ``direct_stop = (stage, i)``, the order in which
-    the call meets errors: check ``i`` raised while drawing (stage 0), a
-    scenario of check ``i`` stopped the integration (1), or check ``i``
-    raised on its trajectories (2).
     """
-    stage, owners = 0, []
-    try:
-        batches = []
-        for i, check in enumerate(checks):
-            batches.append(next(check))
-            owners += [i] * len(batches[-1])
-        stage = 1
-        directs = iter(evolve_direct_many([cfg for batch in batches for cfg in batch]))
-        stage, results = 2, []
-        for i, (check, batch) in enumerate(zip(checks, batches)):
-            try:
-                check.send([next(directs) for _ in batch])
-            except StopIteration as done:
-                results.append(done.value)
-        return results
-    except Exception as exc:
-        if stage == 1:
-            i = owners[exc.scenario_index] if hasattr(exc, "scenario_index") else None
-        if i is not None:
-            exc.direct_stop = (stage, i)
-        raise
+    batches = [next(check) for check in checks]
+    directs = iter(evolve_direct_many([cfg for batch in batches for cfg in batch]))
+    results = []
+    for check, batch in zip(checks, batches):
+        try:
+            check.send([next(directs) for _ in batch])
+        except StopIteration as done:
+            results.append(done.value)
+    return results
 
 
 def _direct_check(steps):
@@ -499,17 +484,16 @@ def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
                 constant_h_count: int = 5) -> list:
     """Run every check with child seeds derived from one root seed.
 
-    The battery runs as two halves of about equal time, by
-    ``concurrency.run_halves``: the first in a forked worker beside the
-    second when two CPUs are free, else one after the other.  The first
-    half is every direct-route check but the series one, integrating all
-    of their scenarios in one ``evolve_direct_many`` call; the second is
-    the series check (its t_end 0.5 groups never merge with the others)
-    and the checks off the direct route.  Each result equals its own
-    ``check_*``, and the list keeps the battery's order.  Should both
-    halves fail, the error raised is the one met first by the direct-route
-    checks run as one call in battery order (the series check second),
-    then the other checks.
+    The battery runs as two halves by ``concurrency.run_halves``: the
+    first in a forked worker beside the second when two CPUs are free,
+    else one after the other.  The first half is every direct-route check
+    but the series one, integrating all of their scenarios in one
+    ``evolve_direct_many`` call (about 0.61 s in-process with BLAS
+    pinned); the second is the series check (its t_end 0.5 groups never
+    merge with the others) and the checks off the direct route (about
+    0.42 s).  Each result equals its own ``check_*``, and the list keeps
+    the battery's order.  Should both halves fail, the first half's error
+    is raised.
     """
     def direct_route():
         return _run_direct_checks([
@@ -529,15 +513,8 @@ def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
                 check_magnus_order(seed + 11),
                 check_moving_full_rank_reduction(seed + 12)]
 
-    def series_first(other, error) -> bool:
-        # the series check's stop against the direct route's, each as
-        # (stage, place among the direct-route checks in battery order)
-        series, direct = (getattr(e, "direct_stop", None) for e in (other, error))
-        return (series is not None and direct is not None
-                and (series[0], 1) < (direct[0], (0, 2, 3, 4, 5)[direct[1]]))
-
     (conservation, diagonal, critical, constant_h, rk4_order), (
         series, differential, energy, moving, gauge, magnus, full_rank,
-    ) = run_halves(direct_route, the_rest, series_first)
+    ) = run_halves(direct_route, the_rest)
     return (conservation + series + diagonal + critical + differential + energy
             + constant_h + moving + gauge + rk4_order + magnus + full_rank)

@@ -392,19 +392,19 @@ class TestCompareOverlap:
         for name in files[True]:
             assert files[True][name] == files[False][name], name
 
-    def test_direct_stop_wins(self, rng, tmp_path, overlap, monkeypatch):
+    def test_direct_error_wins(self, rng, tmp_path, overlap, monkeypatch):
         config = write_scenario(tmp_path / "s.json", time_dependent_config(rng, 3))
-        direct_stopped = threading.Event()
+        direct_raised = threading.Event()
         factorized_ran = []
 
         def direct(cfg):
             partial = evolve_direct(cfg)
-            direct_stopped.set()
+            direct_raised.set()
             raise NearSingularError("direct lost rank", last_good_time=partial.times[-1],
                                     partial=partial)
 
         def factorized(cfg):
-            assert direct_stopped.wait(timeout=30)
+            assert direct_raised.wait(timeout=30)
             factorized_ran.append(True)
             raise NonFiniteError("factorized overflowed")
 

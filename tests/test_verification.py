@@ -1,4 +1,3 @@
-import itertools
 import json
 import multiprocessing
 import os
@@ -164,54 +163,6 @@ def test_when_both_halves_fail_the_first_halfs_error_wins(on, split, stand_ins):
         run_battery(42)
 
 
-def _stopping(name, stage):
-    """A direct-route stand-in with one scenario that stops at ``stage``: 0
-    while drawing, 1 in the integration, 2 on its trajectory, None never."""
-    def steps(seed, *counts):
-        if stage == 0:
-            raise NearSingularError(f"{name} stops drawing")
-        yield [f"{name} stops integrating" if stage == 1 else "runs"]
-        if stage == 2:
-            raise NearSingularError(f"{name} stops on its trajectory")
-        return [verification._result(name, 0.0, 1.0)]
-    return verification._direct_check(steps)
-
-
-def _integrate(cfgs):
-    """evolve_direct_many on the stand-ins' scenarios: the first that stops raises."""
-    for i, cfg in enumerate(cfgs):
-        if cfg.endswith("integrating"):
-            error = NearSingularError(cfg, last_good_time=0.5)
-            error.scenario_index = i
-            raise error
-    return [None] * len(cfgs)
-
-
-@pytest.mark.parametrize("on", [False, True])
-def test_when_both_halves_fail_the_serial_batterys_error_wins(on, split, monkeypatch):
-    # the serial battery ran every direct-route check in one call, the
-    # series check second; the split must raise the error that call met first
-    split(on)
-    monkeypatch.setattr(verification, "evolve_direct_many", _integrate)
-    for name in OFF_ROUTE:
-        monkeypatch.setattr(verification, name, _echo(name))
-    series_won = set()
-    for other in DIRECT[:1] + DIRECT[2:]:
-        for series_stage, other_stage in itertools.product(range(3), repeat=2):
-            for name in DIRECT:
-                stage = {"check_series_agreement": series_stage,
-                         other: other_stage}.get(name)
-                monkeypatch.setattr(verification, name, _stopping(name, stage))
-            with pytest.raises(NearSingularError) as serial:
-                verification._run_direct_checks(
-                    [getattr(verification, name).steps(42) for name in DIRECT])
-            with pytest.raises(NearSingularError) as split_run:
-                run_battery(42)
-            assert str(split_run.value) == str(serial.value)
-            series_won.add(str(serial.value).startswith("check_series_agreement"))
-    assert series_won == {True, False}
-
-
 def test_worker_error_keeps_its_worker_traceback(split, stand_ins):
     split(True)
 
@@ -323,6 +274,54 @@ def test_worker_warning_is_shown_and_listed_once(tmp_path):
     assert json.loads(manifests["split"])["warnings"] == [
         {"category": "ConvergenceWarning", "message": "from the worker"}]
     assert manifests["split"] == manifests["serial"]
+
+
+# verify with quick stand-in checks; check_critical_points, in the worker
+# half, loses rank, and check_gauge_equivalence, in the second half, says
+# that it ran, warns and overflows.  argv: output directory, "split" or
+# "serial".
+BOTH_FAIL_RUN = """
+import sys, warnings
+from mesodyn import cli, concurrency, verification
+from mesodyn.errors import ConvergenceWarning, NearSingularError, NonFiniteError
+
+def quiet(seed, *counts):
+    yield []
+    return [verification._result("quiet", 0.0, 1.0)]
+
+def lose_rank(seed, *counts):
+    raise NearSingularError("lost rank in the first half", last_good_time=0.25)
+    yield
+
+def warn_and_overflow(seed, *counts):
+    print("the second half ran")
+    warnings.warn("from the second half", ConvergenceWarning)
+    raise NonFiniteError("overflow in the second half")
+
+for name in %r:
+    setattr(verification, name, verification._direct_check(quiet))
+verification.check_critical_points = verification._direct_check(lose_rank)
+for name in %r:
+    setattr(verification, name, lambda seed, *counts: [])
+verification.check_gauge_equivalence = warn_and_overflow
+concurrency.fork_worker = lambda: sys.argv[2] == "split"
+sys.exit(cli.main(["verify", "--output", sys.argv[1]]))
+""" % (DIRECT, OFF_ROUTE)
+
+
+@pytest.mark.parametrize("mode", ["split", "serial"])
+def test_when_both_halves_fail_the_second_halfs_warning_is_not_shown(mode, tmp_path):
+    done = _python("-c", BOTH_FAIL_RUN, str(tmp_path), mode)
+    assert done.returncode == 4, done.stderr
+    assert "lost rank in the first half" in done.stderr
+    assert "from the second half" not in done.stderr
+    assert "overflow" not in done.stderr
+    # serially, the second half never starts once the first has failed
+    assert ("the second half ran" in done.stdout) == (mode == "split")
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["error"]["type"] == "NearSingularError"
+    assert manifest["error"]["message"] == "lost rank in the first half"
+    assert "warnings" not in manifest
 
 
 def test_import_starts_no_process_machinery():
