@@ -66,6 +66,10 @@ COMPARE_TOLERANCE = 1e-6
 # binds, 1.03 at 16, 1.07 at 24, 0.91 at 32 (faster in 8 of 8), 0.71-0.77
 # at 48 to 128.
 OVERLAP_MIN_DIM = 32
+# The series solver loops over its terms at every output time.  1,000 is
+# far above the default 30 and the ~50 terms a series argument norm of
+# SERIES_RADIUS_LIMIT (10) needs.
+MAX_TERMS = 1000
 VERBS = ("simulate", "compare", "critical", "moving", "flux", "verify")
 
 
@@ -117,8 +121,10 @@ def parse_command(argv) -> Command:
     if args.verb is None:
         raise UsageError(f"a verb is required: one of {', '.join(VERBS)}\n"
                          f"{parser.format_usage()}")
-    if getattr(args, "terms", 1) < 1:
-        parser.error(f"argument --terms: must be >= 1, got {args.terms}")
+    if not 1 <= getattr(args, "terms", 1) <= MAX_TERMS:
+        parser.error(f"argument --terms: must be in 1..{MAX_TERMS}, got {args.terms}")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     overrides = {}
     for key in ("dt", "t_end", "hbar", "solver", "terms", "seed", "literal_atime"):
         value = getattr(args, key, None)

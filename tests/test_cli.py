@@ -103,6 +103,12 @@ class TestParseCommand:
         assert cmd.overrides["seed"] == 7
         assert cmd.config_path is None
 
+    def test_verify_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # SeedSequence takes no negative seed; the battery draws from seed + 1
+        assert main(["verify", "--seed", "-2", "--output", str(tmp_path / "v")]) == 2
+        assert "argument --seed: must be >= 0, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     @pytest.mark.parametrize("options", [
         ["--config", "nonexistent.json", "--dt", "5", "--hbar", "-1"],
         ["--dt", "0.1"],
@@ -200,10 +206,11 @@ class TestSimulate:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["error"]["type"] == "RequiresConstantCoefficientsError"
 
+    @pytest.mark.parametrize("terms", [0, cli.MAX_TERMS + 1])
     @pytest.mark.parametrize("verb", ["simulate", "compare"])
-    def test_terms_below_one_is_usage_error(self, verb, tmp_path):
+    def test_terms_below_one_is_usage_error(self, verb, terms, tmp_path):
         out = tmp_path / "out"
-        assert main([verb, "--config", "s.json", "--terms", "0",
+        assert main([verb, "--config", "s.json", "--terms", str(terms),
                      "--output", str(out)]) == 2
         assert not out.exists()
 
