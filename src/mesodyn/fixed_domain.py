@@ -12,9 +12,10 @@ Three independent routes to the same trajectory:
   the singularity, and for constant H so does trace(K H K*).
 * ``evolve_direct`` — classical fixed-step RK4 on the equation itself,
   re-checking the full-rank invariant at every stage;
-  ``evolve_direct_many`` runs scenarios that share a shape and a time grid
-  as one stacked RK4, bit-identical to one at a time, reading H and B^2
-  from stacks sampled a chunk of steps at a time (``rk4_stages``).
+  ``evolve_direct_many`` runs scenarios that share a shape and dt, and
+  whose time grids nest, as one stacked RK4, bit-identical to one at a
+  time, reading H and B^2 from stacks sampled a chunk of steps at a time
+  (``rk4_stages``).
 * ``evolve_series`` — the binomial power series for constant H and B,
   truncated at a caller-chosen number of terms.
 
@@ -270,13 +271,14 @@ def rk4_stages(times, chunk: int, sample):
     chunk's distinct stage times ``t0``, ``t0 + 0.5*h`` and ``t0 + h``,
     formed as ``rk4`` forms them; a chunk's first ``t0`` is the previous
     chunk's last end and is not sampled again.  So each distinct stage time
-    is sampled once, and one chunk's samples are held.  The times must be
+    is sampled once, and one chunk's samples are held, zipped once into one
+    tuple per time that a stage then looks up by index.  The times must be
     asked in ``rk4``'s order; a time out of it raises ValueError.
     """
-    ts, stacks, entry, at, start = [], (), (), -1, 0
+    ts, entries, at, start = [], [], -1, 0
 
     def lookup(t: float) -> tuple:
-        nonlocal ts, stacks, entry, at, start
+        nonlocal ts, entries, at, start
         if not ts or ts[at] != t:
             at += 1
             if at == len(ts):
@@ -285,12 +287,11 @@ def rk4_stages(times, chunk: int, sample):
                     t0, h = float(times[i]), float(times[i + 1] - times[i])
                     wanted.update(dict.fromkeys([t0, t0 + 0.5 * h, t0 + h]))
                 ts = [s for s in wanted if s != last]
-                stacks = entry = ()  # drop the previous chunk before sampling this one
-                stacks, at, start = sample(ts), 0, start + chunk
+                entries = []  # drop the previous chunk before sampling this one
+                entries, at, start = list(zip(*sample(ts))), 0, start + chunk
             if at == len(ts) or ts[at] != t:
                 raise ValueError(f"stage time {t!r} asked out of rk4's order")
-            entry = tuple(x[at] for x in stacks)
-        return entry
+        return entries[at]
 
     return lookup
 
@@ -298,21 +299,31 @@ def rk4_stages(times, chunk: int, sample):
 def _direct_rhs(cfgs, times):
     """The stacked right-hand side (i/hbar)(K H + B^2 (K*)^-1) of one group.
 
-    ``1j/hbar`` and the floor are per-member arrays.  The rhs reads H and
-    B^2 from ``rk4_stages`` stacks of (T, S, n, n) and (T, S, 1, 1), a chunk
-    of max(1, MAGNUS_CHUNK // (S n**2)) steps at a time: each member's
-    profile sampled once per chunk by ``samples``, B with the scalar
-    ``FieldProfile.sample`` once per member and stage time.
+    ``1j/hbar`` and the floor are per-member arrays, or one value where all
+    members share it: a complex scalar multiplies faster than a broadcast
+    array, and ``adjoint_inverse`` takes a float floor as its screen's
+    maximum.  The rhs reads H and B^2 from ``rk4_stages`` stacks of
+    (T, S, n, n), a chunk of max(1, MAGNUS_CHUNK // (S n**2)) steps at a
+    time: each member's profile sampled once per chunk by ``samples``, B
+    with the scalar ``FieldProfile.sample`` once per member and stage time,
+    its square filled over the member's n x n block as the complex value
+    it is cast to anyway, so a stage multiplies two contiguous stacks.  The
+    rhs forms its result in place, in the operand order of the expression.
     """
     profiles = [cfg.hamiltonian for cfg in cfgs]
     fields = [cfg.field for cfg in cfgs]
     i_over_hbar = np.array([1j / cfg.hbar for cfg in cfgs])[:, None, None]
+    if (i_over_hbar == i_over_hbar[0]).all():
+        i_over_hbar = complex(i_over_hbar[0, 0, 0])
     floors = np.array([cfg.pd_floor for cfg in cfgs])
+    floor = float(floors[0]) if (floors == floors[0]).all() else floors
 
     def sample(ts: list) -> tuple:
         hs = [profile.samples(ts) for profile in profiles]
-        b2 = np.array([[b * b for b in [f.sample(t) for f in fields]] for t in ts])
-        return hs[0][:, None] if len(hs) == 1 else np.stack(hs, axis=1), b2[..., None, None]
+        b2 = np.array([[b * b for b in [f.sample(t) for f in fields]] for t in ts],
+                      dtype=np.complex128)
+        return (hs[0][:, None] if len(hs) == 1 else np.stack(hs, axis=1),
+                np.broadcast_to(b2[..., None, None], (len(ts), len(fields), n, n)).copy())
 
     n = np.shape(cfgs[0].initial_k)[-1]
     stages = rk4_stages(times, max(1, MAGNUS_CHUNK // (len(cfgs) * n * n)), sample)
@@ -320,7 +331,11 @@ def _direct_rhs(cfgs, times):
     def rhs(t: float, k: np.ndarray) -> np.ndarray:
         h, b2 = stages(t)
         # The checked (K*)^-1 is also the per-stage full-rank test.
-        return i_over_hbar * (k @ h + b2 * adjoint_inverse(k, floors))
+        x = adjoint_inverse(k, floor)
+        np.multiply(b2, x, out=x)
+        out = k @ h
+        out += x
+        return np.multiply(i_over_hbar, out, out=out)
 
     return rhs
 
@@ -328,18 +343,20 @@ def _direct_rhs(cfgs, times):
 def _evolve_direct_stack(cfgs) -> list:
     """RK4 on the (S, n, n) stack of one group; one trajectory per member.
 
-    The run keeps the union of the members' output indices, and each member
-    takes its own plan's samples from it.  A floor crossing or a non-finite
-    state in any member raises, with ``partial`` the first member's
-    trajectory up to the stop (empty when K0 is rejected), as
+    The run steps on the longest member grid, which every other member's
+    grid begins, and keeps the union of the members' output indices; each
+    member takes its own plan's samples from it.  A floor crossing or a
+    non-finite state in any member raises, with ``partial`` the first
+    member's trajectory up to the stop (empty when K0 is rejected), as
     ``evolve_direct_many`` re-runs a stopped group: one member at a time.
     """
     plans = [step_plan(cfg.t_end, cfg.dt, cfg.output_stride) for cfg in cfgs]
+    grid = max((plan.times for plan in plans), key=len)
     union = sorted(set().union(*(plan.output_indices for plan in plans)))
     where = {index: j for j, index in enumerate(union)}  # step index -> sample
     try:
         k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
-        samples = rk4(_direct_rhs(cfgs, plans[0].times), k0, plans[0].times, where)
+        samples = rk4(_direct_rhs(cfgs, grid), k0, grid, where)
     except (NearSingularError, NonFiniteError) as exc:
         done = exc.partial or []
         plan = plans[0]
@@ -351,27 +368,58 @@ def _evolve_direct_stack(cfgs) -> list:
             for m, plan in enumerate(plans)]
 
 
+def _direct_groups(cfgs) -> list:
+    """The member indices of each of ``evolve_direct_many``'s stacked runs.
+
+    Scenarios that share the shape of K0 and dt form a family, whose
+    longest grid (``step_plan`` times) is its run's.  A member joins that
+    run when its own grid is an exact prefix of it and its H and B domains
+    reach the run's end; any other member groups with those of its own
+    t_end.
+    """
+    families = {}
+    for i, cfg in enumerate(cfgs):
+        families.setdefault((np.shape(cfg.initial_k), cfg.dt), []).append(i)
+    groups = []
+    for members in families.values():
+        grids = [step_plan(cfgs[i].t_end, cfgs[i].dt).times for i in members]
+        longest = max(grids, key=len)
+        end = float(longest[-1])
+        nested, own = [], {}
+        for i, times in zip(members, grids):
+            cfg = cfgs[i]
+            if (np.array_equal(times, longest[:len(times)])
+                    and cfg.hamiltonian.domain()[1] >= end and cfg.field.domain()[1] >= end):
+                nested.append(i)
+            else:
+                own.setdefault(cfg.t_end, []).append(i)
+        groups += [group for group in (nested, *own.values()) if group]
+    return groups
+
+
 def evolve_direct_many(cfgs) -> list:
     """``[evolve_direct(cfg) for cfg in cfgs]``, integrating stacks at once.
 
-    Scenarios that share the shape of K0 and the grid (t_end, dt) form one
-    group, whatever their H and B profiles, integrated as one (S, n, n) RK4
-    run: one stacked (K*)^-1 and matmul per stage instead of S.  The states do
-    not depend on which samples are emitted, so members may differ in
+    Scenarios that share the shape of K0 and dt are integrated as one
+    (S, n, n) RK4 run, whatever their H and B profiles, when their grids
+    nest: a member whose ``step_plan`` times are an exact prefix of the
+    longest such grid, and whose H and B domains cover that grid's end,
+    rides on its run; any other keeps a group of its own t_end
+    (``_direct_groups``).  One stacked (K*)^-1 and matmul per stage serve S
+    members.  A member's state does not depend on the steps after its end
+    or on which samples are emitted, so members may differ in t_end and
     ``output_stride``.  Every member's trajectory is bit-identical to its
     own ``evolve_direct``.
-    If a member crosses the floor or turns non-finite, its group is re-run
-    one member at a time, and the first scenario in list order that stops
-    raises its own NearSingularError or NonFiniteError, ``last_good_time``
-    and ``partial`` as ``evolve_direct`` gives them.
+    If a member crosses the floor or turns non-finite, even after its own
+    end, its group is re-run one member at a time, each on its own grid,
+    and the first scenario in list order that stops raises its own
+    NearSingularError or NonFiniteError, ``last_good_time`` and ``partial``
+    as ``evolve_direct`` gives them.
     """
     cfgs = list(cfgs)
-    groups = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault((np.shape(cfg.initial_k), cfg.t_end, cfg.dt), []).append(i)
     out = [None] * len(cfgs)
     failures = []
-    for members in groups.values():
+    for members in _direct_groups(cfgs):
         if len(members) > 1:
             try:
                 stacked = _evolve_direct_stack([cfgs[i] for i in members])

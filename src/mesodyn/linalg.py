@@ -20,6 +20,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _lu_inverse
 
 from .errors import (
     NearSingularError,
@@ -45,8 +46,8 @@ DEFAULT_PD_FLOOR = 1e-12        # relative singular-value / eigenvalue floor
 #   s_min/s_max is at least 1.98 floor, and the SVD's computed ratio, a few
 #   eps from it, passes the floor too.
 # One stack-wide c' serves every member, whose norms are at most the
-# stack's.  Anything else (a NaN or Inf c', an LU that raised) goes to the
-# SVD.
+# stack's.  Anything else (an Inf c', or a NaN one from an LU that met a
+# zero pivot) goes to the SVD.
 INVERSE_SCREEN_MARGIN = 0.5
 INVERSE_LU_GUARD = 0.01
 _EPS = float(np.finfo(np.float64).eps)
@@ -235,38 +236,39 @@ def full_rank_svd(a: np.ndarray, floor):
 def adjoint_inverse(k, floor=DEFAULT_PD_FLOOR) -> np.ndarray:
     """(K*)^-1 of a square full-rank K, or of each member of a (..., n, n) stack.
 
-    The one checked (K*)^-1.  An LU inverse with partial pivoting inverts
-    K*.  The floor stays defined on singular values, as ``_checked_svd``
-    tests it, but the Frobenius norms of K and X = (K*)^-1 over the whole
-    stack certify a pass without an SVD when ``floor * ||K||_F ||X||_F``
-    is at most ``INVERSE_SCREEN_MARGIN`` and ``n eps ||K||_F ||X||_F`` at
-    most ``INVERSE_LU_GUARD`` (derivation beside the constants).  Every
-    other case runs the values-only SVD, which decides it: its
-    NearSingularError or NonFiniteError is raised, and an LU that failed
-    where the SVD passed raises NearSingularError.  ``floor`` is one value
-    or one per member.  Each member of a stack is its own LAPACK call, so
-    a stack gives the same bits as one member at a time.
+    The one checked (K*)^-1.  LAPACK's LU inverse with partial pivoting,
+    the gufunc behind ``np.linalg.inv`` called without its wrapper, inverts
+    K* with the same bits.  The floor stays defined on singular values, as
+    ``_checked_svd`` tests it, but the Frobenius norms of K and
+    X = (K*)^-1 over the whole stack certify a pass without an SVD when
+    ``floor * ||K||_F ||X||_F`` is at most ``INVERSE_SCREEN_MARGIN`` and
+    ``n eps ||K||_F ||X||_F`` at most ``INVERSE_LU_GUARD`` (derivation
+    beside the constants).  Every other case runs the values-only SVD,
+    which decides it: its NearSingularError or NonFiniteError is raised,
+    and a non-finite X where the SVD passed (an LU that met an exactly zero
+    pivot, which leaves NaN) raises NearSingularError.  No case warns.
+    ``floor`` is one value or one per member; a float is read as is, so a
+    caller that inverts many stacks passes a uniform floor as a float and
+    the screen takes no maximum.  Each member of a stack is its own LAPACK
+    call, so a stack gives the same bits as one member at a time.
     """
     a = np.asarray(k, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquareError(f"expected a square matrix or a stack of them, "
                              f"got shape {a.shape}")
-    try:
-        x = np.linalg.inv(a.conj().swapaxes(-1, -2))
-    except np.linalg.LinAlgError as exc:
-        lu_error = exc
-    else:
-        # Python floats: an overflow gives inf or nan, never a warning.
-        c = math.sqrt(float(np.vdot(a, a).real) * float(np.vdot(x, x).real))
-        if (c * np.asarray(floor).max() <= INVERSE_SCREEN_MARGIN
-                and c * a.shape[-1] * _EPS <= INVERSE_LU_GUARD):
-            return x
-        lu_error = None
+    # a zero pivot fills X with NaN and raises the invalid flag; the other
+    # two are those np.linalg.inv silences, and a successful LU clears all
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        x = _lu_inverse(a.conj().swapaxes(-1, -2), signature="D->D")
+    # Python floats: an overflow gives inf or nan, never a warning.
+    c = math.sqrt(float(np.vdot(a, a).real) * float(np.vdot(x, x).real))
+    top = floor if isinstance(floor, float) else float(np.max(floor))
+    if c * top <= INVERSE_SCREEN_MARGIN and c * a.shape[-1] * _EPS <= INVERSE_LU_GUARD:
+        return x
     _checked_svd(a, floor, compute_uv=False)
-    if lu_error is not None:
+    if not np.isfinite(x).all():
         # Only an exactly zero pivot fails here, possible under a tiny floor.
-        raise NearSingularError(
-            f"K* is singular to working precision: {lu_error}") from lu_error
+        raise NearSingularError("K* is singular to working precision")
     return x
 
 

@@ -255,7 +255,8 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
     one per (C', C'') pair in ``gauges``.
 
     The gauge-free (primed) solution uses the free frame and the closed
-    coefficient form, computed once.  The gauged solution evolves the image
+    coefficient form, computed once, and its operator is formed once per
+    time for every pair.  The gauged solution evolves the image
     basis phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient
     matrix by integrating its gauged equation: all P pairs as one (P, n, n)
     RK4, whose rhs reads C', C'' and B^2 from ``rk4_stages`` stacks (a
@@ -290,10 +291,10 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
 
     a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)))
     worst = [0.0] * len(c1s)
-    for m, (g1s, g2s) in enumerate(propagators):
-        for bra, g1, g2, a_g, a_p in zip(bras, g1s, g2s, a_gauged, a_primed):
-            k_u = (image @ g1) @ a_g[m] @ (g2.conj().T @ bra)
-            k_p = image @ a_p @ bra
+    for j, (bra, a_g, a_p) in enumerate(zip(bras, a_gauged, a_primed)):
+        k_p = image @ a_p @ bra  # gauge-free: one per time, for every pair
+        for m, (g1s, g2s) in enumerate(propagators):
+            k_u = (image @ g1s[j]) @ a_g[m] @ (g2s[j].conj().T @ bra)
             worst[m] = max(worst[m], float(np.linalg.norm(k_u - k_p)))
     return worst
 

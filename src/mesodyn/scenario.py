@@ -56,11 +56,19 @@ DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
 NOT_FULL_RANK = "NOT_FULL_RANK"
 OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
 TOO_MANY_STEPS = "TOO_MANY_STEPS"
+TOO_MANY_SAMPLES = "TOO_MANY_SAMPLES"
 
 # Ceiling on t_end / dt, checked before any time grid is allocated.  It
 # sits far above every shipped scenario (at most a few thousand steps) and
 # keeps the step array under 100 MB.
 MAX_FINE_STEPS = 10 ** 7
+# Ceiling on the output samples a run retains, counted by arithmetic before
+# any plan is built.  Each sample is held as matrices, diagnostics and CSV
+# text until the files are written: a dim-2 factorized run peaked 136 MB
+# higher with 10^5 samples than with 100 (about 1.4 kB a sample; 13.5 kB at
+# dim 16), so 2 * 10^5 keeps a dim-2 run near 300 MB.  The shipped, CI and
+# benchmark scenarios retain at most 501.
+MAX_OUTPUT_SAMPLES = 2 * 10 ** 5
 
 _DOMAIN_SLACK = 1e-9
 
@@ -473,6 +481,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
 
     if not (isinstance(cfg.hbar, (int, float)) and math.isfinite(cfg.hbar) and cfg.hbar > 0):
         issues.append(ValidationIssue(BAD_HBAR, f"hbar must be a positive real, got {cfg.hbar!r}"))
+    grid_issues = len(issues)
     if not (math.isfinite(cfg.t_end) and cfg.t_end > 0):
         issues.append(ValidationIssue(BAD_TIME_GRID, f"t_end must be positive, got {cfg.t_end!r}"))
     if not (math.isfinite(cfg.dt) and cfg.dt > 0):
@@ -486,6 +495,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             f"ceiling of {MAX_FINE_STEPS:.0e} fine steps"))
     if int(cfg.output_stride) < 1:
         issues.append(ValidationIssue(BAD_STRIDE, "output_stride must be >= 1"))
+    elif len(issues) == grid_issues and (count := output_sample_count(
+            cfg.t_end, cfg.dt, cfg.output_stride)) > MAX_OUTPUT_SAMPLES:
+        issues.append(ValidationIssue(
+            TOO_MANY_SAMPLES, f"the run would retain {count} output samples, "
+            f"above the ceiling of {MAX_OUTPUT_SAMPLES:.0e}; raise output_stride"))
     if not (0.0 < cfg.pd_floor < 1.0):
         issues.append(ValidationIssue(BAD_PD_FLOOR, "pd_floor must lie in (0, 1)"))
 
@@ -528,6 +542,16 @@ class StepPlan:
     @property
     def output_times(self) -> np.ndarray:
         return self.times[list(self.output_indices)]
+
+
+def output_sample_count(t_end: float, dt: float, output_stride: int = 1) -> int:
+    """``len(step_plan(t_end, dt, output_stride).output_indices)``, by
+    arithmetic alone: no time grid is built."""
+    n = math.floor(t_end / dt + 1e-9)
+    last = dt * n
+    steps = n if last > t_end or t_end - last <= 1e-12 * max(1.0, t_end) else n + 1
+    stride = max(int(output_stride), 1)
+    return steps // stride + 1 + (steps % stride != 0)
 
 
 def step_plan(t_end: float, dt: float, output_stride: int = 1) -> StepPlan:

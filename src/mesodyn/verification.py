@@ -9,11 +9,11 @@ their full pinned scale.
 The checks that run the direct route are generators: each yields its
 scenarios and is sent their trajectories.  Called alone, a check makes
 its own ``evolve_direct_many`` call; ``run_battery`` draws the scenarios
-of all such checks but the series one first and integrates them in one
-call, where scenarios of different checks that share a group key share
-one stacked RK4 run.  Either way each check returns the same results,
-bit for bit, and so does the battery whether or not it runs its two
-halves in two processes.  The halves end in order, so a failing battery
+of the checks in each of its halves first and integrates them in one
+call per half, where scenarios of different checks whose grids nest
+share one stacked RK4 run.  Either way each check returns the same
+results, bit for bit, and so does the battery whether or not it runs its
+two halves in two processes.  The halves end in order, so a failing battery
 raises its first half's error if that half fails, else its second's.
 """
 
@@ -486,35 +486,38 @@ def run_battery(seed: int = 42, scenario_count: int = 10, draw_count: int = 40,
 
     The battery runs as two halves by ``concurrency.run_halves``: the
     first in a forked worker beside the second when two CPUs are free,
-    else one after the other.  The first half is every direct-route check
-    but the series one, integrating all of their scenarios in one
-    ``evolve_direct_many`` call (about 0.61 s in-process with BLAS
-    pinned); the second is the series check (its t_end 0.5 groups never
-    merge with the others) and the checks off the direct route (about
-    0.42 s).  Each result equals its own ``check_*``, and the list keeps
-    the battery's order.  Should both halves fail, the first half's error
-    is raised.
+    else one after the other.  The halves are balanced by their measured
+    cost.  The first is the conservation, diagonal, critical-point and
+    constant-H checks, whose scenarios share the four t_end 1, dt 1e-3
+    grids of dims 2 to 5, integrated in one ``evolve_direct_many`` call.
+    The second integrates the series and RK4-order checks in one call,
+    where the series' dim-3 members ride on the RK4-order check's dt 1e-3
+    run (nested grids), then runs the six checks off the direct route.
+    In-process with BLAS pinned each half takes about 0.4 s (README
+    "Stacking").  Each result equals its own ``check_*``, and the list
+    keeps the battery's order.  Should both halves fail, the first half's
+    error is raised.
     """
-    def direct_route():
+    def first_half():
         return _run_direct_checks([
             check_conservation_and_agreement.steps(seed + 1, scenario_count),
             check_diagonal_closed_form.steps(seed + 3, diagonal_count),
             check_critical_points.steps(seed + 4),
             check_constant_h_invariant.steps(seed + 7, constant_h_count),
-            check_rk4_order.steps(seed + 10),
         ])
 
-    def the_rest():
-        return [check_series_agreement(seed + 2, series_count),
-                check_differential_identity(seed + 5, draw_count),
-                check_energy_rate_order(seed + 6),
-                check_moving_domain(seed + 8),
-                check_gauge_equivalence(seed + 9),
-                check_magnus_order(seed + 11),
-                check_moving_full_rank_reduction(seed + 12)]
+    def second_half():
+        return (_run_direct_checks([check_series_agreement.steps(seed + 2, series_count),
+                                    check_rk4_order.steps(seed + 10)])
+                + [check_differential_identity(seed + 5, draw_count),
+                   check_energy_rate_order(seed + 6),
+                   check_moving_domain(seed + 8),
+                   check_gauge_equivalence(seed + 9),
+                   check_magnus_order(seed + 11),
+                   check_moving_full_rank_reduction(seed + 12)])
 
-    (conservation, diagonal, critical, constant_h, rk4_order), (
-        series, differential, energy, moving, gauge, magnus, full_rank,
-    ) = run_halves(direct_route, the_rest)
+    (conservation, diagonal, critical, constant_h), (
+        series, rk4_order, differential, energy, moving, gauge, magnus, full_rank,
+    ) = run_halves(first_half, second_half)
     return (conservation + series + diagonal + critical + differential + energy
             + constant_h + moving + gauge + rk4_order + magnus + full_rank)

@@ -263,6 +263,20 @@ class TestSimulate:
         assert "TOO_MANY_STEPS" in manifest["error"]["message"]
         assert manifest["outputs"] == []
 
+    def test_sample_ceiling_rejected_before_allocation(self, tmp_path, capsys):
+        # 10^6 output samples, well inside the step ceiling, would hold
+        # about 1.4 GB of samples before a file is written
+        cfg = dataclasses.replace(scalar_config(), output_stride=1)
+        config = write_scenario(tmp_path / "s.json", cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--t-end", "1000",
+                     "--output", str(out)]) == 3
+        assert "TOO_MANY_SAMPLES" in capsys.readouterr().err
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "ConfigInvalidError"
+        assert "TOO_MANY_SAMPLES" in manifest["error"]["message"]
+        assert manifest["outputs"] == []
+
     def test_overflowing_direct_run_is_typed_error(self, tmp_path, capsys):
         # the non-finite state must not reach LAPACK's SVD, which fails (or
         # never returns) on it

@@ -641,6 +641,82 @@ class TestEvolveDirectMany:
         for cfg, trajectory in zip(cfgs, stacked, strict=True):
             assert_same_trajectory(trajectory, evolve_direct(cfg))
 
+    @staticmethod
+    def spy_groups(monkeypatch):
+        """The members' t_end of each ``_evolve_direct_stack`` call, in order."""
+        groups = []
+        stack = fixed_domain._evolve_direct_stack
+
+        def spy(members):
+            groups.append([cfg.t_end for cfg in members])
+            return stack(members)
+
+        monkeypatch.setattr(fixed_domain, "_evolve_direct_stack", spy)
+        return groups
+
+    @staticmethod
+    def constant_h(rng, cfg):
+        n = cfg.initial_k.shape[0]
+        return dataclasses.replace(cfg, hamiltonian=HamiltonianProfile.constant(
+            random_hermitian(rng, n, 0.5, 2.5)))
+
+    def test_nested_grids_share_one_run(self, rng, monkeypatch):
+        # the t_end 0.5 grid is the first half of the t_end 1.0 one, and a
+        # constant H covers every time (random_scenario's ends at its
+        # t_end): the shorter member rides on the longer run with its bits
+        cfgs = [self.constant_h(rng, random_scenario(rng, 3, t_end=0.5, dt=1e-3,
+                                                     output_stride=50)),
+                random_scenario(rng, 3, t_end=1.0, dt=1e-3, output_stride=100)]
+        alone = [evolve_direct(cfg) for cfg in cfgs]
+        groups = self.spy_groups(monkeypatch)
+        stacked = evolve_direct_many(cfgs)
+        assert groups == [[0.5, 1.0]]
+        for trajectory, expected in zip(stacked, alone, strict=True):
+            assert_same_trajectory(trajectory, expected)
+
+    def test_grid_that_is_no_prefix_keeps_its_own_group(self, rng, monkeypatch):
+        # 0.5004 ends with a short step of 4e-4, not on the dt 1e-3 grid of
+        # t_end 1.0; the two t_end 0.5004 members still stack together
+        cfgs = [self.constant_h(rng, random_scenario(rng, 2, t_end=t_end, dt=1e-3,
+                                                     output_stride=100))
+                for t_end in (0.5004, 1.0, 0.5004)]
+        alone = [evolve_direct(cfg) for cfg in cfgs]
+        groups = self.spy_groups(monkeypatch)
+        stacked = evolve_direct_many(cfgs)
+        assert sorted(groups) == [[0.5004, 0.5004], [1.0]]
+        for trajectory, expected in zip(stacked, alone, strict=True):
+            assert_same_trajectory(trajectory, expected)
+
+    def test_profile_ending_at_its_own_t_end_keeps_its_own_group(self, rng, monkeypatch):
+        # its interpolated H has its last knot at 0.5, so the t_end 1.0 run
+        # would sample it out of its domain
+        short = random_scenario(rng, 3, t_end=0.5, dt=1e-3, output_stride=50)
+        assert short.hamiltonian.domain() == (0.0, 0.5)
+        cfgs = [short, random_scenario(rng, 3, t_end=1.0, dt=1e-3, output_stride=100)]
+        alone = [evolve_direct(cfg) for cfg in cfgs]
+        groups = self.spy_groups(monkeypatch)
+        stacked = evolve_direct_many(cfgs)
+        assert sorted(groups) == [[0.5], [1.0]]
+        for trajectory, expected in zip(stacked, alone, strict=True):
+            assert_same_trajectory(trajectory, expected)
+
+    def test_member_that_stops_after_its_own_end_is_rerun_on_its_own_grid(
+            self, monkeypatch):
+        # alone, the ramp crosses its floor after 0.48; ended at 0.4 it does
+        # not, but on the shared t_end 1.0 run it does, so the group is
+        # re-run one member at a time and both succeed
+        bad = ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39)
+        with pytest.raises(NearSingularError) as crossing:
+            evolve_direct(bad)
+        assert crossing.value.last_good_time > 0.4
+        cfgs = [dataclasses.replace(bad, t_end=0.4), ramp_config(1.0, np.diag([1.2, 0.9]))]
+        alone = [evolve_direct(cfg) for cfg in cfgs]
+        groups = self.spy_groups(monkeypatch)
+        stacked = evolve_direct_many(cfgs)
+        assert groups == [[0.4, 1.0], [0.4], [1.0]]
+        for trajectory, expected in zip(stacked, alone, strict=True):
+            assert_same_trajectory(trajectory, expected)
+
     def test_stack_over_several_chunks_changes_no_bits(self, rng):
         # three dim-8 members take MAGNUS_CHUNK // (3 * 64) = 85 steps per
         # chunk, so the 250 steps span three chunks; a lone member's 256-step

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,32 @@ class TestAdjointInverse:
                        random_full_rank(rng, 2, 0.5, 2.0)])
         with pytest.raises(NearSingularError):
             adjoint_inverse(ks, floor)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_bits_are_np_linalg_inv(self, dim, rng):
+        # the LAPACK gufunc called directly gives np.linalg.inv's bits,
+        # on one matrix and on each member of a stack
+        k = random_full_rank(rng, dim, 0.5, 2.0)
+        assert np.array_equal(adjoint_inverse(k), np.linalg.inv(k.conj().T))
+        ks = np.stack([random_full_rank(rng, dim, 0.5, 2.0) for _ in range(3)])
+        stacked = adjoint_inverse(ks, 1e-12)
+        assert np.array_equal(stacked, np.linalg.inv(ks.conj().swapaxes(-1, -2)))
+        for member, inv in zip(ks, stacked):
+            assert np.array_equal(inv, np.linalg.inv(member.conj().T))
+
+    @pytest.mark.parametrize("floor", [DEFAULT_PD_FLOOR, 1e-300])
+    def test_exactly_singular_member_warns_nothing(self, floor, rng):
+        # LU's zero pivot raises numpy's invalid flag; under the default
+        # errstate, with every warning an error (python -W error), only
+        # NearSingularError may come out
+        singular = np.array([[0.1, 0.3], [0.2, 0.6]], dtype=complex)
+        ks = np.stack([random_full_rank(rng, 2, 0.5, 2.0), singular])
+        with np.errstate(all="warn", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearSingularError):
+                adjoint_inverse(ks, floor)
+            with pytest.raises(NearSingularError):
+                adjoint_inverse(singular, floor)
 
     def test_rejects_non_finite_and_non_square(self, rng):
         ks = np.stack([random_full_rank(rng, 3, 0.5, 2.0) for _ in range(2)])

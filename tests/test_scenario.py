@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import warnings
 
@@ -12,13 +13,16 @@ from mesodyn.scenario import (
     BAD_TABLE,
     BAD_TIME_GRID,
     DIMENSION_MISMATCH,
+    MAX_OUTPUT_SAMPLES,
     NOT_FULL_RANK,
     NOT_POSITIVE_DEFINITE,
+    TOO_MANY_SAMPLES,
     TOO_MANY_STEPS,
     FieldProfile,
     HamiltonianProfile,
     ScenarioConfig,
     integrate_b_squared,
+    output_sample_count,
     scenario_from_json,
     scenario_to_json,
     step_plan,
@@ -250,6 +254,29 @@ class TestValidateScenario:
         assert TOO_MANY_STEPS in validate_scenario(make_config(dt=1e-300)).codes()
         assert TOO_MANY_STEPS in validate_scenario(make_config(dt=1e-12)).codes()
         assert validate_scenario(make_config(dt=1e-6)).ok
+
+    def test_too_many_samples(self):
+        # 10^7 samples at dim 2: inside the step ceiling, far past the sample one
+        cfg = make_config(t_end=1e4, dt=1e-3, output_stride=1)
+        assert validate_scenario(cfg).codes() == (TOO_MANY_SAMPLES,)
+        assert TOO_MANY_SAMPLES not in validate_scenario(
+            make_config(t_end=1e4, dt=1e-3, output_stride=100)).codes()
+        # the ceiling itself is allowed, one sample more is not
+        steps = MAX_OUTPUT_SAMPLES - 1
+        assert validate_scenario(make_config(t_end=steps * 1e-2, output_stride=1)).ok
+        assert validate_scenario(
+            make_config(t_end=(steps + 1) * 1e-2, output_stride=1)).codes() == (TOO_MANY_SAMPLES,)
+        # a grid already rejected is not counted
+        assert validate_scenario(make_config(dt=1e-12, output_stride=1)).codes() == (
+            TOO_MANY_STEPS,)
+
+    def test_sample_count_is_the_plans(self):
+        # grids that end on a step and grids that end with a short one
+        for t_end, dt, stride in itertools.product(
+                [1.0, 0.5004, 0.3, 7.77, 100.0], [3e-4, 1e-3, 7e-3, 0.1], [1, 3, 10, 10 ** 9]):
+            plan = step_plan(t_end, dt, stride)
+            assert output_sample_count(t_end, dt, stride) == len(plan.output_indices), (
+                t_end, dt, stride)
 
     def test_bad_table(self):
         cfg = make_config(field=FieldProfile.sampled_table([0.0, 0.0], [1.0, 1.0]))

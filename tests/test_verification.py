@@ -125,6 +125,34 @@ def stand_ins(monkeypatch):
     return set_check
 
 
+def _named(name):
+    """A result naming the check and the process that ran it."""
+    return [verification._result(f"{name} {os.getpid()}", 0.0, 1.0)]
+
+
+def test_halves_split_the_checks_by_cost(split, monkeypatch):
+    # the worker runs the four checks on the t_end 1 grids of dims 2 to 5;
+    # the series and RK4-order checks run here, before the six off the route
+    split(True)
+
+    def steps_of(name):
+        def steps(seed, *counts):
+            yield []
+            return _named(name)
+        return verification._direct_check(steps)
+
+    for name in DIRECT:
+        monkeypatch.setattr(verification, name, steps_of(name))
+    for name in OFF_ROUTE:
+        monkeypatch.setattr(verification, name,
+                            lambda seed, *counts, name=name: _named(name))
+    ran = [r.name.split() for r in run_battery(42)]
+    assert {name for name, pid in ran if pid != str(os.getpid())} == {
+        "check_conservation_and_agreement", "check_diagonal_closed_form",
+        "check_critical_points", "check_constant_h_invariant"}
+    assert len(ran) == 12
+
+
 def _lose_rank():
     raise NearSingularError(f"lost rank in process {os.getpid()}",
                             last_good_time=0.25, partial=[0.0])
