@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     InsufficientSamplesError,
+    MesodynError,
     NearSingularError,
     NonFiniteError,
     NotDiagonalError,
@@ -28,12 +29,13 @@ from .errors import (
     ShapeMismatchError,
     ZeroImageError,
 )
-from .fixed_domain import Trajectory, polar_init
+from .fixed_domain import MAGNUS_CHUNK, Trajectory, polar_init
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
     as_matrix,
     below_floor,
+    frobenius_norms,
     hermitian,
     hermitian_part,
     pairing,
@@ -61,18 +63,31 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> flo
 def _energy_terms(k, h, gram, pd_floor: float) -> tuple[float, float]:
     """(trace(K H K*), log det(K K*)) from one eigvalsh of gram = K K*.
 
-    Trusts its inputs: K square, H exactly Hermitian.  A non-finite K
-    leaves eigvalsh nothing to converge on: NonFiniteError.
+    Trusts its inputs: K square, H exactly Hermitian.
+    """
+    w = _gram_eigenvalues(gram, pd_floor)
+    return float(np.trace(k @ h @ k.conj().T).real), float(np.sum(np.log(w)))
+
+
+def _gram_eigenvalues(gram, pd_floor: float) -> np.ndarray:
+    """eigvalsh of K K*, or of each member of a stack, every one above the floor.
+
+    A non-finite K leaves eigvalsh nothing to converge on: NonFiniteError.
+    An eigenvalue ratio at or under ``pd_floor**2`` raises NearSingularError
+    with the first such member's eigenvalues.
     """
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NonFiniteError(f"K K* has no eigenvalues: {exc}") from exc
-    if below_floor(float(w[0]), float(w[-1]), pd_floor * pd_floor):
+    lo, hi = w[..., 0], w[..., -1]
+    bad = below_floor(lo, hi, pd_floor * pd_floor)
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
         raise NearSingularError(
-            f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
-            f"crosses the floor")
-    return float(np.trace(k @ h @ k.conj().T).real), float(np.sum(np.log(w)))
+            f"K K* eigenvalue ratio {float(np.ravel(lo)[j]):.3e}/"
+            f"{float(np.ravel(hi)[j]):.3e} crosses the floor")
+    return w
 
 
 class DifferentialCheck(NamedTuple):
@@ -139,10 +154,17 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     defect is that of the implied unitary factor R^-1 K with R fixed by
     the first sample.  xi_rate_predicted is
     trace(K dH/dt K*) + d(B^2)/dt log det(K0 K0*) with finite-difference
-    profile derivatives, xi_rate_observed the finite difference of xi
+    profile derivatives (the first term is not formed for a constant H,
+    where it is zero), xi_rate_observed the finite difference of xi
     itself; at interior samples both converge at second order in the
-    sample spacing.  One pass over the samples; one K K* per sample serves
-    both the log-determinant and the drift.
+    sample spacing.
+
+    The samples go through in (c, n, n) stacks, c = max(1, MAGNUS_CHUNK //
+    n**2): per stack one K K*, which serves both the log-determinant and
+    the drift, one eigvalsh and one R^-1 K.  Every value has the bits of
+    its sample evaluated alone, and a stack holding a failing sample
+    raises that sample's own error: the first failing sample's, in the
+    order a per-sample loop checks them.
     """
     times, ks = trajectory.times, trajectory.ks
     if not ks:
@@ -152,31 +174,59 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     radial_inv = hermitian_part((u / s) @ u.conj().T)
     h_samples = cfg.hamiltonian.samples(times)
     b_samples = np.array([cfg.field.sample(float(t)) for t in times])
+    h_dot = (np.gradient(h_samples, times, axis=0)
+             if rates and not cfg.hamiltonian.is_constant() else None)
+    n = ks[0].shape[0]
+    size = max(1, MAGNUS_CHUNK // (n * n))
+    electronic, entropy, h_rate, gram_drift, defect = [], [], [], [], []
+    for start in range(0, len(ks), size):
+        stack = np.stack(ks[start:start + size])
+        adjoint = stack.conj().swapaxes(-1, -2)
+        grams = stack @ adjoint
+        hermitian_part(grams, out=grams)
+        factors = radial_inv @ stack
+        try:
+            w = _gram_eigenvalues(grams, cfg.pd_floor)
+            if not np.isfinite(factors).all():
+                raise NonFiniteError("matrix contains NaN or Inf entries")
+        except MesodynError:
+            for gram, factor in zip(grams, factors):  # raise as the sample alone
+                _gram_eigenvalues(gram, cfg.pd_floor)
+                unitary_defect(factor)
+            raise
+        if not start:
+            gram0 = grams[0].copy()
+        window = slice(start, start + size)
+        electronic.append(_traces(stack, h_samples[window], adjoint))
+        entropy.append(np.sum(np.log(w), axis=-1))
+        if h_dot is not None:
+            h_rate.append(_traces(stack, h_dot[window], adjoint))
+        gram_drift.append(frobenius_norms(grams - gram0))
+        defect.append(frobenius_norms(factors.conj().swapaxes(-1, -2) @ factors
+                                      - np.eye(n)))
+    electronic, entropy = np.concatenate(electronic), np.concatenate(entropy)
+    xi = electronic + (b_samples * b_samples) * entropy
     if rates:
-        h_dot = (np.zeros_like(h_samples) if cfg.hamiltonian.is_constant()
-                 else np.gradient(h_samples, times, axis=0))
         b_dot = (np.zeros_like(b_samples) if cfg.field.kind == "constant"
                  else np.gradient(b_samples, times))
-    rows = []
-    for i, k in enumerate(ks):
-        gram = hermitian_part(k @ k.conj().T)
-        electronic, entropy = _energy_terms(k, h_samples[i], gram, cfg.pd_floor)
-        b = float(b_samples[i])
-        if i == 0:  # log det(K0 K0*) weighs d(B^2)/dt
-            gram0, gram0_norm, logdet_r2 = gram, float(np.linalg.norm(gram)), entropy
-        predicted = (float(np.trace(k @ h_dot[i] @ k.conj().T).real)
-                     + 2.0 * b * float(b_dot[i]) * logdet_r2) if rates else 0.0
-        rows.append((electronic, electronic + (b * b) * entropy, predicted,
-                     float(np.linalg.norm(gram - gram0)) / gram0_norm,
-                     unitary_defect(radial_inv @ k)))
-    electronic, xi, predicted, kk_drift, defect = map(np.array, zip(*rows))
-    observed = np.gradient(xi, times) if rates else np.zeros(1)
+        # log det(K0 K0*) weighs d(B^2)/dt; 0.0 stands for the zero H term
+        predicted = ((np.concatenate(h_rate) if h_dot is not None else 0.0)
+                     + 2.0 * b_samples * b_dot * entropy[0])
+        observed = np.gradient(xi, times)
+    else:
+        predicted, observed = np.zeros(1), np.zeros(1)
     trace0 = electronic[0]  # trace(K0 H K0*), the constant-H invariant
     trace_drift = (np.abs(electronic - trace0) / max(abs(trace0), 1e-300)
                    if cfg.hamiltonian.is_constant() else None)
-    return DiagnosticsReport(times=times, xi=xi, xi_rate_predicted=predicted,
-                             xi_rate_observed=observed, kk_star_drift=kk_drift,
-                             unitarity_defect=defect, trace_khk_drift=trace_drift)
+    return DiagnosticsReport(
+        times=times, xi=xi, xi_rate_predicted=predicted, xi_rate_observed=observed,
+        kk_star_drift=np.concatenate(gram_drift) / float(np.linalg.norm(gram0)),
+        unitarity_defect=np.concatenate(defect), trace_khk_drift=trace_drift)
+
+
+def _traces(stack, h, adjoint) -> np.ndarray:
+    """Re trace(K H K*) of each member, K from ``stack``, K* from ``adjoint``."""
+    return np.trace((stack @ h) @ adjoint, axis1=-2, axis2=-1).real
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,12 @@ from .fixed_domain import (MAGNUS_CHUNK, Trajectory, factorized_samples, magneti
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
-    adjoint_pseudo_inverse,
     as_matrix,
     below_floor,
+    frobenius_norms,
     hermitian_excess,
     hermitian_part,
+    svd_pseudo_inverse,
     unitary_defect,
 )
 from .scenario import FieldProfile, HamiltonianProfile, step_plan
@@ -147,8 +148,29 @@ def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
     u, s, _ = np.linalg.svd(as_matrix(k), full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((k.shape[0], k.shape[0]), dtype=np.complex128)
-    cols = u[:, ~below_floor(s, s[0], pd_floor)]
-    return cols @ cols.conj().T
+    return _image_projectors(u[None], s[None], pd_floor)[0]
+
+
+def _image_projectors(u, s, pd_floor: float) -> np.ndarray:
+    """``image_projector`` of each member of a stack, from its thin SVD (u, s)."""
+    keep = ~below_floor(s, s[:, :1], pd_floor)
+    if (keep == keep[0]).all():  # one rank for the whole stack: one stacked product
+        cols = u[:, :, keep[0]]
+        return cols @ cols.conj().swapaxes(-1, -2)
+    return np.stack([c @ c.conj().T for c in (m[:, kept] for m, kept in zip(u, keep))])
+
+
+def _svd_chunks(ks):
+    """(start, stack, u, s, vh) per chunk of samples, from one stacked thin SVD.
+
+    A chunk holds max(1, MAGNUS_CHUNK // (rows * cols)) samples, and each
+    member's factors have the bits of its own ``np.linalg.svd``.
+    """
+    rows, cols = ks[0].shape
+    size = max(1, MAGNUS_CHUNK // (rows * cols))
+    for start in range(0, len(ks), size):
+        stack = np.stack(ks[start:start + size])
+        yield (start, stack, *np.linalg.svd(stack, full_matrices=False))
 
 
 def moving_drift(trajectory: Trajectory, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
@@ -157,11 +179,8 @@ def moving_drift(trajectory: Trajectory, pd_floor: float = DEFAULT_PD_FLOOR) -> 
     image_drift is ||P(t) - P(0)||_F for the image projectors, radial_drift
     is ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.
     """
-    ks = trajectory.ks
-    p0 = image_projector(ks[0], pd_floor)
-    gram0 = ks[0] @ ks[0].conj().T
-    return ([float(np.linalg.norm(image_projector(k, pd_floor) - p0)) for k in ks],
-            [float(np.linalg.norm(k @ k.conj().T - gram0)) for k in ks])
+    image, radial, _ = _moving_columns(trajectory, pd_floor, drifts=True)
+    return image, radial
 
 
 def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
@@ -179,21 +198,73 @@ def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
         raise InsufficientSamplesError(
             f"need >= 3 samples for centered differences, got {len(ks)}")
     space.check()
-    h_samples = space.ambient_hamiltonian.samples(trajectory.times[1:-1])
-    times = trajectory.times.tolist()
-    out = []
-    for i, h in enumerate(h_samples, 1):
-        t = times[i]
-        k = ks[i]
-        kdot = (ks[i + 1] - ks[i - 1]) / (times[i + 1] - times[i - 1])
-        pinv, rank = adjoint_pseudo_inverse(k, pd_floor)
-        if rank != space.n:
-            raise RankDeficientError(
-                f"sample at t={t} has rank {rank}, expected {space.n}")
-        b = field.sample(t)
-        residual = 1j * hbar * kdot + k @ h + (b * b) * pinv
-        out.append(float(np.max(np.linalg.norm(residual, axis=0))))
-    return out
+    return _moving_columns(trajectory, pd_floor, drifts=False,
+                           residual=(space, field, hbar))[2]
+
+
+def moving_report(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
+                  hbar: float, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
+    """(weak_residuals, image_drifts, radial_drifts), one entry each per sample.
+
+    ``moving_drift`` and ``weak_residual`` in one pass, each sample's SVD
+    serving both.  The weak residual exists at interior samples only: it is
+    None at the two ends, and at every sample of a trajectory shorter than 3.
+    """
+    if len(trajectory.ks) < 3:
+        image, radial = moving_drift(trajectory, pd_floor)
+        return [None] * len(image), image, radial
+    space.check()
+    image, radial, interior = _moving_columns(trajectory, pd_floor, drifts=True,
+                                              residual=(space, field, hbar))
+    return [None, *interior, None], image, radial
+
+
+def _moving_columns(trajectory: Trajectory, pd_floor: float, drifts: bool,
+                    residual: tuple | None = None) -> tuple:
+    """(image_drifts, radial_drifts, weak_residuals) from one stacked SVD per chunk.
+
+    The drifts are formed when ``drifts`` is set, the interior samples' weak
+    residuals when ``residual`` holds (space, field, hbar); each value has
+    the bits of its sample evaluated alone, and a rank-deficient interior
+    sample raises for the first one.
+    """
+    ks = trajectory.ks
+    image, radial, residuals = [], [], []
+    for start, stack, u, s, vh in _svd_chunks(ks):
+        if drifts:
+            projectors = _image_projectors(u, s, pd_floor)
+            grams = stack @ stack.conj().swapaxes(-1, -2)
+            if not start:
+                p0, gram0 = projectors[0].copy(), grams[0].copy()
+            image += frobenius_norms(projectors - p0).tolist()
+            radial += frobenius_norms(grams - gram0).tolist()
+        if residual is not None:
+            lo, hi = max(start, 1), min(start + len(stack), len(ks) - 1)
+            if lo < hi:
+                inner = slice(lo - start, hi - start)
+                residuals += _weak_residuals(trajectory, lo, hi, stack[inner],
+                                             (u[inner], s[inner], vh[inner]),
+                                             *residual, pd_floor)
+    return image, radial, residuals
+
+
+def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, svd,
+                    space: AmbientSpace, field: FieldProfile, hbar: float,
+                    pd_floor: float) -> list:
+    """``weak_residual`` at the interior samples lo..hi-1, whose K form ``stack``."""
+    ks, times = trajectory.ks, trajectory.times
+    pinv, ranks = svd_pseudo_inverse(*svd, pd_floor)
+    deficient = np.flatnonzero(ranks != space.n)
+    if deficient.size:
+        j = int(deficient[0])
+        raise RankDeficientError(f"sample at t={float(times[lo + j])} has rank "
+                                 f"{int(ranks[j])}, expected {space.n}")
+    spans = times[lo + 1:hi + 1] - times[lo - 1:hi - 1]
+    kdot = (np.stack(ks[lo + 1:hi + 1]) - np.stack(ks[lo - 1:hi - 1])) / spans[:, None, None]
+    b = np.array([field.sample(t) for t in times[lo:hi].tolist()])
+    out = (1j * hbar * kdot + stack @ space.ambient_hamiltonian.samples(times[lo:hi])
+           + (b * b)[:, None, None] * pinv)
+    return np.max(np.linalg.norm(out, axis=-2), axis=-1).tolist()
 
 
 def _as_gauge(c, n: int):

@@ -5,7 +5,8 @@ the double (Python's repr), so identical runs produce byte-identical
 files.  Trajectory entries, the bulk of every artifact, are formatted by
 ``linalg.format_cells`` through orjson, whose text is byte-equal to repr's.
 Writers go through a temp-file + atomic-rename so a crashed run never
-leaves a truncated artifact behind.
+leaves a truncated artifact behind; the trajectory CSV reaches the temp
+file block by block, so its text is never held whole.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsReport
-from .fixed_domain import Trajectory
+from .fixed_domain import MAGNUS_CHUNK, Trajectory
 from .linalg import format_cells
 
 
@@ -27,13 +28,24 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to ``path`` atomically.
+
+    The text goes to a temp file beside ``path``, which replaces ``path``
+    by one ``os.replace`` once it is complete.  If writing fails, or the
+    iterable raises, the temp file is removed and ``path`` is untouched.
+    """
+    atomic_write_blocks(path, (text,) if isinstance(text, str) else text)
+
+
+def atomic_write_blocks(path: str, blocks) -> None:
+    """``atomic_write_text`` of an iterable of strings, each written as it comes."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,28 +57,39 @@ def _csv(rows) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport) -> str:
-    """Per-sample operator entries (row-major re/im) plus drift columns."""
+def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport):
+    """Per-sample operator entries (row-major re/im) plus drift columns.
+
+    Yields the header line, then blocks of max(1, MAGNUS_CHUNK // n**2)
+    rows, so a writer holds one block of text at a time.
+    """
     if not trajectory.ks:
-        return "t\n"
+        yield "t\n"
+        return
     rows_n, cols_n = trajectory.ks[0].shape
     header = ["t"]
     for i in range(rows_n):
         for j in range(cols_n):
             header += [f"k_re_{i}_{j}", f"k_im_{i}_{j}"]
     header += ["kk_drift", "trace_khk_drift", "unitarity_defect"]
-    lines = [",".join(header)]
-    trace_drifts = report.trace_khk_drift
-    for i, (t, k) in enumerate(zip(trajectory.times, trajectory.ks)):
-        # Row-major entries, each as (re, im): the float64 view of the
-        # contiguous complex array interleaves them in that order.
-        entries = np.ascontiguousarray(k, dtype=np.complex128).reshape(-1)
-        drift = "" if trace_drifts is None else format_number(trace_drifts[i])
-        lines.append(",".join([format_number(t),
-                               format_cells(entries.view(np.float64)),
-                               format_number(report.kk_star_drift[i]), drift,
-                               format_number(report.unitarity_defect[i])]))
-    return "\n".join(lines) + "\n"
+    yield ",".join(header) + "\n"
+    times, ks = trajectory.times.tolist(), trajectory.ks
+    kk_drifts = report.kk_star_drift.tolist()
+    defects = report.unitarity_defect.tolist()
+    trace_drifts = ([""] * len(ks) if report.trace_khk_drift is None
+                    else map(repr, report.trace_khk_drift.tolist()))
+    rows = list(zip(times, ks, kk_drifts, trace_drifts, defects))
+    size = max(1, MAGNUS_CHUNK // (rows_n * cols_n))
+    for start in range(0, len(rows), size):
+        yield "".join(f"{t!r},{_entry_cells(k)},{kk!r},{trace},{defect!r}\n"
+                      for t, k, kk, trace, defect in rows[start:start + size])
+
+
+def _entry_cells(k) -> str:
+    """K's entries in row-major order, each as re,im."""
+    # the float64 view of the contiguous complex array interleaves them so
+    entries = np.ascontiguousarray(k, dtype=np.complex128).reshape(-1)
+    return format_cells(entries.view(np.float64))
 
 
 def diagnostics_csv(report: DiagnosticsReport) -> str:

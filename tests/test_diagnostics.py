@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mesodyn import cli
 from mesodyn.diagnostics import (
     CriticalPointSpec,
+    DiagnosticsReport,
     DifferentialCheck,
     FluxInput,
     critical_point,
@@ -19,8 +23,9 @@ from mesodyn.errors import (
     NuDoesNotDominateError,
     ZeroImageError,
 )
-from mesodyn.fixed_domain import evolve_direct, evolve_factorized
-from mesodyn.linalg import adjoint_inverse, pairing
+from mesodyn.fixed_domain import MAGNUS_CHUNK, evolve_direct, evolve_factorized, polar_init
+from mesodyn.linalg import adjoint_inverse, below_floor, hermitian_part, pairing, unitary_defect
+from mesodyn.reports import trajectory_csv
 from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
 from mesodyn.verification import (
     crandn,
@@ -33,6 +38,90 @@ from mesodyn.verification import (
 
 def frob(m):
     return float(np.linalg.norm(m))
+
+
+def reference_invariant_report(trajectory, cfg):
+    """One sample at a time: the definition of every column invariant_report stacks."""
+    times, ks = trajectory.times, trajectory.ks
+    rates = len(ks) >= 2
+    u, s, _ = polar_init(ks[0], cfg.pd_floor)
+    radial_inv = hermitian_part((u / s) @ u.conj().T)
+    h_samples = cfg.hamiltonian.samples(times)
+    b_samples = np.array([cfg.field.sample(float(t)) for t in times])
+    if rates:
+        h_dot = (np.zeros_like(h_samples) if cfg.hamiltonian.is_constant()
+                 else np.gradient(h_samples, times, axis=0))
+        b_dot = (np.zeros_like(b_samples) if cfg.field.kind == "constant"
+                 else np.gradient(b_samples, times))
+    rows = []
+    for i, k in enumerate(ks):
+        gram = hermitian_part(k @ k.conj().T)
+        try:
+            w = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError(f"K K* has no eigenvalues: {exc}") from exc
+        if below_floor(float(w[0]), float(w[-1]), cfg.pd_floor * cfg.pd_floor):
+            raise NearSingularError(
+                f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
+                f"crosses the floor")
+        electronic = float(np.trace(k @ h_samples[i] @ k.conj().T).real)
+        entropy = float(np.sum(np.log(w)))
+        b = float(b_samples[i])
+        if i == 0:
+            gram0, gram0_norm, logdet_r2 = gram, float(np.linalg.norm(gram)), entropy
+        predicted = (float(np.trace(k @ h_dot[i] @ k.conj().T).real)
+                     + 2.0 * b * float(b_dot[i]) * logdet_r2) if rates else 0.0
+        rows.append((electronic, electronic + (b * b) * entropy, predicted,
+                     float(np.linalg.norm(gram - gram0)) / gram0_norm,
+                     unitary_defect(radial_inv @ k)))
+    electronic, xi, predicted, kk_drift, defect = map(np.array, zip(*rows))
+    observed = np.gradient(xi, times) if rates else np.zeros(1)
+    trace0 = electronic[0]
+    trace_drift = (np.abs(electronic - trace0) / max(abs(trace0), 1e-300)
+                   if cfg.hamiltonian.is_constant() else None)
+    return DiagnosticsReport(times=times, xi=xi, xi_rate_predicted=predicted,
+                             xi_rate_observed=observed, kk_star_drift=kk_drift,
+                             unitarity_defect=defect, trace_khk_drift=trace_drift)
+
+
+def assert_same_report(report, expected):
+    """Every column equal, bit for bit (signed zeros too)."""
+    for name in ("times", "xi", "xi_rate_predicted", "xi_rate_observed", "kk_star_drift",
+                 "unitarity_defect", "trace_khk_drift"):
+        column, want = getattr(report, name), getattr(expected, name)
+        if want is None:
+            assert column is None, name
+            continue
+        assert column.dtype == want.dtype and column.shape == want.shape, name
+        assert np.array_equal(column, want), name
+        assert column.tobytes() == want.tobytes(), name
+
+
+def coefficient_scenario(rng, dim, constant_h, sinusoid_b, t_end=1.0, dt=1e-2,
+                         output_stride=5):
+    """Constant or interpolated H, constant or sinusoid B, and log det(K0 K0*) < 0,
+    so a constant B's d(B^2)/dt term is -0.0."""
+    h0 = random_hermitian(rng, dim, 0.5, 2.0)
+    hamiltonian = (HamiltonianProfile.constant(h0) if constant_h else
+                   HamiltonianProfile.interpolated(
+                       [0.0, t_end], [h0, h0 + random_hermitian(rng, dim, -0.4, 0.4)]))
+    field = (FieldProfile.sinusoid(0.4, 0.3, 0.1, 0.7) if sinusoid_b
+             else FieldProfile.constant(0.8))
+    return ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=field,
+                          initial_k=random_full_rank(rng, dim, 0.3, 0.8), t_end=t_end,
+                          dt=dt, output_stride=output_stride)
+
+
+def prefix(trajectory, count):
+    return dataclasses.replace(trajectory, times=trajectory.times[:count],
+                               ks=trajectory.ks[:count])
+
+
+def sub_floor(k):
+    """k with its first row zeroed: K K* has an exactly zero eigenvalue."""
+    k = k.copy()
+    k[0] = 0.0
+    return k
 
 
 class TestTotalHamiltonian:
@@ -150,21 +239,24 @@ class TestInvariantReport:
         report = invariant_report(evolve_direct(cfg), cfg)
         assert report.max_trace_khk_drift() <= 1e-8
 
-    def test_one_eigvalsh_per_sample(self, rng, monkeypatch):
-        cfg = random_scenario(rng, 3, dt=1e-3, output_stride=100)
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_one_eigvalsh_per_chunk(self, rng, monkeypatch, dim):
+        cfg = random_scenario(rng, dim, t_end=0.1, dt=1e-3, output_stride=10)
         trajectory = evolve_factorized(cfg)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def counted(a, *args, **kwargs):
-            calls.append(a)
+            calls.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         report = invariant_report(trajectory, cfg)
         monkeypatch.undo()
         assert len(trajectory.ks) == 11
-        assert len(calls) == len(trajectory.ks)
+        chunk = max(1, MAGNUS_CHUNK // dim ** 2)  # 1820 at dim 3, 10 at dim 40
+        assert calls == [(min(chunk, 11 - start), dim, dim)
+                         for start in range(0, 11, chunk)]
         for t, xi, k in zip(report.times, report.xi, trajectory.ks):
             assert xi == total_hamiltonian(k, cfg.hamiltonian.samples([t])[0],
                                            cfg.field.sample(t))
@@ -187,6 +279,67 @@ class TestInvariantReport:
         trajectory.ks[-1] = np.full((3, 3), np.inf + 0j)
         with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
             invariant_report(trajectory, cfg)
+
+
+class TestStackedInvariantReport:
+    """invariant_report against the per-sample loop it stacks, bit for bit."""
+
+    @pytest.mark.parametrize("constant_h", [True, False])
+    @pytest.mark.parametrize("sinusoid_b", [True, False])
+    def test_columns_match_the_per_sample_loop(self, rng, constant_h, sinusoid_b):
+        cfg = coefficient_scenario(rng, 3, constant_h, sinusoid_b)
+        for trajectory in (evolve_direct(cfg), evolve_factorized(cfg)):
+            assert len(trajectory.ks) == 21
+            report = invariant_report(trajectory, cfg)
+            assert_same_report(report, reference_invariant_report(trajectory, cfg))
+            if constant_h and not sinusoid_b:
+                # 0.0 + (-0.0): the rate of a constant H and B is +0.0, as before
+                assert report.xi_rate_predicted.tobytes() == np.zeros(21).tobytes()
+
+    def test_one_sample(self, rng):
+        cfg = coefficient_scenario(rng, 3, False, True)
+        trajectory = prefix(evolve_factorized(cfg), 1)
+        assert_same_report(invariant_report(trajectory, cfg),
+                           reference_invariant_report(trajectory, cfg))
+
+    @pytest.mark.parametrize("constant_h", [True, False])
+    def test_lengths_around_the_chunk(self, rng, constant_h):
+        dim = 40
+        chunk = MAGNUS_CHUNK // dim ** 2
+        assert chunk == 10
+        cfg = coefficient_scenario(rng, dim, constant_h, True, t_end=0.1, output_stride=1)
+        trajectory = evolve_factorized(cfg)
+        for count in (chunk - 1, chunk, chunk + 1):
+            part = prefix(trajectory, count)
+            assert_same_report(invariant_report(part, cfg),
+                               reference_invariant_report(part, cfg))
+
+    @pytest.mark.parametrize("bad", [
+        {13: "sub-floor"}, {13: "inf"}, {10: "nan"},
+        {12: "nan", 14: "sub-floor"}, {12: "sub-floor", 14: "inf"},
+    ], ids=["sub-floor", "inf", "nan-first-in-chunk", "non-finite-first",
+            "sub-floor-first"])
+    def test_first_failing_sample_raises_its_own_error(self, rng, tmp_path, bad):
+        # dim 40 takes 10 samples per stack: every bad sample is in the second
+        cfg = coefficient_scenario(rng, 40, True, True, t_end=0.2, output_stride=1)
+        trajectory = evolve_factorized(cfg)
+        for i, kind in bad.items():
+            trajectory.ks[i] = (sub_floor(trajectory.ks[i]) if kind == "sub-floor"
+                                else np.full((40, 40), complex(np.inf if kind == "inf"
+                                                               else np.nan)))
+        with np.errstate(all="ignore"):
+            with pytest.raises((NearSingularError, NonFiniteError)) as expected:
+                reference_invariant_report(trajectory, cfg)
+            with pytest.raises(expected.type) as raised:
+                invariant_report(trajectory, cfg)
+        assert str(raised.value) == str(expected.value)
+        # so the stopped run's bisection keeps the samples before the first bad one
+        first = min(bad)
+        ws = cli._Workspace(str(tmp_path), "")
+        cli._retain_partial(ws, NearSingularError("stopped", partial=trajectory), cfg)
+        kept = prefix(trajectory, first)
+        assert (tmp_path / "trajectory_factorized.csv").read_text() == "".join(
+            trajectory_csv(kept, reference_invariant_report(kept, cfg)))
 
 
 class TestCriticalPoint:

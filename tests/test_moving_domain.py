@@ -9,8 +9,9 @@ from mesodyn.errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from mesodyn.fixed_domain import Trajectory, evolve_factorized, polar_init, rk4
-from mesodyn.linalg import unitary_exponential
+from mesodyn.fixed_domain import (MAGNUS_CHUNK, Trajectory, evolve_factorized, polar_init,
+                                  rk4)
+from mesodyn.linalg import DEFAULT_PD_FLOOR, adjoint_pseudo_inverse, below_floor, unitary_exponential
 from mesodyn import fixed_domain, moving_domain
 from mesodyn.moving_domain import (
     AmbientSpace,
@@ -19,6 +20,8 @@ from mesodyn.moving_domain import (
     gauge_equivalence_checks,
     gauge_propagators,
     image_projector,
+    moving_drift,
+    moving_report,
     moving_solution,
     weak_residual,
 )
@@ -54,6 +57,60 @@ def frame_samples(space, psi0, t_end, dt, output_stride):
                           FieldProfile.constant(0.0), 1.0, t_end=t_end, dt=dt,
                           output_stride=output_stride)
     return ops.times, [k[:n].conj().T for k in ops.ks]
+
+
+def reference_svd(k):
+    return np.linalg.svd(k, full_matrices=False)
+
+
+def reference_image_projector(k, floor=DEFAULT_PD_FLOOR):
+    """One SVD per call: the projector arithmetic the stacked report must meet."""
+    u, s, _ = reference_svd(k)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros((k.shape[0], k.shape[0]), dtype=np.complex128)
+    cols = u[:, ~below_floor(s, s[0], floor)]
+    return cols @ cols.conj().T
+
+
+def reference_pseudo_inverse(k, floor=DEFAULT_PD_FLOOR):
+    u, s, vh = reference_svd(k)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros(k.shape, dtype=np.complex128), 0
+    keep = ~below_floor(s, s[0], floor)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (u * inv) @ vh, int(np.count_nonzero(keep))
+
+
+def reference_moving_drift(trajectory, floor=DEFAULT_PD_FLOOR):
+    ks = trajectory.ks
+    p0 = reference_image_projector(ks[0], floor)
+    gram0 = ks[0] @ ks[0].conj().T
+    return ([float(np.linalg.norm(reference_image_projector(k, floor) - p0)) for k in ks],
+            [float(np.linalg.norm(k @ k.conj().T - gram0)) for k in ks])
+
+
+def reference_weak_residual(trajectory, space, field, hbar, floor=DEFAULT_PD_FLOOR):
+    ks = trajectory.ks
+    h_samples = space.ambient_hamiltonian.samples(trajectory.times[1:-1])
+    times = trajectory.times.tolist()
+    out = []
+    for i, h in enumerate(h_samples, 1):
+        t = times[i]
+        k = ks[i]
+        kdot = (ks[i + 1] - ks[i - 1]) / (times[i + 1] - times[i - 1])
+        pinv, rank = reference_pseudo_inverse(k, floor)
+        if rank != space.n:
+            raise RankDeficientError(f"sample at t={t} has rank {rank}, expected {space.n}")
+        b = field.sample(t)
+        residual = 1j * hbar * kdot + k @ h + (b * b) * pinv
+        out.append(float(np.max(np.linalg.norm(residual, axis=0))))
+    return out
+
+
+def same_floats(actual, expected):
+    """Equal lists of floats, bit for bit."""
+    return np.array(actual).tobytes() == np.array(expected).tobytes()
 
 
 @pytest.fixture
@@ -351,6 +408,72 @@ class TestWeakResidual:
         with pytest.raises(InsufficientSamplesError):
             weak_residual(Trajectory(np.array([0.0, 0.1]), [k, k], "moving"), space,
                           FieldProfile.constant(1.0), 1.0)
+
+
+class TestStackedMovingReport:
+    """moving_drift, weak_residual and moving_report take one stacked SVD per
+    chunk of samples; each value must keep the bits of the per-sample loop."""
+
+    def _moving(self, rng, constant_h, samples=40, dim_h1=64, dim_h2=16, n=8):
+        # (16, 64) samples: MAGNUS_CHUNK // 1024 = 16 per chunk, three chunks
+        h0 = random_hermitian(rng, dim_h1, 0.5, 2.5)
+        hamiltonian = (HamiltonianProfile.constant(h0) if constant_h else
+                       HamiltonianProfile.interpolated(
+                           [0.0, 1.0], [h0, random_hermitian(rng, dim_h1, 0.5, 2.5)]))
+        space = AmbientSpace(dim_h1=dim_h1, dim_h2=dim_h2, n=n,
+                             ambient_hamiltonian=hamiltonian)
+        field = FieldProfile.sinusoid(0.4, 0.3, 0.2, 0.7)
+        ops = moving_solution(space, random_orthonormal_columns(rng, dim_h1, n),
+                              random_orthonormal_columns(rng, dim_h2, n),
+                              random_full_rank(rng, n, 0.7, 1.4), field, 1.0,
+                              t_end=(samples - 1) * 1e-3, dt=1e-3, output_stride=1)
+        assert len(ops.ks) == samples
+        return space, field, ops
+
+    @pytest.mark.parametrize("constant_h", [True, False])
+    def test_columns_match_the_per_sample_loop(self, rng, constant_h):
+        space, field, ops = self._moving(rng, constant_h)
+        assert MAGNUS_CHUNK // ops.ks[0].size == 16
+        image, radial = moving_drift(ops)
+        want_image, want_radial = reference_moving_drift(ops)
+        assert same_floats(image, want_image) and same_floats(radial, want_radial)
+        residuals = weak_residual(ops, space, field, 1.0)
+        assert same_floats(residuals, reference_weak_residual(ops, space, field, 1.0))
+        assert moving_report(ops, space, field, 1.0) == (
+            [None, *residuals, None], image, radial)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 15, 16, 17])
+    def test_lengths_around_the_chunk(self, rng, samples):
+        space, field, ops = self._moving(rng, False, samples=samples)
+        image, radial = moving_drift(ops)
+        assert (image, radial) == reference_moving_drift(ops)
+        residuals = [None] * samples
+        if samples >= 3:
+            residuals[1:-1] = reference_weak_residual(ops, space, field, 1.0)
+        assert moving_report(ops, space, field, 1.0) == (residuals, image, radial)
+
+    def test_mixed_ranks_in_one_chunk(self, rng):
+        space, field, ops = self._moving(rng, True, samples=20)
+        u, s, vh = np.linalg.svd(ops.ks[5], full_matrices=False)
+        s[space.n - 1] = 0.0  # rank n - 1 at the sixth sample
+        ops.ks[5] = (u * s) @ vh
+        image, radial = moving_drift(ops)
+        want_image, want_radial = reference_moving_drift(ops)
+        assert same_floats(image, want_image) and same_floats(radial, want_radial)
+        with pytest.raises(RankDeficientError) as expected:
+            reference_weak_residual(ops, space, field, 1.0)
+        for report in (weak_residual, moving_report):
+            with pytest.raises(RankDeficientError) as raised:
+                report(ops, space, field, 1.0)
+            assert str(raised.value) == str(expected.value)
+
+    def test_single_matrix_helpers(self, rng):
+        _, _, ops = self._moving(rng, False, samples=2)
+        for k in (ops.ks[1], np.zeros((3, 2), dtype=complex)):
+            assert np.array_equal(image_projector(k), reference_image_projector(k))
+            pinv, rank = adjoint_pseudo_inverse(k)
+            want, want_rank = reference_pseudo_inverse(k)
+            assert pinv.tobytes() == want.tobytes() and rank == want_rank
 
 
 class TestGauge:

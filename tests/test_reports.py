@@ -4,7 +4,7 @@ import pytest
 from mesodyn.diagnostics import DiagnosticsReport
 from mesodyn.fixed_domain import Trajectory
 from mesodyn.linalg import CELL_CHUNK, format_cells
-from mesodyn.reports import format_number, trajectory_csv
+from mesodyn.reports import atomic_write_text, format_number, trajectory_csv
 
 
 def repr_cells(values):
@@ -59,6 +59,29 @@ class TestFormatCells:
             assert_formats_as_repr(values[::-1])
 
 
+    @pytest.mark.parametrize("where", ["first", "last", "adjacent", "across", "whole",
+                                       "every"])
+    def test_runs_between_exponent_form_cells(self, where, rng):
+        # exponent-form cells at the ends of a chunk, side by side, across a
+        # chunk boundary, filling a chunk, and everywhere
+        values = rng.standard_normal(3 * CELL_CHUNK + 7)
+        tiny = rng.uniform(1e-9, 1e-5, values.size) * rng.choice([-1.0, 1.0], values.size)
+        starts = np.arange(0, values.size, CELL_CHUNK)
+        picked = {
+            "first": starts,
+            "last": np.append(starts[1:] - 1, values.size - 1),
+            "adjacent": np.concatenate([starts + 3, starts + 4, starts + 5]),
+            "across": np.concatenate([starts[1:] - 1, starts[1:]]),
+            "whole": np.arange(CELL_CHUNK, 2 * CELL_CHUNK),
+            "every": np.arange(values.size),
+        }[where]
+        values[picked] = tiny[picked]
+        assert_formats_as_repr(values)
+        assert_formats_as_repr(values[::-1])
+        values[picked[::2]] = np.nan  # NaN is written by repr too
+        assert_formats_as_repr(values)
+
+
 def reference_trajectory_csv(trajectory, report):
     """One format_number call per cell: the definition of the format."""
     rows_n, cols_n = trajectory.ks[0].shape
@@ -108,7 +131,7 @@ class TestTrajectoryCsv:
                                 solver_tag="test")
         for drifts, first_drift in ((None, ""), ([0.25, -0.0, 3.0], "0.25")):
             report = report_of(times, drifts)
-            text = trajectory_csv(trajectory, report)
+            text = "".join(trajectory_csv(trajectory, report))
             assert text == reference_trajectory_csv(trajectory, report)
             first = text.splitlines()[1].split(",")
             assert first[1:5] == ["-0.0", "5e-324", "3.0", "-0.0"]
@@ -120,7 +143,7 @@ class TestTrajectoryCsv:
         trajectory = Trajectory(times=np.array([0.5]), ks=[np.array([[1.0, -2.0]])],
                                 solver_tag="test")
         report = report_of([0.5])
-        text = trajectory_csv(trajectory, report)
+        text = "".join(trajectory_csv(trajectory, report))
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[1].startswith("0.5,1.0,0.0,-2.0,0.0,")
 
@@ -135,10 +158,40 @@ class TestTrajectoryCsv:
         trajectory = Trajectory(times=np.array([0.0, 0.1]), ks=[k, blown],
                                 solver_tag="direct")
         report = report_of([0.0, 0.1])
-        text = trajectory_csv(trajectory, report)
+        text = "".join(trajectory_csv(trajectory, report))
         assert text == reference_trajectory_csv(trajectory, report)
         assert text.splitlines()[2].split(",")[1:3] == ["inf", "-inf"]
 
+    def test_yields_blocks_of_rows(self, rng):
+        # dim 40: MAGNUS_CHUNK // 1600 = 10 rows per block
+        ks = [rng.standard_normal((40, 40)) + 0j for _ in range(23)]
+        times = np.arange(23) * 0.1
+        trajectory = Trajectory(times=times, ks=ks, solver_tag="test")
+        report = report_of(times)
+        blocks = list(trajectory_csv(trajectory, report))
+        assert [block.count("\n") for block in blocks] == [1, 10, 10, 3]
+        assert "".join(blocks) == reference_trajectory_csv(trajectory, report)
+
     def test_empty_trajectory(self):
         trajectory = Trajectory(times=np.array([]), ks=[], solver_tag="test")
-        assert trajectory_csv(trajectory, report_of([])) == "t\n"
+        assert "".join(trajectory_csv(trajectory, report_of([]))) == "t\n"
+
+
+class TestAtomicWrite:
+    def test_string_and_blocks_give_the_same_bytes(self, tmp_path):
+        atomic_write_text(str(tmp_path / "a.csv"), "x,y\n1.0,2.0\n")
+        atomic_write_text(str(tmp_path / "b.csv"), iter(["x,y\n", "1.0,", "2.0\n"]))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_raising_blocks_leave_no_temp_file(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+
+        def blocks():
+            yield "new,"
+            raise ValueError("formatting failed")
+
+        with pytest.raises(ValueError, match="formatting failed"):
+            atomic_write_text(str(target), blocks())
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
