@@ -25,7 +25,6 @@ from .errors import (
     NotHermitianGaugeError,
     NotOrthonormalError,
     NuDoesNotDominateError,
-    OffGridKnotWarning,
     OutOfDomainError,
     RankDeficientError,
     RequiresConstantCoefficientsError,

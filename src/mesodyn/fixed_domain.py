@@ -52,7 +52,7 @@ from .linalg import (
     require_square,
     unitary_exponentials,
 )
-from .scenario import ScenarioConfig, integrate_b_squared, step_plan
+from .scenario import ScenarioConfig, integrate_b_squared
 
 SERIES_RADIUS_LIMIT = 10.0
 SERIES_TRUNCATION_RTOL = 1e-10
@@ -258,7 +258,7 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
     magnetic phase vector (``factorized_samples``).
     """
     u, s, vh = polar_init(cfg.initial_k, cfg.pd_floor)
-    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    plan = cfg.plan()
     return Trajectory(plan.output_times, factorized_samples(
         u, s, vh, cfg.hamiltonian, cfg.field, cfg.hbar, plan), "factorized")
 
@@ -350,7 +350,7 @@ def _evolve_direct_stack(cfgs) -> list:
     member's trajectory up to the stop (empty when K0 is rejected), as
     ``evolve_direct_many`` re-runs a stopped group: one member at a time.
     """
-    plans = [step_plan(cfg.t_end, cfg.dt, cfg.output_stride) for cfg in cfgs]
+    plans = [cfg.plan() for cfg in cfgs]
     grid = max((plan.times for plan in plans), key=len)
     union = sorted(set().union(*(plan.output_indices for plan in plans)))
     where = {index: j for j, index in enumerate(union)}  # step index -> sample
@@ -372,17 +372,17 @@ def _direct_groups(cfgs) -> list:
     """The member indices of each of ``evolve_direct_many``'s stacked runs.
 
     Scenarios that share the shape of K0 and dt form a family, whose
-    longest grid (``step_plan`` times) is its run's.  A member joins that
-    run when its own grid is an exact prefix of it and its H and B domains
-    reach the run's end; any other member groups with those of its own
-    t_end.
+    longest grid (``ScenarioConfig.plan`` times, knots included) is its
+    run's.  A member joins that run when its own grid is an exact prefix of
+    it and its H and B domains reach the run's end; any other member groups
+    with those of its own grid.
     """
     families = {}
     for i, cfg in enumerate(cfgs):
         families.setdefault((np.shape(cfg.initial_k), cfg.dt), []).append(i)
     groups = []
     for members in families.values():
-        grids = [step_plan(cfgs[i].t_end, cfgs[i].dt).times for i in members]
+        grids = [cfgs[i].plan().times for i in members]
         longest = max(grids, key=len)
         end = float(longest[-1])
         nested, own = [], {}
@@ -392,7 +392,7 @@ def _direct_groups(cfgs) -> list:
                     and cfg.hamiltonian.domain()[1] >= end and cfg.field.domain()[1] >= end):
                 nested.append(i)
             else:
-                own.setdefault(cfg.t_end, []).append(i)
+                own.setdefault(times.tobytes(), []).append(i)
         groups += [group for group in (nested, *own.values()) if group]
     return groups
 
@@ -400,16 +400,13 @@ def _direct_groups(cfgs) -> list:
 def evolve_direct_many(cfgs) -> list:
     """``[evolve_direct(cfg) for cfg in cfgs]``, integrating stacks at once.
 
-    Scenarios that share the shape of K0 and dt are integrated as one
-    (S, n, n) RK4 run, whatever their H and B profiles, when their grids
-    nest: a member whose ``step_plan`` times are an exact prefix of the
-    longest such grid, and whose H and B domains cover that grid's end,
-    rides on its run; any other keeps a group of its own t_end
-    (``_direct_groups``).  One stacked (K*)^-1 and matmul per stage serve S
-    members.  A member's state does not depend on the steps after its end
-    or on which samples are emitted, so members may differ in t_end and
-    ``output_stride``.  Every member's trajectory is bit-identical to its
-    own ``evolve_direct``.
+    Each group of ``_direct_groups`` (one shape of K0 and dt, grids that
+    nest, whatever the H and B profiles) is integrated as one (S, n, n) RK4
+    run, so members whose inserted knots differ run apart.  One stacked
+    (K*)^-1 and matmul per stage serve S members.  A member's state does not
+    depend on the steps after its end or on which samples are emitted, so
+    members may differ in t_end and ``output_stride``.  Every member's
+    trajectory is bit-identical to its own ``evolve_direct``.
     If a member crosses the floor or turns non-finite, even after its own
     end, its group is re-run one member at a time, each on its own grid,
     and the first scenario in list order that stops raises its own
@@ -494,7 +491,7 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
         warnings.warn(
             f"series argument norm {radius:.2f} exceeds {SERIES_RADIUS_LIMIT}; "
             f"convergence will be slow", ConvergenceWarning, stacklevel=2)
-    plan = step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+    plan = cfg.plan()
     ks = []
     for t in plan.output_times.tolist():
         with np.errstate(over="ignore", invalid="ignore"):

@@ -137,7 +137,7 @@ def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
     frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
     u, s, vh = polar_init(a0, pd_floor)
     right = u.conj().T if literal else vh
-    plan = step_plan(t_end, dt, output_stride)
+    plan = step_plan(t_end, dt, output_stride, space.ambient_hamiltonian.times + field.times)
     return Trajectory(plan.output_times, factorized_samples(
         image @ u, s, right @ frame.conj().T, space.ambient_hamiltonian, field, hbar,
         plan), "moving")
@@ -337,7 +337,7 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
     vanish up to integration accuracy.
     """
     frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
-    times = step_plan(t_end, dt, 1).times
+    times = step_plan(t_end, dt, 1, space.ambient_hamiltonian.times + field.times).times
     # a singular a0 and a bad constant gauge are rejected before the frame evolves
     a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
     c1s, c2s = zip(*[(_as_gauge(c1, space.n), _as_gauge(c2, space.n)) for c1, c2 in gauges])

@@ -17,13 +17,12 @@ import hashlib
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import OffGridKnotWarning, OutOfDomainError
+from .errors import OutOfDomainError
 from .linalg import (
     DEFAULT_PD_FLOOR,
     HERMITIAN_RTOL,
@@ -58,9 +57,9 @@ OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
 TOO_MANY_STEPS = "TOO_MANY_STEPS"
 TOO_MANY_SAMPLES = "TOO_MANY_SAMPLES"
 
-# Ceiling on t_end / dt, checked before any time grid is allocated.  It
-# sits far above every shipped scenario (at most a few thousand steps) and
-# keeps the step array under 100 MB.
+# Ceiling on the fine steps, t_end / dt plus one per inserted knot, counted
+# before any time grid is allocated.  It sits far above every shipped
+# scenario (at most a few thousand steps) and keeps the step array small.
 MAX_FINE_STEPS = 10 ** 7
 # Ceiling on the output samples a run retains, counted by arithmetic before
 # any plan is built.  Each sample is held as matrices, diagnostics and CSV
@@ -69,6 +68,11 @@ MAX_FINE_STEPS = 10 ** 7
 # dim 16), so 2 * 10^5 keeps a dim-2 run near 300 MB.  The shipped, CI and
 # benchmark scenarios retain at most 501.
 MAX_OUTPUT_SAMPLES = 2 * 10 ** 5
+# Ceiling on their entries, samples * n**2 with n the Hamiltonian's (ambient)
+# dimension: simulate peaked 31-36 bytes higher per entry at dims 16 and 64,
+# compare 48-52, so a run stays under about 0.5 GB.  The largest shipped, CI
+# or benchmark scenario holds 201 * 64**2, about 8.2 * 10^5.
+MAX_OUTPUT_ENTRIES = 10 ** 7
 
 _DOMAIN_SLACK = 1e-9
 
@@ -250,11 +254,6 @@ class HamiltonianProfile:
         return hermitian_part(out, out=out)
 
 
-def _simpson_exact(f, a: float, b: float) -> float:
-    m = 0.5 * (a + b)
-    return (b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))
-
-
 def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
@@ -296,7 +295,8 @@ def integrate_b_squared(profile: FieldProfile, t0: float, t1: float) -> float:
         return b * b
 
     knots = [t0] + [t for t in profile.times if t0 < t < t1] + [t1]
-    return sum(_simpson_exact(f, a, b) for a, b in zip(knots, knots[1:]))
+    return sum((b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))  # Simpson
+               for a, b in zip(knots, knots[1:]))
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,15 @@ class ScenarioConfig:
     dt: float
     output_stride: int = 1
     pd_floor: float = DEFAULT_PD_FLOOR
+
+    @property
+    def knots(self) -> tuple:
+        """The knots of an interpolated H and a sampled-table B: kinks to step to."""
+        return self.hamiltonian.times + self.field.times
+
+    def plan(self) -> "StepPlan":
+        """The scenario's ``step_plan``, with a step time at each of its knots."""
+        return step_plan(self.t_end, self.dt, self.output_stride, self.knots)
 
     def digest(self) -> str:
         """Content hash of the scenario: the sha256 of its canonical JSON,
@@ -441,41 +450,11 @@ def _check_hamiltonian(profile: HamiltonianProfile, t_end: float, issues: list) 
     return dim
 
 
-def _warn_off_grid_knots(cfg: ScenarioConfig) -> None:
-    """One OffGridKnotWarning if an H knot lies strictly inside a step.
-
-    H is only continuous at a knot, so a knot inside a step puts a kink
-    between the step's Gauss nodes and costs that step its order.  A knot
-    within the domain slack of a grid time counts as on it.
-    """
-    h = cfg.hamiltonian
-    inner = [t for t in h.times if 0.0 < t < cfg.t_end]
-    if h.kind != "interpolated-sequence" or not inner:
-        return
-    grid = step_plan(cfg.t_end, cfg.dt).times
-    off = []
-    for t in inner:
-        j = int(np.searchsorted(grid, t))  # grid[j - 1] < t <= grid[j]
-        t0, t1 = float(grid[j - 1]), float(grid[j])
-        slack = _DOMAIN_SLACK * max(1.0, abs(t))
-        if t - t0 > slack and t1 - t > slack:
-            off.append((t, t0, t1))
-    if off:
-        t, t0, t1 = off[0]
-        more = f" (and {len(off) - 1} more knots)" if len(off) > 1 else ""
-        warnings.warn(
-            f"hamiltonian knot t={t!r} lies strictly inside the step [{t0!r}, {t1!r}]"
-            f"{more}: the kink costs that step its order; put the knots on the "
-            f"dt={cfg.dt!r} step grid", OffGridKnotWarning, stacklevel=3)
-
-
 def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     """Check every scenario invariant; never raises.
 
     An empty report means every solver precondition on the scenario holds
-    at t = 0 and the profiles cover [0, t_end].  A valid scenario with an
-    ``interpolated-sequence`` knot strictly inside a step of its dt grid
-    is no violation, but emits one OffGridKnotWarning.
+    at t = 0 and the profiles cover [0, t_end].
     """
     issues: list[ValidationIssue] = []
 
@@ -489,17 +468,22 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     elif math.isfinite(cfg.t_end) and cfg.dt >= cfg.t_end:
         issues.append(ValidationIssue(
             BAD_TIME_GRID, f"dt={cfg.dt!r} must be smaller than t_end={cfg.t_end!r}"))
-    elif math.isfinite(cfg.t_end) and cfg.t_end / cfg.dt > MAX_FINE_STEPS:
+    elif math.isfinite(cfg.t_end) and (
+            cfg.t_end / cfg.dt > MAX_FINE_STEPS or _step_count(cfg.t_end, cfg.dt)
+            + len(_inserted_knots(cfg.t_end, cfg.dt, cfg.knots)) > MAX_FINE_STEPS):
         issues.append(ValidationIssue(
-            TOO_MANY_STEPS, f"t_end/dt = {cfg.t_end / cfg.dt:.3e} exceeds the "
-            f"ceiling of {MAX_FINE_STEPS:.0e} fine steps"))
+            TOO_MANY_STEPS, f"t_end/dt = {cfg.t_end / cfg.dt:.3e}, plus a step per knot "
+            f"inside a step, exceeds the ceiling of {MAX_FINE_STEPS:.0e} fine steps"))
     if int(cfg.output_stride) < 1:
         issues.append(ValidationIssue(BAD_STRIDE, "output_stride must be >= 1"))
-    elif len(issues) == grid_issues and (count := output_sample_count(
-            cfg.t_end, cfg.dt, cfg.output_stride)) > MAX_OUTPUT_SAMPLES:
-        issues.append(ValidationIssue(
-            TOO_MANY_SAMPLES, f"the run would retain {count} output samples, "
-            f"above the ceiling of {MAX_OUTPUT_SAMPLES:.0e}; raise output_stride"))
+    elif len(issues) == grid_issues:
+        count = output_sample_count(cfg.t_end, cfg.dt, cfg.output_stride)
+        n = cfg.hamiltonian.dim
+        if count > MAX_OUTPUT_SAMPLES or count * n * n > MAX_OUTPUT_ENTRIES:
+            issues.append(ValidationIssue(
+                TOO_MANY_SAMPLES, f"the run would retain {count} output samples of "
+                f"{n * n} entries, above the ceiling of {MAX_OUTPUT_SAMPLES:.0e} samples "
+                f"or {MAX_OUTPUT_ENTRIES:.0e} entries; raise output_stride"))
     if not (0.0 < cfg.pd_floor < 1.0):
         issues.append(ValidationIssue(BAD_PD_FLOOR, "pd_floor must lie in (0, 1)"))
 
@@ -527,8 +511,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
                 f"initial_k singular-value ratio {smin:.3e}/{smax:.3e} "
                 f"crosses pd_floor {floor:.1e}"))
 
-    if not issues:
-        _warn_off_grid_knots(cfg)
     return ValidationReport(issues=tuple(issues))
 
 
@@ -544,27 +526,50 @@ class StepPlan:
         return self.times[list(self.output_indices)]
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """The steps of the uniform grid 0, dt, 2 dt, ... ending on t_end: its last
+    multiple of dt moves onto t_end when past it or within 1e-12 (relative)
+    short of it, else a short step ends there."""
+    n = math.floor(t_end / dt + 1e-9)
+    last = dt * n
+    return n if last > t_end or t_end - last <= 1e-12 * max(1.0, t_end) else n + 1
+
+
+def _inserted_knots(t_end: float, dt: float, knots) -> np.ndarray:
+    """The distinct knots 0 < t < t_end, in order, farther than the domain
+    slack from every time of the uniform grid; by arithmetic, as a knot's
+    nearest grid times are dt * round(t / dt) and its neighbours (or t_end)."""
+    steps = _step_count(t_end, dt)
+    t = np.array(sorted({float(k) for k in knots if 0.0 < k < t_end}), dtype=np.float64)
+    near = np.minimum(np.maximum(np.rint(t / dt)[:, None] + (-1.0, 0.0, 1.0), 0.0), steps)
+    grid = np.where(near == steps, t_end, dt * near)
+    slack = _DOMAIN_SLACK * np.maximum(1.0, t)
+    return t[(np.abs(grid - t[:, None]) > slack[:, None]).all(axis=1)]
+
+
 def output_sample_count(t_end: float, dt: float, output_stride: int = 1) -> int:
     """``len(step_plan(t_end, dt, output_stride).output_indices)``, by
     arithmetic alone: no time grid is built."""
-    n = math.floor(t_end / dt + 1e-9)
-    last = dt * n
-    steps = n if last > t_end or t_end - last <= 1e-12 * max(1.0, t_end) else n + 1
-    stride = max(int(output_stride), 1)
-    return steps // stride + 1 + (steps % stride != 0)
+    return len(range(0, _step_count(t_end, dt), max(int(output_stride), 1))) + 1
 
 
-def step_plan(t_end: float, dt: float, output_stride: int = 1) -> StepPlan:
-    n = int(math.floor(t_end / dt + 1e-9))
-    times = dt * np.arange(n + 1, dtype=np.float64)
-    if times[-1] > t_end or t_end - times[-1] <= 1e-12 * max(1.0, t_end):
-        times[-1] = t_end
-    else:
-        times = np.append(times, t_end)
-    stride = max(int(output_stride), 1)
-    outputs = list(range(0, len(times), stride))
-    if outputs[-1] != len(times) - 1:
-        outputs.append(len(times) - 1)
+def step_plan(t_end: float, dt: float, output_stride: int = 1, knots=()) -> StepPlan:
+    """Fine step times from 0 to t_end, and the output indices among them.
+
+    The times are the uniform grid (``_step_count``) plus each of ``knots``
+    strictly inside one of its steps (``_inserted_knots``), so no step
+    straddles a point where a profile is only continuous.  The outputs are
+    every ``output_stride``-th time of the uniform grid and its last.
+    """
+    steps = _step_count(t_end, dt)
+    times = dt * np.arange(steps + 1, dtype=np.float64)
+    times[-1] = t_end
+    outputs = [*range(0, steps, max(int(output_stride), 1)), steps]
+    inserted = _inserted_knots(t_end, dt, knots)
+    if inserted.size:
+        uniform = times[outputs]
+        times = np.sort(np.concatenate([times, inserted]))
+        outputs = np.searchsorted(times, uniform).tolist()
     return StepPlan(times=times, output_indices=tuple(outputs))
 
 

@@ -777,6 +777,61 @@ def reference_direct(cfg):
     return [ks[i] for i in plan.output_indices]
 
 
+def readme_knot_example(knot=0.3337, seed=3):
+    """The README's 3x3 example: an interpolated H with knots at 0, ``knot``
+    and 1, B = 0.8, on the dt = 1e-2 grid, which 0.3337 lies inside."""
+    rng = np.random.default_rng(seed)
+    matrices = [random_hermitian(rng, 3, 0.5, 2.0) for _ in range(3)]
+    return ScenarioConfig(
+        hbar=1.0, hamiltonian=HamiltonianProfile.interpolated([0.0, knot, 1.0], matrices),
+        field=FieldProfile.constant(0.8), initial_k=random_full_rank(rng, 3, 0.7, 1.4),
+        t_end=1.0, dt=1e-2, output_stride=10)
+
+
+def self_convergence_order(solver, cfg):
+    """log2 of the ratio of successive final-K differences at dt 2e-2, 1e-2, 5e-3."""
+    ks = [solver(dataclasses.replace(cfg, dt=dt)).ks[-1] for dt in (2e-2, 1e-2, 5e-3)]
+    return float(np.log2(frob(ks[0] - ks[1]) / frob(ks[1] - ks[2])))
+
+
+class TestKnotAwareSteps:
+    """A knot inside a step of the dt grid is stepped to, so both routes keep
+    their fourth order across it."""
+
+    @pytest.mark.parametrize("solver", [evolve_factorized, evolve_direct])
+    def test_hamiltonian_knot_keeps_fourth_order(self, solver):
+        cfg = readme_knot_example()
+        assert 0.3337 in cfg.plan().times
+        assert self_convergence_order(solver, cfg) >= 3.5
+
+    def test_field_table_knot_keeps_the_direct_route_fourth_order(self):
+        cfg = readme_knot_example()
+        cfg = dataclasses.replace(
+            cfg, hamiltonian=HamiltonianProfile.constant(cfg.hamiltonian.matrices[0]),
+            field=FieldProfile.sampled_table([0.0, 0.3337, 1.0], [0.6, 1.2, 0.8]))
+        assert self_convergence_order(evolve_direct, cfg) >= 3.5
+
+    def test_members_whose_inserted_knots_differ_run_apart(self, monkeypatch):
+        # one shape, dt and t_end: two members step to 0.3337, one to 0.4123
+        # and one has its knot on the grid, so three different grids
+        cfgs = [readme_knot_example(), readme_knot_example(0.4123, seed=4),
+                readme_knot_example(seed=5), readme_knot_example(0.34, seed=6)]
+        alone = [evolve_direct(cfg) for cfg in cfgs]
+        groups = []
+        stack = fixed_domain._evolve_direct_stack
+
+        def spy(members):
+            groups.append([next(i for i, cfg in enumerate(cfgs) if cfg is member)
+                           for member in members])
+            return stack(members)
+
+        monkeypatch.setattr(fixed_domain, "_evolve_direct_stack", spy)
+        stacked = evolve_direct_many(cfgs)
+        assert sorted(groups) == [[0, 2], [1], [3]]
+        for trajectory, expected in zip(stacked, alone, strict=True):
+            assert_same_trajectory(trajectory, expected)
+
+
 class TestStageCoefficients:
     def test_direct_route_equals_fresh_stage_samples(self, rng):
         # evolve_direct samples H and B^2 once per distinct stage time, a

@@ -611,6 +611,39 @@ class TestGauge:
                                     1.0, 1e-2, np.zeros((2, 2)), skew)
 
 
+class TestKnotAwareSteps:
+    """The moving frame and the gauged coefficients step to the knots of the
+    ambient H and of a sampled-table B, so they keep their fourth order."""
+
+    DTS = (2e-2, 1e-2, 5e-3)
+
+    def _setup(self, rng):
+        space = AmbientSpace(dim_h1=4, dim_h2=3, n=2,
+                             ambient_hamiltonian=HamiltonianProfile.interpolated(
+                                 [0.0, 0.3337, 1.0],
+                                 [random_hermitian(rng, 4, 0.5, 2.5) for _ in range(3)]))
+        field = FieldProfile.sampled_table([0.0, 0.4123, 1.0], [0.6, 1.2, 0.8])
+        return (space, random_orthonormal_columns(rng, 4, 2),
+                random_orthonormal_columns(rng, 3, 2), random_full_rank(rng, 2, 0.7, 1.4), field)
+
+    def test_moving_solution_keeps_fourth_order(self, rng):
+        space, psi0, phi0, a0, field = self._setup(rng)
+        runs = [moving_solution(space, psi0, phi0, a0, field, 1.0, 1.0, dt, 10)
+                for dt in self.DTS]
+        for run, dt in zip(runs, self.DTS):
+            assert np.array_equal(run.times, step_plan(1.0, dt, 10).output_times)
+        ks = [run.ks[-1] for run in runs]
+        assert np.log2(frob(ks[0] - ks[1]) / frob(ks[1] - ks[2])) >= 3.5
+
+    def test_gauge_distance_falls_at_fourth_order(self, rng):
+        space, psi0, phi0, a0, field = self._setup(rng)
+        c1 = lambda t: np.array([[1.0 + t, 0.2], [0.2, 0.5]])  # noqa: E731
+        c2 = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
+        d = [gauge_equivalence_check(space, psi0, phi0, a0, field, 1.0, 1.0, dt, c1, c2)
+             for dt in self.DTS]
+        assert np.log2(d[0] / d[1]) >= 3.5 and np.log2(d[1] / d[2]) >= 3.5
+
+
 class TestFrameSignConsistency:
     def test_embedding_reproduces_scalar_phase(self):
         # 1x1 embedding: assembled phase must match (E + B^2/r0^2) t / hbar,

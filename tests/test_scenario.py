@@ -2,17 +2,18 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from mesodyn.errors import OffGridKnotWarning, OutOfDomainError
+from mesodyn.errors import OutOfDomainError
 from mesodyn.scenario import (
     BAD_STRIDE,
     BAD_TABLE,
     BAD_TIME_GRID,
     DIMENSION_MISMATCH,
+    MAX_FINE_STEPS,
+    MAX_OUTPUT_ENTRIES,
     MAX_OUTPUT_SAMPLES,
     NOT_FULL_RANK,
     NOT_POSITIVE_DEFINITE,
@@ -270,6 +271,25 @@ class TestValidateScenario:
         assert validate_scenario(make_config(dt=1e-12, output_stride=1)).codes() == (
             TOO_MANY_STEPS,)
 
+    def test_too_many_entries(self):
+        # at dim 16 each sample holds 256 entries: the last sample count
+        # under MAX_OUTPUT_ENTRIES is allowed, one more is not, far below
+        # the sample ceiling
+        h = HamiltonianProfile.constant(np.eye(16, dtype=complex))
+        under = MAX_OUTPUT_ENTRIES // 256
+        assert under * 256 <= MAX_OUTPUT_ENTRIES < (under + 1) * 256
+        assert under + 1 < MAX_OUTPUT_SAMPLES
+
+        def cfg(samples):
+            return make_config(hamiltonian=h, initial_k=np.eye(16, dtype=complex),
+                               t_end=(samples - 1) * 1e-2, output_stride=1)
+
+        assert output_sample_count(cfg(under).t_end, 1e-2) == under
+        assert validate_scenario(cfg(under)).ok
+        report = validate_scenario(cfg(under + 1))
+        assert report.codes() == (TOO_MANY_SAMPLES,)
+        assert f"retain {under + 1} output samples of 256 entries" in str(report)
+
     def test_sample_count_is_the_plans(self):
         # grids that end on a step and grids that end with a short one
         for t_end, dt, stride in itertools.product(
@@ -293,37 +313,32 @@ class TestValidateScenario:
         assert not report.ok
 
 
-class TestOffGridKnots:
-    """A knot strictly inside a step of the dt grid warns once; a knot on it does not."""
+class TestKnotAwarePlan:
+    """Each knot strictly inside a step of the dt grid becomes a step time of
+    its own; the outputs stay on the uniform grid."""
 
-    def config(self, rng, knots, dt=1e-2):
+    def config(self, rng, knots, dt=1e-2, field=None):
         # the README's 3x3 example
         matrices = [random_hermitian(rng, 3, 0.5, 2.0) for _ in knots]
         return make_config(hamiltonian=HamiltonianProfile.interpolated(knots, matrices),
-                           initial_k=np.eye(3, dtype=complex), dt=dt)
+                           initial_k=np.eye(3, dtype=complex), dt=dt,
+                           field=field or FieldProfile.constant(1.0))
 
-    def test_knot_inside_a_step_warns_once(self, rng):
-        cfg = self.config(rng, [0.0, 0.3337, 1.0])
-        grid = step_plan(cfg.t_end, cfg.dt).times
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert validate_scenario(cfg).ok
-        [warning] = caught
-        assert warning.category is OffGridKnotWarning
-        assert issubclass(OffGridKnotWarning, UserWarning)
-        message = str(warning.message)
-        assert "knot t=0.3337" in message
-        assert f"step [{float(grid[33])!r}, {float(grid[34])!r}]" in message
-        assert "more knots" not in message
-
-    def test_several_off_grid_knots_warn_once(self, rng):
+    def test_plan_holds_each_off_grid_knot(self, rng):
+        uniform = step_plan(1.0, 1e-2).times
         cfg = self.config(rng, [0.0, 0.3337, 0.5, 0.6661, 1.0])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            validate_scenario(cfg)
-        [warning] = caught
-        assert "knot t=0.3337" in str(warning.message)
-        assert "(and 1 more knots)" in str(warning.message)
+        assert validate_scenario(cfg).ok
+        times = cfg.plan().times
+        # 0.5 is on the grid, and 0 and 1 are no interior knots
+        assert times.tolist() == sorted(uniform.tolist() + [0.3337, 0.6661])
+        assert len(times) == len(uniform) + 2
+
+    def test_field_knots_are_inserted_once_beside_the_hamiltonians(self, rng):
+        table = FieldProfile.sampled_table([0.0, 0.3337, 0.4123, 1.0], [0.7, 1.1, 0.9, 0.6])
+        cfg = self.config(rng, [0.0, 0.3337, 1.0], field=table)
+        assert cfg.knots == (0.0, 0.3337, 1.0, 0.0, 0.3337, 0.4123, 1.0)
+        inserted = sorted(set(cfg.plan().times.tolist()) - set(step_plan(1.0, 1e-2).times.tolist()))
+        assert inserted == [0.3337, 0.4123]
 
     @pytest.mark.parametrize("knots, dt", [
         ([0.0, 0.34, 1.0], 1e-2),   # on the grid up to the rounding of 34 * dt
@@ -331,17 +346,37 @@ class TestOffGridKnots:
         ([0.0, 0.3, 1.0], 0.1),     # 3 * 0.1 is 0.30000000000000004
         ([-1.0, 0.5, 2.0], 0.25),   # knots outside [0, t_end] and one on the grid
     ])
-    def test_on_grid_knots_do_not_warn(self, rng, knots, dt):
+    def test_on_grid_knots_are_not_inserted(self, rng, knots, dt):
         cfg = self.config(rng, knots, dt)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert validate_scenario(cfg).ok
+        assert validate_scenario(cfg).ok
+        plan, uniform = cfg.plan(), step_plan(cfg.t_end, cfg.dt, cfg.output_stride)
+        assert np.array_equal(plan.times, uniform.times)
+        assert plan.output_indices == uniform.output_indices
 
-    def test_invalid_scenario_does_not_warn(self, rng):
-        cfg = dataclasses.replace(self.config(rng, [0.0, 0.3337, 1.0]), hbar=-1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not validate_scenario(cfg).ok
+    def test_outputs_are_the_uniform_grid_times(self):
+        knots = [0.0, 0.0151, 0.3337, 0.3337, 0.49999, 0.5003, 0.94, 7.0001, 99.9]
+        for t_end, dt, stride in itertools.product(
+                [1.0, 0.5004, 0.3, 7.77, 100.0], [3e-4, 1e-3, 7e-3, 0.1], [1, 3, 10, 10 ** 9]):
+            plan, uniform = step_plan(t_end, dt, stride, knots), step_plan(t_end, dt, stride)
+            assert len(plan.times) > len(uniform.times)
+            assert np.all(np.diff(plan.times) > 0)
+            assert np.array_equal(plan.output_times, uniform.output_times), (t_end, dt, stride)
+            assert len(plan.output_indices) == output_sample_count(t_end, dt, stride)
+
+    def test_too_many_steps_counts_inserted_steps(self):
+        # t_end / dt is exactly the ceiling: a knot on the grid keeps the run
+        # at MAX_FINE_STEPS steps, one halfway inside a step adds one more
+        def cfg(knot):
+            h = HamiltonianProfile.interpolated([0.0, knot, 1.0], [np.eye(2, dtype=complex)] * 3)
+            return make_config(hamiltonian=h, dt=1e-7, output_stride=10 ** 6)
+
+        assert 1.0 / 1e-7 == MAX_FINE_STEPS
+        assert validate_scenario(cfg(0.5)).ok
+        assert validate_scenario(cfg(0.5 + 5e-8)).codes() == (TOO_MANY_STEPS,)
+        # so does a field knot
+        table = FieldProfile.sampled_table([0.0, 0.5 + 5e-8, 1.0], [1.0, 1.0, 1.0])
+        assert validate_scenario(dataclasses.replace(cfg(0.5), field=table)).codes() == (
+            TOO_MANY_STEPS,)
 
 
 class TestStepPlan:
