@@ -44,7 +44,6 @@ from .fixed_domain import (
 from .linalg import (
     Pairing,
     adjoint_inverse,
-    adjoint_pseudo_inverse,
     hermitian_eigendecompose,
     matrix_from_json,
     matrix_to_json,
@@ -58,8 +57,8 @@ from .moving_domain import (
     gauge_equivalence_check,
     gauge_equivalence_checks,
     gauge_propagators,
+    moving_report,
     moving_solution,
-    weak_residual,
 )
 from .scenario import (
     FieldProfile,

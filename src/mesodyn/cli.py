@@ -52,7 +52,7 @@ from .reports import (
     residual_report_csv,
     trajectory_csv,
 )
-from .scenario import ScenarioConfig, scenario_from_json, validate_scenario
+from .scenario import ScenarioConfig, json_number, scenario_from_json, validate_scenario
 from .verification import run_battery
 
 COMPARE_TOLERANCE = 1e-6
@@ -150,8 +150,8 @@ def _load_document(path: str) -> dict:
 def _finite_number(value, name: str) -> float:
     """A scenario-document number as a finite float, else ConfigInvalidError."""
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        number = json_number(value, name)
+    except (ValueError, OverflowError) as exc:
         raise ConfigInvalidError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
         raise ConfigInvalidError(f"{name} must be finite, got {value!r}")

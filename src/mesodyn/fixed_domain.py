@@ -14,8 +14,8 @@ Three independent routes to the same trajectory:
   re-checking the full-rank invariant at every stage;
   ``evolve_direct_many`` runs scenarios that share a shape and dt, and
   whose time grids nest, as one stacked RK4, bit-identical to one at a
-  time, reading H and B^2 from stacks sampled a chunk of steps at a time
-  (``rk4_stages``).
+  time, reading H and B^2 from stacks that ``rk4`` samples a chunk of
+  steps at a time.
 * ``evolve_series`` — the binomial power series for constant H and B,
   truncated at a caller-chosen number of terms.
 
@@ -161,35 +161,61 @@ def _magnus_exponentials(generator, times: np.ndarray, hbar: float) -> np.ndarra
     return q @ q_star
 
 
-def rk4(rhs, y0: np.ndarray, times, wanted) -> list:
-    """Classical fixed-step RK4 for dy/dt = rhs(t, y) on the grid ``times``.
+def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> list:
+    """Classical fixed-step RK4 for dy/dt = rhs(y, *c(t)) on the grid ``times``.
 
-    Returns the list of y at the indices in ``wanted``.  A NearSingularError
-    or NonFiniteError raised inside a step is re-raised naming the step,
-    with ``last_good_time`` set to the step start and ``partial`` holding
-    the samples emitted before it.  Overflow and invalid-operation warnings
-    are silenced for the whole loop: a state that overflows reaches the rhs's
-    own finiteness check as the next step's start, and stops as a
-    NonFiniteError of the step that produced it, without its sample.  The
-    final state is no stage input, so it is checked once after the loop.
+    Returns the list of y at the indices in ``wanted``.  Step i, t0 =
+    times[i] and h = times[i + 1] - t0, reads c at its stage times t0,
+    t0 + 0.5*h (twice) and t0 + h, sampled max(1, MAGNUS_CHUNK // y0.size)
+    steps at a time: ``coefficients(ts)`` gets a chunk's distinct stage
+    times as increasing floats and returns a tuple of arrays or lists
+    indexed like ``ts``, and a stage calls ``rhs(y, *entries)`` with its
+    time's entries; a plain ODE passes ``lambda ts: (ts,)``.  A chunk's
+    first t0 equal to the previous chunk's last t0 + h is not sampled
+    again but carried over as a copy, so each time is sampled once and the
+    previous chunk's samples are freed before the next chunk's are taken.
+
+    A NearSingularError or NonFiniteError raised inside a step is re-raised
+    naming the step, with ``last_good_time`` set to the step start and
+    ``partial`` holding the samples emitted before it.  Overflow and
+    invalid-operation warnings are silenced for the whole loop: a state that
+    overflows reaches the rhs's own finiteness check as the next step's
+    start, and stops as a NonFiniteError of the step that produced it,
+    without its sample.  The final state is no stage input, so it is checked
+    once after the loop.
     """
+    times = np.asarray(times, dtype=np.float64)
     y = np.array(y0, dtype=np.complex128)
     out = [y.copy()] if 0 in wanted else []
+    chunk = max(1, MAGNUS_CHUNK // y.size)
+    carried_t = carried = None  # the previous chunk's last stage time, its entries
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(times) - 1):
-            t0 = float(times[i])
-            h = float(times[i + 1] - times[i])
-            tm = t0 + 0.5 * h
-            try:
-                s1 = rhs(t0, y)
-                s2 = rhs(tm, y + (0.5 * h) * s1)
-                s3 = rhs(tm, y + (0.5 * h) * s2)
-                s4 = rhs(t0 + h, y + h * s3)
-            except (NearSingularError, NonFiniteError) as exc:
-                raise _step_stop(exc, times, i, y, wanted, out) from exc
-            y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            if (i + 1) in wanted:
-                out.append(y)
+        for start in range(0, len(times) - 1, chunk):
+            grid = times[start:start + chunk + 1]
+            t0, h = grid[:-1], grid[1:] - grid[:-1]
+            ts, at = np.unique(np.concatenate([t0, t0 + 0.5 * h, t0 + h]),
+                               return_inverse=True)
+            ts = ts.tolist()
+            entries = None  # drop the previous chunk before sampling this one
+            if ts[0] == carried_t:
+                entries = [carried, *zip(*coefficients(ts[1:]))]
+            else:
+                entries = list(zip(*coefficients(ts)))
+            carried_t = ts[-1]
+            carried = tuple(e.copy() if isinstance(e, np.ndarray) else e for e in entries[-1])
+            at_start, at_mid, at_end = at.reshape(3, -1).tolist()
+            for i, step, a, m, e in zip(range(start, len(times)), h.tolist(),
+                                        at_start, at_mid, at_end):
+                try:
+                    s1 = rhs(y, *entries[a])
+                    s2 = rhs(y + (0.5 * step) * s1, *entries[m])
+                    s3 = rhs(y + (0.5 * step) * s2, *entries[m])
+                    s4 = rhs(y + step * s3, *entries[e])
+                except (NearSingularError, NonFiniteError) as exc:
+                    raise _step_stop(exc, times, i, y, wanted, out) from exc
+                y = y + (step / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                if (i + 1) in wanted:
+                    out.append(y)
     if len(times) > 1 and not np.isfinite(y).all():
         raise _step_stop(NonFiniteError("the final state is not finite"),
                          times, len(times) - 1, y, wanted, out)
@@ -263,52 +289,18 @@ def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
         u, s, vh, cfg.hamiltonian, cfg.field, cfg.hbar, plan), "factorized")
 
 
-def rk4_stages(times, chunk: int, sample):
-    """t -> the samples at a stage time of ``rk4`` on the grid ``times``.
-
-    ``sample(ts)`` returns a tuple of arrays or lists indexed like ``ts``.
-    It is called once per chunk of ``chunk`` steps, in time order, with the
-    chunk's distinct stage times ``t0``, ``t0 + 0.5*h`` and ``t0 + h``,
-    formed as ``rk4`` forms them; a chunk's first ``t0`` is the previous
-    chunk's last end and is not sampled again.  So each distinct stage time
-    is sampled once, and one chunk's samples are held, zipped once into one
-    tuple per time that a stage then looks up by index.  The times must be
-    asked in ``rk4``'s order; a time out of it raises ValueError.
-    """
-    ts, entries, at, start = [], [], -1, 0
-
-    def lookup(t: float) -> tuple:
-        nonlocal ts, entries, at, start
-        if not ts or ts[at] != t:
-            at += 1
-            if at == len(ts):
-                last, wanted = ts[-1] if ts else None, {}
-                for i in range(start, min(start + chunk, len(times) - 1)):
-                    t0, h = float(times[i]), float(times[i + 1] - times[i])
-                    wanted.update(dict.fromkeys([t0, t0 + 0.5 * h, t0 + h]))
-                ts = [s for s in wanted if s != last]
-                entries = []  # drop the previous chunk before sampling this one
-                entries, at, start = list(zip(*sample(ts))), 0, start + chunk
-            if at == len(ts) or ts[at] != t:
-                raise ValueError(f"stage time {t!r} asked out of rk4's order")
-        return entries[at]
-
-    return lookup
-
-
-def _direct_rhs(cfgs, times):
-    """The stacked right-hand side (i/hbar)(K H + B^2 (K*)^-1) of one group.
+def _direct_rhs(cfgs):
+    """(coefficients, rhs) of ``rk4`` for (i/hbar)(K H + B^2 (K*)^-1) of one group.
 
     ``1j/hbar`` and the floor are per-member arrays, or one value where all
     members share it: a complex scalar multiplies faster than a broadcast
     array, and ``adjoint_inverse`` takes a float floor as its screen's
-    maximum.  The rhs reads H and B^2 from ``rk4_stages`` stacks of
-    (T, S, n, n), a chunk of max(1, MAGNUS_CHUNK // (S n**2)) steps at a
-    time: each member's profile sampled once per chunk by ``samples``, B
-    with the scalar ``FieldProfile.sample`` once per member and stage time,
-    its square filled over the member's n x n block as the complex value
-    it is cast to anyway, so a stage multiplies two contiguous stacks.  The
-    rhs forms its result in place, in the operand order of the expression.
+    maximum.  ``coefficients`` samples each member's H profile once per
+    chunk and B with the scalar ``FieldProfile.sample`` once per member and
+    stage time, into (T, S, n, n) stacks: B^2 is filled over the member's
+    n x n block as the complex value it is cast to anyway, so a stage
+    multiplies two contiguous stacks.  The rhs forms its result in place, in
+    the operand order of the expression.
     """
     profiles = [cfg.hamiltonian for cfg in cfgs]
     fields = [cfg.field for cfg in cfgs]
@@ -317,19 +309,16 @@ def _direct_rhs(cfgs, times):
         i_over_hbar = complex(i_over_hbar[0, 0, 0])
     floors = np.array([cfg.pd_floor for cfg in cfgs])
     floor = float(floors[0]) if (floors == floors[0]).all() else floors
+    n = np.shape(cfgs[0].initial_k)[-1]
 
-    def sample(ts: list) -> tuple:
+    def coefficients(ts: list) -> tuple:
         hs = [profile.samples(ts) for profile in profiles]
         b2 = np.array([[b * b for b in [f.sample(t) for f in fields]] for t in ts],
                       dtype=np.complex128)
         return (hs[0][:, None] if len(hs) == 1 else np.stack(hs, axis=1),
                 np.broadcast_to(b2[..., None, None], (len(ts), len(fields), n, n)).copy())
 
-    n = np.shape(cfgs[0].initial_k)[-1]
-    stages = rk4_stages(times, max(1, MAGNUS_CHUNK // (len(cfgs) * n * n)), sample)
-
-    def rhs(t: float, k: np.ndarray) -> np.ndarray:
-        h, b2 = stages(t)
+    def rhs(k: np.ndarray, h: np.ndarray, b2: np.ndarray) -> np.ndarray:
         # The checked (K*)^-1 is also the per-stage full-rank test.
         x = adjoint_inverse(k, floor)
         np.multiply(b2, x, out=x)
@@ -337,7 +326,7 @@ def _direct_rhs(cfgs, times):
         out += x
         return np.multiply(i_over_hbar, out, out=out)
 
-    return rhs
+    return coefficients, rhs
 
 
 def _evolve_direct_stack(cfgs) -> list:
@@ -356,7 +345,8 @@ def _evolve_direct_stack(cfgs) -> list:
     where = {index: j for j, index in enumerate(union)}  # step index -> sample
     try:
         k0 = np.stack([require_square(cfg.initial_k) for cfg in cfgs])
-        samples = rk4(_direct_rhs(cfgs, grid), k0, grid, where)
+        coefficients, rhs = _direct_rhs(cfgs)
+        samples = rk4(rhs, k0, grid, where, coefficients)
     except (NearSingularError, NonFiniteError) as exc:
         done = exc.partial or []
         plan = plans[0]

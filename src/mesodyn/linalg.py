@@ -283,30 +283,15 @@ def adjoint_inverse(k, floor=DEFAULT_PD_FLOOR) -> np.ndarray:
     return x
 
 
-def adjoint_pseudo_inverse(k, floor: float = DEFAULT_PD_FLOOR):
-    """Zero-extended inverse of K* for a rectangular rank-r operator.
+def svd_pseudo_inverse(u, s, vh, keep) -> np.ndarray:
+    """Zero-extended inverse (K*)^+ of K = U diag(s) V*, given its thin SVD.
 
-    Singular values at or below ``floor`` times the largest are treated as
-    exact zeros.  Returns ((K*)^+, rank).
+    ``keep`` masks the singular values kept; the others count as exact
+    zeros.  Takes one SVD or a stack of them (the factors np.linalg.svd
+    returns) with one mask per member.
     """
-    a = as_matrix(k)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((a.shape[0], a.shape[1]), dtype=np.complex128), 0
-    pinv, rank = svd_pseudo_inverse(u, s, vh, floor)
-    return pinv, int(rank)
-
-
-def svd_pseudo_inverse(u, s, vh, floor: float):
-    """``adjoint_pseudo_inverse`` of K = U diag(s) V* given its thin SVD.
-
-    Takes one SVD or a stack of them (the factors np.linalg.svd returns),
-    each member floored against its own largest singular value.  Returns
-    the pseudo-inverse and the rank, or one of each per member.
-    """
-    keep = ~below_floor(s, s[..., :1], floor)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return (u * inv[..., None, :]) @ vh, np.count_nonzero(keep, axis=-1)
+    return (u * inv[..., None, :]) @ vh
 
 
 def matrix_to_json(m) -> dict:

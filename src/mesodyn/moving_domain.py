@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InsufficientSamplesError,
     NotHermitianGaugeError,
     NotOrthonormalError,
     RankDeficientError,
     ShapeMismatchError,
 )
 from .fixed_domain import (MAGNUS_CHUNK, Trajectory, factorized_samples, magnetic_factor,
-                           polar_init, rk4, rk4_stages, unitary_propagator)
+                           polar_init, rk4, unitary_propagator)
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -143,117 +142,65 @@ def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
         plan), "moving")
 
 
-def image_projector(k, pd_floor: float = DEFAULT_PD_FLOOR) -> np.ndarray:
-    """Orthogonal projector onto the image of K (rank from the floor)."""
-    u, s, _ = np.linalg.svd(as_matrix(k), full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((k.shape[0], k.shape[0]), dtype=np.complex128)
-    return _image_projectors(u[None], s[None], pd_floor)[0]
-
-
-def _image_projectors(u, s, pd_floor: float) -> np.ndarray:
-    """``image_projector`` of each member of a stack, from its thin SVD (u, s)."""
-    keep = ~below_floor(s, s[:, :1], pd_floor)
+def _image_projectors(u, keep) -> np.ndarray:
+    """Each stack member's image projector, from its thin SVD's u and floor mask."""
     if (keep == keep[0]).all():  # one rank for the whole stack: one stacked product
         cols = u[:, :, keep[0]]
         return cols @ cols.conj().swapaxes(-1, -2)
     return np.stack([c @ c.conj().T for c in (m[:, kept] for m, kept in zip(u, keep))])
 
 
-def _svd_chunks(ks):
-    """(start, stack, u, s, vh) per chunk of samples, from one stacked thin SVD.
-
-    A chunk holds max(1, MAGNUS_CHUNK // (rows * cols)) samples, and each
-    member's factors have the bits of its own ``np.linalg.svd``.
-    """
-    rows, cols = ks[0].shape
-    size = max(1, MAGNUS_CHUNK // (rows * cols))
-    for start in range(0, len(ks), size):
-        stack = np.stack(ks[start:start + size])
-        yield (start, stack, *np.linalg.svd(stack, full_matrices=False))
-
-
-def moving_drift(trajectory: Trajectory, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
-    """(image_drifts, radial_drifts) per sample, relative to the first.
-
-    image_drift is ||P(t) - P(0)||_F for the image projectors, radial_drift
-    is ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.
-    """
-    image, radial, _ = _moving_columns(trajectory, pd_floor, drifts=True)
-    return image, radial
-
-
-def weak_residual(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
-                  hbar: float, pd_floor: float = DEFAULT_PD_FLOOR) -> list:
-    """Residual of the defining equation tested on the ambient basis.
-
-    For each interior sample, dK/dt is the centered difference and
-    (K*)^-1 the zero-extended pseudo-inverse at rank n; the value is max
-    over ambient basis vectors of the residual column norm, one per time
-    in ``trajectory.times[1:-1]``.  For assembled solutions this decays at
-    second order in the sample spacing.
-    """
-    ks = trajectory.ks
-    if len(ks) < 3:
-        raise InsufficientSamplesError(
-            f"need >= 3 samples for centered differences, got {len(ks)}")
-    space.check()
-    return _moving_columns(trajectory, pd_floor, drifts=False,
-                           residual=(space, field, hbar))[2]
-
-
 def moving_report(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
                   hbar: float, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
     """(weak_residuals, image_drifts, radial_drifts), one entry each per sample.
 
-    ``moving_drift`` and ``weak_residual`` in one pass, each sample's SVD
-    serving both.  The weak residual exists at interior samples only: it is
-    None at the two ends, and at every sample of a trajectory shorter than 3.
+    image_drift is ||P(t) - P(0)||_F for the image projectors P, radial_drift
+    ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.  The
+    weak residual tests the defining equation on the ambient basis: with
+    dK/dt the centered difference and (K*)^-1 the zero-extended
+    pseudo-inverse at rank n, it is the max over ambient basis vectors of the
+    residual column norm.  For assembled solutions it decays at second order
+    in the sample spacing.  It exists at interior samples only: it is None at
+    the two ends, and at every sample of a trajectory shorter than 3.
+
+    The samples go through in chunks of max(1, MAGNUS_CHUNK // (rows *
+    cols)): one stacked thin SVD per chunk, whose floor mask (singular values
+    at or below ``pd_floor`` times the largest count as zeros) serves both
+    the projectors and the pseudo-inverses.  Each value has the bits of its
+    sample evaluated alone, and a rank-deficient interior sample raises
+    RankDeficientError for the first one.
     """
-    if len(trajectory.ks) < 3:
-        image, radial = moving_drift(trajectory, pd_floor)
-        return [None] * len(image), image, radial
     space.check()
-    image, radial, interior = _moving_columns(trajectory, pd_floor, drifts=True,
-                                              residual=(space, field, hbar))
-    return [None, *interior, None], image, radial
-
-
-def _moving_columns(trajectory: Trajectory, pd_floor: float, drifts: bool,
-                    residual: tuple | None = None) -> tuple:
-    """(image_drifts, radial_drifts, weak_residuals) from one stacked SVD per chunk.
-
-    The drifts are formed when ``drifts`` is set, the interior samples' weak
-    residuals when ``residual`` holds (space, field, hbar); each value has
-    the bits of its sample evaluated alone, and a rank-deficient interior
-    sample raises for the first one.
-    """
     ks = trajectory.ks
-    image, radial, residuals = [], [], []
-    for start, stack, u, s, vh in _svd_chunks(ks):
-        if drifts:
-            projectors = _image_projectors(u, s, pd_floor)
-            grams = stack @ stack.conj().swapaxes(-1, -2)
-            if not start:
-                p0, gram0 = projectors[0].copy(), grams[0].copy()
-            image += frobenius_norms(projectors - p0).tolist()
-            radial += frobenius_norms(grams - gram0).tolist()
-        if residual is not None:
-            lo, hi = max(start, 1), min(start + len(stack), len(ks) - 1)
-            if lo < hi:
-                inner = slice(lo - start, hi - start)
-                residuals += _weak_residuals(trajectory, lo, hi, stack[inner],
-                                             (u[inner], s[inner], vh[inner]),
-                                             *residual, pd_floor)
-    return image, radial, residuals
+    rows, cols = ks[0].shape
+    size = max(1, MAGNUS_CHUNK // (rows * cols))
+    image, radial, interior = [], [], []
+    for start in range(0, len(ks), size):
+        stack = np.stack(ks[start:start + size])
+        u, s, vh = np.linalg.svd(stack, full_matrices=False)
+        keep = ~below_floor(s, s[:, :1], pd_floor)
+        projectors = _image_projectors(u, keep)
+        grams = stack @ stack.conj().swapaxes(-1, -2)
+        if not start:
+            p0, gram0 = projectors[0].copy(), grams[0].copy()
+        image += frobenius_norms(projectors - p0).tolist()
+        radial += frobenius_norms(grams - gram0).tolist()
+        lo, hi = max(start, 1), min(start + len(stack), len(ks) - 1)
+        if lo < hi:
+            inner = slice(lo - start, hi - start)
+            interior += _weak_residuals(trajectory, lo, hi, stack[inner],
+                                        (u[inner], s[inner], vh[inner], keep[inner]),
+                                        space, field, hbar)
+    residuals = [None, *interior, None] if len(ks) >= 3 else [None] * len(ks)
+    return residuals, image, radial
 
 
-def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, svd,
-                    space: AmbientSpace, field: FieldProfile, hbar: float,
-                    pd_floor: float) -> list:
-    """``weak_residual`` at the interior samples lo..hi-1, whose K form ``stack``."""
+def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, factors,
+                    space: AmbientSpace, field: FieldProfile, hbar: float) -> list:
+    """The weak residuals at the interior samples lo..hi-1, whose K form
+    ``stack``; ``factors`` holds their thin SVDs (u, s, vh) and floor masks."""
     ks, times = trajectory.ks, trajectory.times
-    pinv, ranks = svd_pseudo_inverse(*svd, pd_floor)
+    ranks = np.count_nonzero(factors[-1], axis=-1)
     deficient = np.flatnonzero(ranks != space.n)
     if deficient.size:
         j = int(deficient[0])
@@ -263,7 +210,7 @@ def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, svd,
     kdot = (np.stack(ks[lo + 1:hi + 1]) - np.stack(ks[lo - 1:hi - 1])) / spans[:, None, None]
     b = np.array([field.sample(t) for t in times[lo:hi].tolist()])
     out = (1j * hbar * kdot + stack @ space.ambient_hamiltonian.samples(times[lo:hi])
-           + (b * b)[:, None, None] * pinv)
+           + (b * b)[:, None, None] * svd_pseudo_inverse(*factors))
     return np.max(np.linalg.norm(out, axis=-2), axis=-1).tolist()
 
 
@@ -330,8 +277,8 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
     time for every pair.  The gauged solution evolves the image
     basis phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient
     matrix by integrating its gauged equation: all P pairs as one (P, n, n)
-    RK4, whose rhs reads C', C'' and B^2 from ``rk4_stages`` stacks (a
-    callable gauge sampled once per distinct stage time).  Every rhs
+    RK4, whose rhs reads C', C'' and B^2 from the stacks ``rk4`` samples (a
+    callable gauge once per distinct stage time).  Every rhs
     operation is per member, so each distance has the bits of its pair run
     alone.  Gauge invariance of the physical operator makes the distance
     vanish up to integration accuracy.
@@ -346,21 +293,18 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
     propagators = [_gauge_propagators(c1, c2, space.n, times, hbar)
                    for c1, c2 in zip(c1s, c2s)]
 
-    def sample(ts: list) -> tuple:
+    def coefficients(ts: list) -> tuple:
         def stack(cs) -> np.ndarray:
             return np.stack([c(ts) if callable(c) else np.broadcast_to(c, (len(ts), *c.shape))
                              for c in cs], axis=1)
 
         return stack(c1s), stack(c2s), [b * b for b in [field.sample(t) for t in ts]]
 
-    stages = rk4_stages(times, max(1, MAGNUS_CHUNK // (len(c1s) * space.n ** 2)), sample)
-
     # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
-    def rhs(t: float, a: np.ndarray) -> np.ndarray:
-        c1, c2, b2 = stages(t)
+    def rhs(a: np.ndarray, c1: np.ndarray, c2: np.ndarray, b2: float) -> np.ndarray:
         return (1j / hbar) * (c1 @ a + a @ c2 + b2 * adjoint_inverse(a, pd_floor))
 
-    a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)))
+    a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)), coefficients)
     worst = [0.0] * len(c1s)
     for j, (bra, a_g, a_p) in enumerate(zip(bras, a_gauged, a_primed)):
         k_p = image @ a_p @ bra  # gauge-free: one per time, for every pair

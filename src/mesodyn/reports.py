@@ -109,7 +109,7 @@ def diagnostics_csv(report: DiagnosticsReport) -> str:
 
 
 def residual_report_csv(rows_in) -> str:
-    """Moving-domain report: (t, weak_residual or None, image, radial)."""
+    """Moving-domain report: (t, weak residual or None, image drift, radial drift)."""
     rows = [["t", "weak_residual", "image_drift", "radial_drift"]]
     for t, residual, image_drift, radial_drift in rows_in:
         rows.append([

@@ -589,19 +589,52 @@ def _field_to_json(profile: FieldProfile) -> dict:
     raise ValueError(f"unknown field kind {profile.kind!r}")
 
 
+def json_number(value, name: str) -> float:
+    """A scenario document's number as a float.
+
+    A JSON number parses to an int or a float; a string or a boolean (a
+    bool is an int to Python) raises ValueError instead of converting.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> list:
+    """A JSON array of numbers as a list of floats."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(values).__name__}")
+    return [json_number(v, f"{name} entry") for v in values]
+
+
+def _json_integer(value, name: str) -> int:
+    """A JSON integer, or a float of integral value such as 10.0, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _field_from_json(obj) -> FieldProfile:
     if not isinstance(obj, dict):
         raise ValueError(f"field must be a JSON object, got {type(obj).__name__}")
+
+    def number(key: str, default=None) -> float:
+        value = obj[key] if default is None else obj.get(key, default)
+        return json_number(value, f"field {key}")
+
     kind = obj.get("kind")
     if kind == "constant":
-        return FieldProfile.constant(obj["value"])
+        return FieldProfile.constant(number("value"))
     if kind == "sinusoid":
-        return FieldProfile.sinusoid(obj["amplitude"], obj["frequency"],
-                                     obj.get("phase", 0.0), obj.get("offset", 0.0))
+        return FieldProfile.sinusoid(number("amplitude"), number("frequency"),
+                                     number("phase", 0.0), number("offset", 0.0))
     if kind == "linear-ramp":
-        return FieldProfile.linear_ramp(obj["slope"], obj["intercept"])
+        return FieldProfile.linear_ramp(number("slope"), number("intercept"))
     if kind == "sampled-table":
-        return FieldProfile.sampled_table(obj["times"], obj["values"])
+        return FieldProfile.sampled_table(_json_numbers(obj["times"], "field times"),
+                                          _json_numbers(obj["values"], "field values"))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -623,7 +656,8 @@ def _hamiltonian_from_json(obj) -> HamiltonianProfile:
         return HamiltonianProfile.constant(matrix_from_json(obj["matrix"]))
     if kind == "interpolated-sequence":
         return HamiltonianProfile.interpolated(
-            obj["times"], [matrix_from_json(m) for m in obj["matrices"]])
+            _json_numbers(obj["times"], "hamiltonian times"),
+            [matrix_from_json(m) for m in obj["matrices"]])
     raise ValueError(f"unknown hamiltonian kind {kind!r}")
 
 
@@ -653,7 +687,8 @@ def scenario_from_json(obj, require_initial_k: bool = True) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object.
 
     Raises ValueError on structural problems (missing keys, malformed
-    matrices); semantic checks belong to validate_scenario.  Without
+    matrices, a string or boolean where a number belongs, a non-integral
+    ``output_stride``); semantic checks belong to validate_scenario.  Without
     ``require_initial_k`` (moving-domain scenarios) a missing
     ``initial_k`` gives None.
     """
@@ -666,13 +701,13 @@ def scenario_from_json(obj, require_initial_k: bool = True) -> ScenarioConfig:
     if missing:
         raise ValueError(f"scenario is missing keys {sorted(missing)}")
     return ScenarioConfig(
-        hbar=float(obj["hbar"]),
+        hbar=json_number(obj["hbar"], "hbar"),
         hamiltonian=_hamiltonian_from_json(obj["hamiltonian"]),
         field=_field_from_json(obj["field"]),
         initial_k=(matrix_from_json(obj["initial_k"]) if "initial_k" in obj
                    else None),
-        t_end=float(obj["t_end"]),
-        dt=float(obj["dt"]),
-        output_stride=int(obj.get("output_stride", 1)),
-        pd_floor=float(obj.get("pd_floor", DEFAULT_PD_FLOOR)),
+        t_end=json_number(obj["t_end"], "t_end"),
+        dt=json_number(obj["dt"], "dt"),
+        output_stride=_json_integer(obj.get("output_stride", 1), "output_stride"),
+        pd_floor=json_number(obj.get("pd_floor", DEFAULT_PD_FLOOR), "pd_floor"),
     )

@@ -42,9 +42,8 @@ from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
 from .moving_domain import (
     AmbientSpace,
     gauge_equivalence_checks,
-    moving_drift,
+    moving_report,
     moving_solution,
-    weak_residual,
 )
 from .scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
 
@@ -396,7 +395,7 @@ def check_moving_domain(seed: int) -> list:
     space, psi0, phi0, a0, field = _moving_setup(rng_main)
     trajectory = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0,
                                  dt=1e-3, output_stride=10)
-    image, radial = moving_drift(trajectory)
+    _, image, radial = moving_report(trajectory, space, field, hbar=1.0)
     image_drift = max(image)
     radial_drift = max(radial)
 
@@ -405,7 +404,7 @@ def check_moving_domain(seed: int) -> list:
     for dt in (4e-3, 2e-3, 1e-3):
         ops = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=0.5,
                               dt=dt, output_stride=1)
-        errors.append(max(weak_residual(ops, space, field, hbar=1.0)))
+        errors.append(max(moving_report(ops, space, field, hbar=1.0)[0][1:-1]))
 
     # Rank-one closed form: constant diagonal ambient H, constant B.
     dim = 6

@@ -722,6 +722,51 @@ class TestHostileInputs:
         config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
         assert_config_rejected(["critical", "--config", config], tmp_path / "out")
 
+    @pytest.mark.parametrize("verb, extra", [
+        ("simulate", {"output_stride": 2.5}),
+        ("simulate", {"output_stride": "3"}),
+        ("simulate", {"output_stride": True}),
+        ("simulate", {"dt": "0.01"}),
+        ("simulate", {"hbar": True}),
+        ("simulate", {"t_end": "1.0"}),
+        ("simulate", {"pd_floor": "1e-12"}),
+        ("simulate", {"field": {"kind": "constant", "value": "0.8"}}),
+        ("simulate", {"field": {"kind": "sinusoid", "amplitude": 0.1, "frequency": 0.2,
+                                "phase": True}}),
+        ("simulate", {"field": {"kind": "linear-ramp", "slope": "1", "intercept": 0.5}}),
+        ("simulate", {"field": {"kind": "sampled-table", "times": [0.0, "1.0"],
+                                "values": [0.5, 0.6]}}),
+        ("simulate", {"field": {"kind": "sampled-table", "times": [0.0, 1.0],
+                                "values": [True, 0.6]}}),
+        ("simulate", {"field": {"kind": "sampled-table", "times": "01",
+                                "values": [0.5, 0.6]}}),
+        ("simulate", {"hamiltonian": {"kind": "interpolated-sequence",
+                                      "times": ["0", 1.0],
+                                      "matrices": [matrix_to_json(np.eye(3))] * 2}}),
+        ("critical", {"nu": "4.0"}),
+        ("critical", {"nu": True}),
+        ("flux", {"upsilon": matrix_to_json(np.ones((3, 1))), "total_flux": "2.5"}),
+        ("flux", {"upsilon": matrix_to_json(np.ones((3, 1))), "total_flux": True}),
+    ], ids=["stride_fraction", "stride_string", "stride_bool", "dt_string", "hbar_bool",
+            "t_end_string", "pd_floor_string", "field_value_string", "field_phase_bool",
+            "field_slope_string", "table_time_string", "table_value_bool",
+            "table_times_string", "knot_time_string", "nu_string", "nu_bool",
+            "total_flux_string", "total_flux_bool"])
+    def test_numbers_must_be_json_numbers(self, verb, extra, rng, tmp_path, capsys):
+        config = write_scenario(tmp_path / "s.json", small_config(rng), extra=extra)
+        assert_config_rejected([verb, "--config", config], tmp_path / "out")
+        err = capsys.readouterr().err
+        assert err.startswith("mesodyn: invalid config:") and "Traceback" not in err
+
+    def test_integral_float_stride_is_an_integer(self, rng, tmp_path):
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"output_stride": 250.0})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--solver", "factorized",
+                     "--output", str(out)]) == 0
+        lines = (out / "trajectory_factorized.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5  # t = 0, 0.25, 0.5, 0.75, 1
+
     @pytest.mark.parametrize("literal", ["initial_k", "hamiltonian"])
     def test_non_finite_scenario_literal(self, literal, rng, tmp_path):
         doc = scenario_to_json(small_config(rng))

@@ -257,8 +257,8 @@ class TestUnitaryPropagator:
         hbar = 0.7
         _, _, u0 = polar_init(random_full_rank(rng, 3, 0.7, 1.4))
         fine = step_plan(1.0, 1e-3, 1).times
-        (reference,) = rk4(lambda t, u: (1j / hbar) * (u @ g(t)), u0, fine,
-                           {len(fine) - 1})
+        (reference,) = rk4(lambda u, t: (1j / hbar) * (u @ g(t)), u0, fine,
+                           {len(fine) - 1}, lambda ts: (ts,))
 
         def error(dt):
             times = step_plan(1.0, dt, 1).times
@@ -566,9 +566,9 @@ class TestEvolveDirectMany:
         # serves every stride, and each member gets its own plan's samples
         runs = []
 
-        def counting_rk4(rhs, y0, times, wanted):
+        def counting_rk4(rhs, y0, times, wanted, coefficients):
             runs.append(len(y0))
-            return rk4(rhs, y0, times, wanted)
+            return rk4(rhs, y0, times, wanted, coefficients)
 
         monkeypatch.setattr(fixed_domain, "rk4", counting_rk4)
         cfgs = [random_scenario(rng, 3, t_end=1.5, dt=1e-2, output_stride=stride)
@@ -843,13 +843,33 @@ class TestStageCoefficients:
         for k, expected in zip(trajectory.ks, reference_direct(cfg), strict=True):
             assert np.array_equal(k, expected)
 
-    def test_stage_time_out_of_order_raises(self):
-        # two steps per chunk of the grid 0, 0.25, ..., 1: the stage times
-        # 0, 0.125, 0.25, 0.375 and 0.5 come first; 0.5 may not skip 0.25
-        stages = fixed_domain.rk4_stages(np.linspace(0.0, 1.0, 5), 2, lambda ts: (ts,))
-        assert [stages(t) for t in (0.0, 0.125, 0.125)] == [(0.0,), (0.125,), (0.125,)]
-        with pytest.raises(ValueError, match="out of rk4's order"):
-            stages(0.5)
+    def test_irregular_grid_samples_each_stage_time_once(self, monkeypatch):
+        # four steps per chunk of a grid with growing steps: step 3's
+        # t0 + h is step 4's t0, carried across the first chunk boundary,
+        # while step 7's t0 + h misses step 8's t0 at the second
+        times = np.array([0.0, 0.005] + [0.01 * 3.0 ** k for k in range(10)])
+        t0, h = times[:-1], np.diff(times)
+        ends = t0 + h
+        assert ends[3] == times[4] and ends[7] != times[8]
+        formed = set(np.concatenate([t0, t0 + 0.5 * h, ends]).tolist())
+        calls = []
+
+        def coefficients(ts):
+            calls.append(list(ts))
+            return (ts,)
+
+        def rhs(y, t):
+            return (1j * np.sin(t)) * y
+
+        wanted = set(range(len(times)))
+        unchunked = rk4(rhs, np.eye(1), times, wanted, lambda ts: (ts,))
+        monkeypatch.setattr(fixed_domain, "MAGNUS_CHUNK", 4)
+        chunked = rk4(rhs, np.eye(1), times, wanted, coefficients)
+        seen = [t for call in calls for t in call]
+        assert len(calls) == 3
+        assert set(seen) == formed and len(seen) == len(formed)
+        assert all(call == sorted(set(call)) and len(call) <= 3 * 4 for call in calls)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, unchunked, strict=True))
 
 
 def overflow_config(h_scale=1e150, hbar=1e-3):
@@ -885,20 +905,20 @@ class TestNonFiniteStop:
 class TestRk4:
     def test_emits_wanted_samples_of_an_oscillator(self):
         times = np.linspace(0.0, 1.0, 101)
-        ys = rk4(lambda t, y: 1j * y, np.eye(1), times, {0, 50, 100})
+        ys = rk4(lambda y, t: 1j * y, np.eye(1), times, {0, 50, 100}, lambda ts: (ts,))
         assert len(ys) == 3
         for t, y in zip([0.0, 0.5, 1.0], ys):
             assert abs(y[0, 0] - np.exp(1j * t)) <= 1e-9
 
     def test_near_singular_keeps_last_good_time_and_partial(self):
-        def rhs(t, y):
+        def rhs(y, t):
             if t >= 0.5:
                 raise NearSingularError("floor crossed")
             return -y
 
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NearSingularError) as excinfo:
-            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
+            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)), lambda ts: (ts,))
         # the step [0.4, 0.5] is the first whose stages reach t = 0.5
         assert excinfo.value.last_good_time == times[4]
         # the samples at times[0], times[2] and times[4] of y = exp(-t) I
@@ -908,14 +928,14 @@ class TestRk4:
             assert abs(y[0, 0] - np.exp(-t)) <= 1e-6
 
     def test_non_finite_keeps_last_good_time_and_partial(self):
-        def rhs(t, y):
+        def rhs(y, t):
             if t >= 0.5:
                 raise NonFiniteError("matrix contains NaN or Inf entries")
             return -y
 
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonFiniteError, match="non-finite state inside step") as excinfo:
-            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)))
+            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)), lambda ts: (ts,))
         assert excinfo.value.last_good_time == times[4]
         # the samples at times[0], times[2] and times[4] of y = exp(-t) I
         partial = excinfo.value.partial
@@ -925,24 +945,24 @@ class TestRk4:
 
     def test_non_finite_start_state_blames_the_previous_step(self):
         # the step [0.4, 0.5] returns NaN; the next step's rhs meets it
-        def rhs(t, y):
+        def rhs(y, t):
             if np.isnan(y).any():
                 raise NonFiniteError("matrix contains NaN or Inf entries")
             return np.full_like(y, np.nan) if t > 0.45 else -y
 
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonFiniteError, match=r"inside step \[0.4, 0.5\]") as excinfo:
-            rk4(rhs, np.eye(2), times, set(range(0, 11)))
+            rk4(rhs, np.eye(2), times, set(range(0, 11)), lambda ts: (ts,))
         assert excinfo.value.last_good_time == times[4]
         assert len(excinfo.value.partial) == 5  # times[0..4]; the NaN at times[5] is dropped
 
     def test_non_finite_final_state_is_an_error(self):
-        def rhs(t, y):
+        def rhs(y, t):
             return np.full_like(y, np.inf) if t > 0.95 else -y
 
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonFiniteError, match=r"inside step \[0.9, 1.0\]") as excinfo:
-            rk4(rhs, np.eye(2), times, {0, 9, 10})
+            rk4(rhs, np.eye(2), times, {0, 9, 10}, lambda ts: (ts,))
         assert excinfo.value.last_good_time == times[9]
         assert len(excinfo.value.partial) == 2  # times[0] and times[9]
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mesodyn.errors import (
-    InsufficientSamplesError,
     NearSingularError,
     NotHermitianGaugeError,
     NotOrthonormalError,
@@ -11,7 +10,7 @@ from mesodyn.errors import (
 )
 from mesodyn.fixed_domain import (MAGNUS_CHUNK, Trajectory, evolve_factorized, polar_init,
                                   rk4)
-from mesodyn.linalg import DEFAULT_PD_FLOOR, adjoint_pseudo_inverse, below_floor, unitary_exponential
+from mesodyn.linalg import DEFAULT_PD_FLOOR, below_floor, unitary_exponential
 from mesodyn import fixed_domain, moving_domain
 from mesodyn.moving_domain import (
     AmbientSpace,
@@ -19,11 +18,8 @@ from mesodyn.moving_domain import (
     gauge_equivalence_check,
     gauge_equivalence_checks,
     gauge_propagators,
-    image_projector,
-    moving_drift,
     moving_report,
     moving_solution,
-    weak_residual,
 )
 from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig, step_plan
 from mesodyn.verification import (
@@ -296,12 +292,11 @@ class TestAssembly:
         psi0 = random_orthonormal_columns(rng, 6, 2)
         phi0 = random_orthonormal_columns(rng, 5, 2)
         a0 = random_full_rank(rng, 2, 0.7, 1.4)
-        ops = moving_solution(space, psi0, phi0, a0,
-                              FieldProfile.constant(0.9), 1.0,
+        field = FieldProfile.constant(0.9)
+        ops = moving_solution(space, psi0, phi0, a0, field, 1.0,
                               t_end=1.0, dt=1e-2, output_stride=20)
-        p0 = image_projector(ops.ks[0])
-        for k in ops.ks:
-            assert frob(image_projector(k) - p0) <= 1e-12
+        _, image, _ = moving_report(ops, space, field, 1.0)
+        assert len(image) == len(ops.ks) and max(image) <= 1e-12
 
     def test_samples_the_plan_output_times(self, rng):
         space = diag_space([1.0, 2.0, 3.0], n=2)
@@ -348,15 +343,16 @@ class TestWeakResidual:
 
     def test_small_for_assembled_solution(self, rng):
         space, field, ops = self._assembled(rng, dt=1e-3)
-        residuals = weak_residual(ops, space, field, hbar=1.0)
-        assert max(residuals) <= 1e-5
+        residuals = moving_report(ops, space, field, hbar=1.0)[0]
+        assert residuals[0] is None and residuals[-1] is None
+        assert max(residuals[1:-1]) <= 1e-5
 
     def test_detects_corrupted_radial_part(self, rng):
         space, field, ops = self._assembled(rng, dt=1e-3)
         corrupted = Trajectory(ops.times, [(1.0 + 1e-3) * k for k in ops.ks],
                                ops.solver_tag)
-        residuals = weak_residual(corrupted, space, field, hbar=1.0)
-        assert max(residuals) >= 1e-4
+        residuals = moving_report(corrupted, space, field, hbar=1.0)[0]
+        assert max(residuals[1:-1]) >= 1e-4
 
     def test_embedded_fixed_domain_matches_factorized(self, rng):
         # full-rank square case: the assembled operator IS the factorized one
@@ -400,19 +396,21 @@ class TestWeakResidual:
         k = phi @ psi.conj().T  # rank 1, space expects 2
         samples = Trajectory(np.array([0.0, 0.1, 0.2]), [k, k, k], "moving")
         with pytest.raises(RankDeficientError):
-            weak_residual(samples, space, FieldProfile.constant(1.0), 1.0)
+            moving_report(samples, space, FieldProfile.constant(1.0), 1.0)
 
-    def test_needs_three_samples(self, rng):
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_no_residual_below_three_samples(self, samples):
+        # centered differences need both neighbours: no sample has them
         space = diag_space([1.0, 2.0], n=1)
         k = np.eye(2, dtype=complex)[:, :1] @ np.ones((1, 2))
-        with pytest.raises(InsufficientSamplesError):
-            weak_residual(Trajectory(np.array([0.0, 0.1]), [k, k], "moving"), space,
-                          FieldProfile.constant(1.0), 1.0)
+        trajectory = Trajectory(np.array([0.0, 0.1][:samples]), [k] * samples, "moving")
+        assert moving_report(trajectory, space, FieldProfile.constant(1.0), 1.0) == (
+            [None] * samples, [0.0] * samples, [0.0] * samples)
 
 
 class TestStackedMovingReport:
-    """moving_drift, weak_residual and moving_report take one stacked SVD per
-    chunk of samples; each value must keep the bits of the per-sample loop."""
+    """moving_report takes one stacked SVD per chunk of samples; each value
+    must keep the bits of the per-sample loop."""
 
     def _moving(self, rng, constant_h, samples=40, dim_h1=64, dim_h2=16, n=8):
         # (16, 64) samples: MAGNUS_CHUNK // 1024 = 16 per chunk, three chunks
@@ -434,46 +432,42 @@ class TestStackedMovingReport:
     def test_columns_match_the_per_sample_loop(self, rng, constant_h):
         space, field, ops = self._moving(rng, constant_h)
         assert MAGNUS_CHUNK // ops.ks[0].size == 16
-        image, radial = moving_drift(ops)
+        residuals, image, radial = moving_report(ops, space, field, 1.0)
         want_image, want_radial = reference_moving_drift(ops)
         assert same_floats(image, want_image) and same_floats(radial, want_radial)
-        residuals = weak_residual(ops, space, field, 1.0)
-        assert same_floats(residuals, reference_weak_residual(ops, space, field, 1.0))
-        assert moving_report(ops, space, field, 1.0) == (
-            [None, *residuals, None], image, radial)
+        assert residuals[0] is None and residuals[-1] is None
+        assert same_floats(residuals[1:-1], reference_weak_residual(ops, space, field, 1.0))
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 15, 16, 17])
     def test_lengths_around_the_chunk(self, rng, samples):
         space, field, ops = self._moving(rng, False, samples=samples)
-        image, radial = moving_drift(ops)
-        assert (image, radial) == reference_moving_drift(ops)
+        image, radial = reference_moving_drift(ops)
         residuals = [None] * samples
         if samples >= 3:
             residuals[1:-1] = reference_weak_residual(ops, space, field, 1.0)
         assert moving_report(ops, space, field, 1.0) == (residuals, image, radial)
 
     def test_mixed_ranks_in_one_chunk(self, rng):
-        space, field, ops = self._moving(rng, True, samples=20)
-        u, s, vh = np.linalg.svd(ops.ks[5], full_matrices=False)
-        s[space.n - 1] = 0.0  # rank n - 1 at the sixth sample
-        ops.ks[5] = (u * s) @ vh
-        image, radial = moving_drift(ops)
+        # rank n - 1 at the first sample and rank 0 at the last, where no
+        # residual is formed: the drifts keep the per-sample bits
+        space, field, ops = self._moving(rng, True, samples=16)
+        u, s, vh = np.linalg.svd(ops.ks[0], full_matrices=False)
+        s[space.n - 1] = 0.0
+        ops.ks[0] = (u * s) @ vh
+        ops.ks[-1] = np.zeros_like(ops.ks[-1])
+        residuals, image, radial = moving_report(ops, space, field, 1.0)
         want_image, want_radial = reference_moving_drift(ops)
         assert same_floats(image, want_image) and same_floats(radial, want_radial)
+        assert same_floats(residuals[1:-1], reference_weak_residual(ops, space, field, 1.0))
+        # rank n - 1 at the sixth sample, an interior one, raises for it
+        u, s, vh = np.linalg.svd(ops.ks[5], full_matrices=False)
+        s[space.n - 1] = 0.0
+        ops.ks[5] = (u * s) @ vh
         with pytest.raises(RankDeficientError) as expected:
             reference_weak_residual(ops, space, field, 1.0)
-        for report in (weak_residual, moving_report):
-            with pytest.raises(RankDeficientError) as raised:
-                report(ops, space, field, 1.0)
-            assert str(raised.value) == str(expected.value)
-
-    def test_single_matrix_helpers(self, rng):
-        _, _, ops = self._moving(rng, False, samples=2)
-        for k in (ops.ks[1], np.zeros((3, 2), dtype=complex)):
-            assert np.array_equal(image_projector(k), reference_image_projector(k))
-            pinv, rank = adjoint_pseudo_inverse(k)
-            want, want_rank = reference_pseudo_inverse(k)
-            assert pinv.tobytes() == want.tobytes() and rank == want_rank
+        with pytest.raises(RankDeficientError) as raised:
+            moving_report(ops, space, field, 1.0)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestGauge:
@@ -537,8 +531,8 @@ class TestGauge:
                   (c_prime, random_hermitian(rng, 2, -0.8, 0.8))]
         runs = []
 
-        def keeping_rk4(rhs, y0, times, wanted):
-            runs.append(rk4(rhs, y0, times, wanted))
+        def keeping_rk4(rhs, y0, times, wanted, coefficients):
+            runs.append(rk4(rhs, y0, times, wanted, coefficients))
             return runs[-1]
 
         monkeypatch.setattr(moving_domain, "rk4", keeping_rk4)
