@@ -52,9 +52,7 @@ from .linalg import (
     unitary_exponentials,
 )
 from .moving_domain import (
-    AmbientSpace,
     coefficient_matrix_evolution,
-    gauge_equivalence_check,
     gauge_equivalence_checks,
     gauge_propagators,
     moving_report,

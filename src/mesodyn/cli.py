@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fixed_domain import evolve_direct, evolve_factorized, evolve_series
 from .linalg import adjoint_inverse, matrix_from_json, matrix_to_json
-from .moving_domain import AmbientSpace, moving_report, moving_solution
+from .moving_domain import moving_report, moving_solution
 from .reports import (
     RunManifest,
     atomic_write_blocks,
@@ -371,23 +371,20 @@ def _moving_inputs(cfg: ScenarioConfig, doc: dict):
     if cfg.hamiltonian.dim != ambient_dim:
         raise ConfigInvalidError(
             f"hamiltonian dimension {cfg.hamiltonian.dim} != ambient_dim {ambient_dim}")
-    space = AmbientSpace(dim_h1=ambient_dim, dim_h2=phi0.shape[0], n=rank,
-                         ambient_hamiltonian=cfg.hamiltonian)
-    return space, psi0, phi0, a0
+    if psi0.shape[1] != rank:
+        raise ConfigInvalidError(f"rank {rank} != psi0's column count {psi0.shape[1]}")
+    return psi0, phi0, a0
 
 
 def _run_moving(ws: _Workspace, cfg: ScenarioConfig, doc: dict,
                 overrides: dict) -> None:
-    space, psi0, phi0, a0 = _moving_inputs(cfg, doc)
-    literal = bool(overrides.get("literal_atime", False))
+    psi0, phi0, a0 = _moving_inputs(cfg, doc)
     try:
-        trajectory = moving_solution(
-            space, psi0, phi0, a0, cfg.field, cfg.hbar, cfg.t_end, cfg.dt,
-            cfg.output_stride, cfg.pd_floor, literal=literal)
+        trajectory = moving_solution(cfg, psi0, phi0, a0,
+                                     literal=bool(overrides.get("literal_atime", False)))
     except MesodynError as exc:
         raise ConfigInvalidError(f"moving scenario rejected: {exc}") from exc
-    residuals, image, radial = moving_report(trajectory, space, cfg.field, cfg.hbar,
-                                             cfg.pd_floor)
+    residuals, image, radial = moving_report(trajectory, cfg, psi0.shape[1])
     ws.write("moving_report.csv", residual_report_csv(
         zip(trajectory.times, residuals, image, radial)))
     ws.manifest.status["image_fixed"] = "pass" if max(image) <= 1e-10 else "fail"

@@ -363,11 +363,15 @@ def matrix_from_json(obj) -> np.ndarray:
     if not all(type(n) is int and n >= 0 for n in (rows, cols)):
         raise ValueError(f"matrix literal sizes must be non-negative integers, "
                          f"got rows={rows!r}, cols={cols!r}")
+    # by type, not isinstance: a bool is an int subclass but not a JSON number
+    if not all(isinstance(e, list) and set(map(type, e)) <= {int, float}
+               for e in (obj["re"], obj["im"])):
+        raise ValueError("matrix literal re and im must be lists of JSON numbers")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"matrix literal entries must be numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"matrix literal entries must be finite numbers: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(
             f"matrix literal has {re.size} re / {im.size} im entries, "

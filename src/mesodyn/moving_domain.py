@@ -23,11 +23,16 @@ which is only correct for positive-definite A0.  So K(t) is
 (phi0 U) diag(s v(t)) W(t) with W(0) = V* psi0*, assembled by
 ``fixed_domain.factorized_samples`` as the fixed-domain solution is;
 ``moving_solution`` returns it as a ``Trajectory`` tagged "moving".
+
+``moving_solution``, ``moving_report`` and ``gauge_equivalence_checks``
+take their scenario as the fixed domain's routes do, a ``ScenarioConfig``;
+the two that integrate step to its knots.  Its ``hamiltonian`` is the
+ambient H and its ``initial_k`` is not read; the dimensions come from the
+frames: psi0 is M x n with M the dimension of H, phi0 is m x n and a0 is
+n x n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,35 +55,10 @@ from .linalg import (
     svd_pseudo_inverse,
     unitary_defect,
 )
-from .scenario import FieldProfile, HamiltonianProfile, step_plan
+from .scenario import FieldProfile, ScenarioConfig, step_plan
 
 FRAME_ORTHONORMAL_TOL = 1e-10
 _GAUGE_HERMITIAN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """Finite proxy for the two ambient Hilbert spaces.
-
-    dim_h1 is the ambient domain dimension M, dim_h2 the ambient image
-    dimension, n the rank of the operator, and ambient_hamiltonian the
-    positive-definite profile acting on the domain space.
-    """
-
-    dim_h1: int
-    dim_h2: int
-    n: int
-    ambient_hamiltonian: HamiltonianProfile
-
-    def check(self) -> None:
-        if self.n < 1 or self.dim_h1 < self.n or self.dim_h2 < self.n:
-            raise ShapeMismatchError(
-                f"need 1 <= n <= min(dim_h1, dim_h2), got n={self.n}, "
-                f"dim_h1={self.dim_h1}, dim_h2={self.dim_h2}")
-        if self.ambient_hamiltonian.dim != self.dim_h1:
-            raise ShapeMismatchError(
-                f"ambient hamiltonian dimension {self.ambient_hamiltonian.dim} "
-                f"!= dim_h1 {self.dim_h1}")
 
 
 def require_orthonormal_columns(m) -> np.ndarray:
@@ -105,40 +85,37 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     return [(u * (s * v)) @ right for v in magnetic_factor(s, field, hbar, times)]
 
 
-def _image_and_coefficients(space: AmbientSpace, psi0, phi0, a0):
-    """The checked domain frame (dim_h1 x n), image basis (dim_h2 x n) and
-    coefficient matrix (n x n)."""
-    space.check()
+def _image_and_coefficients(cfg: ScenarioConfig, psi0, phi0, a0):
+    """The checked domain frame (M x n, M the ambient H's dimension), image
+    basis (m x n) and coefficient matrix (n x n)."""
     frame = require_orthonormal_columns(psi0)
-    if frame.shape != (space.dim_h1, space.n):
-        raise ShapeMismatchError(
-            f"psi0 must be {space.dim_h1} x {space.n}, got {frame.shape}")
+    (dim, n), ambient = frame.shape, cfg.hamiltonian.dim
+    if dim != ambient or n < 1:
+        raise ShapeMismatchError(f"psi0 must be {ambient} x n with n >= 1, got {frame.shape}")
     image = require_orthonormal_columns(phi0)
-    if image.shape != (space.dim_h2, space.n):
-        raise ShapeMismatchError(
-            f"phi0 must be {space.dim_h2} x {space.n}, got {image.shape}")
+    if image.shape[1] != n:
+        raise ShapeMismatchError(f"phi0 must have psi0's {n} columns, got {image.shape}")
     a = as_matrix(a0)
-    if a.shape != (space.n, space.n):
-        raise ShapeMismatchError(f"a0 must be {space.n} x {space.n}, got {a.shape}")
+    if a.shape != (n, n):
+        raise ShapeMismatchError(f"a0 must be {n} x {n}, got {a.shape}")
     return frame, image, a
 
 
-def moving_solution(space: AmbientSpace, psi0, phi0, a0, field: FieldProfile,
-                    hbar: float, t_end: float, dt: float, output_stride: int = 1,
-                    pd_floor: float = DEFAULT_PD_FLOOR,
+def moving_solution(cfg: ScenarioConfig, psi0, phi0, a0,
                     literal: bool = False) -> Trajectory:
-    """The extended operator K(t) = phi0 . A'(t) . psi(t)*, tagged "moving".
+    """The extended operator K(t) = phi0 . A'(t) . psi(t)*, tagged "moving",
+    at the output times of ``cfg.plan()``.
 
     The inputs are checked and a0's SVD taken (rejecting a singular a0)
     before the frame evolves.  The image of every sample is span(phi0)
     and the rank is exactly n.
     """
-    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
-    u, s, vh = polar_init(a0, pd_floor)
+    frame, image, a0 = _image_and_coefficients(cfg, psi0, phi0, a0)
+    u, s, vh = polar_init(a0, cfg.pd_floor)
     right = u.conj().T if literal else vh
-    plan = step_plan(t_end, dt, output_stride, space.ambient_hamiltonian.times + field.times)
+    plan = cfg.plan()
     return Trajectory(plan.output_times, factorized_samples(
-        image @ u, s, right @ frame.conj().T, space.ambient_hamiltonian, field, hbar,
+        image @ u, s, right @ frame.conj().T, cfg.hamiltonian, cfg.field, cfg.hbar,
         plan), "moving")
 
 
@@ -150,27 +127,26 @@ def _image_projectors(u, keep) -> np.ndarray:
     return np.stack([c @ c.conj().T for c in (m[:, kept] for m, kept in zip(u, keep))])
 
 
-def moving_report(trajectory: Trajectory, space: AmbientSpace, field: FieldProfile,
-                  hbar: float, pd_floor: float = DEFAULT_PD_FLOOR) -> tuple:
+def moving_report(trajectory: Trajectory, cfg: ScenarioConfig, rank: int) -> tuple:
     """(weak_residuals, image_drifts, radial_drifts), one entry each per sample.
 
     image_drift is ||P(t) - P(0)||_F for the image projectors P, radial_drift
     ||K K*(t) - K K*(0)||_F; both vanish for an exact moving solution.  The
     weak residual tests the defining equation on the ambient basis: with
     dK/dt the centered difference and (K*)^-1 the zero-extended
-    pseudo-inverse at rank n, it is the max over ambient basis vectors of the
-    residual column norm.  For assembled solutions it decays at second order
-    in the sample spacing.  It exists at interior samples only: it is None at
-    the two ends, and at every sample of a trajectory shorter than 3.
+    pseudo-inverse at rank ``rank``, it is the max over ambient basis vectors
+    of the residual column norm, with the scenario's H, B and hbar.  For
+    assembled solutions it decays at second order in the sample spacing.
+    It exists at interior samples only: it is None at the two ends, and at
+    every sample of a trajectory shorter than 3.
 
     The samples go through in chunks of max(1, MAGNUS_CHUNK // (rows *
     cols)): one stacked thin SVD per chunk, whose floor mask (singular values
-    at or below ``pd_floor`` times the largest count as zeros) serves both
+    at or below ``cfg.pd_floor`` times the largest count as zeros) serves both
     the projectors and the pseudo-inverses.  Each value has the bits of its
     sample evaluated alone, and a rank-deficient interior sample raises
     RankDeficientError for the first one.
     """
-    space.check()
     ks = trajectory.ks
     rows, cols = ks[0].shape
     size = max(1, MAGNUS_CHUNK // (rows * cols))
@@ -178,7 +154,7 @@ def moving_report(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
     for start in range(0, len(ks), size):
         stack = np.stack(ks[start:start + size])
         u, s, vh = np.linalg.svd(stack, full_matrices=False)
-        keep = ~below_floor(s, s[:, :1], pd_floor)
+        keep = ~below_floor(s, s[:, :1], cfg.pd_floor)
         projectors = _image_projectors(u, keep)
         grams = stack @ stack.conj().swapaxes(-1, -2)
         if not start:
@@ -190,26 +166,26 @@ def moving_report(trajectory: Trajectory, space: AmbientSpace, field: FieldProfi
             inner = slice(lo - start, hi - start)
             interior += _weak_residuals(trajectory, lo, hi, stack[inner],
                                         (u[inner], s[inner], vh[inner], keep[inner]),
-                                        space, field, hbar)
+                                        cfg, rank)
     residuals = [None, *interior, None] if len(ks) >= 3 else [None] * len(ks)
     return residuals, image, radial
 
 
 def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, factors,
-                    space: AmbientSpace, field: FieldProfile, hbar: float) -> list:
+                    cfg: ScenarioConfig, rank: int) -> list:
     """The weak residuals at the interior samples lo..hi-1, whose K form
     ``stack``; ``factors`` holds their thin SVDs (u, s, vh) and floor masks."""
     ks, times = trajectory.ks, trajectory.times
     ranks = np.count_nonzero(factors[-1], axis=-1)
-    deficient = np.flatnonzero(ranks != space.n)
+    deficient = np.flatnonzero(ranks != rank)
     if deficient.size:
         j = int(deficient[0])
         raise RankDeficientError(f"sample at t={float(times[lo + j])} has rank "
-                                 f"{int(ranks[j])}, expected {space.n}")
+                                 f"{int(ranks[j])}, expected {rank}")
     spans = times[lo + 1:hi + 1] - times[lo - 1:hi - 1]
     kdot = (np.stack(ks[lo + 1:hi + 1]) - np.stack(ks[lo - 1:hi - 1])) / spans[:, None, None]
-    b = np.array([field.sample(t) for t in times[lo:hi].tolist()])
-    out = (1j * hbar * kdot + stack @ space.ambient_hamiltonian.samples(times[lo:hi])
+    b = np.array([cfg.field.sample(t) for t in times[lo:hi].tolist()])
+    out = (1j * cfg.hbar * kdot + stack @ cfg.hamiltonian.samples(times[lo:hi])
            + (b * b)[:, None, None] * svd_pseudo_inverse(*factors))
     return np.max(np.linalg.norm(out, axis=-2), axis=-1).tolist()
 
@@ -265,12 +241,10 @@ def _gauge_propagators(c1, c2, n: int, times, hbar: float) -> tuple:
             unitary_propagator(eye, c2, times, every, hbar))
 
 
-def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
-                             field: FieldProfile, hbar: float, t_end: float,
-                             dt: float, gauges,
-                             pd_floor: float = DEFAULT_PD_FLOOR) -> list:
+def gauge_equivalence_checks(cfg: ScenarioConfig, psi0, phi0, a0, gauges) -> list:
     """Max distance between the gauged and the gauge-free assembled operator,
-    one per (C', C'') pair in ``gauges``.
+    one per (C', C'') pair in ``gauges``, on the fine grid of ``cfg`` with a
+    step time at each of its knots.
 
     The gauge-free (primed) solution uses the free frame and the closed
     coefficient form, computed once, and its operator is formed once per
@@ -283,14 +257,15 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
     alone.  Gauge invariance of the physical operator makes the distance
     vanish up to integration accuracy.
     """
-    frame, image, a0 = _image_and_coefficients(space, psi0, phi0, a0)
-    times = step_plan(t_end, dt, 1, space.ambient_hamiltonian.times + field.times).times
+    frame, image, a0 = _image_and_coefficients(cfg, psi0, phi0, a0)
+    n, hbar, field = len(a0), cfg.hbar, cfg.field
+    times = step_plan(cfg.t_end, cfg.dt, 1, cfg.knots).times
     # a singular a0 and a bad constant gauge are rejected before the frame evolves
-    a_primed = coefficient_matrix_evolution(a0, field, hbar, times, pd_floor)
-    c1s, c2s = zip(*[(_as_gauge(c1, space.n), _as_gauge(c2, space.n)) for c1, c2 in gauges])
-    bras = unitary_propagator(frame.conj().T, space.ambient_hamiltonian.generator(),
+    a_primed = coefficient_matrix_evolution(a0, field, hbar, times, cfg.pd_floor)
+    c1s, c2s = zip(*[(_as_gauge(c1, n), _as_gauge(c2, n)) for c1, c2 in gauges])
+    bras = unitary_propagator(frame.conj().T, cfg.hamiltonian.generator(),
                               times, range(len(times)), hbar)
-    propagators = [_gauge_propagators(c1, c2, space.n, times, hbar)
+    propagators = [_gauge_propagators(c1, c2, n, times, hbar)
                    for c1, c2 in zip(c1s, c2s)]
 
     def coefficients(ts: list) -> tuple:
@@ -302,7 +277,7 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
 
     # RK4 for i*hbar dA/dt = -C' A - A C'' - B^2 (A*)^-1
     def rhs(a: np.ndarray, c1: np.ndarray, c2: np.ndarray, b2: float) -> np.ndarray:
-        return (1j / hbar) * (c1 @ a + a @ c2 + b2 * adjoint_inverse(a, pd_floor))
+        return (1j / hbar) * (c1 @ a + a @ c2 + b2 * adjoint_inverse(a, cfg.pd_floor))
 
     a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)), coefficients)
     worst = [0.0] * len(c1s)
@@ -312,12 +287,3 @@ def gauge_equivalence_checks(space: AmbientSpace, psi0, phi0, a0,
             k_u = (image @ g1s[j]) @ a_g[m] @ (g2s[j].conj().T @ bra)
             worst[m] = max(worst[m], float(np.linalg.norm(k_u - k_p)))
     return worst
-
-
-def gauge_equivalence_check(space: AmbientSpace, psi0, phi0, a0,
-                            field: FieldProfile, hbar: float, t_end: float,
-                            dt: float, c_prime, c_double_prime,
-                            pd_floor: float = DEFAULT_PD_FLOOR) -> float:
-    """The one-pair case of ``gauge_equivalence_checks``."""
-    return gauge_equivalence_checks(space, psi0, phi0, a0, field, hbar, t_end, dt,
-                                    [(c_prime, c_double_prime)], pd_floor)[0]

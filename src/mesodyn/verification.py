@@ -39,12 +39,7 @@ from .fixed_domain import (  # evolve_direct stays importable here for perfbench
     polar_init,
 )
 from .linalg import adjoint_inverse, hermitian_part, unitary_exponential
-from .moving_domain import (
-    AmbientSpace,
-    gauge_equivalence_checks,
-    moving_report,
-    moving_solution,
-)
+from .moving_domain import gauge_equivalence_checks, moving_report, moving_solution
 from .scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
 
 
@@ -379,48 +374,47 @@ def check_magnus_order(seed: int) -> list:
 
 
 def _moving_setup(rng: np.random.Generator, dim_h1: int = 8, dim_h2: int = 5,
-                  n: int = 3, t_end: float = 1.0):
-    space = AmbientSpace(
-        dim_h1=dim_h1, dim_h2=dim_h2, n=n,
-        ambient_hamiltonian=random_drifting_hamiltonian(rng, dim_h1, t_end))
+                  n: int = 3) -> tuple:
+    """(cfg, psi0, phi0, a0): a drifting ambient H of dimension dim_h1 and a
+    sinusoidal B on [0, 1] at dt = 1e-3, frames of rank n."""
+    hamiltonian = random_drifting_hamiltonian(rng, dim_h1, 1.0)
     psi0 = random_orthonormal_columns(rng, dim_h1, n)
     phi0 = random_orthonormal_columns(rng, dim_h2, n)
     a0 = random_full_rank(rng, n, 0.7, 1.4)
-    return space, psi0, phi0, a0, random_sinusoid(rng)
+    cfg = ScenarioConfig(hbar=1.0, hamiltonian=hamiltonian, field=random_sinusoid(rng),
+                         initial_k=None, t_end=1.0, dt=1e-3, output_stride=10)
+    return cfg, psi0, phi0, a0
 
 
 def check_moving_domain(seed: int) -> list:
     """Image fixedness, radial conservation, weak-residual order, 1x1 form."""
     rng_main, rng_rank1 = _child_rngs(seed, 2)
-    space, psi0, phi0, a0, field = _moving_setup(rng_main)
-    trajectory = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=1.0,
-                                 dt=1e-3, output_stride=10)
-    _, image, radial = moving_report(trajectory, space, field, hbar=1.0)
+    cfg, psi0, phi0, a0 = _moving_setup(rng_main)
+    n = len(a0)
+    _, image, radial = moving_report(moving_solution(cfg, psi0, phi0, a0), cfg, n)
     image_drift = max(image)
     radial_drift = max(radial)
 
     # Weak-residual order study on a refined grid.
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        ops = moving_solution(space, psi0, phi0, a0, field, hbar=1.0, t_end=0.5,
-                              dt=dt, output_stride=1)
-        errors.append(max(moving_report(ops, space, field, hbar=1.0)[0][1:-1]))
+        fine = replace(cfg, t_end=0.5, dt=dt, output_stride=1)
+        residuals = moving_report(moving_solution(fine, psi0, phi0, a0), fine, n)[0]
+        errors.append(max(residuals[1:-1]))
 
     # Rank-one closed form: constant diagonal ambient H, constant B.
     dim = 6
     energies = np.sort(rng_rank1.uniform(0.5, 2.5, size=dim))
-    space1 = AmbientSpace(
-        dim_h1=dim, dim_h2=4, n=1,
-        ambient_hamiltonian=HamiltonianProfile.constant(np.diag(energies).astype(complex)))
+    h_ambient = np.diag(energies).astype(complex)
     psi1 = random_orthonormal_columns(rng_rank1, dim, 1)
     phi1 = random_orthonormal_columns(rng_rank1, 4, 1)
     r0 = float(rng_rank1.uniform(0.7, 1.4))
     phase0 = float(rng_rank1.uniform(0.0, 2.0 * np.pi))
     a1 = np.array([[r0 * np.exp(1j * phase0)]])
     b = float(rng_rank1.uniform(0.3, 1.0))
-    ops1 = moving_solution(space1, psi1, phi1, a1, FieldProfile.constant(b),
-                           hbar=1.0, t_end=1.0, dt=1e-3, output_stride=100)
-    h_ambient = space1.ambient_hamiltonian.samples([0.0])[0]
+    ops1 = moving_solution(replace(cfg, hamiltonian=HamiltonianProfile.constant(h_ambient),
+                                   field=FieldProfile.constant(b), output_stride=100),
+                           psi1, phi1, a1)
     worst_rank1 = 0.0
     for t, k in zip(ops1.times.tolist(), ops1.ks):
         psi_t = unitary_exponential(h_ambient, -t) @ psi1
@@ -445,9 +439,7 @@ def check_moving_full_rank_reduction(seed: int) -> list:
     (rng,) = _child_rngs(seed, 1)
     cfg = random_scenario(rng, 3, t_end=1.0, dt=1e-2, output_stride=10)
     u, s, vh = polar_init(cfg.initial_k)
-    space = AmbientSpace(dim_h1=3, dim_h2=3, n=3, ambient_hamiltonian=cfg.hamiltonian)
-    moving = moving_solution(space, vh.conj().T, u, np.diag(s).astype(complex),
-                             cfg.field, cfg.hbar, cfg.t_end, cfg.dt, cfg.output_stride)
+    moving = moving_solution(cfg, vh.conj().T, u, np.diag(s).astype(complex))
     fact = evolve_factorized(cfg)
     worst = max(float(np.linalg.norm(m - f) / np.linalg.norm(f))
                 for m, f in zip(moving.ks, fact.ks))
@@ -457,11 +449,10 @@ def check_moving_full_rank_reduction(seed: int) -> list:
 def check_gauge_equivalence(seed: int) -> list:
     """Two valid gauges of the same data produce the same physical operator."""
     (rng,) = _child_rngs(seed, 1)
-    space, psi0, phi0, a0, field = _moving_setup(rng, dim_h1=6, dim_h2=5, n=2)
-    gauges = [(random_hermitian(rng, space.n, -0.8, 0.8),
-               random_hermitian(rng, space.n, -0.8, 0.8)) for _ in range(2)]
-    distances = gauge_equivalence_checks(space, psi0, phi0, a0, field, hbar=1.0,
-                                         t_end=1.0, dt=1e-3, gauges=gauges)
+    cfg, psi0, phi0, a0 = _moving_setup(rng, dim_h1=6, dim_h2=5, n=2)
+    gauges = [(random_hermitian(rng, len(a0), -0.8, 0.8),
+               random_hermitian(rng, len(a0), -0.8, 0.8)) for _ in range(2)]
+    distances = gauge_equivalence_checks(cfg, psi0, phi0, a0, gauges)
     # Each gauged assembly is compared to the shared gauge-free one, so the
     # distance between the two gauged assemblies is bounded by the sum.
     return [_result("gauge_equivalence", float(sum(distances)), 1e-8)]

@@ -758,6 +758,28 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert err.startswith("mesodyn: invalid config:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("verb, literal", [
+        ("simulate", ("hamiltonian", "matrix")), ("simulate", ("initial_k",)),
+        ("moving", ("psi0",)), ("moving", ("phi0",)), ("moving", ("coeff_a0",)),
+        ("critical", ("unitary",)), ("flux", ("upsilon",)),
+    ], ids=["H", "K0", "psi0", "phi0", "coeff_a0", "unitary", "upsilon"])
+    @pytest.mark.parametrize("part, entry", [
+        ("re", "1.0"), ("re", True), ("im", "0.0"), ("im", False),
+    ], ids=["re_string", "re_bool", "im_string", "im_bool"])
+    def test_matrix_entries_must_be_json_numbers(self, verb, literal, part, entry,
+                                                 tmp_path, capsys):
+        doc = fuzz_documents()[0]
+        matrix = doc
+        for key in literal:
+            matrix = matrix[key]
+        matrix[part][0] = entry
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps(doc))
+        assert_config_rejected([verb, "--config", str(config)], tmp_path / "out")
+        err = capsys.readouterr().err
+        assert err.startswith("mesodyn: invalid config:") and "Traceback" not in err
+        assert "lists of JSON numbers" in err
+
     def test_integral_float_stride_is_an_integer(self, rng, tmp_path):
         config = write_scenario(tmp_path / "s.json", small_config(rng),
                                 extra={"output_stride": 250.0})
@@ -811,12 +833,16 @@ class TestHostileInputs:
         (2, 2, {"ambient_dim": [4]}),
         (2, 2, {"psi0": malformed(np.eye(4)[:, :2], rows=None)}),
         (2, 2, {"psi0": malformed(np.eye(4)[:, :2], re={})}),
+        (2, 2, {"rank": 3}),
+        (2, 2, {"ambient_dim": 5}),
     ], ids=["coeff_a0_not_rank_square", "phi0_columns_not_rank", "rank_null",
-            "ambient_dim_list", "psi0_rows_null", "psi0_re_object"])
-    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, changes, rng, tmp_path):
+            "ambient_dim_list", "psi0_rows_null", "psi0_re_object",
+            "rank_not_psi0_columns", "ambient_dim_not_hamiltonian_dim"])
+    def test_moving_shape_mismatch(self, phi0_cols, a0_dim, changes, rng, tmp_path, capsys):
         a0 = random_full_rank(rng, a0_dim, 0.7, 1.4)
         config = self.moving_config(rng, tmp_path, phi0_cols, a0, changes)
         assert_config_rejected(["moving", "--config", config], tmp_path / "out")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_moving_singular_coeff_a0(self, rng, tmp_path):
         config = self.moving_config(rng, tmp_path, 2, np.diag([1.0, 0.0]))

@@ -355,8 +355,10 @@ class TestJsonLiteral:
         {"rows": None}, {"cols": "1"}, {"rows": 1.0}, {"rows": True}, {"rows": -1},
         {"re": {}}, {"im": None}, {"re": ["x"]}, {"re": [[1.0]]},
         {"re": [float("nan")]}, {"im": [float("inf")]},
+        {"re": ["1.5"]}, {"re": [True]}, {"im": ["0.0"]}, {"im": [False]},
     ], ids=["rows_null", "cols_string", "rows_float", "rows_bool", "rows_negative",
-            "re_object", "im_null", "re_text", "re_nested", "re_nan", "im_inf"])
+            "re_object", "im_null", "re_text", "re_nested", "re_nan", "im_inf",
+            "re_numeric_string", "re_bool", "im_numeric_string", "im_bool"])
     def test_rejects_malformed_literal(self, fields):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 1, "re": [1.0], "im": [0.0], **fields})
