@@ -2,10 +2,13 @@
 
 Verbs: simulate, compare, critical, moving, flux, verify.  Every verb
 writes its artifacts atomically into the output directory and finishes
-with a run.json manifest.  Exit codes: 0 success, 1 failed check,
-2 usage, 3 invalid config, 4 near-singular (partial outputs retained),
-5 I/O failure, 6 solver precondition not met (series truncation
-dominates, or the series solver given time-dependent coefficients).
+with a run.json manifest.  Exit codes, each carried by its error class
+as ``exit_code``: 0 success, 1 failed check or another package error (a
+non-finite direct run, partial outputs retained), 2 usage, 3 invalid
+config (a critical scenario with B(0) = 0 too), 4 near-singular (partial
+outputs retained), 5 I/O failure, 6 solver precondition not met (series
+truncation dominates, or the series solver given time-dependent
+coefficients).
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from .errors import (
     MesodynError,
     NearSingularError,
     NonFiniteError,
-    RequiresConstantCoefficientsError,
-    TruncationDominatesError,
     UsageError,
 )
-from .fixed_domain import evolve_direct, evolve_factorized, evolve_series
+from .fixed_domain import evolve_direct, evolve_factorized, evolve_series, max_distance
 from .linalg import adjoint_inverse, matrix_from_json, matrix_to_json
 from .moving_domain import moving_report, moving_solution
 from .reports import (
@@ -310,8 +311,7 @@ def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
     names = sorted(trajectories)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            distance = max(float(np.linalg.norm(ka - kb))
-                           for ka, kb in zip(trajectories[a].ks, trajectories[b].ks))
+            distance = max_distance(trajectories[a].ks, trajectories[b].ks)
             status = "pass" if distance <= COMPARE_TOLERANCE else "fail"
             rows.append((f"{a}_vs_{b}", distance, COMPARE_TOLERANCE, status))
             ws.manifest.status[f"{a}_vs_{b}"] = status
@@ -323,6 +323,8 @@ def _run_compare(ws: _Workspace, cfg: ScenarioConfig, overrides: dict) -> None:
 def _run_critical(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
     h = cfg.hamiltonian.samples([0.0])[0]
     b = cfg.field.sample(0.0)
+    if b == 0.0:  # K_nu = B(0) U (nu - H)^(-1/2) would be the zero matrix
+        raise ConfigInvalidError("critical needs a nonzero field at t = 0, got B(0) = 0.0")
     nu = doc.get("nu")
     if nu is None:
         nu = float(np.linalg.eigvalsh(h)[-1]) + 1.0
@@ -504,31 +506,16 @@ def run(cmd: Command) -> RunManifest:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cmd = parse_command(argv)
-    except UsageError as exc:
-        print(f"mesodyn: {exc}", file=sys.stderr)
-        return 2
-    try:
-        manifest = run(cmd)
-    except UsageError as exc:
-        print(f"mesodyn: {exc}", file=sys.stderr)
-        return 2
-    except ConfigInvalidError as exc:
-        print(f"mesodyn: invalid config: {exc}", file=sys.stderr)
-        return 3
-    except NearSingularError as exc:
-        print(f"mesodyn: near-singular: {exc} "
-              f"(last good time {exc.last_good_time})", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"mesodyn: i/o error: {exc}", file=sys.stderr)
-        return 5
-    except (TruncationDominatesError, RequiresConstantCoefficientsError) as exc:
-        print(f"mesodyn: solver precondition not met: {exc}", file=sys.stderr)
-        return 6
-    except MesodynError as exc:
-        print(f"mesodyn: {exc}", file=sys.stderr)
-        return 1
+        manifest = run(parse_command(argv))
+    except (MesodynError, OSError) as exc:
+        # an error class carries its exit code and label; an OSError is exit 5
+        code, label = getattr(exc, "exit_code", 5), getattr(exc, "label", "i/o error")
+        line = f"{label}: {exc}" if label else str(exc)
+        last_good_time = getattr(exc, "last_good_time", None)
+        if last_good_time is not None:
+            line += f" (last good time {last_good_time})"
+        print(f"mesodyn: {line}", file=sys.stderr)
+        return code
     failed = [name for name, value in manifest.status.items() if value != "pass"]
     if failed:
         print(f"mesodyn: failed checks: {', '.join(sorted(failed))}",

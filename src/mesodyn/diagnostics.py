@@ -54,19 +54,9 @@ def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> flo
     The log-determinant is evaluated as the sum of eigenvalue logs of
     K K*, which survives dimension growth without overflow.
     """
-    a = require_square(k)
-    gram = hermitian_part(a @ a.conj().T)
-    electronic, entropy = _energy_terms(a, hermitian(h), gram, pd_floor)
-    return electronic + (b * b) * entropy
-
-
-def _energy_terms(k, h, gram, pd_floor: float) -> tuple[float, float]:
-    """(trace(K H K*), log det(K K*)) from one eigvalsh of gram = K K*.
-
-    Trusts its inputs: K square, H exactly Hermitian.
-    """
-    w = _gram_eigenvalues(gram, pd_floor)
-    return float(np.trace(k @ h @ k.conj().T).real), float(np.sum(np.log(w)))
+    a, hm = require_square(k), hermitian(h)
+    w = _gram_eigenvalues(hermitian_part(a @ a.conj().T), pd_floor)
+    return float(np.trace(a @ hm @ a.conj().T).real) + (b * b) * float(np.sum(np.log(w)))
 
 
 def _gram_eigenvalues(gram, pd_floor: float) -> np.ndarray:
@@ -159,15 +149,15 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     itself; at interior samples both converge at second order in the
     sample spacing.
 
-    The samples go through in (c, n, n) stacks, c = max(1, MAGNUS_CHUNK //
-    n**2): per stack one K K*, which serves both the log-determinant and
-    the drift, one eigvalsh and one R^-1 K.  Every value has the bits of
-    its sample evaluated alone, and a stack holding a failing sample
-    raises that sample's own error: the first failing sample's, in the
-    order a per-sample loop checks them.
+    The samples go through in (c, n, n) slices of ``trajectory.ks``,
+    c = max(1, MAGNUS_CHUNK // n**2): per slice one K K*, which serves both
+    the log-determinant and the drift, one eigvalsh and one R^-1 K.  Every
+    value has the bits of its sample evaluated alone, and a slice holding a
+    failing sample raises that sample's own error: the first failing
+    sample's, in the order a per-sample loop checks them.
     """
     times, ks = trajectory.times, trajectory.ks
-    if not ks:
+    if not len(ks):
         raise InsufficientSamplesError("empty trajectory")
     rates = len(ks) >= 2  # a time derivative needs two samples
     u, s, _ = polar_init(ks[0], cfg.pd_floor)
@@ -176,11 +166,12 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     b_samples = np.array([cfg.field.sample(float(t)) for t in times])
     h_dot = (np.gradient(h_samples, times, axis=0)
              if rates and not cfg.hamiltonian.is_constant() else None)
-    n = ks[0].shape[0]
+    n = ks.shape[-1]
     size = max(1, MAGNUS_CHUNK // (n * n))
     electronic, entropy, h_rate, gram_drift, defect = [], [], [], [], []
     for start in range(0, len(ks), size):
-        stack = np.stack(ks[start:start + size])
+        window = slice(start, start + size)
+        stack = ks[window]
         adjoint = stack.conj().swapaxes(-1, -2)
         grams = stack @ adjoint
         hermitian_part(grams, out=grams)
@@ -196,7 +187,6 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
             raise
         if not start:
             gram0 = grams[0].copy()
-        window = slice(start, start + size)
         electronic.append(_traces(stack, h_samples[window], adjoint))
         entropy.append(np.sum(np.log(w), axis=-1))
         if h_dot is not None:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class MesodynError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: the command line exits with
+    ``exit_code`` and prefixes its stderr line with ``label``."""
+
+    exit_code, label = 1, ""
 
 
 class _EvolutionStop(MesodynError):
@@ -12,8 +15,8 @@ class _EvolutionStop(MesodynError):
 
     For mid-flight failures of the direct integrator, ``last_good_time``
     holds the last completed step time and ``partial`` the samples emitted
-    before the failure: the list of states from ``rk4``, which the direct
-    solver turns into a Trajectory on its output grid.
+    before the failure: the prefix of ``rk4``'s output array, which the
+    direct solver turns into a Trajectory on its output grid.
     """
 
     def __init__(self, message, last_good_time=None, partial=None):
@@ -41,6 +44,8 @@ class ShapeMismatchError(MesodynError):
 class NearSingularError(_EvolutionStop):
     """A conditioning floor was crossed (det K -> 0 regime)."""
 
+    exit_code, label = 4, "near-singular"
+
 
 class OutOfDomainError(MesodynError):
     """A time profile was sampled outside its domain."""
@@ -49,9 +54,13 @@ class OutOfDomainError(MesodynError):
 class RequiresConstantCoefficientsError(MesodynError):
     """The power-series solver needs constant Hamiltonian and field profiles."""
 
+    exit_code, label = 6, "solver precondition not met"
+
 
 class TruncationDominatesError(MesodynError):
     """The truncated series' first omitted term exceeds the accuracy budget."""
+
+    exit_code, label = 6, "solver precondition not met"
 
 
 class NotOrthonormalError(MesodynError):
@@ -88,6 +97,8 @@ class ConfigInvalidError(MesodynError):
     ``report`` carries the ValidationReport when validation produced one.
     """
 
+    exit_code, label = 3, "invalid config"
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -95,6 +106,8 @@ class ConfigInvalidError(MesodynError):
 
 class UsageError(MesodynError):
     """Command line could not be parsed."""
+
+    exit_code = 2
 
 
 class ConvergenceWarning(UserWarning):

@@ -26,8 +26,8 @@ and gauge evolutions: classical RK4 (``rk4``) and ``unitary_propagator``
 for i*hbar*dU/dt = -U G, factors from the right (exact for a constant G,
 fourth-order Magnus products for a time-dependent one, sampled, formed and
 eigendecomposed a chunk of steps at a time).  Both return only their
-matrices, one per wanted time; ``factorized_samples`` assembles
-U diag(s v(t)) W(t) for both domains.
+matrices, as one (T, ...) array with a row per wanted time;
+``factorized_samples`` assembles U diag(s v(t)) W(t) for both domains.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
+    frobenius_norms,
     full_rank_svd,
     hermitian_part,
     require_square,
@@ -74,12 +75,21 @@ MAGNUS_CHUNK = 16384
 class Trajectory:
     """K sampled on the step plan's output times: ``ks[i]`` at ``times[i]``.
 
+    ``ks`` is one C-contiguous complex128 array of shape (T, rows, cols).
     A run that stopped holds the plan's first ``len(ks)`` output times.
     """
 
     times: np.ndarray
-    ks: list
+    ks: np.ndarray
     solver_tag: str
+
+
+def max_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max_i ||a_i - b_i||_F of two (T, m, n) stacks, NaN if any is, with a per-sample
+    loop's bits; the differences are formed MAGNUS_CHUNK entries (or one sample) at a time."""
+    size = max(1, MAGNUS_CHUNK // a[0].size)
+    return float(np.max([np.max(frobenius_norms(a[i:i + size] - b[i:i + size]))
+                         for i in range(0, len(a), size)]))
 
 
 def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR):
@@ -92,15 +102,16 @@ def polar_init(k0, pd_floor: float = DEFAULT_PD_FLOOR):
     return full_rank_svd(require_square(k0), pd_floor)
 
 
-def unitary_propagator(u0: np.ndarray, generator, times, wanted, hbar: float) -> list:
-    """Time-ordered U(t) = u0 . exp(i Int G dt' / hbar), one per wanted time.
+def unitary_propagator(u0: np.ndarray, generator, times, wanted, hbar: float) -> np.ndarray:
+    """Time-ordered U(t) = u0 . exp(i Int G dt' / hbar), a row per wanted time.
 
     U solves i*hbar*dU/dt = -U G with U(0) = u0 (u0 may be rectangular);
-    ``times`` is the step grid, ``wanted`` the indices returned.  The
-    generator picks the method.  A Hermitian matrix G is exact: one
-    eigendecomposition gives exp(i G t / hbar) at every wanted time.  A
-    sampler ``times -> (T, n, n)`` stack of G(t) takes the fourth-order
-    Magnus step at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt:
+    ``times`` is the step grid, ``wanted`` the indices returned, in
+    increasing order, as one array.  The generator picks the method.  A
+    Hermitian matrix G is exact: one eigendecomposition gives the stack of
+    exp(i G t / hbar) at every wanted time.  A sampler ``times -> (T, n, n)``
+    stack of G(t) takes the fourth-order Magnus step at the two
+    Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt:
     with G1, G2 sampled there, step by step exp(i dt M / hbar),
     M = (G1 + G2)/2 + (i sqrt(3) dt / (12 hbar)) [G1, G2].  Fourth order,
     exactly unitary; the commutator's sign is that of factors on the right.
@@ -116,22 +127,27 @@ def unitary_propagator(u0: np.ndarray, generator, times, wanted, hbar: float) ->
     stacked operation applies a single step's floating point operations,
     so the product is bit-identical to stepping one at a time.
     """
-    if not callable(generator):
-        exps = unitary_exponentials(
-            generator, [float(times[i]) / hbar for i in sorted(wanted)])
-        return [u0 @ e for e in exps]
     times = np.asarray(times, dtype=np.float64)
-    n = u0.shape[-1]
-    chunk = max(1, MAGNUS_CHUNK // (n * n))
+    if not callable(generator):
+        return u0 @ unitary_exponentials(generator, times[sorted(wanted)] / hbar)
+    chunk = max(1, MAGNUS_CHUNK // u0.shape[-1] ** 2)
     u = u0
-    out = [u0.copy()] if 0 in wanted else []
+    out = _wanted_rows(wanted, times, u0.shape)
+    count = int(0 in wanted)
+    out[:count] = u0
     for start in range(0, len(times) - 1, chunk):
         steps = _magnus_exponentials(generator, times[start:start + chunk + 1], hbar)
         for i, e in enumerate(steps, start + 1):
             u = u @ e
             if i in wanted:
-                out.append(u)
+                out[count] = u
+                count += 1
     return out
+
+
+def _wanted_rows(wanted, times, shape) -> np.ndarray:
+    """An empty complex array of one ``shape`` row per wanted index of the grid."""
+    return np.empty((sum(0 <= i < len(times) for i in wanted), *shape), dtype=np.complex128)
 
 
 def _magnus_exponentials(generator, times: np.ndarray, hbar: float) -> np.ndarray:
@@ -161,13 +177,13 @@ def _magnus_exponentials(generator, times: np.ndarray, hbar: float) -> np.ndarra
     return q @ q_star
 
 
-def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> list:
+def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> np.ndarray:
     """Classical fixed-step RK4 for dy/dt = rhs(y, *c(t)) on the grid ``times``.
 
-    Returns the list of y at the indices in ``wanted``.  Step i, t0 =
-    times[i] and h = times[i + 1] - t0, reads c at its stage times t0,
-    t0 + 0.5*h (twice) and t0 + h, sampled max(1, MAGNUS_CHUNK // y0.size)
-    steps at a time: ``coefficients(ts)`` gets a chunk's distinct stage
+    Returns one complex array of y, a row per index in ``wanted``, in
+    increasing order.  Step i, t0 = times[i] and h = times[i + 1] - t0,
+    reads c at its stage times t0, t0 + 0.5*h (twice) and t0 + h, sampled
+    max(1, MAGNUS_CHUNK // y0.size) steps at a time: ``coefficients(ts)`` gets a chunk's distinct stage
     times as increasing floats and returns a tuple of arrays or lists
     indexed like ``ts``, and a stage calls ``rhs(y, *entries)`` with its
     time's entries; a plain ODE passes ``lambda ts: (ts,)``.  A chunk's
@@ -177,7 +193,7 @@ def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> list:
 
     A NearSingularError or NonFiniteError raised inside a step is re-raised
     naming the step, with ``last_good_time`` set to the step start and
-    ``partial`` holding the samples emitted before it.  Overflow and
+    ``partial`` the rows emitted before it, a prefix of the array.  Overflow and
     invalid-operation warnings are silenced for the whole loop: a state that
     overflows reaches the rhs's own finiteness check as the next step's
     start, and stops as a NonFiniteError of the step that produced it,
@@ -186,7 +202,9 @@ def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> list:
     """
     times = np.asarray(times, dtype=np.float64)
     y = np.array(y0, dtype=np.complex128)
-    out = [y.copy()] if 0 in wanted else []
+    out = _wanted_rows(wanted, times, y.shape)
+    count = int(0 in wanted)
+    out[:count] = y
     chunk = max(1, MAGNUS_CHUNK // y.size)
     carried_t = carried = None  # the previous chunk's last stage time, its entries
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,25 +230,27 @@ def rk4(rhs, y0: np.ndarray, times, wanted, coefficients) -> list:
                     s3 = rhs(y + (0.5 * step) * s2, *entries[m])
                     s4 = rhs(y + step * s3, *entries[e])
                 except (NearSingularError, NonFiniteError) as exc:
-                    raise _step_stop(exc, times, i, y, wanted, out) from exc
+                    raise _step_stop(exc, times, i, y, wanted, out[:count]) from exc
                 y = y + (step / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 if (i + 1) in wanted:
-                    out.append(y)
+                    out[count] = y
+                    count += 1
     if len(times) > 1 and not np.isfinite(y).all():
         raise _step_stop(NonFiniteError("the final state is not finite"),
-                         times, len(times) - 1, y, wanted, out)
+                         times, len(times) - 1, y, wanted, out[:count])
     return out
 
 
 def _step_stop(exc, times, i, y, wanted, out):
     """The error of step i, whose start state is ``y``, for ``rk4`` to raise.
 
-    A non-finite start state was produced by step i - 1: that step is named
-    instead, and its sample is dropped from ``out``.
+    ``out`` holds the samples emitted before step i.  A non-finite start
+    state was produced by step i - 1: that step is named instead, and its
+    sample is dropped from ``out``.
     """
     if i > 0 and not np.isfinite(y).all():
         if i in wanted:
-            out.pop()
+            out = out[:-1]
         i -= 1
         error = NonFiniteError
     else:
@@ -242,39 +262,39 @@ def _step_stop(exc, times, i, y, wanted, out):
                  last_good_time=t0, partial=out)
 
 
-def magnetic_factor(s: np.ndarray, field, hbar: float, times) -> list:
-    """[exp((i/hbar) Int_0^t B^2 dt' / s^2) for t in times], ``times`` increasing.
+def magnetic_factor(s: np.ndarray, field, hbar: float, times) -> np.ndarray:
+    """The (T, n) array of exp((i/hbar) Int_0^t B^2 dt' / s^2), a row per t in ``times``.
 
-    The eigenvalues of the magnetic factor V(t) = U diag(v) U*, whose
-    generator B^2 (K0 K0*)^-1 = B^2 U diag(s^-2) U* is diagonal in K0's
-    left singular basis: one phase vector per requested time, no
-    eigendecomposition.  The accumulated integral reuses each previous
-    interval, one quadrature per requested time.
+    ``times`` increase.  A row holds the eigenvalues of the magnetic factor
+    V(t) = U diag(v) U*, whose generator B^2 (K0 K0*)^-1 = B^2 U diag(s^-2) U*
+    is diagonal in K0's left singular basis: no eigendecomposition.  Each
+    interval between requested times is integrated once, and ``np.cumsum``
+    adds the integrals in time order, as a running sum does.
     """
-    s2 = s * s
-    out = []
-    acc = 0.0
-    prev_t = 0.0
-    for t in times:
-        t = float(t)
-        if t > prev_t:
-            acc += integrate_b_squared(field, prev_t, t)
-            prev_t = t
-        out.append(np.exp(1j * (acc / hbar) / s2))
-    return out
+    pieces, prev_t = [], 0.0
+    for t in np.asarray(times, dtype=np.float64).tolist():
+        pieces.append(integrate_b_squared(field, prev_t, t) if t > prev_t else 0.0)
+        prev_t = max(prev_t, t)
+    return np.exp(1j * (np.cumsum(pieces) / hbar)[:, None] / (s * s))
 
 
-def factorized_samples(left, s, w0, hamiltonian, field, hbar: float, plan) -> list:
-    """[left diag(s v(t)) W(t) for t in plan.output_times], W(0) = w0.
+def factorized_samples(left, s, w0, hamiltonian, field, hbar: float, plan) -> np.ndarray:
+    """The (T, rows, cols) stack of left diag(s v(t)) W(t), t in plan.output_times.
 
-    W solves i*hbar*dW/dt = -W H(t), v(t) is the magnetic phase vector of
-    the singular values ``s``.  The fixed domain passes left = U, the moving
-    one folds its image basis into ``left`` and its frame into ``w0``.
+    W(0) = w0 solves i*hbar*dW/dt = -W H(t), v(t) is the magnetic phase vector
+    of the singular values ``s``.  The fixed domain passes left = U, the moving
+    one folds its image basis into ``left`` and its frame into ``w0``.  The
+    products run max(1, MAGNUS_CHUNK // (rows * cols)) samples at a time.
     """
     ws = unitary_propagator(w0, hamiltonian.generator(), plan.times,
                             set(plan.output_indices), hbar)
-    vs = magnetic_factor(s, field, hbar, plan.output_times)
-    return [(left * (s * v)) @ w for w, v in zip(ws, vs)]
+    sv = s * magnetic_factor(s, field, hbar, plan.output_times)
+    out = np.empty((len(ws), len(left), ws.shape[-1]), dtype=np.complex128)
+    size = max(1, MAGNUS_CHUNK // out[0].size)
+    for start in range(0, len(out), size):
+        window = slice(start, start + size)
+        np.matmul(left * sv[window, None, :], ws[window], out=out[window])
+    return out
 
 
 def evolve_factorized(cfg: ScenarioConfig) -> Trajectory:
@@ -334,10 +354,11 @@ def _evolve_direct_stack(cfgs) -> list:
 
     The run steps on the longest member grid, which every other member's
     grid begins, and keeps the union of the members' output indices; each
-    member takes its own plan's samples from it.  A floor crossing or a
-    non-finite state in any member raises, with ``partial`` the first
-    member's trajectory up to the stop (empty when K0 is rejected), as
-    ``evolve_direct_many`` re-runs a stopped group: one member at a time.
+    member takes its own plan's samples from it: a copy, or for a lone
+    member the run's own array.  A floor crossing or a non-finite state in
+    any member raises, with ``partial`` the first member's trajectory up to
+    the stop (empty when K0 is rejected), as ``evolve_direct_many`` re-runs a
+    stopped group: one member at a time.
     """
     plans = [cfg.plan() for cfg in cfgs]
     grid = max((plan.times for plan in plans), key=len)
@@ -348,13 +369,14 @@ def _evolve_direct_stack(cfgs) -> list:
         coefficients, rhs = _direct_rhs(cfgs)
         samples = rk4(rhs, k0, grid, where, coefficients)
     except (NearSingularError, NonFiniteError) as exc:
-        done = exc.partial or []
-        plan = plans[0]
-        ks = [done[where[i]][0] for i in plan.output_indices if where[i] < len(done)]
-        exc.partial = Trajectory(plan.output_times[:len(ks)], ks, "direct")
+        done = exc.partial
+        if done is None:  # K0 was rejected before the first sample
+            done = np.empty((0, 1, *np.shape(cfgs[0].initial_k)), dtype=np.complex128)
+        rows = [where[i] for i in plans[0].output_indices if where[i] < len(done)]
+        exc.partial = Trajectory(plans[0].output_times[:len(rows)], done[rows, 0], "direct")
         raise
-    return [Trajectory(plan.output_times,
-                       [samples[where[i]][m] for i in plan.output_indices], "direct")
+    return [Trajectory(plan.output_times, samples[:, m] if len(cfgs) == 1 else
+                       samples[[where[i] for i in plan.output_indices], m], "direct")
             for m, plan in enumerate(plans)]
 
 
@@ -482,8 +504,8 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
             f"series argument norm {radius:.2f} exceeds {SERIES_RADIUS_LIMIT}; "
             f"convergence will be slow", ConvergenceWarning, stacklevel=2)
     plan = cfg.plan()
-    ks = []
-    for t in plan.output_times.tolist():
+    ks = np.empty((len(plan.output_times), *radial.shape), dtype=np.complex128)
+    for i, t in enumerate(plan.output_times.tolist()):
         with np.errstate(over="ignore", invalid="ignore"):
             unitary, estimate = series_unitary(u0, h, h_b, t, cfg.hbar, terms)
             norm = float(np.linalg.norm(unitary))
@@ -492,5 +514,5 @@ def evolve_series(cfg: ScenarioConfig, terms: int) -> Trajectory:
             raise TruncationDominatesError(
                 f"first omitted term ({estimate:.3e}) dominates ||U|| ({norm:.3e}) "
                 f"at t={t}; increase terms, or use another solver if either overflowed")
-        ks.append(radial @ unitary)
+        ks[i] = radial @ unitary
     return Trajectory(plan.output_times, ks, "series")

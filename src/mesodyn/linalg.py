@@ -153,20 +153,17 @@ def hermitian_eigendecompose(m):
     return np.linalg.eigh(hermitian(m))
 
 
-def unitary_exponentials(a, scales) -> list:
-    """[exp(i * s * A) for s in scales] for Hermitian A.
+def unitary_exponentials(a, scales) -> np.ndarray:
+    """The (S, n, n) stack of exp(i * s * A), one per s in ``scales``, for Hermitian A.
 
     One eigendecomposition A = Q diag(w) Q* serves every scale, each
-    exponential being Q diag(exp(i s w)) Q*.
+    exponential being Q diag(exp(i s w)) Q*, and a scale of 0 the exact
+    identity.
     """
     w, q = hermitian_eigendecompose(a)
-    qh = q.conj().T
-    out = []
-    for scale in scales:
-        if scale == 0.0:
-            out.append(np.eye(w.shape[0], dtype=np.complex128))
-        else:
-            out.append((q * np.exp(1j * scale * w)) @ qh)
+    scales = np.asarray(scales, dtype=np.float64)
+    out = (q * np.exp(1j * scales[:, None] * w)[:, None, :]) @ q.conj().T
+    out[scales == 0.0] = np.eye(len(w))
     return out
 
 

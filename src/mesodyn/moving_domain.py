@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fixed_domain import (MAGNUS_CHUNK, Trajectory, factorized_samples, magnetic_factor,
-                           polar_init, rk4, unitary_propagator)
+                           max_distance, polar_init, rk4, unitary_propagator)
 from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
@@ -72,8 +72,8 @@ def require_orthonormal_columns(m) -> np.ndarray:
 
 def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
                                  pd_floor: float = DEFAULT_PD_FLOOR,
-                                 literal: bool = False) -> list:
-    """Closed-form coefficient matrix A'(t), one per requested time.
+                                 literal: bool = False) -> np.ndarray:
+    """Closed-form coefficient matrix A'(t): a (T, n, n) stack, one per requested time.
 
     Satisfies i*hbar dA'/dt = -B^2 (A'*)^-1 with A'(0) = a0 and keeps
     A'(t) A'(t)* = a0 a0* for all t.  With ``literal=True`` the polar
@@ -82,7 +82,7 @@ def coefficient_matrix_evolution(a0, field: FieldProfile, hbar: float, times,
     """
     u, s, vh = polar_init(a0, pd_floor)
     right = u.conj().T if literal else vh
-    return [(u * (s * v)) @ right for v in magnetic_factor(s, field, hbar, times)]
+    return (u * (s * magnetic_factor(s, field, hbar, times))[:, None, :]) @ right
 
 
 def _image_and_coefficients(cfg: ScenarioConfig, psi0, phi0, a0):
@@ -148,11 +148,10 @@ def moving_report(trajectory: Trajectory, cfg: ScenarioConfig, rank: int) -> tup
     RankDeficientError for the first one.
     """
     ks = trajectory.ks
-    rows, cols = ks[0].shape
-    size = max(1, MAGNUS_CHUNK // (rows * cols))
+    size = max(1, MAGNUS_CHUNK // ks[0].size)
     image, radial, interior = [], [], []
     for start in range(0, len(ks), size):
-        stack = np.stack(ks[start:start + size])
+        stack = ks[start:start + size]
         u, s, vh = np.linalg.svd(stack, full_matrices=False)
         keep = ~below_floor(s, s[:, :1], cfg.pd_floor)
         projectors = _image_projectors(u, keep)
@@ -183,7 +182,7 @@ def _weak_residuals(trajectory: Trajectory, lo: int, hi: int, stack, factors,
         raise RankDeficientError(f"sample at t={float(times[lo + j])} has rank "
                                  f"{int(ranks[j])}, expected {rank}")
     spans = times[lo + 1:hi + 1] - times[lo - 1:hi - 1]
-    kdot = (np.stack(ks[lo + 1:hi + 1]) - np.stack(ks[lo - 1:hi - 1])) / spans[:, None, None]
+    kdot = (ks[lo + 1:hi + 1] - ks[lo - 1:hi - 1]) / spans[:, None, None]
     b = np.array([cfg.field.sample(t) for t in times[lo:hi].tolist()])
     out = (1j * cfg.hbar * kdot + stack @ cfg.hamiltonian.samples(times[lo:hi])
            + (b * b)[:, None, None] * svd_pseudo_inverse(*factors))
@@ -224,8 +223,8 @@ def gauge_propagators(c_prime, c_double_prime, n: int, t_end: float, dt: float,
     one fourth-order Magnus products on the fine grid, sampling it at each
     step's two Gauss-Legendre nodes.
 
-    Returns (g1s, g2s), one matrix each per time of the fine grid
-    ``step_plan(t_end, dt).times``, t = 0 included.
+    Returns (g1s, g2s), two (T, n, n) stacks with one matrix per time of
+    the fine grid ``step_plan(t_end, dt).times``, t = 0 included.
     """
     return _gauge_propagators(_as_gauge(c_prime, n), _as_gauge(c_double_prime, n), n,
                               step_plan(t_end, dt, 1).times, hbar)
@@ -248,14 +247,15 @@ def gauge_equivalence_checks(cfg: ScenarioConfig, psi0, phi0, a0, gauges) -> lis
 
     The gauge-free (primed) solution uses the free frame and the closed
     coefficient form, computed once, and its operator is formed once per
-    time for every pair.  The gauged solution evolves the image
-    basis phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient
+    time for every pair.  The gauged solution evolves the image basis
+    phi0 g1(t), the domain frame psi'(t) g2(t), and the coefficient
     matrix by integrating its gauged equation: all P pairs as one (P, n, n)
     RK4, whose rhs reads C', C'' and B^2 from the stacks ``rk4`` samples (a
-    callable gauge once per distinct stage time).  Every rhs
-    operation is per member, so each distance has the bits of its pair run
-    alone.  Gauge invariance of the physical operator makes the distance
-    vanish up to integration accuracy.
+    callable gauge once per distinct stage time).  Every rhs operation is
+    per member, and each pair's operators are formed as one (T, m, M)
+    stack, so each distance has the bits of its pair run alone.  Gauge
+    invariance of the physical operator makes the distance vanish up to
+    integration accuracy.
     """
     frame, image, a0 = _image_and_coefficients(cfg, psi0, phi0, a0)
     n, hbar, field = len(a0), cfg.hbar, cfg.field
@@ -280,10 +280,6 @@ def gauge_equivalence_checks(cfg: ScenarioConfig, psi0, phi0, a0, gauges) -> lis
         return (1j / hbar) * (c1 @ a + a @ c2 + b2 * adjoint_inverse(a, cfg.pd_floor))
 
     a_gauged = rk4(rhs, np.stack([a0] * len(c1s)), times, range(len(times)), coefficients)
-    worst = [0.0] * len(c1s)
-    for j, (bra, a_g, a_p) in enumerate(zip(bras, a_gauged, a_primed)):
-        k_p = image @ a_p @ bra  # gauge-free: one per time, for every pair
-        for m, (g1s, g2s) in enumerate(propagators):
-            k_u = (image @ g1s[j]) @ a_g[m] @ (g2s[j].conj().T @ bra)
-            worst[m] = max(worst[m], float(np.linalg.norm(k_u - k_p)))
-    return worst
+    k_p = image @ a_primed @ bras  # the gauge-free operator, shared by every pair
+    return [max_distance(image @ g1 @ a_gauged[:, m] @ (g2.conj().swapaxes(-1, -2) @ bras), k_p)
+            for m, (g1, g2) in enumerate(propagators)]

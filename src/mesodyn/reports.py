@@ -63,33 +63,30 @@ def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport):
     Yields the header line, then blocks of max(1, MAGNUS_CHUNK // n**2)
     rows, so a writer holds one block of text at a time.
     """
-    if not trajectory.ks:
+    times, ks = trajectory.times.tolist(), trajectory.ks
+    if not len(ks):
         yield "t\n"
         return
-    rows_n, cols_n = trajectory.ks[0].shape
+    rows_n, cols_n = ks.shape[1:]
     header = ["t"]
     for i in range(rows_n):
         for j in range(cols_n):
             header += [f"k_re_{i}_{j}", f"k_im_{i}_{j}"]
     header += ["kk_drift", "trace_khk_drift", "unitarity_defect"]
     yield ",".join(header) + "\n"
-    times, ks = trajectory.times.tolist(), trajectory.ks
     kk_drifts = report.kk_star_drift.tolist()
     defects = report.unitarity_defect.tolist()
     trace_drifts = ([""] * len(ks) if report.trace_khk_drift is None
-                    else map(repr, report.trace_khk_drift.tolist()))
-    rows = list(zip(times, ks, kk_drifts, trace_drifts, defects))
+                    else [repr(x) for x in report.trace_khk_drift.tolist()])
+    # each K's entries in row-major order, each as re,im: the float64 view
+    # of the contiguous complex array interleaves them so
+    entries = np.ascontiguousarray(ks, dtype=np.complex128).reshape(len(ks), -1).view(np.float64)
     size = max(1, MAGNUS_CHUNK // (rows_n * cols_n))
-    for start in range(0, len(rows), size):
-        yield "".join(f"{t!r},{_entry_cells(k)},{kk!r},{trace},{defect!r}\n"
-                      for t, k, kk, trace, defect in rows[start:start + size])
-
-
-def _entry_cells(k) -> str:
-    """K's entries in row-major order, each as re,im."""
-    # the float64 view of the contiguous complex array interleaves them so
-    entries = np.ascontiguousarray(k, dtype=np.complex128).reshape(-1)
-    return format_cells(entries.view(np.float64))
+    for start in range(0, len(ks), size):
+        w = slice(start, start + size)
+        yield "".join(f"{t!r},{format_cells(k)},{kk!r},{trace},{defect!r}\n"
+                      for t, k, kk, trace, defect
+                      in zip(times[w], entries[w], kk_drifts[w], trace_drifts[w], defects[w]))
 
 
 def diagnostics_csv(report: DiagnosticsReport) -> str:

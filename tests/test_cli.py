@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mesodyn import cli, concurrency
+from mesodyn import cli, concurrency, errors
 from mesodyn.cli import Command, main, parse_command, run
 from mesodyn.errors import (
     ConvergenceWarning,
@@ -125,6 +125,66 @@ class TestParseCommand:
     def test_literal_atime_flag(self):
         cmd = parse_command(["moving", "--config", "m.json", "--literal-atime"])
         assert cmd.overrides["literal_atime"] is True
+
+
+# Each package error's exit code and stderr label, as main has mapped them.
+ERROR_EXITS = {
+    "MesodynError": (1, ""),
+    "_EvolutionStop": (1, ""),
+    "NonFiniteError": (1, ""),
+    "NonSquareError": (1, ""),
+    "ShapeMismatchError": (1, ""),
+    "NearSingularError": (4, "near-singular: "),
+    "OutOfDomainError": (1, ""),
+    "RequiresConstantCoefficientsError": (6, "solver precondition not met: "),
+    "TruncationDominatesError": (6, "solver precondition not met: "),
+    "NotOrthonormalError": (1, ""),
+    "RankDeficientError": (1, ""),
+    "NotHermitianGaugeError": (1, ""),
+    "NuDoesNotDominateError": (1, ""),
+    "NotDiagonalError": (1, ""),
+    "ZeroImageError": (1, ""),
+    "InsufficientSamplesError": (1, ""),
+    "ConfigInvalidError": (3, "invalid config: "),
+    "UsageError": (2, ""),
+}
+
+
+class TestExitCodes:
+    def raising(self, monkeypatch, exc):
+        def run(cmd):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", run)
+
+    def test_every_error_class_keeps_its_code(self, monkeypatch, capsys):
+        classes = {name: value for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, errors.MesodynError)}
+        assert sorted(classes) == sorted(ERROR_EXITS)
+        for name, error in classes.items():
+            self.raising(monkeypatch, error("went wrong"))
+            code, label = ERROR_EXITS[name]
+            assert main(["verify"]) == code, name
+            assert capsys.readouterr().err == f"mesodyn: {label}went wrong\n", name
+
+    def test_os_error_is_exit_5(self, monkeypatch, capsys):
+        self.raising(monkeypatch, PermissionError("no access"))
+        assert main(["verify"]) == 5
+        assert capsys.readouterr().err == "mesodyn: i/o error: no access\n"
+
+    @pytest.mark.parametrize("error, code, label", [
+        (NearSingularError, 4, "near-singular: "), (NonFiniteError, 1, "")])
+    def test_last_good_time_only_when_carried(self, monkeypatch, capsys, error, code, label):
+        self.raising(monkeypatch, error("stopped", last_good_time=0.25))
+        assert main(["verify"]) == code
+        assert capsys.readouterr().err == f"mesodyn: {label}stopped (last good time 0.25)\n"
+        self.raising(monkeypatch, error("stopped"))
+        assert main(["verify"]) == code
+        assert capsys.readouterr().err == f"mesodyn: {label}stopped\n"
+
+    def test_usage_error_of_the_parser(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err.startswith("mesodyn: a verb is required")
 
 
 class TestSimulate:
@@ -565,6 +625,24 @@ class TestCritical:
         assert payload["nu"] == 4.0
         assert payload["relative_residual"] <= 1e-11
         assert payload["k"]["rows"] == 3
+
+    @pytest.mark.parametrize("field", [
+        {"kind": "constant", "value": 0.0},
+        {"kind": "sinusoid", "amplitude": 0.4, "frequency": 0.25, "phase": 0.0, "offset": 0.0},
+    ], ids=["constant_zero", "sinusoid_through_zero"])
+    def test_zero_field_at_start_is_invalid_config(self, field, rng, tmp_path, capsys):
+        # B(0) = 0 makes K_nu the zero matrix: rejected before it is formed
+        config = write_scenario(tmp_path / "s.json", small_config(rng),
+                                extra={"nu": 4.0, "field": field})
+        out = tmp_path / "out"
+        assert main(["critical", "--config", config, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "B(0) = 0.0" in err and "last good time" not in err
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["error"]["type"] == "ConfigInvalidError"
+        assert "nonzero field" in manifest["error"]["message"]
+        assert manifest["outputs"] == []
 
 
 class TestMoving:

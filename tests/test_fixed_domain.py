@@ -42,6 +42,7 @@ from mesodyn.verification import (
     random_drifting_hamiltonian,
     random_full_rank,
     random_hermitian,
+    random_orthonormal_columns,
     random_scenario,
     random_sinusoid,
     random_unitary,
@@ -353,6 +354,61 @@ class TestSharedEigendecomposition:
             assert frob((u * v) @ u.conj().T - expected) <= 1e-12
 
 
+def running_sum_phases(s, field, hbar, times):
+    """The magnetic phase vectors by a running sum of the interval integrals."""
+    out, acc, prev = [], 0.0, 0.0
+    for t in times:
+        if t > prev:
+            acc += integrate_b_squared(field, prev, t)
+            prev = t
+        out.append(np.exp(1j * (acc / hbar) / (s * s)))
+    return out
+
+
+class TestStackedAssembly:
+    """The stacked factorized assembly keeps the bits of a per-sample loop."""
+
+    @pytest.mark.parametrize("field", [
+        FieldProfile.constant(0.8), FieldProfile.sinusoid(0.9, 1.3, 0.4, 0.2),
+        FieldProfile.linear_ramp(0.3, 0.5),
+        FieldProfile.sampled_table([0.0, 0.3, 0.7, 1.0], [0.5, 1.1, 0.2, 0.9])])
+    def test_magnetic_factor_equals_the_running_sum(self, rng, field):
+        s = np.sort(rng.uniform(0.3, 1.5, 4))[::-1]
+        times = [0.0, 0.0, 0.125, 0.25, 0.3, 0.5, 0.5, 0.875, 1.0]
+        out = magnetic_factor(s, field, 0.7, times)
+        assert np.array_equal(out, running_sum_phases(s, field, 0.7, times))
+
+    @pytest.mark.parametrize("budget", [None, 20])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_factorized_samples_equal_the_per_sample_products(self, rng, monkeypatch,
+                                                              budget, dim):
+        # a budget of 20 entries puts one or a few samples in each stack
+        if budget is not None:
+            monkeypatch.setattr(fixed_domain, "MAGNUS_CHUNK", budget)
+        cfg = random_scenario(rng, dim, dt=1e-2, output_stride=3)
+        u, s, vh = polar_init(cfg.initial_k)
+        plan = cfg.plan()
+        ws = unitary_propagator(vh, cfg.hamiltonian.generator(), plan.times,
+                                set(plan.output_indices), cfg.hbar)
+        vs = running_sum_phases(s, cfg.field, cfg.hbar, plan.output_times.tolist())
+        for left in u, random_orthonormal_columns(rng, dim + 2, dim) @ u:
+            got = fixed_domain.factorized_samples(left, s, vh, cfg.hamiltonian, cfg.field,
+                                                  cfg.hbar, plan)
+            assert np.array_equal(got, [(left * (s * v)) @ w for w, v in zip(ws, vs)])
+
+
+    @pytest.mark.parametrize("budget", [None, 12])
+    def test_max_distance_equals_the_per_sample_maximum(self, rng, monkeypatch, budget):
+        # a budget of 12 entries puts two 3 x 2 samples in each stack
+        if budget is not None:
+            monkeypatch.setattr(fixed_domain, "MAGNUS_CHUNK", budget)
+        a, b = crandn(rng, 9, 3, 2), crandn(rng, 9, 3, 2)
+        assert fixed_domain.max_distance(a, b) == max(float(np.linalg.norm(x - y))
+                                                      for x, y in zip(a, b))
+        b[5, 1, 0] = np.nan  # not in the first stack: the result is NaN all the same
+        assert np.isnan(fixed_domain.max_distance(a, b))
+
+
 class TestEvolveV:
     def test_zero_field_identity(self, rng):
         k0 = random_full_rank(rng, 3, 0.5, 1.5)
@@ -490,7 +546,7 @@ class TestEvolveDirect:
         with pytest.raises(NonFiniteError) as excinfo:
             evolve_direct_many([good, bad])
         assert excinfo.value.last_good_time is None
-        assert excinfo.value.partial.ks == []
+        assert excinfo.value.partial.ks.shape == (0, 2, 2)
         assert len(excinfo.value.partial.times) == 0
 
     def test_well_conditioned_stages_run_no_svd(self, rng, svd_calls):
@@ -1090,3 +1146,87 @@ class TestTrajectoryMetadata:
         assert len(partial.ks) > 1
         assert np.array_equal(partial.times, output_times(cfg)[:len(partial.ks)])
         assert np.all(partial.times <= excinfo.value.last_good_time)
+
+
+def assert_one_array(ks, count, shape):
+    """``ks`` is one C-contiguous complex128 (count, *shape) array."""
+    assert isinstance(ks, np.ndarray)
+    assert ks.dtype == np.complex128
+    assert ks.flags["C_CONTIGUOUS"]
+    assert ks.shape == (count, *shape)
+
+
+class TestTrajectoryContract:
+    """Every route returns its samples as one (T, rows, cols) array."""
+
+    @pytest.mark.parametrize("h_kind", ["constant", "drifting"])
+    def test_factorized_and_direct(self, rng, h_kind):
+        cfg = random_scenario(rng, 3, dt=1e-2, output_stride=7)
+        if h_kind == "constant":
+            cfg = dataclasses.replace(cfg, hamiltonian=HamiltonianProfile.constant(
+                random_hermitian(rng, 3, 0.5, 2.0)))
+        for trajectory in evolve_factorized(cfg), evolve_direct(cfg):
+            assert_one_array(trajectory.ks, len(trajectory.times), (3, 3))
+            assert len(trajectory.ks) == len(output_times(cfg))
+
+    def test_direct_many_members(self, rng):
+        # one stacked run; the members keep different output samples
+        base = random_scenario(rng, 2, dt=1e-2, output_stride=10)
+        cfgs = [base, dataclasses.replace(base, output_stride=3),
+                dataclasses.replace(base, t_end=0.5, output_stride=1)]
+        for cfg, trajectory in zip(cfgs, evolve_direct_many(cfgs), strict=True):
+            assert_one_array(trajectory.ks, len(output_times(cfg)), (2, 2))
+            assert len(trajectory.ks) == len(trajectory.times)
+
+    def test_series(self, rng):
+        cfg = constant_config(random_hermitian(rng, 2, 0.5, 2.0), 0.7,
+                              random_full_rank(rng, 2, 0.8, 1.3), t_end=0.5, dt=1e-2, stride=5)
+        trajectory = evolve_series(cfg, 30)
+        assert_one_array(trajectory.ks, len(trajectory.times), (2, 2))
+
+    @pytest.mark.parametrize("stop", ["floor", "overflow"])
+    def test_stopped_direct_partial(self, stop):
+        cfg = (ramp_config(4.0, np.diag([1.0, 0.4]), floor=0.39) if stop == "floor"
+               else dataclasses.replace(overflow_config(h_scale=1e12, hbar=1.0),
+                                        output_stride=2))
+        with pytest.raises((NearSingularError, NonFiniteError)) as excinfo:
+            evolve_direct(cfg)
+        partial = excinfo.value.partial
+        assert_one_array(partial.ks, len(partial.times), (2, 2))
+        assert len(partial.ks) > 1
+
+    def test_rejected_k0_gives_an_empty_partial(self, rng):
+        good = random_scenario(rng, 2, dt=1e-2, output_stride=10)
+        bad = dataclasses.replace(good, initial_k=np.full((2, 2), np.nan, dtype=complex))
+        for cfgs in [bad], [good, bad]:
+            with pytest.raises(NonFiniteError) as excinfo:
+                evolve_direct_many(cfgs)
+            partial = excinfo.value.partial
+            assert_one_array(partial.ks, 0, (2, 2))
+            assert len(partial.times) == 0
+
+    def test_rk4_partial_is_a_prefix_of_its_output(self):
+        def rhs(y, t):
+            if t >= 0.5:
+                raise NearSingularError("floor crossed")
+            return -y
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NearSingularError) as excinfo:
+            rk4(rhs, np.eye(2), times, set(range(0, 11, 2)), lambda ts: (ts,))
+        assert_one_array(excinfo.value.partial, 3, (2, 2))
+        full = rk4(lambda y, t: -y, np.eye(2), times, set(range(0, 11, 2)), lambda ts: (ts,))
+        assert_one_array(full, 6, (2, 2))
+        assert np.array_equal(full[:3], excinfo.value.partial)
+
+    def test_propagator_and_magnetic_factor_stacks(self, rng):
+        plan = step_plan(1.0, 0.1, 3)
+        wanted = set(plan.output_indices)
+        for generator in (random_hermitian(rng, 2, 0.5, 2.0),
+                          random_drifting_hamiltonian(rng, 2, 1.0).generator()):
+            ws = unitary_propagator(random_unitary(rng, 2)[:1], generator, plan.times,
+                                    wanted, 1.0)
+            assert_one_array(ws, len(wanted), (1, 2))
+        vs = magnetic_factor(np.array([0.5, 2.0]), random_sinusoid(rng), 1.0,
+                             plan.output_times)
+        assert_one_array(vs, len(wanted), (2,))

@@ -23,6 +23,7 @@ from mesodyn.moving_domain import (
 )
 from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig, step_plan
 from mesodyn.verification import (
+    random_drifting_hamiltonian,
     random_full_rank,
     random_hermitian,
     random_orthonormal_columns,
@@ -244,6 +245,20 @@ class TestAssembly:
         assert ops.times[0] == 0.0
         assert frob(ops.ks[0] - phi0 @ a0) <= 1e-14
 
+    @pytest.mark.parametrize("hamiltonian", ["constant", "drifting"])
+    def test_samples_are_one_array(self, rng, hamiltonian):
+        # image 4 x rank 2, ambient 5: K(t) is 4 x 5
+        h = (diag_h([1.0, 2.0, 3.0, 4.0, 5.0]) if hamiltonian == "constant"
+             else random_drifting_hamiltonian(rng, 5, 1.0))
+        cfg = moving_cfg(h, FieldProfile.sinusoid(0.3, 0.2, 0.1, 0.8), output_stride=7)
+        ops = moving_solution(cfg, random_orthonormal_columns(rng, 5, 2),
+                              random_orthonormal_columns(rng, 4, 2),
+                              random_full_rank(rng, 2, 0.7, 1.4))
+        assert isinstance(ops.ks, np.ndarray) and ops.ks.dtype == np.complex128
+        assert ops.ks.flags["C_CONTIGUOUS"]
+        assert ops.ks.shape == (len(ops.times), 4, 5)
+        assert np.array_equal(ops.times, cfg.plan().output_times)
+
     def test_rank_one_closed_form_free_hamiltonian(self, rng):
         # H = 0: K(t) = r0 e^{i phi0} e^{i B^2 t/(hbar r0^2)} |phi><psi|
         psi0 = random_orthonormal_columns(rng, 5, 1)
@@ -341,8 +356,7 @@ class TestWeakResidual:
 
     def test_detects_corrupted_radial_part(self, rng):
         cfg, ops = self._assembled(rng, dt=1e-3)
-        corrupted = Trajectory(ops.times, [(1.0 + 1e-3) * k for k in ops.ks],
-                               ops.solver_tag)
+        corrupted = Trajectory(ops.times, (1.0 + 1e-3) * ops.ks, ops.solver_tag)
         residuals = moving_report(corrupted, cfg, 3)[0]
         assert max(residuals[1:-1]) >= 1e-4
 
@@ -384,7 +398,7 @@ class TestWeakResidual:
         psi = random_orthonormal_columns(rng, 3, 1)
         phi = random_orthonormal_columns(rng, 3, 1)
         k = phi @ psi.conj().T  # rank 1, the report expects 2
-        samples = Trajectory(np.array([0.0, 0.1, 0.2]), [k, k, k], "moving")
+        samples = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([k, k, k]), "moving")
         with pytest.raises(RankDeficientError):
             moving_report(samples, moving_cfg(diag_h([1.0, 2.0, 3.0])), 2)
 
@@ -392,7 +406,8 @@ class TestWeakResidual:
     def test_no_residual_below_three_samples(self, samples):
         # centered differences need both neighbours: no sample has them
         k = np.eye(2, dtype=complex)[:, :1] @ np.ones((1, 2))
-        trajectory = Trajectory(np.array([0.0, 0.1][:samples]), [k] * samples, "moving")
+        trajectory = Trajectory(np.array([0.0, 0.1][:samples]), np.array([k] * samples),
+                                "moving")
         assert moving_report(trajectory, moving_cfg(diag_h([1.0, 2.0])), 1) == (
             [None] * samples, [0.0] * samples, [0.0] * samples)
 

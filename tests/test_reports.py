@@ -127,7 +127,8 @@ class TestTrajectoryCsv:
                       + 1j * rng.standard_normal((3, 2))).T
         assert not transposed.flags["C_CONTIGUOUS"]
         times = np.array([0.0, 0.1, 1e22])
-        trajectory = Trajectory(times=times, ks=[awkward, transposed, awkward[:, ::-1]],
+        trajectory = Trajectory(times=times,
+                                ks=np.array([awkward, transposed, awkward[:, ::-1]]),
                                 solver_tag="test")
         for drifts, first_drift in ((None, ""), ([0.25, -0.0, 3.0], "0.25")):
             report = report_of(times, drifts)
@@ -140,7 +141,7 @@ class TestTrajectoryCsv:
         assert text.splitlines()[2].split(",")[-2] == "-0.0"
 
     def test_real_valued_k_writes_zero_imaginary_parts(self):
-        trajectory = Trajectory(times=np.array([0.5]), ks=[np.array([[1.0, -2.0]])],
+        trajectory = Trajectory(times=np.array([0.5]), ks=np.array([[[1.0, -2.0]]]),
                                 solver_tag="test")
         report = report_of([0.5])
         text = "".join(trajectory_csv(trajectory, report))
@@ -155,7 +156,7 @@ class TestTrajectoryCsv:
         blown[0, 0] = complex(np.inf, -np.inf)
         blown[15, 16] = complex(np.nan, 1e-7)
         blown[32, 32] = complex(1e300, np.nan)
-        trajectory = Trajectory(times=np.array([0.0, 0.1]), ks=[k, blown],
+        trajectory = Trajectory(times=np.array([0.0, 0.1]), ks=np.array([k, blown]),
                                 solver_tag="direct")
         report = report_of([0.0, 0.1])
         text = "".join(trajectory_csv(trajectory, report))
@@ -164,7 +165,7 @@ class TestTrajectoryCsv:
 
     def test_yields_blocks_of_rows(self, rng):
         # dim 40: MAGNUS_CHUNK // 1600 = 10 rows per block
-        ks = [rng.standard_normal((40, 40)) + 0j for _ in range(23)]
+        ks = rng.standard_normal((23, 40, 40)) + 0j
         times = np.arange(23) * 0.1
         trajectory = Trajectory(times=times, ks=ks, solver_tag="test")
         report = report_of(times)
@@ -173,7 +174,8 @@ class TestTrajectoryCsv:
         assert "".join(blocks) == reference_trajectory_csv(trajectory, report)
 
     def test_empty_trajectory(self):
-        trajectory = Trajectory(times=np.array([]), ks=[], solver_tag="test")
+        trajectory = Trajectory(times=np.array([]), ks=np.empty((0, 2, 2), dtype=complex),
+                                solver_tag="test")
         assert "".join(trajectory_csv(trajectory, report_of([]))) == "t\n"
 
 
