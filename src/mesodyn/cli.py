@@ -409,8 +409,8 @@ def _run_flux(ws: _Workspace, cfg: ScenarioConfig, doc: dict) -> None:
     except ValueError as exc:
         raise ConfigInvalidError(f"bad upsilon: {exc}") from exc
     trajectory = evolve_factorized(cfg)
-    distributions = [flux_distribution(k, flux) for k in trajectory.ks]
-    worst = max(abs(float(np.sum(dist)) - total_flux) for dist in distributions)
+    distributions = flux_distribution(trajectory.ks, flux)
+    worst = float(np.max(np.abs(np.sum(distributions, axis=-1) - total_flux)))
     ws.write("flux.csv", flux_csv(trajectory.times, distributions))
     ws.manifest.status["flux_normalization"] = (
         "pass" if worst <= 1e-12 * max(1.0, abs(total_flux)) else "fail")

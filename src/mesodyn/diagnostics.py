@@ -6,6 +6,11 @@ functional, its differential and time derivative, the conserved K K*,
 the constant-H trace invariant, closed-form diagonal solutions, critical
 points, and the flux-distribution postulate.
 
+The energy's log det(K K*) is 2 sum log s over the singular values of K,
+behind linalg's one full-rank floor on them.  The eigenvalues of K K* are
+never formed: forming K K* squares the condition number, and its smallest
+eigenvalues carry a rounding error of about eps times the largest.
+
 Finite-difference conventions, used everywhere: directional derivatives
 use a centered step of 1e-5; time derivatives use the trajectory's own
 sample spacing (centered inside, one-sided at the ends, so every report
@@ -22,7 +27,6 @@ import numpy as np
 from .errors import (
     InsufficientSamplesError,
     MesodynError,
-    NearSingularError,
     NonFiniteError,
     NotDiagonalError,
     NuDoesNotDominateError,
@@ -34,14 +38,13 @@ from .linalg import (
     DEFAULT_PD_FLOOR,
     adjoint_inverse,
     as_matrix,
-    below_floor,
     frobenius_norms,
     hermitian,
     hermitian_part,
     pairing,
     require_square,
     require_unitary,
-    unitary_defect,
+    singular_values,
 )
 from .scenario import ScenarioConfig
 
@@ -51,33 +54,17 @@ DIRECTIONAL_STEP = 1e-5
 def total_hamiltonian(k, h, b: float, pd_floor: float = DEFAULT_PD_FLOOR) -> float:
     """Total energy trace(K H K*) + B^2 log det(K K*).
 
-    The log-determinant is evaluated as the sum of eigenvalue logs of
-    K K*, which survives dimension growth without overflow.
+    The log-determinant is 2 sum log s over the singular values s of K,
+    which ``singular_values`` floors at ``pd_floor``; the sum survives
+    dimension growth without overflow.  A finite K whose energy overflows
+    raises NonFiniteError.
     """
     a, hm = require_square(k), hermitian(h)
-    w = _gram_eigenvalues(hermitian_part(a @ a.conj().T), pd_floor)
-    return float(np.trace(a @ hm @ a.conj().T).real) + (b * b) * float(np.sum(np.log(w)))
-
-
-def _gram_eigenvalues(gram, pd_floor: float) -> np.ndarray:
-    """eigvalsh of K K*, or of each member of a stack, every one above the floor.
-
-    A non-finite K leaves eigvalsh nothing to converge on: NonFiniteError.
-    An eigenvalue ratio at or under ``pd_floor**2`` raises NearSingularError
-    with the first such member's eigenvalues.
-    """
-    try:
-        w = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError(f"K K* has no eigenvalues: {exc}") from exc
-    lo, hi = w[..., 0], w[..., -1]
-    bad = below_floor(lo, hi, pd_floor * pd_floor)
-    if bad.any():
-        j = np.flatnonzero(bad)[0]
-        raise NearSingularError(
-            f"K K* eigenvalue ratio {float(np.ravel(lo)[j]):.3e}/"
-            f"{float(np.ravel(hi)[j]):.3e} crosses the floor")
-    return w
+    entropy = 2.0 * float(np.sum(np.log(singular_values(a, pd_floor))))
+    xi = float(np.trace(a @ hm @ a.conj().T).real) + (b * b) * entropy
+    if not np.isfinite(xi):
+        raise NonFiniteError(f"the energy of a finite K is {xi}")
+    return xi
 
 
 class DifferentialCheck(NamedTuple):
@@ -150,11 +137,13 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
     sample spacing.
 
     The samples go through in (c, n, n) slices of ``trajectory.ks``,
-    c = max(1, MAGNUS_CHUNK // n**2): per slice one K K*, which serves both
-    the log-determinant and the drift, one eigvalsh and one R^-1 K.  Every
-    value has the bits of its sample evaluated alone, and a slice holding a
-    failing sample raises that sample's own error: the first failing
-    sample's, in the order a per-sample loop checks them.
+    c = max(1, MAGNUS_CHUNK // n**2): per slice one values-only SVD of K,
+    which floors every sample and gives log det(K K*) = 2 sum log s, one
+    K K* for the drift and one R^-1 K.  A finite K whose K K* or R^-1 K
+    overflows raises NonFiniteError.  Every value has the bits of its
+    sample evaluated alone, and a slice holding a failing sample raises
+    that sample's own error: the first failing sample's, in the order a
+    per-sample loop checks them.
     """
     times, ks = trajectory.times, trajectory.ks
     if not len(ks):
@@ -177,18 +166,19 @@ def invariant_report(trajectory: Trajectory, cfg: ScenarioConfig) -> Diagnostics
         hermitian_part(grams, out=grams)
         factors = radial_inv @ stack
         try:
-            w = _gram_eigenvalues(grams, cfg.pd_floor)
-            if not np.isfinite(factors).all():
+            sigma = singular_values(stack, cfg.pd_floor)
+            if not (np.isfinite(grams).all() and np.isfinite(factors).all()):
                 raise NonFiniteError("matrix contains NaN or Inf entries")
         except MesodynError:
-            for gram, factor in zip(grams, factors):  # raise as the sample alone
-                _gram_eigenvalues(gram, cfg.pd_floor)
-                unitary_defect(factor)
+            for k, gram, factor in zip(stack, grams, factors):  # raise as the sample alone
+                singular_values(k, cfg.pd_floor)
+                as_matrix(gram)
+                as_matrix(factor)
             raise
         if not start:
             gram0 = grams[0].copy()
         electronic.append(_traces(stack, h_samples[window], adjoint))
-        entropy.append(np.sum(np.log(w), axis=-1))
+        entropy.append(2.0 * np.sum(np.log(sigma), axis=-1))
         if h_dot is not None:
             h_rate.append(_traces(stack, h_dot[window], adjoint))
         gram_drift.append(frobenius_norms(grams - gram0))
@@ -281,18 +271,29 @@ class FluxInput:
 
 
 def flux_distribution(k, flux: FluxInput) -> np.ndarray:
-    """Flux distribution Phi |K Y|^2, normalized so the entries sum to Phi."""
-    a = as_matrix(k)
+    """Flux distribution Phi |K Y|^2, normalized so the entries sum to Phi.
+
+    ``k`` is one operator or a (T, m, n) stack, with one distribution per
+    member; each has the bits of its member evaluated alone.
+    """
+    a = np.asarray(k, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise ShapeMismatchError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix contains NaN or Inf entries")
     y = np.asarray(flux.upsilon, dtype=np.complex128).reshape(-1)
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         raise ValueError("the coherent state must be nonzero")
-    if a.shape[1] != y.shape[0]:
+    if a.shape[-1] != y.shape[0]:
         raise ValueError(
-            f"operator columns ({a.shape[1]}) do not match the state "
+            f"operator columns ({a.shape[-1]}) do not match the state "
             f"dimension ({y.shape[0]})")
-    image = a @ y
-    weight = float(np.vdot(image, image).real)
-    if weight <= (1e-15 * float(np.linalg.norm(a)) * y_norm) ** 2:
+    stack = a.reshape(-1, *a.shape[-2:])
+    images = stack @ y
+    # a (1, m) @ (m, 1) matmul per member is np.vdot(image, image), bit for bit
+    weights = (images.conj()[:, None, :] @ images[:, :, None])[:, 0, 0].real
+    if (weights <= (1e-15 * frobenius_norms(stack) * y_norm) ** 2).any():
         raise ZeroImageError("the operator annihilates the coherent state")
-    return flux.total_flux * (np.abs(image) ** 2) / weight
+    out = flux.total_flux * (np.abs(images) ** 2) / weights[:, None]
+    return out.reshape(a.shape[:-2] + out.shape[-1:])

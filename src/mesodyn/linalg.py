@@ -4,9 +4,9 @@ Matrices are plain ``numpy.ndarray`` values with dtype complex128.  The
 helpers here construct and check the structured operators the solvers
 rely on: Hermitian matrices (symmetrized at construction), unitaries and
 their exponentials, the checked full-rank SVD behind the polar split and
-the checked (K*)^-1 (an LU inverse whose norms certify the full-rank
-floor, with the singular values deciding every case they cannot), and the
-trace pairings
+the energy's log-determinant, the checked (K*)^-1 (an LU inverse whose
+norms certify the full-rank floor, with the singular values deciding
+every case they cannot), and the trace pairings
 
     <L|N> = trace(L N*),   <L,N> = Re trace(L N*),   w(L,N) = Im trace(L N*).
 
@@ -32,7 +32,7 @@ from .errors import (
 # Construction / invariant tolerances.
 HERMITIAN_RTOL = 1e-13          # allowed entrywise deviation from M = M*
 UNITARY_TOL = 1e-12             # ||U*U - I||_F <= UNITARY_TOL * sqrt(dim)
-DEFAULT_PD_FLOOR = 1e-12        # relative singular-value / eigenvalue floor
+DEFAULT_PD_FLOOR = 1e-12        # relative singular-value floor
 
 # The norm screen of adjoint_inverse.  For a nonsingular K and X = (K*)^-1,
 #   s_min/s_max = 1/(||K||_2 ||X||_2) >= 1/c,   c = ||K||_F ||X||_F.
@@ -94,10 +94,10 @@ def hermitian_excess(a: np.ndarray, rtol: float) -> float | None:
 def below_floor(lo, hi, floor):
     """Relative full-rank test: hi is not positive or lo <= floor * hi.
 
-    ``lo``/``hi`` are the smallest and largest singular values (or
-    eigenvalues of a positive-definite matrix).  Arrays are tested
-    elementwise: an array ``lo`` with one ``hi`` flags every value under
-    the floor, and per-member arrays test each member of a stack.
+    ``lo``/``hi`` are the smallest and largest singular values.  Arrays
+    are tested elementwise: an array ``lo`` with one ``hi`` flags every
+    value under the floor, and per-member arrays test each member of a
+    stack.
     """
     return (hi <= 0.0) | (lo <= floor * hi)
 
@@ -198,21 +198,16 @@ def pairing(l, n) -> Pairing:
                    riemannian=riemannian, symplectic=symplectic)
 
 
-def singular_extent(k) -> tuple[float, float]:
-    """Smallest and largest singular values."""
-    s = np.linalg.svd(as_matrix(k), compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
 def _checked_svd(a: np.ndarray, floor, compute_uv: bool):
     """np.linalg.svd of a square array or (..., n, n) stack, full rank or raise.
 
-    The one "SVD, floor test, raise" sequence behind every inverse and
-    polar split.  Raises NonFiniteError for a NaN or Inf entry (LAPACK's
-    SVD can loop forever on Inf) and for an SVD that does not converge, and
-    NearSingularError when ``below_floor(s[-1], s[0], floor)`` for any
-    member; ``floor`` is one value or one per member.  Returns what
-    ``np.linalg.svd`` does: (U, s, V*), or s alone without ``compute_uv``.
+    The one "SVD, floor test, raise" sequence: the full-rank floor of
+    every inverse, polar split, energy and initial state.  Raises
+    NonFiniteError for a NaN or Inf entry (LAPACK's SVD can loop forever on
+    Inf) and for an SVD that does not converge, and NearSingularError when
+    ``below_floor(s[-1], s[0], floor)`` for any member; ``floor`` is one
+    value or one per member.  Returns what ``np.linalg.svd`` does:
+    (U, s, V*), or s alone without ``compute_uv``.
     """
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix contains NaN or Inf entries")
@@ -239,6 +234,11 @@ def full_rank_svd(a: np.ndarray, floor):
     The polar split's SVD, checked as ``_checked_svd`` describes.
     """
     return _checked_svd(a, floor, compute_uv=True)
+
+
+def singular_values(a: np.ndarray, floor) -> np.ndarray:
+    """Descending singular values of a square array or stack, floored by ``_checked_svd``."""
+    return _checked_svd(a, floor, compute_uv=False)
 
 
 def adjoint_inverse(k, floor=DEFAULT_PD_FLOOR) -> np.ndarray:

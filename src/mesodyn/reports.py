@@ -3,7 +3,9 @@
 All numeric cells use the shortest round-trip decimal representation of
 the double (Python's repr), so identical runs produce byte-identical
 files.  Trajectory entries, the bulk of every artifact, are formatted by
-``linalg.format_cells`` through orjson, whose text is byte-equal to repr's.
+``linalg.format_cells`` through orjson, whose text is byte-equal to repr's;
+the column tables (diagnostics, moving report, comparison, flux, checks)
+share one writer, ``_table``.
 Writers go through a temp-file + atomic-rename so a crashed run never
 leaves a truncated artifact behind; the trajectory CSV reaches the temp
 file block by block, so its text is never held whole.
@@ -89,58 +91,56 @@ def trajectory_csv(trajectory: Trajectory, report: DiagnosticsReport):
                       in zip(times[w], entries[w], kk_drifts[w], trace_drifts[w], defects[w]))
 
 
+def _column(values) -> list:
+    """One column's cells: format_number per number, "" per None, a string as is.
+
+    A numpy column is read once, by ``tolist``.
+    """
+    cells = values.tolist() if isinstance(values, np.ndarray) else values
+    return ["" if x is None else x if isinstance(x, str) else format_number(x) for x in cells]
+
+
+def _table(header, columns) -> str:
+    """CSV text of the header line and one line per row of the equal-length columns."""
+    return _csv([header, *zip(*map(_column, columns))])
+
+
 def diagnostics_csv(report: DiagnosticsReport) -> str:
-    rows = [["t", "xi", "xi_rate_pred", "xi_rate_obs", "kk_drift",
-             "trace_khk_drift", "unitarity_defect"]]
     trace_drifts = report.trace_khk_drift
-    for i, t in enumerate(report.times):
-        rows.append([
-            format_number(t), format_number(report.xi[i]),
-            format_number(report.xi_rate_predicted[i]),
-            format_number(report.xi_rate_observed[i]),
-            format_number(report.kk_star_drift[i]),
-            "" if trace_drifts is None else format_number(trace_drifts[i]),
-            format_number(report.unitarity_defect[i]),
-        ])
-    return _csv(rows)
+    return _table(
+        ["t", "xi", "xi_rate_pred", "xi_rate_obs", "kk_drift", "trace_khk_drift",
+         "unitarity_defect"],
+        [report.times, report.xi, report.xi_rate_predicted, report.xi_rate_observed,
+         report.kk_star_drift,
+         [None] * len(report.times) if trace_drifts is None else trace_drifts,
+         report.unitarity_defect])
 
 
 def residual_report_csv(rows_in) -> str:
     """Moving-domain report: (t, weak residual or None, image drift, radial drift)."""
-    rows = [["t", "weak_residual", "image_drift", "radial_drift"]]
-    for t, residual, image_drift, radial_drift in rows_in:
-        rows.append([
-            format_number(t),
-            "" if residual is None else format_number(residual),
-            format_number(image_drift), format_number(radial_drift),
-        ])
-    return _csv(rows)
+    return _table(["t", "weak_residual", "image_drift", "radial_drift"], zip(*rows_in))
 
 
 def comparison_csv(rows_in) -> str:
     """Cross-solver table: (pair, max_distance, tolerance, status)."""
-    rows = [["pair", "max_distance", "tolerance", "status"]]
-    for pair, distance, tolerance, status in rows_in:
-        rows.append([pair, format_number(distance), format_number(tolerance), status])
-    return _csv(rows)
+    return _table(["pair", "max_distance", "tolerance", "status"], zip(*rows_in))
 
 
 def flux_csv(times, distributions) -> str:
-    """Per-time flux distribution, one column per image component."""
-    n = len(distributions[0]) if distributions else 0
-    rows = [["t"] + [f"flux_{i}" for i in range(n)]]
-    for t, dist in zip(times, distributions):
-        rows.append([format_number(t)] + [format_number(v) for v in dist])
-    return _csv(rows)
+    """Per-time flux distribution, one column per image component.
+
+    ``distributions`` is a (T, n) array or a sequence of T length-n rows.
+    """
+    dist = np.asarray(distributions, dtype=np.float64)
+    n = dist.shape[1] if dist.ndim == 2 else 0
+    return _table(["t"] + [f"flux_{i}" for i in range(n)], [times, *dist.T])
 
 
 def checks_csv(results) -> str:
     """Verification battery table."""
-    rows = [["check", "metric", "threshold", "comparison", "status"]]
-    for r in results:
-        rows.append([r.name, format_number(r.metric), format_number(r.threshold),
-                     r.comparison, "pass" if r.passed else "fail"])
-    return _csv(rows)
+    return _table(["check", "metric", "threshold", "comparison", "status"],
+                  zip(*((r.name, r.metric, r.threshold, r.comparison,
+                         "pass" if r.passed else "fail") for r in results)))
 
 
 @dataclass

@@ -22,18 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import NearSingularError, OutOfDomainError
 from .linalg import (
     DEFAULT_PD_FLOOR,
     HERMITIAN_RTOL,
     as_matrix,
-    below_floor,
     hermitian_excess,
     hermitian_part,
     matrix_from_json,
     matrix_json_text,
     matrix_to_json,
-    singular_extent,
+    singular_values,
 )
 
 FIELD_KINDS = ("constant", "sinusoid", "linear-ramp", "sampled-table")
@@ -503,13 +502,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             issues.append(ValidationIssue(
                 DIMENSION_MISMATCH,
                 f"initial_k dimension {k.shape[0]} != hamiltonian dimension {h_dim}"))
-        smin, smax = singular_extent(k)
-        floor = cfg.pd_floor if 0.0 < cfg.pd_floor < 1.0 else DEFAULT_PD_FLOOR
-        if below_floor(smin, smax, floor):
-            issues.append(ValidationIssue(
-                NOT_FULL_RANK,
-                f"initial_k singular-value ratio {smin:.3e}/{smax:.3e} "
-                f"crosses pd_floor {floor:.1e}"))
+        try:
+            singular_values(k, cfg.pd_floor if 0.0 < cfg.pd_floor < 1.0 else DEFAULT_PD_FLOOR)
+        except NearSingularError as exc:
+            issues.append(ValidationIssue(NOT_FULL_RANK, f"initial_k {exc}"))
 
     return ValidationReport(issues=tuple(issues))
 

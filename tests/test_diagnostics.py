@@ -23,10 +23,22 @@ from mesodyn.errors import (
     NuDoesNotDominateError,
     ZeroImageError,
 )
-from mesodyn.fixed_domain import MAGNUS_CHUNK, evolve_direct, evolve_factorized, polar_init
+from mesodyn.fixed_domain import (
+    MAGNUS_CHUNK,
+    Trajectory,
+    evolve_direct,
+    evolve_factorized,
+    polar_init,
+)
 from mesodyn.linalg import adjoint_inverse, below_floor, hermitian_part, pairing, unitary_defect
 from mesodyn.reports import trajectory_csv
-from mesodyn.scenario import FieldProfile, HamiltonianProfile, ScenarioConfig
+from mesodyn.scenario import (
+    NOT_FULL_RANK,
+    FieldProfile,
+    HamiltonianProfile,
+    ScenarioConfig,
+    validate_scenario,
+)
 from mesodyn.verification import (
     crandn,
     random_full_rank,
@@ -55,17 +67,17 @@ def reference_invariant_report(trajectory, cfg):
                  else np.gradient(b_samples, times))
     rows = []
     for i, k in enumerate(ks):
+        if not np.isfinite(k).all():
+            raise NonFiniteError("matrix contains NaN or Inf entries")
+        sv = np.linalg.svd(k, compute_uv=False)
+        if below_floor(sv[-1], sv[0], cfg.pd_floor):
+            raise NearSingularError(f"singular value ratio {sv[-1]:.3e}/{sv[0]:.3e} "
+                                    f"crosses the floor {cfg.pd_floor:.1e}")
         gram = hermitian_part(k @ k.conj().T)
-        try:
-            w = np.linalg.eigvalsh(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NonFiniteError(f"K K* has no eigenvalues: {exc}") from exc
-        if below_floor(float(w[0]), float(w[-1]), cfg.pd_floor * cfg.pd_floor):
-            raise NearSingularError(
-                f"K K* eigenvalue ratio {float(w[0]):.3e}/{float(w[-1]):.3e} "
-                f"crosses the floor")
+        if not np.isfinite(gram).all():
+            raise NonFiniteError("matrix contains NaN or Inf entries")
         electronic = float(np.trace(k @ h_samples[i] @ k.conj().T).real)
-        entropy = float(np.sum(np.log(w)))
+        entropy = 2.0 * float(np.sum(np.log(sv)))
         b = float(b_samples[i])
         if i == 0:
             gram0, gram0_norm, logdet_r2 = gram, float(np.linalg.norm(gram)), entropy
@@ -124,6 +136,36 @@ def sub_floor(k):
     return k
 
 
+class TestSingularValueFloor:
+    """Every route floors the singular values of K, not the eigenvalues of K K*."""
+
+    @staticmethod
+    def nearly_singular(seed, dim=40):
+        """K = U diag(s) V* with s uniform in [1, 2] and the last at 1e-13 of the
+        largest: the eigenvalues of K K* leave rounding to decide that floor."""
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(1.0, 2.0, dim)
+        s[-1] = 1e-13 * s.max()
+        k = (random_unitary(rng, dim) * s) @ random_unitary(rng, dim)
+        return k, random_hermitian(rng, dim, -1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_route_rejects_a_sub_floor_k(self, seed):
+        k, h = self.nearly_singular(seed)
+        with pytest.raises(NearSingularError):
+            total_hamiltonian(k, h, 1.0)
+        cfg = ScenarioConfig(hbar=1.0, hamiltonian=HamiltonianProfile.constant(h),
+                             field=FieldProfile.constant(1.0), initial_k=k,
+                             t_end=1.0, dt=0.1, output_stride=1)
+        with pytest.raises(NearSingularError):
+            invariant_report(Trajectory(np.array([0.0]), k[None], "factorized"), cfg)
+        # as a later sample, past the polar split of a full-rank K0
+        two = np.stack([k + 1e-6 * h, k])
+        with pytest.raises(NearSingularError):
+            invariant_report(Trajectory(np.array([0.0, 0.1]), two, "factorized"), cfg)
+        assert NOT_FULL_RANK in validate_scenario(cfg).codes()
+
+
 class TestTotalHamiltonian:
     def test_identity_operator(self):
         value = total_hamiltonian(np.eye(2, dtype=complex), np.diag([1.0, 2.0]), 1.0)
@@ -139,6 +181,10 @@ class TestTotalHamiltonian:
         with pytest.raises(NearSingularError):
             total_hamiltonian(np.diag([1.0, 1e-14]).astype(complex),
                               np.eye(2), 1.0)
+
+    def test_overflowing_energy_raises_non_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            total_hamiltonian(1e200 * np.eye(2, dtype=complex), np.eye(2), 1.0)
 
     def test_stationary_at_critical_point(self, rng):
         h = random_hermitian(rng, 3, 0.5, 2.0)
@@ -240,23 +286,22 @@ class TestInvariantReport:
         assert report.max_trace_khk_drift() <= 1e-8
 
     @pytest.mark.parametrize("dim", [3, 40])
-    def test_one_eigvalsh_per_chunk(self, rng, monkeypatch, dim):
+    def test_one_svd_per_chunk(self, rng, monkeypatch, svd_calls, dim):
         cfg = random_scenario(rng, dim, t_end=0.1, dt=1e-3, output_stride=10)
         trajectory = evolve_factorized(cfg)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        svd_calls.clear()
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the diagnostics form no eigenvalues of K K*")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         report = invariant_report(trajectory, cfg)
         monkeypatch.undo()
         assert len(trajectory.ks) == 11
         chunk = max(1, MAGNUS_CHUNK // dim ** 2)  # 1820 at dim 3, 10 at dim 40
-        assert calls == [(min(chunk, 11 - start), dim, dim)
-                         for start in range(0, 11, chunk)]
+        # polar_init's SVD of K0, then one values-only SVD per chunk
+        assert svd_calls == [(dim, dim)] + [(min(chunk, 11 - start), dim, dim)
+                                            for start in range(0, 11, chunk)]
         for t, xi, k in zip(report.times, report.xi, trajectory.ks):
             assert xi == total_hamiltonian(k, cfg.hamiltonian.samples([t])[0],
                                            cfg.field.sample(t))
@@ -463,6 +508,25 @@ class TestFluxDistribution:
         with pytest.raises(ZeroImageError):
             flux_distribution(k, FluxInput(upsilon=np.array([0.0, 1.0]),
                                            total_flux=1.0))
+
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (5, 4, 2), (3, 64, 64)])
+    def test_stack_matches_each_member(self, rng, shape):
+        ks = crandn(rng, *shape)
+        flux = FluxInput(upsilon=crandn(rng, shape[-1]), total_flux=1.7)
+        out = flux_distribution(ks, flux)
+        assert out.shape == shape[:2]
+        for k, row in zip(ks, out):
+            assert row.tobytes() == flux_distribution(k, flux).tobytes()
+            # the one-sample definition, bit for bit
+            image = k @ flux.upsilon
+            weight = float(np.vdot(image, image).real)
+            assert row.tobytes() == (flux.total_flux * np.abs(image) ** 2 / weight).tobytes()
+
+    def test_annihilated_member_rejected(self, rng):
+        ks = crandn(rng, 5, 2, 2)
+        ks[2] = [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ZeroImageError):
+            flux_distribution(ks, FluxInput(upsilon=np.array([0.0, 1.0]), total_flux=1.0))
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):

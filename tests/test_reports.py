@@ -4,7 +4,17 @@ import pytest
 from mesodyn.diagnostics import DiagnosticsReport
 from mesodyn.fixed_domain import Trajectory
 from mesodyn.linalg import CELL_CHUNK, format_cells
-from mesodyn.reports import atomic_write_text, format_number, trajectory_csv
+from mesodyn.reports import (
+    atomic_write_text,
+    checks_csv,
+    comparison_csv,
+    diagnostics_csv,
+    flux_csv,
+    format_number,
+    residual_report_csv,
+    trajectory_csv,
+)
+from mesodyn.verification import CheckResult
 
 
 def repr_cells(values):
@@ -177,6 +187,67 @@ class TestTrajectoryCsv:
         trajectory = Trajectory(times=np.array([]), ks=np.empty((0, 2, 2), dtype=complex),
                                 solver_tag="test")
         assert "".join(trajectory_csv(trajectory, report_of([]))) == "t\n"
+
+
+def reference_table(header, rows):
+    """One format_number per number cell, "" per None: the definition of the tables."""
+    def cell(x):
+        return "" if x is None else x if isinstance(x, str) else format_number(x)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+# signed zeros, subnormals, exponent-form cells and integer-valued floats
+AWKWARD = np.array([-0.0, 5e-324, 1e22, 3.0, 1e-5, -2.5e-17, np.inf, np.nan])
+
+
+class TestColumnTables:
+    """The five column tables against one format_number per cell, byte for byte."""
+
+    @pytest.mark.parametrize("with_trace", [False, True])
+    def test_diagnostics(self, with_trace):
+        times = np.arange(len(AWKWARD)) * 0.1
+        report = DiagnosticsReport(
+            times=times, xi=AWKWARD, xi_rate_predicted=AWKWARD[::-1],
+            xi_rate_observed=-AWKWARD, kk_star_drift=np.abs(AWKWARD),
+            unitarity_defect=AWKWARD * 1e-300,
+            trace_khk_drift=AWKWARD[::2].repeat(2) if with_trace else None)
+        columns = [report.times, report.xi, report.xi_rate_predicted,
+                   report.xi_rate_observed, report.kk_star_drift,
+                   report.trace_khk_drift if with_trace else [None] * len(times),
+                   report.unitarity_defect]
+        assert diagnostics_csv(report) == reference_table(
+            ["t", "xi", "xi_rate_pred", "xi_rate_obs", "kk_drift", "trace_khk_drift",
+             "unitarity_defect"], zip(*columns))
+
+    def test_residual_report(self):
+        rows = [(np.float64(0.0), None, AWKWARD[0], 1e22),
+                (0.5, np.float64(5e-324), -0.0, AWKWARD[4])]
+        assert residual_report_csv(iter(rows)) == reference_table(
+            ["t", "weak_residual", "image_drift", "radial_drift"], rows)
+        assert residual_report_csv([]) == "t,weak_residual,image_drift,radial_drift\n"
+
+    def test_comparison(self):
+        rows = [("direct_vs_factorized", np.float64(-0.0), 1e-8, "pass"),
+                ("direct_vs_series", 1e22, np.float64(5e-324), "fail")]
+        assert comparison_csv(rows) == reference_table(
+            ["pair", "max_distance", "tolerance", "status"], rows)
+
+    def test_flux(self, rng):
+        times = np.array([0.0, 1e-5, 2.0])
+        dists = np.stack([AWKWARD[:3], AWKWARD[3:6], rng.standard_normal(3)])
+        header = ["t", "flux_0", "flux_1", "flux_2"]
+        expected = reference_table(header, ([t, *d] for t, d in zip(times, dists)))
+        assert flux_csv(times, dists) == expected
+        assert flux_csv(times.tolist(), list(dists)) == expected
+        assert flux_csv([], []) == "t\n"
+
+    def test_checks(self):
+        results = [CheckResult("a", np.float64(-0.0), 1e-12, "<=", True),
+                   CheckResult("b", 1e22, 5e-324, ">=", False)]
+        assert checks_csv(results) == reference_table(
+            ["check", "metric", "threshold", "comparison", "status"],
+            [("a", -0.0, 1e-12, "<=", "pass"), ("b", 1e22, 5e-324, ">=", "fail")])
 
 
 class TestAtomicWrite:
